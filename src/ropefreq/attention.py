@@ -13,6 +13,11 @@ positional mechanics. Two entry points:
   slowest), or given shifted positions. AdaIN re-statistics the target image
   features against the reference before any rotation.
 
+Attention is evaluated one block of query rows at a time. Both entry points
+stack the blocks into the dense arrays of their report;
+:func:`ropefreq.diagnostics.evaluate_shared` folds the same blocks into its
+metrics and keeps none of them.
+
 Per-chunk scaling commutes with rotation (both act chunk-diagonally), so
 modulating before or after the rotary encoding is equivalent; this module
 modulates rotated keys.
@@ -21,6 +26,7 @@ modulates rotated keys.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,41 +331,46 @@ def adain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+# Bytes of f64 logits one block of query rows may hold. A block's height is
+# this budget over the bytes in one row of logits, so the working set stays
+# flat however many keys there are.
+_BLOCK_BYTES = 4 * 2**20
 
 
-def _attention_core(
+def _block_rows(n_keys: int) -> int:
+    """Query rows per block for ``n_keys`` keys."""
+    return max(1, _BLOCK_BYTES // (8 * max(n_keys, 1)))
+
+
+def _attention_blocks(
     q_rot: np.ndarray,
     k_rot: np.ndarray,
-    v: np.ndarray,
-    dim: int,
+    v: np.ndarray | None,
     heads: int,
     band_partition: BandPartition | None,
     config: RotaryConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    band_keys=slice(None),
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Evaluate attention one block of query rows at a time.
+
+    Yields ``(start, attention, output, per_band)`` for query rows
+    ``start:start + len(attention)``: the head-averaged softmax rows over
+    every key, their weighted values (``None`` without ``v``), and each
+    band's share of the scaled logits against ``k_rot[band_keys]``, shaped
+    (bands, rows, band keys), or ``None`` without a partition. Every key is
+    in every block, so each softmax row is exact and needs no rescaling.
+
+    Heads and partition are checked before the first block; a softmax row
+    that is not finite (overflowing or NaN logits) raises
+    :class:`ConfigurationError` in its block.
+    """
+    dim = config.dim
     if heads < 1:
         raise ConfigurationError(f"heads must be >= 1, got {heads}")
     if dim % (2 * heads) != 0:
         raise ConfigurationError(
             f"dim={dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
         )
-    head_dim = dim // heads
-    scale = 1.0 / math.sqrt(head_dim)
-    nq = q_rot.shape[0]
-    attention = np.zeros((nq, k_rot.shape[0]))
-    output = np.empty((nq, dim))
-    for h in range(heads):
-        sl = slice(h * head_dim, (h + 1) * head_dim)
-        logits = (q_rot[:, sl] @ k_rot[:, sl].T) * scale
-        a = _softmax_rows(logits)
-        attention += a
-        output[:, sl] = a @ v[:, sl]
-    attention /= heads
-
-    per_band = None
     if band_partition is not None:
         if heads != 1:
             raise ConfigurationError("per-band logit decomposition requires heads=1")
@@ -367,10 +378,71 @@ def _attention_core(
             raise ConfigurationError(
                 "band decomposition needs a partition covering every chunk"
             )
-        per_band = np.empty((len(band_partition.bands), nq, k_rot.shape[0]))
-        for i, band in enumerate(band_partition.bands):
-            cols = slice(2 * band.start, 2 * band.stop)
-            per_band[i] = (q_rot[:, cols] @ k_rot[:, cols].T) * scale
+    return _blocks(q_rot, k_rot, v, heads, band_partition, k_rot[band_keys])
+
+
+def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
+    dim = q_rot.shape[1]
+    head_dim = dim // heads
+    scale = 1.0 / math.sqrt(head_dim)
+    step = _block_rows(k_rot.shape[0])
+    for start in range(0, q_rot.shape[0], step):
+        qb = q_rot[start : start + step]
+        attention = None
+        output = None if v is None else np.empty((qb.shape[0], dim))
+        for h in range(heads):
+            sl = slice(h * head_dim, (h + 1) * head_dim)
+            a = qb[:, sl] @ k_rot[:, sl].T
+            a *= scale
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            total = a.sum(axis=1, keepdims=True)
+            # Each row holds exp(0) = 1, so a finite total means every
+            # entry is finite; NaN or overflow anywhere makes it non-finite.
+            if not np.isfinite(total).all():
+                raise ConfigurationError(
+                    "attention softmax is not finite: the logits overflow or contain NaN"
+                )
+            a /= total
+            if output is not None:
+                output[:, sl] = a @ v[:, sl]
+            if attention is None:
+                attention = a
+            else:
+                attention += a
+        attention /= heads
+
+        per_band = None
+        if band_partition is not None:
+            per_band = np.empty((len(band_partition.bands), qb.shape[0], band_k.shape[0]))
+            for i, band in enumerate(band_partition.bands):
+                cols = slice(2 * band.start, 2 * band.stop)
+                per_band[i] = (qb[:, cols] @ band_k[:, cols].T) * scale
+        yield start, attention, output, per_band
+
+
+def _dense(
+    q_rot: np.ndarray,
+    k_rot: np.ndarray,
+    v: np.ndarray,
+    heads: int,
+    band_partition: BandPartition | None,
+    config: RotaryConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Stack every block into the dense arrays an :class:`AttentionReport` holds."""
+    nq, nk = q_rot.shape[0], k_rot.shape[0]
+    blocks = _attention_blocks(q_rot, k_rot, v, heads, band_partition, config)
+    attention = np.empty((nq, nk))
+    output = np.empty((nq, config.dim))
+    per_band = None
+    if band_partition is not None:
+        per_band = np.empty((len(band_partition.bands), nq, nk))
+    for start, block_attention, block_output, block_per_band in blocks:
+        rows = slice(start, start + block_attention.shape[0])
+        attention[rows] = block_attention
+        output[rows] = block_output
+        if per_band is not None:
+            per_band[:, rows] = block_per_band
     return attention, output, per_band
 
 
@@ -402,9 +474,7 @@ def attend(
         raise ShapeError(f"V must have shape ({K.n_tokens}, {config.dim}), got {v.shape}")
     q_rot = apply_rope_batch(Q.features, Q.positions, config)
     k_rot = apply_rope_batch(K.features, K.positions, config)
-    attention, output, per_band = _attention_core(
-        q_rot, k_rot, v, config.dim, heads, band_partition, config
-    )
+    attention, output, per_band = _dense(q_rot, k_rot, v, heads, band_partition, config)
     source_q = "target-image" if Q.modality == "image" else "target-text"
     source_k = "target-image" if K.modality == "image" else "target-text"
     return AttentionReport(
@@ -523,9 +593,7 @@ def shared_attend(
 ) -> AttentionReport:
     """Evaluate shared attention and package the result."""
     qkv = build_shared_qkv(target, target_text, reference, params, config, step)
-    attention, output, per_band = _attention_core(
-        qkv.q, qkv.k, qkv.v, config.dim, heads, band_partition, config
-    )
+    attention, output, per_band = _dense(qkv.q, qkv.k, qkv.v, heads, band_partition, config)
     return AttentionReport(
         attention=attention,
         output=output,

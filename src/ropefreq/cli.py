@@ -26,10 +26,10 @@ from .attention import (
     ModulationSchedule,
     SharingParams,
     TimestepRamp,
-    shared_attend,
+    build_shared_qkv,
 )
 from .bands import Band, decay_curve, decay_curve_to_csv, make_even_partition
-from .diagnostics import band_attribution, compute_alignment
+from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, write_attention_matrix
 from .rope import RotaryConfig, frequencies
@@ -280,7 +280,11 @@ class ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
-    """Evaluate every entry; returns (report dict, attention reports)."""
+    """Evaluate every entry; returns (report dict, one evaluation per entry).
+
+    Each evaluation keeps its ``<f4`` attention matrix only when the config
+    asks for attention output.
+    """
     config = cfg.build_rotary()
     scene_seed = cfg.scene_seed if cfg.scene_seed is not None else cfg.seed + 1
     base = make_grid(
@@ -297,38 +301,32 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
     )
 
     entries = []
-    reports = []
+    evaluations = []
     for label, sharing, step in cfg.iter_entries():
         params = _sharing_params(sharing, config)
-        report = shared_attend(
-            scene.target,
-            text,
-            scene.reference,
-            params,
+        qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
+        evaluation = evaluate_shared(
+            qkv,
+            scene,
             config,
             heads=cfg.heads,
-            step=step,
             band_partition=partition,
+            keep_attention=cfg.output_attention is not None,
         )
-        metrics = compute_alignment(report, scene)
-        entry = {
-            "label": label,
-            "sharing": sharing,
-            "step": step,
-            "alignment": metrics.as_dict(),
-            "notes": list(report.notes),
-            "n_queries": int(report.attention.shape[0]),
-            "n_keys": int(report.attention.shape[1]),
-        }
-        if partition is not None and any(
-            k.source == "reference-image" for k in report.key_layout
-        ):
-            attribution = band_attribution(report, partition)
-            entry["band_attribution"] = attribution.mean_abs_logit
-        else:
-            entry["band_attribution"] = None
-        entries.append(entry)
-        reports.append(report)
+        attribution = evaluation.attribution
+        entries.append(
+            {
+                "label": label,
+                "sharing": sharing,
+                "step": step,
+                "alignment": evaluation.alignment.as_dict(),
+                "notes": list(evaluation.notes),
+                "n_queries": len(evaluation.query_layout),
+                "n_keys": len(evaluation.key_layout),
+                "band_attribution": None if attribution is None else attribution.mean_abs_logit,
+            }
+        )
+        evaluations.append(evaluation)
 
     result: dict = {"config": cfg.to_json_dict(), "entries": entries}
     if len(entries) > 1:
@@ -337,12 +335,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
             k: float(np.mean([e["alignment"][k] for e in entries])) for k in keys
         }
     if entries:
-        result["key_layout"] = layout_to_json(reports[0].key_layout)
-    return result, reports
+        result["key_layout"] = layout_to_json(evaluations[0].key_layout)
+    return result, evaluations
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigurationError(f"refusing to write a non-finite number: {exc}") from exc
 
 
 def _info(args, message: str) -> None:
@@ -419,7 +420,7 @@ def cmd_shared_attn(args) -> int:
         _info(args, f"wrote {args.emit_config}")
         return 0
 
-    result, reports = run_experiment(cfg)
+    result, evaluations = run_experiment(cfg)
 
     report_path = args.out or cfg.output_report
     if report_path is None:
@@ -429,12 +430,12 @@ def cmd_shared_attn(args) -> int:
         _info(args, f"wrote {report_path}")
     if cfg.output_attention:
         base = Path(cfg.output_attention)
-        for entry, report in zip(result["entries"], reports):
-            if len(reports) == 1:
+        for entry, evaluation in zip(result["entries"], evaluations):
+            if len(evaluations) == 1:
                 path = base
             else:
                 path = base.with_name(f"{base.stem}.{entry['label']}{base.suffix}")
-            write_attention_matrix(path, report)
+            write_attention_matrix(path, evaluation)
             _info(args, f"wrote {path}")
     return 0
 

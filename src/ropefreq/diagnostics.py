@@ -15,12 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionReport
+from .attention import (
+    AttentionReport,
+    KeyLabel,
+    SharedQKV,
+    _attention_blocks,
+    _block_rows,
+)
 from .bands import BandPartition
 from .errors import ShapeError, UnsupportedReportError
+from .rope import RotaryConfig
 from .synthetic import PlantedScene
 
-__all__ = ["AlignmentMetrics", "BandAttribution", "compute_alignment", "band_attribution"]
+__all__ = [
+    "AlignmentMetrics",
+    "BandAttribution",
+    "SharedEvaluation",
+    "compute_alignment",
+    "band_attribution",
+    "evaluate_shared",
+]
 
 
 @dataclass(frozen=True)
@@ -48,8 +62,109 @@ class AlignmentMetrics:
         }
 
 
-def _rows_by_source(layout, source: str) -> list[int]:
-    return [i for i, lab in enumerate(layout) if lab.source == source]
+def _rows_by_source(layout, source: str) -> np.ndarray:
+    return np.array([i for i, lab in enumerate(layout) if lab.source == source], dtype=np.intp)
+
+
+def _index(rows: np.ndarray):
+    """``rows`` as a slice when it is one ascending run, so indexing is a view."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+def _positions(layout, rows: np.ndarray) -> np.ndarray:
+    return np.array(
+        [layout[r].position.as_tuple() for r in rows.tolist()], dtype=np.int64
+    ).reshape(-1, 2)
+
+
+def _row_order_sum(values: np.ndarray) -> float:
+    # One float at a time in query order, as a per-query loop adds them, so
+    # the result does not depend on how the rows were blocked.
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def _span(rows: np.ndarray, start: int, stop: int) -> tuple[int, int, object]:
+    """``(lo, hi, local)``: ``rows[lo:hi]`` fall in ``start:stop``, at ``local`` in the block."""
+    lo, hi = np.searchsorted(rows, (start, stop))
+    return int(lo), int(hi), _index(rows[lo:hi] - start)
+
+
+class _AlignmentFold:
+    """Alignment terms of each image query, filled one block of rows at a time.
+
+    Built from a report's (or an evaluation's) layouts and the scene; feed
+    it every block of softmax rows with :meth:`add`, then read
+    :meth:`result`.
+    """
+
+    def __init__(self, query_layout, key_layout, scene: PlantedScene, radius: int = 0) -> None:
+        self.q_rows = _rows_by_source(query_layout, "target-image")
+        ref_cols = _rows_by_source(key_layout, "reference-image")
+        n = scene.target.n_tokens
+        if len(self.q_rows) != n:
+            raise ShapeError(
+                f"report has {len(self.q_rows)} image queries but the scene has {n} tokens"
+            )
+        self.has_reference = bool(ref_cols.size)
+        self.ref_cols = _index(ref_cols)
+        if not self.has_reference:
+            return
+        if len(ref_cols) != n:
+            raise ShapeError(
+                f"report has {len(ref_cols)} reference keys but the scene has {n} tokens"
+            )
+        ref_index = np.array([key_layout[c].index for c in ref_cols.tolist()])
+        if not np.array_equal(np.sort(ref_index), np.arange(n)):
+            raise ShapeError("reference keys do not cover the scene's token indices")
+        local_of_index = np.empty(n, dtype=np.intp)
+        local_of_index[ref_index] = np.arange(n)
+        self.radius = radius
+        self.query_pos = _positions(query_layout, self.q_rows)
+        self.ref_pos = _positions(key_layout, ref_cols)
+        self.semantic = local_of_index[np.asarray(scene.correspondence, dtype=np.intp)]
+        self.ref_mass = np.zeros(n)
+        self.pos_mass = np.zeros(n)
+        self.sem_mass = np.zeros(n)
+        self.pos_hit = np.zeros(n, dtype=bool)
+        self.sem_hit = np.zeros(n, dtype=bool)
+
+    def add(self, start: int, attention: np.ndarray) -> None:
+        """Fold softmax rows ``start:start + len(attention)`` over all keys."""
+        if not self.has_reference:
+            return
+        lo, hi, local = _span(self.q_rows, start, start + attention.shape[0])
+        if lo == hi:
+            return
+        ref = attention[local][:, self.ref_cols]
+        qpos = self.query_pos[lo:hi]
+        near = (np.abs(qpos[:, :1] - self.ref_pos[:, 0]) <= self.radius) & (
+            np.abs(qpos[:, 1:] - self.ref_pos[:, 1]) <= self.radius
+        )
+        rows = np.arange(hi - lo)
+        semantic = self.semantic[lo:hi]
+        winner = ref.argmax(axis=1)
+        self.ref_mass[lo:hi] = ref.sum(axis=1)
+        self.pos_mass[lo:hi] = np.where(near, ref, 0.0).sum(axis=1)
+        self.sem_mass[lo:hi] = ref[rows, semantic]
+        self.pos_hit[lo:hi] = near[rows, winner]
+        self.sem_hit[lo:hi] = winner == semantic
+
+    def result(self) -> AlignmentMetrics:
+        if not self.has_reference:
+            return AlignmentMetrics(0.0, 0.0, 0.0, 0.0, 0.0)
+        nq = len(self.q_rows)
+        return AlignmentMetrics(
+            positional_mass=_row_order_sum(self.pos_mass) / nq,
+            semantic_mass=_row_order_sum(self.sem_mass) / nq,
+            argmax_positional_rate=int(self.pos_hit.sum()) / nq,
+            argmax_semantic_rate=int(self.sem_hit.sum()) / nq,
+            reference_mass=_row_order_sum(self.ref_mass) / nq,
+        )
 
 
 def compute_alignment(
@@ -62,56 +177,12 @@ def compute_alignment(
     neighborhood (not used by the standard experiments). A report without
     reference keys yields all-zero reference metrics.
     """
-    q_rows = _rows_by_source(report.query_layout, "target-image")
-    ref_cols = _rows_by_source(report.key_layout, "reference-image")
-    n = scene.target.n_tokens
-    if len(q_rows) != n:
-        raise ShapeError(
-            f"report has {len(q_rows)} image queries but the scene has {n} tokens"
-        )
-    if not ref_cols:
-        return AlignmentMetrics(0.0, 0.0, 0.0, 0.0, 0.0)
-    if len(ref_cols) != n:
-        raise ShapeError(
-            f"report has {len(ref_cols)} reference keys but the scene has {n} tokens"
-        )
-
-    by_index = {report.key_layout[c].index: c for c in ref_cols}
-    if sorted(by_index) != list(range(n)):
-        raise ShapeError("reference keys do not cover the scene's token indices")
-    ref_positions = np.array(
-        [report.key_layout[c].position.as_tuple() for c in ref_cols], dtype=np.int64
-    )
-
-    attn = report.attention
-    ref_col_arr = np.array(ref_cols)
-    pos_mass = sem_mass = ref_mass = 0.0
-    pos_hits = sem_hits = 0
-    for i, row in enumerate(q_rows):
-        qpos = report.query_layout[row].position
-        dist = np.abs(ref_positions - np.array(qpos.as_tuple())).max(axis=1)
-        aligned = ref_col_arr[dist <= radius]
-        sem_col = by_index[int(scene.correspondence[i])]
-
-        ref_row = attn[row, ref_col_arr]
-        ref_mass += float(ref_row.sum())
-        pos_mass += float(attn[row, aligned].sum())
-        sem_mass += float(attn[row, sem_col])
-
-        winner = ref_col_arr[int(np.argmax(ref_row))]
-        if winner in aligned:
-            pos_hits += 1
-        if winner == sem_col:
-            sem_hits += 1
-
-    nq = len(q_rows)
-    return AlignmentMetrics(
-        positional_mass=pos_mass / nq,
-        semantic_mass=sem_mass / nq,
-        argmax_positional_rate=pos_hits / nq,
-        argmax_semantic_rate=sem_hits / nq,
-        reference_mass=ref_mass / nq,
-    )
+    fold = _AlignmentFold(report.query_layout, report.key_layout, scene, radius)
+    attention = report.attention
+    step = _block_rows(attention.shape[1])
+    for start in range(0, attention.shape[0], step):
+        fold.add(start, attention[start : start + step])
+    return fold.result()
 
 
 @dataclass(frozen=True)
@@ -123,6 +194,36 @@ class BandAttribution:
     n_pairs: int
 
 
+class _AttributionFold:
+    """Per-band |logit| sums over image queries x reference keys, one block at a time.
+
+    ``key_cols`` picks the reference keys among the columns of the per-band
+    blocks fed to :meth:`add`.
+    """
+
+    def __init__(self, partition: BandPartition, query_layout, key_cols, n_keys: int) -> None:
+        self.partition = partition
+        self.q_rows = _rows_by_source(query_layout, "target-image")
+        self.key_cols = key_cols
+        self.n_pairs = len(self.q_rows) * n_keys
+        self.totals = np.zeros(len(partition.bands))
+
+    def add(self, start: int, per_band: np.ndarray) -> None:
+        """Fold per-band logits of query rows ``start:start + per_band.shape[1]``."""
+        lo, hi, local = _span(self.q_rows, start, start + per_band.shape[1])
+        if lo < hi:
+            self.totals += np.abs(per_band[:, local][:, :, self.key_cols]).sum(axis=(1, 2))
+
+    def result(self) -> BandAttribution:
+        labels = self.partition.labels
+        means = self.totals / self.n_pairs
+        return BandAttribution(
+            labels=labels,
+            mean_abs_logit={lab: float(m) for lab, m in zip(labels, means)},
+            n_pairs=self.n_pairs,
+        )
+
+
 def band_attribution(report: AttentionReport, partition: BandPartition) -> BandAttribution:
     """Summarize how much each frequency band contributes to reference logits."""
     if report.per_band_logits is None:
@@ -131,15 +232,72 @@ def band_attribution(report: AttentionReport, partition: BandPartition) -> BandA
         raise UnsupportedReportError(
             "partition does not match the one the report was computed with"
         )
-    q_rows = _rows_by_source(report.query_layout, "target-image")
     ref_cols = _rows_by_source(report.key_layout, "reference-image")
-    if not ref_cols:
+    if not ref_cols.size:
         raise UnsupportedReportError("report has no reference keys to attribute")
-    block = report.per_band_logits[np.ix_(range(len(partition.bands)), q_rows, ref_cols)]
-    means = np.abs(block).mean(axis=(1, 2))
-    labels = partition.labels
-    return BandAttribution(
-        labels=labels,
-        mean_abs_logit={lab: float(m) for lab, m in zip(labels, means)},
-        n_pairs=len(q_rows) * len(ref_cols),
+    fold = _AttributionFold(partition, report.query_layout, _index(ref_cols), len(ref_cols))
+    per_band = report.per_band_logits
+    step = _block_rows(per_band.shape[2])
+    for start in range(0, per_band.shape[1], step):
+        fold.add(start, per_band[:, start : start + step])
+    return fold.result()
+
+
+@dataclass(frozen=True)
+class SharedEvaluation:
+    """One shared-attention evaluation, reduced block by block.
+
+    ``attention`` is the head-averaged softmax as a ``<f4`` matrix when it
+    was kept, else ``None``; ``attribution`` is ``None`` without a band
+    partition or without reference keys.
+    """
+
+    alignment: AlignmentMetrics
+    attribution: BandAttribution | None
+    attention: np.ndarray | None
+    key_layout: tuple[KeyLabel, ...]
+    query_layout: tuple[KeyLabel, ...]
+    notes: tuple[str, ...] = ()
+
+
+def evaluate_shared(
+    qkv: SharedQKV,
+    scene: PlantedScene,
+    config: RotaryConfig,
+    heads: int = 1,
+    band_partition: BandPartition | None = None,
+    keep_attention: bool = False,
+) -> SharedEvaluation:
+    """Alignment, band attribution and (optionally) the ``<f4`` attention of ``qkv``.
+
+    Gives the alignment of :func:`compute_alignment` and, up to rounding,
+    the attribution of :func:`band_attribution` on the matching
+    :func:`shared_attend` report, but holds no dense f64 matrix: each block
+    of query rows is folded into the running sums and dropped. Per-band
+    logits are taken against the reference keys only.
+    """
+    align = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
+    attribution = None
+    if band_partition is not None and align.has_reference:
+        attribution = _AttributionFold(
+            band_partition, qkv.query_layout, slice(None), scene.target.n_tokens
+        )
+    nq, nk = qkv.q.shape[0], qkv.k.shape[0]
+    matrix = np.empty((nq, nk), dtype="<f4") if keep_attention else None
+    blocks = _attention_blocks(
+        qkv.q, qkv.k, None, heads, band_partition, config, band_keys=align.ref_cols
+    )
+    for start, attention, _, per_band in blocks:
+        align.add(start, attention)
+        if attribution is not None:
+            attribution.add(start, per_band)
+        if matrix is not None:
+            matrix[start : start + attention.shape[0]] = attention
+    return SharedEvaluation(
+        alignment=align.result(),
+        attribution=None if attribution is None else attribution.result(),
+        attention=matrix,
+        key_layout=qkv.key_layout,
+        query_layout=qkv.query_layout,
+        notes=qkv.notes,
     )

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionReport, KeyLabel
-from .diagnostics import AlignmentMetrics
+from .diagnostics import SharedEvaluation
+from .errors import ShapeError
 
 __all__ = ["layout_to_json", "write_attention_matrix", "read_attention_matrix"]
 
@@ -26,7 +27,9 @@ def layout_to_json(layout: tuple[KeyLabel, ...]) -> list[dict]:
     ]
 
 
-def write_attention_matrix(path: str | Path, report: AttentionReport) -> Path:
+def write_attention_matrix(
+    path: str | Path, report: AttentionReport | SharedEvaluation
+) -> Path:
     """Write the attention matrix in raw form; returns the sidecar path."""
     path = Path(path)
     matrix = np.ascontiguousarray(report.attention, dtype="<f4")
@@ -39,7 +42,7 @@ def write_attention_matrix(path: str | Path, report: AttentionReport) -> Path:
         "key_layout": layout_to_json(report.key_layout),
         "query_layout": layout_to_json(report.query_layout),
     }
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return sidecar
 
 
@@ -47,9 +50,12 @@ def read_attention_matrix(path: str | Path) -> tuple[np.ndarray, dict]:
     """Load a raw attention file back using its sidecar."""
     path = Path(path)
     meta = json.loads(path.with_name(path.name + ".json").read_text())
-    data = np.frombuffer(path.read_bytes(), dtype=meta["dtype"])
-    return data.reshape(meta["shape"]), meta
-
-
-def metrics_to_json(metrics: AlignmentMetrics) -> dict[str, float]:
-    return metrics.as_dict()
+    raw = path.read_bytes()
+    rows, cols = meta["shape"]
+    expected = np.dtype(meta["dtype"]).itemsize * rows * cols
+    if len(raw) != expected:
+        raise ShapeError(
+            f"{path} holds {len(raw)} bytes but its sidecar shape {rows}x{cols} "
+            f"of {meta['dtype']} needs {expected}"
+        )
+    return np.frombuffer(raw, dtype=meta["dtype"]).reshape(rows, cols), meta

@@ -228,6 +228,20 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
         assert not report_path.exists()
 
+    def test_infinite_scale_exits_3_without_outputs(self, tmp_path):
+        # Python's json reads and writes the non-standard token Infinity.
+        cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": float("inf")})
+        assert "Infinity" in cfg_path.read_text()
+        cfg = json.loads(cfg_path.read_text())
+        cfg["output"]["attention"] = str(tmp_path / "attn.f32")
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert not report_path.exists()
+        assert not (tmp_path / "attn.f32").exists()
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert not emitted.exists()
+
     def test_unknown_sharing_field_rejected(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0, "sharpness": 2})
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
@@ -316,6 +330,22 @@ class TestReportIO:
         assert meta["order"] == "row-major" and meta["dtype"] == "<f4"
         np.testing.assert_allclose(matrix, rep.attention, atol=1e-6)
         assert [lab["source"] for lab in meta["key_layout"][:2]] == ["target-image", "target-image"]
+
+
+    @pytest.mark.parametrize("delta", [-4, 4])
+    def test_byte_length_must_match_sidecar_shape(self, tmp_path, delta):
+        from ropefreq import ShapeError
+        from ropefreq.reportio import read_attention_matrix
+
+        path = tmp_path / "attn.f32"
+        path.write_bytes(np.zeros(6, dtype="<f4").tobytes())
+        meta = {"dtype": "<f4", "order": "row-major", "shape": [2, 3]}
+        (tmp_path / "attn.f32.json").write_text(json.dumps(meta))
+        assert read_attention_matrix(path)[0].shape == (2, 3)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+        with pytest.raises(ShapeError, match=f"{24 + delta} bytes.*needs 24"):
+            read_attention_matrix(path)
 
 
 class TestIncludeFull:
