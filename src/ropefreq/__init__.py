@@ -1,109 +1,19 @@
-"""Rotary embeddings, frequency-band analysis, and shared-attention experiments."""
+"""Rotary embeddings, frequency-band analysis, and shared-attention experiments.
 
-from .attention import (
-    AttentionReport,
-    BandMaskSpec,
-    KeyLabel,
-    ModulationSchedule,
-    SharedQKV,
-    SharingParams,
-    TimestepRamp,
-    TokenSet,
-    adain,
-    attend,
-    build_shared_qkv,
-    grid_positions,
-    modulation_scales,
-    ramp_at,
-    shared_attend,
-    shift_positions,
-)
-from .bands import (
-    Band,
-    BandPartition,
-    DecayCurve,
-    band_mask,
-    decay_curve,
-    decay_curve_to_csv,
-    make_even_partition,
-    mean_band_similarity,
-)
-from .diagnostics import (
-    AlignmentMetrics,
-    BandAttribution,
-    SharedEvaluation,
-    band_attribution,
-    compute_alignment,
-    evaluate_shared,
-)
-from .errors import ConfigurationError, RopeFreqError, ShapeError, UnsupportedReportError
-from .rope import (
-    ChunkTerm,
-    Position2D,
-    RotaryConfig,
-    apply_rope,
-    apply_rope_batch,
-    as_position,
-    chunk_decomposition,
-    chunk_rotation_angles,
-    frequencies,
-    reconstruct_inner_product,
-    relative_inner_product,
-    rotate_chunk,
-)
-from .synthetic import PlantedScene, make_grid, make_text, plant_scene
+The public names are those each module lists in its ``__all__``.
+"""
+
+from . import attention, bands, diagnostics, errors, rope, synthetic
+from .attention import *  # noqa: F403
+from .bands import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .rope import *  # noqa: F403
+from .synthetic import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentMetrics",
-    "AttentionReport",
-    "Band",
-    "BandAttribution",
-    "BandMaskSpec",
-    "BandPartition",
-    "ChunkTerm",
-    "ConfigurationError",
-    "DecayCurve",
-    "KeyLabel",
-    "ModulationSchedule",
-    "PlantedScene",
-    "Position2D",
-    "RopeFreqError",
-    "RotaryConfig",
-    "ShapeError",
-    "SharedEvaluation",
-    "SharedQKV",
-    "SharingParams",
-    "TimestepRamp",
-    "TokenSet",
-    "UnsupportedReportError",
-    "adain",
-    "apply_rope",
-    "apply_rope_batch",
-    "as_position",
-    "attend",
-    "band_attribution",
-    "band_mask",
-    "build_shared_qkv",
-    "chunk_decomposition",
-    "chunk_rotation_angles",
-    "compute_alignment",
-    "decay_curve",
-    "decay_curve_to_csv",
-    "evaluate_shared",
-    "frequencies",
-    "grid_positions",
-    "make_even_partition",
-    "make_grid",
-    "make_text",
-    "mean_band_similarity",
-    "modulation_scales",
-    "plant_scene",
-    "ramp_at",
-    "reconstruct_inner_product",
-    "relative_inner_product",
-    "rotate_chunk",
-    "shared_attend",
-    "shift_positions",
-]
+__all__ = sorted(
+    name for module in (attention, bands, diagnostics, errors, rope, synthetic)
+    for name in module.__all__
+)

@@ -120,9 +120,6 @@ class TokenSet:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def position_list(self) -> list[Position2D]:
-        return [Position2D(int(x), int(y)) for x, y in self.positions]
-
 
 def modulation_scales(s_hf: float, s_lf: float, beta: float, n_chunks_axis: int) -> np.ndarray:
     """Per-chunk scales interpolating from ``s_hf`` to ``s_lf``.
@@ -360,16 +357,21 @@ def _attention_blocks(
     (bands, rows, band keys), or ``None`` without a partition. Every key is
     in every block, so each softmax row is exact and needs no rescaling.
 
-    Heads and partition are checked before the first block; a softmax row
-    that is not finite (overflowing or NaN logits) raises
-    :class:`ConfigurationError` in its block.
+    Heads and partition are checked (:func:`_check_heads`) before the first
+    block; a softmax row that is not finite (overflowing or NaN logits)
+    raises :class:`ConfigurationError` in its block.
     """
-    dim = config.dim
+    _check_heads(heads, band_partition, config)
+    return _blocks(q_rot, k_rot, v, heads, band_partition, k_rot[band_keys])
+
+
+def _check_heads(heads: int, band_partition: BandPartition | None, config: RotaryConfig) -> None:
+    """Raise :class:`ConfigurationError` unless ``heads`` and the partition fit ``config``."""
     if heads < 1:
         raise ConfigurationError(f"heads must be >= 1, got {heads}")
-    if dim % (2 * heads) != 0:
+    if config.dim % (2 * heads) != 0:
         raise ConfigurationError(
-            f"dim={dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
+            f"dim={config.dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
         )
     if band_partition is not None:
         if heads != 1:
@@ -378,7 +380,6 @@ def _attention_blocks(
             raise ConfigurationError(
                 "band decomposition needs a partition covering every chunk"
             )
-    return _blocks(q_rot, k_rot, v, heads, band_partition, k_rot[band_keys])
 
 
 def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
@@ -390,26 +391,29 @@ def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
         qb = q_rot[start : start + step]
         attention = None
         output = None if v is None else np.empty((qb.shape[0], dim))
-        for h in range(heads):
-            sl = slice(h * head_dim, (h + 1) * head_dim)
-            a = qb[:, sl] @ k_rot[:, sl].T
-            a *= scale
-            a -= a.max(axis=1, keepdims=True)
-            np.exp(a, out=a)
-            total = a.sum(axis=1, keepdims=True)
-            # Each row holds exp(0) = 1, so a finite total means every
-            # entry is finite; NaN or overflow anywhere makes it non-finite.
-            if not np.isfinite(total).all():
-                raise ConfigurationError(
-                    "attention softmax is not finite: the logits overflow or contain NaN"
-                )
-            a /= total
-            if output is not None:
-                output[:, sl] = a @ v[:, sl]
-            if attention is None:
-                attention = a
-            else:
-                attention += a
+        # Overflowing or NaN logits are caught by the finiteness guard below,
+        # so NumPy's own warnings about them would only be noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in range(heads):
+                sl = slice(h * head_dim, (h + 1) * head_dim)
+                a = qb[:, sl] @ k_rot[:, sl].T
+                a *= scale
+                a -= a.max(axis=1, keepdims=True)
+                np.exp(a, out=a)
+                total = a.sum(axis=1, keepdims=True)
+                # Each row holds exp(0) = 1, so a finite total means every
+                # entry is finite; NaN or overflow anywhere makes it non-finite.
+                if not np.isfinite(total).all():
+                    raise ConfigurationError(
+                        "attention softmax is not finite: the logits overflow or contain NaN"
+                    )
+                a /= total
+                if output is not None:
+                    output[:, sl] = a @ v[:, sl]
+                if attention is None:
+                    attention = a
+                else:
+                    attention += a
         attention /= heads
 
         per_band = None
@@ -606,13 +610,10 @@ def shared_attend(
     )
 
 
-def shift_positions(positions, offset):
-    """Translate positions elementwise by ``offset``.
-
-    Accepts and returns either a list of :class:`Position2D` or an ``(n, 2)``
-    integer array.
-    """
+def shift_positions(positions: np.ndarray, offset) -> np.ndarray:
+    """Translate an ``(n, 2)`` integer position array by ``offset``."""
+    pos = np.asarray(positions)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ShapeError(f"expected positions of shape (n, 2), got {pos.shape}")
     off = as_position(offset)
-    if isinstance(positions, np.ndarray):
-        return positions + np.array([off.x, off.y], dtype=positions.dtype)
-    return [as_position(p) + off for p in positions]
+    return pos + np.array([off.x, off.y], dtype=pos.dtype)

@@ -120,14 +120,25 @@ def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> 
     return BandPartition(tuple(bands))
 
 
+# Bytes of f64 cosines one block of deltas may hold (chosen from a 32 KiB to
+# 4 MiB sweep for the lowest peak RSS); a block's height is this budget over
+# the bytes in one row of chunks, so memory stays flat however many deltas.
+_BLOCK_BYTES = 2**18
+
+
+def _mean_cos(deltas: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``mean(cos(outer(deltas, theta)), axis=1)``, one block of deltas at a time."""
+    out = np.empty(deltas.shape[0])
+    step = max(1, _BLOCK_BYTES // (8 * theta.shape[0]))
+    for start in range(0, deltas.shape[0], step):
+        block = np.multiply.outer(deltas[start : start + step], theta)
+        out[start : start + step] = np.cos(block, out=block).mean(axis=1)
+    return out
+
+
 def mean_band_similarity(delta: int, band: Band, config: RotaryConfig) -> float:
-    """Mean of ``cos(delta * theta_d)`` over the band's chunks."""
-    if band.stop > config.n_chunks:
-        raise ConfigurationError(
-            f"band {band.label!r} extends past the last chunk index {config.n_chunks - 1}"
-        )
-    theta = frequencies(config)[band.start : band.stop]
-    return float(np.mean(np.cos(float(delta) * theta)))
+    """Mean of ``cos(delta * theta_d)`` over the band's chunks: a one-point :func:`decay_curve`."""
+    return decay_curve((delta,), BandPartition((band,)), config).series[band.label][0]
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,8 @@ def decay_curve(
 
     With ``include_full`` a series labeled "full" is appended, averaging over
     the union of the partition's chunks (the size-weighted mean of the band
-    series). Purely deterministic in its inputs.
+    series). Deltas are evaluated in blocks of a fixed byte budget. Purely
+    deterministic in its inputs.
     """
     deltas = tuple(int(d) for d in delta_values)
     if not deltas:
@@ -179,15 +191,13 @@ def decay_curve(
             f"partition extends past the last chunk index {config.n_chunks - 1}"
         )
     theta = frequencies(config)
-    series: dict[str, tuple[float, ...]] = {}
-    for band in partition.bands:
-        t = theta[band.start : band.stop]
-        series[band.label] = tuple(float(np.mean(np.cos(d * t))) for d in deltas)
+    columns = [(band.label, theta[band.start : band.stop]) for band in partition.bands]
     if include_full:
-        if "full" in series:
+        if "full" in partition.labels:
             raise ConfigurationError("partition already has a band labeled 'full'")
-        t = theta[partition.chunk_indices()]
-        series["full"] = tuple(float(np.mean(np.cos(d * t))) for d in deltas)
+        columns.append(("full", theta[partition.chunk_indices()]))
+    d = np.array(deltas, dtype=np.float64)
+    series = {label: tuple(_mean_cos(d, t).tolist()) for label, t in columns}
     return DecayCurve(deltas, series, _fingerprint(config, partition))
 
 

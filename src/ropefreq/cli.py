@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +27,11 @@ from .attention import (
     ModulationSchedule,
     SharingParams,
     TimestepRamp,
+    _check_heads,
+    _effective_schedule,
     build_shared_qkv,
 )
-from .bands import Band, decay_curve, decay_curve_to_csv, make_even_partition
+from .bands import Band, band_mask, decay_curve, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, write_attention_matrix
@@ -41,6 +44,8 @@ PARTITION_NAMES = ("default", "single_x", "single_y", "interleaved", "flux")
 
 
 def _check_keys(d: dict, allowed: tuple[str, ...], context: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{context} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigurationError(f"unknown fields in {context}: {unknown}")
@@ -50,6 +55,29 @@ def _require(d: dict, key: str, context: str):
     if key not in d:
         raise ConfigurationError(f"missing required field {key!r} in {context}")
     return d[key]
+
+
+def _int(value, context: str, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{context} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{context} must be >= {minimum}, got {value}")
+    return value
+
+
+def _number(value, context: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{context} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _ints(values, context: str) -> list[int]:
+    """``values`` if it is a JSON list of integers."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{context} must be a list of integers, got {values!r}")
+    return [_int(v, context) for v in values]
 
 
 def build_rotary(dim: int, rope_base: float, partition) -> RotaryConfig:
@@ -72,9 +100,11 @@ def build_rotary(dim: int, rope_base: float, partition) -> RotaryConfig:
         return RotaryConfig(
             dim=dim,
             rope_base=rope_base,
-            x_chunks=tuple(partition.get("x", ())),
-            y_chunks=tuple(partition.get("y", ())),
-            temporal_chunks=tuple(partition.get("temporal", ())),
+            x_chunks=tuple(_ints(partition.get("x", []), "rotary.partition.x")),
+            y_chunks=tuple(_ints(partition.get("y", []), "rotary.partition.y")),
+            temporal_chunks=tuple(
+                _ints(partition.get("temporal", []), "rotary.partition.temporal")
+            ),
         )
     raise ConfigurationError(f"invalid rotary partition: {partition!r}")
 
@@ -88,26 +118,31 @@ def _normalize_sharing(raw: dict) -> dict:
     """Validate a sharing section and keep only the keys its mode uses."""
     _check_keys(raw, _SHARING_KEYS, "sharing")
     mode = _require(raw, "mode", "sharing")
-    out: dict = {"mode": mode, "adain": bool(raw.get("adain", True))}
+    adain = raw.get("adain", True)
+    if not isinstance(adain, bool):
+        raise ConfigurationError(f"sharing.adain must be true or false, got {adain!r}")
+    out: dict = {"mode": mode, "adain": adain}
     if mode == "none":
         pass
     elif mode == "plain":
-        out["s"] = float(raw.get("s", 1.0))
+        out["s"] = _number(raw.get("s", 1.0), "sharing.s")
     elif mode == "shifted":
-        out["s"] = float(raw.get("s", 1.0))
-        offset = _require(raw, "offset", "sharing (shifted mode)")
-        if not isinstance(offset, (list, tuple)) or len(offset) != 2:
-            raise ConfigurationError(f"offset must be [x, y], got {offset!r}")
-        out["offset"] = [int(offset[0]), int(offset[1])]
+        out["s"] = _number(raw.get("s", 1.0), "sharing.s")
+        out["offset"] = _ints(_require(raw, "offset", "sharing (shifted mode)"), "sharing.offset")
+        if len(out["offset"]) != 2:
+            raise ConfigurationError(f"offset must be [x, y], got {out['offset']!r}")
     elif mode == "frequency_aware":
-        out["s_hf"] = float(_require(raw, "s_hf", "sharing (frequency_aware mode)"))
-        out["s_lf"] = float(_require(raw, "s_lf", "sharing (frequency_aware mode)"))
-        out["beta"] = float(raw.get("beta", 2.0))
+        for key in ("s_hf", "s_lf"):
+            value = _require(raw, key, "sharing (frequency_aware mode)")
+            out[key] = _number(value, f"sharing.{key}")
+        out["beta"] = _number(raw.get("beta", 2.0), "sharing.beta")
         ramp = raw.get("ramp")
         if ramp is not None:
             _check_keys(ramp, _RAMP_KEYS, "sharing.ramp")
             out["ramp"] = {
-                k: (int if k == "total_steps" else float)(_require(ramp, k, "sharing.ramp"))
+                k: (_int if k == "total_steps" else _number)(
+                    _require(ramp, k, "sharing.ramp"), f"sharing.ramp.{k}"
+                )
                 for k in _RAMP_KEYS
             }
     else:
@@ -117,10 +152,12 @@ def _normalize_sharing(raw: dict) -> dict:
         _check_keys(mask, _BAND_MASK_KEYS, "sharing.band_mask")
         out["band_mask"] = {
             "label": str(mask.get("label", "masked")),
-            "start": int(_require(mask, "start", "sharing.band_mask")),
-            "stop": int(_require(mask, "stop", "sharing.band_mask")),
+            "start": _int(_require(mask, "start", "sharing.band_mask"), "sharing.band_mask.start"),
+            "stop": _int(_require(mask, "stop", "sharing.band_mask"), "sharing.band_mask.stop"),
             "mode": str(_require(mask, "mode", "sharing.band_mask")),
-            "scale": None if mask.get("scale") is None else float(mask["scale"]),
+            "scale": None
+            if mask.get("scale") is None
+            else _number(mask["scale"], "sharing.band_mask.scale"),
         }
     return out
 
@@ -207,35 +244,50 @@ class ExperimentConfig:
         if sweep is not None:
             if not isinstance(sweep, list) or not sweep:
                 raise ConfigurationError("sweep must be a non-empty list of sharing overrides")
+            for i, item in enumerate(sweep):
+                _check_keys(item, _SHARING_KEYS + ("step",), f"sweep[{i}]")
             sweep = tuple(dict(item) for item in sweep)
         output = d.get("output") or {}
         _check_keys(output, ("report", "attention"), "output")
+        for key in ("report", "attention"):
+            if not isinstance(output.get(key), (str, type(None))):
+                raise ConfigurationError(f"output.{key} must be a path or null")
         cfg = cls(
-            dim=int(_require(rotary, "dim", "rotary")),
-            rope_base=float(rotary.get("rope_base", 10000.0)),
+            dim=_int(_require(rotary, "dim", "rotary"), "rotary.dim"),
+            rope_base=_number(rotary.get("rope_base", 10000.0), "rotary.rope_base"),
             partition=rotary.get("partition", "default"),
-            width=int(_require(grid, "width", "grid")),
-            height=int(_require(grid, "height", "grid")),
+            width=_int(_require(grid, "width", "grid"), "grid.width", minimum=1),
+            height=_int(_require(grid, "height", "grid"), "grid.height", minimum=1),
             scene_kind=str(scene.get("kind", "shuffle")),
-            noise_level=float(scene.get("noise_level", 0.1)),
-            scene_seed=None if scene.get("seed") is None else int(scene["seed"]),
-            shift=int(scene.get("shift", 0)),
-            style_strength=float(scene.get("style_strength", 0.0)),
-            text_tokens=int(d.get("text_tokens", 0)),
-            heads=int(d.get("heads", 1)),
+            noise_level=_number(scene.get("noise_level", 0.1), "scene.noise_level"),
+            scene_seed=None
+            if scene.get("seed") is None
+            else _int(scene["seed"], "scene.seed", minimum=0),
+            shift=_int(scene.get("shift", 0), "scene.shift"),
+            style_strength=_number(scene.get("style_strength", 0.0), "scene.style_strength"),
+            text_tokens=_int(d.get("text_tokens", 0), "text_tokens", minimum=0),
+            heads=_int(d.get("heads", 1), "heads"),
             sharing=_normalize_sharing(_require(d, "sharing", "config")),
-            step=None if d.get("step") is None else int(d["step"]),
+            step=None if d.get("step") is None else _int(d["step"], "step"),
             attribution_bands=None
             if d.get("attribution_bands") is None
-            else int(d["attribution_bands"]),
+            else _int(d["attribution_bands"], "attribution_bands"),
             sweep=sweep,
-            seed=int(_require(d, "seed", "config")),
+            seed=_int(_require(d, "seed", "config"), "seed", minimum=0),
             output_report=output.get("report"),
             output_attention=output.get("attention"),
         )
-        cfg.build_rotary()  # fail fast on bad partitions
-        for label, sharing, _ in cfg.iter_entries():
-            _sharing_params(sharing, cfg.build_rotary())
+        # The checks the run makes before it builds a scene, so that
+        # --emit-config rejects every config they would stop.
+        config = cfg.build_rotary()
+        _check_heads(cfg.heads, cfg.band_partition(config), config)
+        for _, sharing, step in cfg.iter_entries():
+            params = _sharing_params(sharing, config)
+            if params.mode == "frequency_aware":
+                _effective_schedule(params, config, step)
+            spec = params.band_mask_override
+            if spec is not None:
+                band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
         return cfg
 
     def to_json_dict(self) -> dict:
@@ -263,6 +315,12 @@ class ExperimentConfig:
     def build_rotary(self) -> RotaryConfig:
         return build_rotary(self.dim, self.rope_base, self.partition)
 
+    def band_partition(self, config: RotaryConfig):
+        """The ``attribution_bands`` partition over every chunk, or None."""
+        if not self.attribution_bands:
+            return None
+        return make_even_partition(config, self.attribution_bands, "all")
+
     def iter_entries(self):
         """Yield (label, sharing dict, step) for the base run or each sweep item."""
         if self.sweep is None:
@@ -273,7 +331,7 @@ class ExperimentConfig:
             step = self.step
             for key, value in overrides.items():
                 if key == "step":
-                    step = None if value is None else int(value)
+                    step = None if value is None else _int(value, f"sweep[{i}].step")
                 else:
                     merged[key] = value
             yield f"entry{i}", _normalize_sharing(merged), step
@@ -294,11 +352,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
         base, kind=cfg.scene_kind, noise_level=cfg.noise_level, seed=scene_seed, shift=cfg.shift
     )
     text = make_text(cfg.text_tokens, cfg.dim, seed=cfg.seed + 2)
-    partition = (
-        make_even_partition(config, cfg.attribution_bands, "all")
-        if cfg.attribution_bands
-        else None
-    )
+    partition = cfg.band_partition(config)
 
     entries = []
     evaluations = []

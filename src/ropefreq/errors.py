@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["RopeFreqError", "ConfigurationError", "ShapeError", "UnsupportedReportError"]
+
 
 class RopeFreqError(ValueError):
     """Base class for all errors raised by this package."""

@@ -37,7 +37,6 @@ __all__ = [
     "as_position",
     "frequencies",
     "rotate_chunk",
-    "chunk_rotation_angles",
     "apply_rope",
     "apply_rope_batch",
     "relative_inner_product",
@@ -169,30 +168,18 @@ def frequencies(config: RotaryConfig) -> np.ndarray:
     return (1.0 / config.rope_base) ** (2.0 * d / config.dim)
 
 
-def rotate_chunk(chunk, angle: float) -> np.ndarray:
-    """Rotate one 2-D chunk by ``angle`` radians (counterclockwise)."""
-    c = np.asarray(chunk, dtype=np.float64).reshape(-1)
-    if c.shape != (2,):
-        raise ShapeError(f"a chunk has exactly 2 entries, got shape {c.shape}")
-    ca, sa = math.cos(angle), math.sin(angle)
-    return np.array([c[0] * ca - c[1] * sa, c[0] * sa + c[1] * ca])
+def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
+    """Rotation angle of every chunk for each ``(x, y)`` row of ``positions``.
 
-
-def chunk_rotation_angles(pos, config: RotaryConfig) -> np.ndarray:
-    """Rotation angle of every chunk for a token at ``pos``.
-
-    x-chunks get ``pos.x * theta_d``, y-chunks ``pos.y * theta_d``, temporal
-    chunks 0.
+    Returns ``(n, n_chunks)``: x-chunks get ``x * theta_d``, y-chunks
+    ``y * theta_d``, temporal chunks 0.
     """
-    p = as_position(pos)
     theta = frequencies(config)
-    angles = np.zeros(config.n_chunks, dtype=np.float64)
-    if config.x_chunks:
-        xi = np.asarray(config.x_chunks)
-        angles[xi] = p.x * theta[xi]
-    if config.y_chunks:
-        yi = np.asarray(config.y_chunks)
-        angles[yi] = p.y * theta[yi]
+    angles = np.zeros((positions.shape[0], config.n_chunks), dtype=np.float64)
+    for column, chunks in enumerate((config.x_chunks, config.y_chunks)):
+        if chunks:
+            idx = np.asarray(chunks)
+            angles[:, idx] = positions[:, column : column + 1].astype(np.float64) * theta[idx]
     return angles
 
 
@@ -208,21 +195,29 @@ def _rotate_pairs(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def rotate_chunk(chunk, angle: float) -> np.ndarray:
+    """Rotate one 2-D chunk by ``angle`` radians (counterclockwise)."""
+    c = np.asarray(chunk, dtype=np.float64).reshape(-1)
+    if c.shape != (2,):
+        raise ShapeError(f"a chunk has exactly 2 entries, got shape {c.shape}")
+    return _rotate_pairs(c, np.array([float(angle)]))
+
+
 def apply_rope(vec, pos, config: RotaryConfig) -> np.ndarray:
     """Apply the rotary encoding for grid position ``pos`` to one embedding.
 
     The result has the same Euclidean norm as the input (rotations are
     isometries) and rotating by ``p1`` then ``p2`` equals rotating by
-    ``p1 + p2``.
+    ``p1 + p2``. It is the one-row case of :func:`apply_rope_batch`.
     """
     v = np.asarray(vec, dtype=np.float64)
     if v.shape != (config.dim,):
         raise ShapeError(f"expected embedding of shape ({config.dim},), got {v.shape}")
-    return _rotate_pairs(v, chunk_rotation_angles(pos, config))
+    return apply_rope_batch(v[np.newaxis], [as_position(pos).as_tuple()], config)[0]
 
 
 def apply_rope_batch(features: np.ndarray, positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
-    """Vectorized :func:`apply_rope` for a stack of tokens.
+    """Rotary encoding of a stack of tokens, each at its own grid position.
 
     ``features`` is ``(n, dim)``; ``positions`` is ``(n, 2)`` integer grid
     coordinates, column order (x, y).
@@ -233,15 +228,24 @@ def apply_rope_batch(features: np.ndarray, positions: np.ndarray, config: Rotary
         raise ShapeError(f"expected features of shape (n, {config.dim}), got {feats.shape}")
     if pos.shape != (feats.shape[0], 2):
         raise ShapeError(f"expected positions of shape ({feats.shape[0]}, 2), got {pos.shape}")
-    theta = frequencies(config)
-    angles = np.zeros((feats.shape[0], config.n_chunks), dtype=np.float64)
-    if config.x_chunks:
-        xi = np.asarray(config.x_chunks)
-        angles[:, xi] = pos[:, 0:1].astype(np.float64) * theta[xi]
-    if config.y_chunks:
-        yi = np.asarray(config.y_chunks)
-        angles[:, yi] = pos[:, 1:2].astype(np.float64) * theta[yi]
-    return _rotate_pairs(feats, angles)
+    return _rotate_pairs(feats, _angles(pos, config))
+
+
+def _chunk_products(q, k, config: RotaryConfig) -> tuple[np.ndarray, ...]:
+    """Per-chunk dot products, cross products and magnitudes of ``q`` and ``k``.
+
+    Chunk ``d`` adds ``dot_d*cos(phi) + cross_d*sin(phi)`` to the inner product
+    when ``k_d`` is rotated by ``phi``; ``atan2(cross_d, dot_d)`` is the signed
+    angle from ``k_d`` to ``q_d``.
+    """
+    qv = np.asarray(q, dtype=np.float64)
+    kv = np.asarray(k, dtype=np.float64)
+    if qv.shape != (config.dim,) or kv.shape != (config.dim,):
+        raise ShapeError(
+            f"expected two embeddings of shape ({config.dim},), got {qv.shape} and {kv.shape}"
+        )
+    qa, qb, ka, kb = qv[0::2], qv[1::2], kv[0::2], kv[1::2]
+    return qa * ka + qb * kb, qb * ka - qa * kb, np.hypot(qa, qb), np.hypot(ka, kb)
 
 
 def relative_inner_product(q, k, delta, config: RotaryConfig) -> float:
@@ -251,17 +255,8 @@ def relative_inner_product(q, k, delta, config: RotaryConfig) -> float:
     rotated vectors; equal to ``<apply_rope(q, m), apply_rope(k, n)>`` for
     every ``m, n`` with ``n - m == delta``.
     """
-    qv = np.asarray(q, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    if qv.shape != (config.dim,) or kv.shape != (config.dim,):
-        raise ShapeError(
-            f"expected two embeddings of shape ({config.dim},), got {qv.shape} and {kv.shape}"
-        )
-    angles = chunk_rotation_angles(delta, config)
-    qa, qb = qv[0::2], qv[1::2]
-    ka, kb = kv[0::2], kv[1::2]
-    dots = qa * ka + qb * kb
-    crosses = qb * ka - qa * kb
+    dots, crosses, _, _ = _chunk_products(q, k, config)
+    angles = _angles(np.array([as_position(delta).as_tuple()]), config)[0]
     return float(np.sum(dots * np.cos(angles) + crosses * np.sin(angles)))
 
 
@@ -294,28 +289,16 @@ def chunk_decomposition(q, k, delta, config: RotaryConfig) -> list[ChunkTerm]:
     Summing ``t.value`` over the returned terms reconstructs
     ``relative_inner_product(q, k, delta, config)``.
     """
-    qv = np.asarray(q, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    if qv.shape != (config.dim,) or kv.shape != (config.dim,):
-        raise ShapeError(
-            f"expected two embeddings of shape ({config.dim},), got {qv.shape} and {kv.shape}"
-        )
-    d = as_position(delta)
+    dots, crosses, mq, mk = _chunk_products(q, k, config)
     # cos(alpha + rot) must match <q_d, R(delta.theta_d) k_d>, which expands to
     # cos((angle_q - angle_k) - delta*theta_d); hence rot carries -delta.
-    rot = -chunk_rotation_angles(d, config)
-    terms: list[ChunkTerm] = []
-    for idx in range(config.n_chunks):
-        qc = qv[2 * idx : 2 * idx + 2]
-        kc = kv[2 * idx : 2 * idx + 2]
-        mq = math.hypot(qc[0], qc[1])
-        mk = math.hypot(kc[0], kc[1])
-        if mq == 0.0 or mk == 0.0:
-            terms.append(ChunkTerm(idx, 0.0, 0.0, float(rot[idx]), zero_magnitude=True))
-            continue
-        alpha = math.atan2(kc[0] * qc[1] - kc[1] * qc[0], kc[0] * qc[0] + kc[1] * qc[1])
-        terms.append(ChunkTerm(idx, mq * mk, alpha, float(rot[idx])))
-    return terms
+    rot = -_angles(np.array([as_position(delta).as_tuple()]), config)[0]
+    zero = (mq == 0.0) | (mk == 0.0)
+    alpha = np.where(zero, 0.0, np.arctan2(crosses, dots))
+    return [
+        ChunkTerm(d, float(mq[d] * mk[d]), float(alpha[d]), float(rot[d]), bool(zero[d]))
+        for d in range(config.n_chunks)
+    ]
 
 
 def reconstruct_inner_product(terms: list[ChunkTerm]) -> float:

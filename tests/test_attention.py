@@ -56,7 +56,8 @@ class TestTokenSet:
 
     def test_free_positions_without_grid_shape(self):
         ts = TokenSet(np.ones((2, 4)), np.array([[5, -3], [0, 9]]), "image")
-        assert ts.position_list() == [Position2D(5, -3), Position2D(0, 9)]
+        assert ts.positions.dtype == np.int64
+        assert ts.positions.tolist() == [[5, -3], [0, 9]]
 
 
 class TestAdain:
@@ -250,8 +251,8 @@ class TestRamp:
 
 class TestShiftPositions:
     def test_zero_offset(self):
-        pos = [Position2D(1, 2), Position2D(3, 4)]
-        assert shift_positions(pos, (0, 0)) == pos
+        pos = np.array([[1, 2], [3, 4]])
+        np.testing.assert_array_equal(shift_positions(pos, (0, 0)), pos)
 
     def test_grid_width_offset_disjoint(self):
         pos = grid_positions(4, 4)
@@ -259,8 +260,12 @@ class TestShiftPositions:
         assert set(shifted[:, 0].tolist()) == {4, 5, 6, 7}
 
     def test_negative_offset(self):
-        out = shift_positions([Position2D(0, 0), Position2D(1, 0)], Position2D(-3, 2))
-        assert out == [Position2D(-3, 2), Position2D(-2, 2)]
+        out = shift_positions(np.array([[0, 0], [1, 0]]), Position2D(-3, 2))
+        assert out.tolist() == [[-3, 2], [-2, 2]]
+
+    def test_rejects_position_list(self):
+        with pytest.raises(ShapeError):
+            shift_positions([Position2D(0, 0), Position2D(1, 0)], (1, 0))
 
 
 def scene_and_text(dim=32, grid=4, noise=0.0, kind="identity", seed=0):

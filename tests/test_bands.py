@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ropefreq.bands
 from ropefreq import (
     Band,
     BandPartition,
@@ -111,6 +112,32 @@ class TestDecayCurve:
         stacked = np.array([curve.series[lab] for lab in part.labels])
         weighted = (sizes[:, None] * stacked).sum(axis=0) / sizes.sum()
         np.testing.assert_allclose(curve.series["full"], weighted, atol=1e-15)
+
+    # Deltas per block of the 64-chunk "full" series; None keeps the shipped
+    # budget, which the 5,000 deltas below still overrun.
+    @pytest.mark.parametrize("block_deltas", [1, 7, None])
+    def test_blocks_equal_per_delta_means_bit_for_bit(self, monkeypatch, block_deltas):
+        if block_deltas is not None:
+            monkeypatch.setattr(ropefreq.bands, "_BLOCK_BYTES", 8 * 64 * block_deltas)
+            deltas = list(range(-150, 151, 3)) + [99_999, -12_345]
+        else:
+            deltas = list(range(-2_500, 2_500))
+        cfg = RotaryConfig.single_axis(128)
+        part = make_even_partition(cfg, 3, "x")
+        theta = frequencies(cfg)
+        curve = decay_curve(deltas, part, cfg, include_full=True)
+        columns = {b.label: theta[b.start : b.stop] for b in part.bands}
+        columns["full"] = theta[part.chunk_indices()]
+        assert list(curve.series) == ["high", "mid", "low", "full"]
+        for label, t in columns.items():
+            assert curve.series[label] == tuple(float(np.mean(np.cos(d * t))) for d in deltas)
+
+    def test_single_band_similarity_is_a_one_point_curve(self):
+        cfg = RotaryConfig(dim=128)
+        for band in make_even_partition(cfg, 3, "all").bands:
+            for delta in (-7, 0, 3, 10**5):
+                curve = decay_curve([delta], BandPartition((band,)), cfg)
+                assert mean_band_similarity(delta, band, cfg) == curve.series[band.label][0]
 
     def test_matches_frozen_oracle_table(self):
         cfg = RotaryConfig.single_axis(FIXTURE["dim"], FIXTURE["rope_base"])

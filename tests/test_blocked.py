@@ -19,6 +19,7 @@ import ropefreq.attention
 from ropefreq import (
     Band,
     BandMaskSpec,
+    ConfigurationError,
     ModulationSchedule,
     RotaryConfig,
     SharingParams,
@@ -187,6 +188,15 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     for got in (evaluation.attribution, band_attribution(report, partition)):
         assert got.n_pairs == GRID**4
         assert got.mean_abs_logit == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def test_non_finite_logits_raise_without_a_numpy_warning():
+    # pyproject.toml turns RuntimeWarning into an error, so a warning from the
+    # overflowing matmul or softmax would fail this test before the guard.
+    scene, text = scene_and_text()
+    params = SharingParams(mode="plain", s=math.inf)
+    with pytest.raises(ConfigurationError, match="not finite"):
+        shared_attend(scene.target, text, scene.reference, params, CFG)
 
 
 def test_run_experiment_allocates_no_dense_matrix():

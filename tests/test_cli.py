@@ -34,6 +34,10 @@ def demo_config(tmp_path, sharing, **overrides):
     return path, Path(cfg["output"]["report"]) if cfg.get("output") else None
 
 
+PLAIN = {"mode": "plain", "s": 1.0}
+RAMP2 = {"s_hf_start": 0.2, "s_hf_end": 0.6, "s_lf_start": 1.0, "s_lf_end": 1.4, "total_steps": 2}
+
+
 def read_csv(path):
     lines = Path(path).read_text().strip().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -241,6 +245,52 @@ class TestSharedAttn:
         emitted = tmp_path / "normalized.json"
         assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
         assert not emitted.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("rotary", "dim", 128.7),
+            ("grid", "height", 8.5),
+            ("sharing", None, {"mode": "shifted", "offset": [1.9, 0]}),
+            ("sharing", None, {"mode": "plain", "adain": "no"}),
+            ("sharing", None, {"mode": "plain", "s": "1"}),
+            ("sharing", None, {"mode": "shifted", "offset": ["a", 0]}),
+            (None, "sweep", [5]),
+        ],
+    )
+    def test_wrong_scalar_type_exits_3_without_outputs(self, tmp_path, capsys, section, key, value):
+        cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0})
+        cfg = json.loads(cfg_path.read_text())
+        if key is None:
+            cfg[section] = value
+        elif section is None:
+            cfg[key] = value
+        else:
+            cfg[section][key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert not report_path.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "sharing, overrides",
+        [
+            (PLAIN, {"heads": 3}),
+            (PLAIN, {"heads": 2, "attribution_bands": 3}),
+            (PLAIN, {"attribution_bands": 100}),
+            ({**PLAIN, "band_mask": {"start": 60, "stop": 70, "mode": "zero"}}, {}),
+            ({"mode": "frequency_aware", **DEMO["frequency_aware"], "ramp": RAMP2}, {"step": 5}),
+            (PLAIN, {"text_tokens": -1}),
+            (PLAIN, {"grid": {"width": 0, "height": DEMO["grid"]}}),
+        ],
+    )
+    def test_emit_config_rejects_what_the_run_rejects(self, tmp_path, sharing, overrides):
+        cfg_path, report_path = demo_config(tmp_path, sharing, **overrides)
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert not emitted.exists()
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert not report_path.exists()
 
     def test_unknown_sharing_field_rejected(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0, "sharpness": 2})

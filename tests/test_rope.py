@@ -152,6 +152,28 @@ class TestApplyRope:
             np.testing.assert_array_equal(batch[i], apply_rope(feats[i], tuple(pos[i]), CFG128))
 
 
+    @pytest.mark.parametrize("make", [RotaryConfig.interleaved, RotaryConfig.flux_like])
+    def test_single_is_a_batch_row(self, make):
+        cfg = make(64)
+        rng = np.random.default_rng(18)
+        feats = rng.standard_normal((6, 64))
+        pos = rng.integers(-40, 40, size=(6, 2))
+        batch = apply_rope_batch(feats, pos, cfg)
+        for i in range(6):
+            np.testing.assert_array_equal(apply_rope(feats[i], Position2D(*pos[i]), cfg), batch[i])
+
+    def test_rotate_chunk_is_a_batch_chunk(self):
+        cfg = RotaryConfig.single_axis(16)
+        theta = frequencies(cfg)
+        rng = np.random.default_rng(19)
+        feats = rng.standard_normal((4, 16))
+        pos = np.column_stack([rng.integers(-99, 99, size=4), np.zeros(4, dtype=np.int64)])
+        batch = apply_rope_batch(feats, pos, cfg)
+        for i in range(4):
+            for d in range(cfg.n_chunks):
+                got = rotate_chunk(feats[i, 2 * d : 2 * d + 2], float(pos[i, 0]) * theta[d])
+                np.testing.assert_array_equal(got, batch[i, 2 * d : 2 * d + 2])
+
 class TestRelativeInnerProduct:
     def test_zero_delta_is_plain_dot(self):
         rng = np.random.default_rng(9)
@@ -197,6 +219,21 @@ class TestChunkDecomposition:
         terms = chunk_decomposition(q, k, (4, -3), CFG128)
         expected = relative_inner_product(q, k, (4, -3), CFG128)
         assert reconstruct_inner_product(terms) == pytest.approx(expected, abs=1e-9)
+
+    def test_matches_per_chunk_polar_loop(self):
+        # Reference: the polar form chunk by chunk with the math module.
+        rng = np.random.default_rng(13)
+        q, k = rng.standard_normal((2, 128))
+        q[6:8] = 0.0
+        terms = chunk_decomposition(q, k, (5, -2), CFG128)
+        for d, term in enumerate(terms):
+            (qa, qb), (ka, kb) = q[2 * d : 2 * d + 2], k[2 * d : 2 * d + 2]
+            mq, mk = math.hypot(qa, qb), math.hypot(ka, kb)
+            assert term.chunk == d and term.zero_magnitude == (mq == 0.0 or mk == 0.0)
+            assert term.magnitude_product == pytest.approx(mq * mk, rel=1e-15, abs=0)
+            alpha = 0.0 if term.zero_magnitude else math.atan2(ka * qb - kb * qa, ka * qa + kb * qb)
+            # NumPy's arctan2 may differ from math.atan2 in the last bit.
+            assert term.alpha == pytest.approx(alpha, rel=0, abs=2 * np.spacing(math.pi))
 
     def test_zero_magnitude_chunks_flagged(self):
         q = np.zeros(8)
