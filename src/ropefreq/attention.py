@@ -41,7 +41,7 @@ __all__ = [
     "TimestepRamp",
     "BandMaskSpec",
     "SharingParams",
-    "KeyLabel",
+    "Layout",
     "AttentionReport",
     "SharedQKV",
     "adain",
@@ -56,6 +56,7 @@ __all__ = [
 
 MODALITIES = ("image", "text")
 SHARING_MODES = ("none", "plain", "frequency_aware", "shifted")
+SOURCES = ("target-image", "target-text", "reference-image")
 
 ADAIN_STD_FLOOR = 1e-8
 
@@ -257,13 +258,24 @@ class SharingParams:
             raise ConfigurationError("offset only applies to shifted mode")
 
 
-@dataclass(frozen=True)
-class KeyLabel:
-    """Provenance of one key (or query) row: source, index within source, position."""
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Provenance of every key (or query) row, one array per field.
 
-    source: str
-    index: int
-    position: Position2D
+    Row ``r`` comes from ``SOURCES[source[r]]``, is row ``index[r]`` of that
+    source, and sits at grid position ``positions[r]`` (``(n, 2)``).
+    """
+
+    source: np.ndarray
+    index: np.ndarray
+    positions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def rows(self, source: str) -> np.ndarray:
+        """Ascending row numbers of ``source``."""
+        return np.flatnonzero(self.source == SOURCES.index(source))
 
 
 @dataclass(frozen=True)
@@ -278,8 +290,8 @@ class AttentionReport:
 
     attention: np.ndarray
     output: np.ndarray
-    key_layout: tuple[KeyLabel, ...]
-    query_layout: tuple[KeyLabel, ...]
+    key_layout: Layout
+    query_layout: Layout
     heads: int = 1
     per_band_logits: np.ndarray | None = None
     band_partition: BandPartition | None = None
@@ -301,8 +313,8 @@ class SharedQKV:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    key_layout: tuple[KeyLabel, ...]
-    query_layout: tuple[KeyLabel, ...]
+    key_layout: Layout
+    query_layout: Layout
     notes: tuple[str, ...] = ()
 
 
@@ -450,11 +462,12 @@ def _dense(
     return attention, output, per_band
 
 
-def _layout(source: str, positions: np.ndarray) -> list[KeyLabel]:
-    return [
-        KeyLabel(source, i, Position2D(int(x), int(y)))
-        for i, (x, y) in enumerate(positions)
-    ]
+def _layout(*parts: tuple[str, np.ndarray]) -> Layout:
+    """The layout of ``(source, positions)`` parts stacked in order."""
+    codes = [np.full(len(pos), SOURCES.index(src), dtype=np.int8) for src, pos in parts]
+    index = [np.arange(len(pos), dtype=np.int64) for _, pos in parts]
+    positions = np.concatenate([pos for _, pos in parts])
+    return Layout(np.concatenate(codes), np.concatenate(index), positions)
 
 
 def attend(
@@ -479,13 +492,11 @@ def attend(
     q_rot = apply_rope_batch(Q.features, Q.positions, config)
     k_rot = apply_rope_batch(K.features, K.positions, config)
     attention, output, per_band = _dense(q_rot, k_rot, v, heads, band_partition, config)
-    source_q = "target-image" if Q.modality == "image" else "target-text"
-    source_k = "target-image" if K.modality == "image" else "target-text"
     return AttentionReport(
         attention=attention,
         output=output,
-        key_layout=tuple(_layout(source_k, K.positions)),
-        query_layout=tuple(_layout(source_q, Q.positions)),
+        key_layout=_layout((f"target-{K.modality}", K.positions)),
+        query_layout=_layout((f"target-{Q.modality}", Q.positions)),
         heads=heads,
         per_band_logits=per_band,
         band_partition=band_partition,
@@ -546,13 +557,11 @@ def build_shared_qkv(
     img_rot = apply_rope_batch(img_feats, target.positions, config)
     txt_rot = apply_rope_batch(target_text.features, target_text.positions, config)
     q = np.vstack([img_rot, txt_rot])
-    query_layout = _layout("target-image", target.positions) + _layout(
-        "target-text", target_text.positions
-    )
+    parts = [("target-image", target.positions), ("target-text", target_text.positions)]
+    query_layout = _layout(*parts)
 
     k_parts = [img_rot, txt_rot]
     v_parts = [target.features, target_text.features]
-    key_layout = list(query_layout)
 
     if params.mode != "none":
         ref_positions = reference.positions
@@ -573,14 +582,14 @@ def build_shared_qkv(
             ref_rot = band_mask(ref_rot, spec.band, spec.mode, config, spec.scale)
         k_parts.append(ref_rot)
         v_parts.append(reference.features)
-        key_layout += _layout("reference-image", ref_positions)
+        parts.append(("reference-image", ref_positions))
 
     return SharedQKV(
         q=q,
         k=np.vstack(k_parts),
         v=np.vstack(v_parts),
-        key_layout=tuple(key_layout),
-        query_layout=tuple(query_layout),
+        key_layout=_layout(*parts),
+        query_layout=query_layout,
         notes=tuple(notes),
     )
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, write_attention_matrix
 from .rope import RotaryConfig, frequencies
-from .synthetic import make_grid, make_text, plant_scene
+from .synthetic import _check_scene, make_grid, make_text, plant_scene
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -114,8 +114,13 @@ _RAMP_KEYS = ("s_hf_start", "s_hf_end", "s_lf_start", "s_lf_end", "total_steps")
 _BAND_MASK_KEYS = ("label", "start", "stop", "mode", "scale")
 
 
-def _normalize_sharing(raw: dict) -> dict:
-    """Validate a sharing section and keep only the keys its mode uses."""
+def _sharing(raw: dict, config: RotaryConfig | None = None) -> tuple[dict, SharingParams | None]:
+    """Validate a sharing section; returns its normalized echo and its parameters.
+
+    The echo keeps only the keys the mode uses. The parameters are built
+    against ``config``; without one they are ``None``, which is how the base
+    section of a sweep, run only through its entries, is read.
+    """
     _check_keys(raw, _SHARING_KEYS, "sharing")
     mode = _require(raw, "mode", "sharing")
     adain = raw.get("adain", True)
@@ -159,31 +164,24 @@ def _normalize_sharing(raw: dict) -> dict:
             if mask.get("scale") is None
             else _number(mask["scale"], "sharing.band_mask.scale"),
         }
-    return out
+    if config is None:
+        return out, None
 
-
-def _sharing_params(sharing: dict, config: RotaryConfig) -> SharingParams:
-    mode = sharing["mode"]
-    kwargs: dict = {"mode": mode, "adain_enabled": sharing.get("adain", True)}
-    if mode in ("plain", "shifted"):
-        kwargs["s"] = sharing.get("s", 1.0)
+    kwargs: dict = {"mode": mode, "adain_enabled": adain, "s": out.get("s", 1.0)}
     if mode == "shifted":
-        kwargs["offset"] = tuple(sharing["offset"])
+        kwargs["offset"] = tuple(out["offset"])
     if mode == "frequency_aware":
         kwargs["schedule"] = ModulationSchedule.for_config(
-            config, sharing["s_hf"], sharing["s_lf"], sharing.get("beta", 2.0)
+            config, out["s_hf"], out["s_lf"], out["beta"]
         )
-        ramp = sharing.get("ramp")
-        if ramp is not None:
-            kwargs["ramp"] = TimestepRamp(**ramp)
-    mask = sharing.get("band_mask")
-    if mask is not None:
+        if "ramp" in out:
+            kwargs["ramp"] = TimestepRamp(**out["ramp"])
+    if "band_mask" in out:
+        m = out["band_mask"]
         kwargs["band_mask_override"] = BandMaskSpec(
-            band=Band(mask["label"], mask["start"], mask["stop"]),
-            mode=mask["mode"],
-            scale=mask["scale"],
+            band=Band(m["label"], m["start"], m["stop"]), mode=m["mode"], scale=m["scale"]
         )
-    return SharingParams(**kwargs)
+    return out, SharingParams(**kwargs)
 
 
 _TOP_KEYS = (
@@ -206,7 +204,8 @@ class ExperimentConfig:
     """Validated shared-attention experiment description.
 
     Mirrors the JSON schema one-to-one so that parsing and re-emitting a
-    config is lossless; unknown fields anywhere are rejected.
+    config is lossless; unknown fields anywhere are rejected. ``entries``
+    holds each run entry parsed once, as :meth:`iter_entries` yields them.
     """
 
     dim: int
@@ -228,6 +227,7 @@ class ExperimentConfig:
     seed: int
     output_report: str | None
     output_attention: str | None
+    entries: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -267,7 +267,7 @@ class ExperimentConfig:
             style_strength=_number(scene.get("style_strength", 0.0), "scene.style_strength"),
             text_tokens=_int(d.get("text_tokens", 0), "text_tokens", minimum=0),
             heads=_int(d.get("heads", 1), "heads"),
-            sharing=_normalize_sharing(_require(d, "sharing", "config")),
+            sharing=_sharing(_require(d, "sharing", "config"))[0],
             step=None if d.get("step") is None else _int(d["step"], "step"),
             attribution_bands=None
             if d.get("attribution_bands") is None
@@ -277,21 +277,30 @@ class ExperimentConfig:
             output_report=output.get("report"),
             output_attention=output.get("attention"),
         )
-        # The checks the run makes before it builds a scene, so that
-        # --emit-config rejects every config they would stop.
+        # The checks the run makes, so that --emit-config rejects every
+        # config they would stop.
         config = cfg.build_rotary()
         _check_heads(cfg.heads, cfg.band_partition(config), config)
-        for _, sharing, step in cfg.iter_entries():
-            params = _sharing_params(sharing, config)
+        _check_scene(
+            cfg.width, cfg.height, cfg.dim, cfg.style_strength,
+            cfg.scene_kind, cfg.noise_level, cfg.shift,
+        )
+        entries = []
+        for i, overrides in enumerate(cfg.sweep or ({},)):
+            merged = {**cfg.sharing, **overrides}
+            step = merged.pop("step", cfg.step)
+            step = None if step is None else _int(step, f"sweep[{i}].step")
+            sharing, params = _sharing(merged, config)
             if params.mode == "frequency_aware":
                 _effective_schedule(params, config, step)
             spec = params.band_mask_override
             if spec is not None:
                 band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
-        return cfg
+            entries.append((f"entry{i}", params, sharing, step))
+        return replace(cfg, entries=tuple(entries))
 
     def to_json_dict(self) -> dict:
-        d: dict = {
+        return {
             "rotary": {"dim": self.dim, "rope_base": self.rope_base, "partition": self.partition},
             "grid": {"width": self.width, "height": self.height},
             "scene": {
@@ -310,7 +319,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "output": {"report": self.output_report, "attention": self.output_attention},
         }
-        return d
 
     def build_rotary(self) -> RotaryConfig:
         return build_rotary(self.dim, self.rope_base, self.partition)
@@ -322,19 +330,8 @@ class ExperimentConfig:
         return make_even_partition(config, self.attribution_bands, "all")
 
     def iter_entries(self):
-        """Yield (label, sharing dict, step) for the base run or each sweep item."""
-        if self.sweep is None:
-            yield "entry0", self.sharing, self.step
-            return
-        for i, overrides in enumerate(self.sweep):
-            merged = dict(self.sharing)
-            step = self.step
-            for key, value in overrides.items():
-                if key == "step":
-                    step = None if value is None else _int(value, f"sweep[{i}].step")
-                else:
-                    merged[key] = value
-            yield f"entry{i}", _normalize_sharing(merged), step
+        """Yield (label, params, sharing echo, step) for the base run or each sweep item."""
+        yield from self.entries
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
@@ -356,8 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
 
     entries = []
     evaluations = []
-    for label, sharing, step in cfg.iter_entries():
-        params = _sharing_params(sharing, config)
+    for label, params, sharing, step in cfg.iter_entries():
         qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
         evaluation = evaluate_shared(
             qkv,
@@ -468,7 +464,7 @@ def cmd_shared_attn(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     cfg = ExperimentConfig.from_json_dict(raw)
     if args.seed is not None:
-        cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=_int(args.seed, "seed", minimum=0))
     if args.emit_config:
         Path(args.emit_config).write_text(_dump_json(cfg.to_json_dict()))
         _info(args, f"wrote {args.emit_config}")

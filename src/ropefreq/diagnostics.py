@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import (
     AttentionReport,
-    KeyLabel,
+    Layout,
     SharedQKV,
     _attention_blocks,
     _block_rows,
@@ -62,21 +62,11 @@ class AlignmentMetrics:
         }
 
 
-def _rows_by_source(layout, source: str) -> np.ndarray:
-    return np.array([i for i, lab in enumerate(layout) if lab.source == source], dtype=np.intp)
-
-
 def _index(rows: np.ndarray):
     """``rows`` as a slice when it is one ascending run, so indexing is a view."""
     if rows.size and rows[-1] - rows[0] == rows.size - 1:
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
-
-
-def _positions(layout, rows: np.ndarray) -> np.ndarray:
-    return np.array(
-        [layout[r].position.as_tuple() for r in rows.tolist()], dtype=np.int64
-    ).reshape(-1, 2)
 
 
 def _row_order_sum(values: np.ndarray) -> float:
@@ -103,8 +93,8 @@ class _AlignmentFold:
     """
 
     def __init__(self, query_layout, key_layout, scene: PlantedScene, radius: int = 0) -> None:
-        self.q_rows = _rows_by_source(query_layout, "target-image")
-        ref_cols = _rows_by_source(key_layout, "reference-image")
+        self.q_rows = query_layout.rows("target-image")
+        ref_cols = key_layout.rows("reference-image")
         n = scene.target.n_tokens
         if len(self.q_rows) != n:
             raise ShapeError(
@@ -118,14 +108,14 @@ class _AlignmentFold:
             raise ShapeError(
                 f"report has {len(ref_cols)} reference keys but the scene has {n} tokens"
             )
-        ref_index = np.array([key_layout[c].index for c in ref_cols.tolist()])
+        ref_index = key_layout.index[ref_cols]
         if not np.array_equal(np.sort(ref_index), np.arange(n)):
             raise ShapeError("reference keys do not cover the scene's token indices")
         local_of_index = np.empty(n, dtype=np.intp)
         local_of_index[ref_index] = np.arange(n)
         self.radius = radius
-        self.query_pos = _positions(query_layout, self.q_rows)
-        self.ref_pos = _positions(key_layout, ref_cols)
+        self.query_pos = query_layout.positions[self.q_rows]
+        self.ref_pos = key_layout.positions[ref_cols]
         self.semantic = local_of_index[np.asarray(scene.correspondence, dtype=np.intp)]
         self.ref_mass = np.zeros(n)
         self.pos_mass = np.zeros(n)
@@ -203,7 +193,7 @@ class _AttributionFold:
 
     def __init__(self, partition: BandPartition, query_layout, key_cols, n_keys: int) -> None:
         self.partition = partition
-        self.q_rows = _rows_by_source(query_layout, "target-image")
+        self.q_rows = query_layout.rows("target-image")
         self.key_cols = key_cols
         self.n_pairs = len(self.q_rows) * n_keys
         self.totals = np.zeros(len(partition.bands))
@@ -232,7 +222,7 @@ def band_attribution(report: AttentionReport, partition: BandPartition) -> BandA
         raise UnsupportedReportError(
             "partition does not match the one the report was computed with"
         )
-    ref_cols = _rows_by_source(report.key_layout, "reference-image")
+    ref_cols = report.key_layout.rows("reference-image")
     if not ref_cols.size:
         raise UnsupportedReportError("report has no reference keys to attribute")
     fold = _AttributionFold(partition, report.query_layout, _index(ref_cols), len(ref_cols))
@@ -255,8 +245,8 @@ class SharedEvaluation:
     alignment: AlignmentMetrics
     attribution: BandAttribution | None
     attention: np.ndarray | None
-    key_layout: tuple[KeyLabel, ...]
-    query_layout: tuple[KeyLabel, ...]
+    key_layout: Layout
+    query_layout: Layout
     notes: tuple[str, ...] = ()
 
 

@@ -13,18 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionReport, KeyLabel
+from .attention import SOURCES, AttentionReport, Layout
 from .diagnostics import SharedEvaluation
 from .errors import ShapeError
 
 __all__ = ["layout_to_json", "write_attention_matrix", "read_attention_matrix"]
 
 
-def layout_to_json(layout: tuple[KeyLabel, ...]) -> list[dict]:
-    return [
-        {"source": lab.source, "index": lab.index, "position": [lab.position.x, lab.position.y]}
-        for lab in layout
-    ]
+def layout_to_json(layout: Layout) -> list[dict]:
+    rows = zip(layout.source.tolist(), layout.index.tolist(), layout.positions.tolist())
+    return [{"source": SOURCES[c], "index": i, "position": xy} for c, i, xy in rows]
 
 
 def write_attention_matrix(

@@ -20,6 +20,24 @@ from .errors import ConfigurationError
 __all__ = ["PlantedScene", "make_grid", "make_text", "plant_scene"]
 
 
+def _check_scene(
+    width: int, height: int, dim: int, style_strength: float = 0.0,
+    kind: str = "identity", noise_level: float = 0.0, shift: int = 0,
+) -> None:
+    """Raise :class:`ConfigurationError` unless the scene builders accept these parameters."""
+    if width <= 0 or height <= 0 or dim <= 0:
+        raise ConfigurationError(f"grid dimensions must be positive, got {width}x{height}, dim={dim}")
+    if not 0.0 <= style_strength < 1.0:
+        raise ConfigurationError(f"style_strength must lie in [0, 1), got {style_strength}")
+    if noise_level < 0:
+        raise ConfigurationError(f"noise_level must be nonnegative, got {noise_level}")
+    if kind not in ("identity", "shuffle", "shift"):
+        raise ConfigurationError(f"kind must be identity, shuffle or shift, got {kind!r}")
+    n = width * height
+    if kind == "shift" and not -n < shift < n:
+        raise ConfigurationError(f"shift must satisfy |shift| < {n}, got {shift}")
+
+
 def make_grid(
     width: int, height: int, dim: int, seed: int, style_strength: float = 0.0
 ) -> TokenSet:
@@ -33,14 +51,7 @@ def make_grid(
     correlated statistics of real feature maps, which is the regime where
     positionally aligned keys can outcompete semantic matches.
     """
-    if width <= 0 or height <= 0 or dim <= 0:
-        raise ConfigurationError(
-            f"grid dimensions must be positive, got {width}x{height}, dim={dim}"
-        )
-    if not 0.0 <= style_strength < 1.0:
-        raise ConfigurationError(
-            f"style_strength must lie in [0, 1), got {style_strength}"
-        )
+    _check_scene(width, height, dim, style_strength)
     rng = np.random.default_rng(seed)
     if style_strength > 0.0:
         style = rng.standard_normal(dim)
@@ -115,20 +126,15 @@ def plant_scene(
     """
     if base.modality != "image" or base.grid_shape is None:
         raise ConfigurationError("plant_scene needs an image token set with a grid shape")
-    if noise_level < 0:
-        raise ConfigurationError(f"noise_level must be nonnegative, got {noise_level}")
+    _check_scene(*base.grid_shape, base.dim, kind=kind, noise_level=noise_level, shift=shift)
     n = base.n_tokens
     rng = np.random.default_rng(seed)
     if kind == "identity":
         corr = np.arange(n, dtype=np.int64)
     elif kind == "shuffle":
         corr = rng.permutation(n).astype(np.int64)
-    elif kind == "shift":
-        if not -n < shift < n:
-            raise ConfigurationError(f"shift must satisfy |shift| < {n}, got {shift}")
-        corr = (np.arange(n, dtype=np.int64) + shift) % n
     else:
-        raise ConfigurationError(f"kind must be identity, shuffle or shift, got {kind!r}")
+        corr = (np.arange(n, dtype=np.int64) + shift) % n
 
     ref_feats = np.empty_like(base.features)
     if noise_level == 0:

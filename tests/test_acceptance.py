@@ -296,9 +296,8 @@ def test_criterion_8_shifted_mode_sanity():
     )
     metrics = compute_alignment(rep, scene)
     target_positions = {tuple(p) for p in scene.target.positions}
-    ref_positions = {
-        lab.position.as_tuple() for lab in rep.key_layout if lab.source == "reference-image"
-    }
+    layout = rep.key_layout
+    ref_positions = {tuple(p) for p in layout.positions[layout.rows("reference-image")].tolist()}
     disjoint = not (target_positions & ref_positions)
     row_err = float(np.max(np.abs(rep.attention.sum(axis=1) - 1.0)))
     ok = disjoint and metrics.positional_mass == 0.0 and row_err < 1e-9

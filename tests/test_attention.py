@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from ropefreq import (
     shared_attend,
     shift_positions,
 )
+from ropefreq.reportio import layout_to_json
 
 CFG = RotaryConfig(dim=32)
 
@@ -279,7 +281,7 @@ class TestBuildSharedQKV:
     def test_mode_none_has_no_reference_rows(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
-        assert all(lab.source != "reference-image" for lab in qkv.key_layout)
+        assert qkv.key_layout.rows("reference-image").size == 0
         assert qkv.k.shape[0] == scene.target.n_tokens + text.n_tokens
 
     def test_mode_none_reduces_to_attend_on_target(self):
@@ -379,9 +381,38 @@ class TestBuildSharedQKV:
             scene.target, text, scene.reference,
             SharingParams(mode="shifted", offset=(4, 0), s=1.0), CFG,
         )
-        ref_labels = [lab for lab in qkv.key_layout if lab.source == "reference-image"]
-        target_positions = {Position2D(int(x), int(y)) for x, y in scene.target.positions}
-        assert all(lab.position not in target_positions for lab in ref_labels)
+        layout = qkv.key_layout
+        ref_positions = layout.positions[layout.rows("reference-image")].tolist()
+        target_positions = {tuple(p) for p in scene.target.positions.tolist()}
+        assert all(tuple(p) not in target_positions for p in ref_positions)
+
+    def test_layout_json_matches_token_positions(self):
+        scene, text = scene_and_text()
+        offset = (2, -3)
+        qkv = build_shared_qkv(
+            scene.target, text, scene.reference,
+            SharingParams(mode="shifted", offset=offset, s=1.0), CFG,
+        )
+
+        def rows(source, positions, dx=0, dy=0):
+            return [
+                {"source": source, "index": i, "position": [int(x) + dx, int(y) + dy]}
+                for i, (x, y) in enumerate(positions)
+            ]
+
+        queries = rows("target-image", scene.target.positions) + rows("target-text", text.positions)
+        keys = queries + rows("reference-image", scene.reference.positions, *offset)
+        # json.dumps refuses NumPy integers, so equal text means plain ints.
+        assert json.dumps(layout_to_json(qkv.query_layout)) == json.dumps(queries)
+        assert json.dumps(layout_to_json(qkv.key_layout)) == json.dumps(keys)
+
+        rep = attend(text, scene.target, scene.target.features, CFG)
+        assert json.dumps(layout_to_json(rep.query_layout)) == json.dumps(
+            rows("target-text", text.positions)
+        )
+        assert json.dumps(layout_to_json(rep.key_layout)) == json.dumps(
+            rows("target-image", scene.target.positions)
+        )
 
     def test_shifted_zero_offset_notes_degeneration(self):
         scene, text = scene_and_text()

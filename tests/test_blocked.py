@@ -34,6 +34,7 @@ from ropefreq import (
     plant_scene,
     shared_attend,
 )
+from ropefreq.attention import SOURCES
 from ropefreq.cli import ExperimentConfig, run_experiment
 
 CFG = RotaryConfig(dim=32)
@@ -53,22 +54,28 @@ def dense_softmax(q, k, heads):
     return attention / heads
 
 
+def rows_of(layout, source):
+    return [i for i, code in enumerate(layout.source.tolist()) if SOURCES[code] == source]
+
+
 def dense_alignment(attention, qkv, scene, radius):
-    q_rows = [i for i, lab in enumerate(qkv.query_layout) if lab.source == "target-image"]
-    ref_cols = [i for i, lab in enumerate(qkv.key_layout) if lab.source == "reference-image"]
+    q_rows = rows_of(qkv.query_layout, "target-image")
+    ref_cols = rows_of(qkv.key_layout, "reference-image")
     if not ref_cols:
         return dict.fromkeys(
             ("positional_mass", "semantic_mass", "argmax_positional_rate",
              "argmax_semantic_rate", "reference_mass"), 0.0)
-    col_of_index = {qkv.key_layout[c].index: c for c in ref_cols}
+    key_index = qkv.key_layout.index.tolist()
+    key_pos = qkv.key_layout.positions.tolist()
+    query_pos = qkv.query_layout.positions.tolist()
+    col_of_index = {key_index[c]: c for c in ref_cols}
     pos_mass = sem_mass = ref_mass = 0.0
     pos_hits = sem_hits = 0
     for i, row in enumerate(q_rows):
-        qx, qy = qkv.query_layout[row].position.as_tuple()
+        qx, qy = query_pos[row]
         aligned = [
             c for c in ref_cols
-            if max(abs(qkv.key_layout[c].position.x - qx),
-                   abs(qkv.key_layout[c].position.y - qy)) <= radius
+            if max(abs(key_pos[c][0] - qx), abs(key_pos[c][1] - qy)) <= radius
         ]
         sem_col = col_of_index[int(scene.correspondence[i])]
         ref_row = attention[row, ref_cols]
@@ -89,8 +96,8 @@ def dense_alignment(attention, qkv, scene, radius):
 
 
 def dense_attribution(qkv, partition):
-    q_rows = [i for i, lab in enumerate(qkv.query_layout) if lab.source == "target-image"]
-    ref_cols = [i for i, lab in enumerate(qkv.key_layout) if lab.source == "reference-image"]
+    q_rows = rows_of(qkv.query_layout, "target-image")
+    ref_cols = rows_of(qkv.key_layout, "reference-image")
     scale = 1.0 / math.sqrt(qkv.q.shape[1])
     out = {}
     for band in partition.bands:

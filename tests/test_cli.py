@@ -12,16 +12,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 DEMO = json.loads((FIXTURES / "copying_demo_fixture.json").read_text())
 
 
+SCENE = {
+    "kind": DEMO["kind"],
+    "noise_level": DEMO["noise_level"],
+    "seed": DEMO["scene_seed"],
+    "style_strength": DEMO["style_strength"],
+}
+
+
 def demo_config(tmp_path, sharing, **overrides):
     cfg = {
         "rotary": {"dim": DEMO["dim"], "rope_base": 10000.0, "partition": DEMO["partition"]},
         "grid": {"width": DEMO["grid"], "height": DEMO["grid"]},
-        "scene": {
-            "kind": DEMO["kind"],
-            "noise_level": DEMO["noise_level"],
-            "seed": DEMO["scene_seed"],
-            "style_strength": DEMO["style_strength"],
-        },
+        "scene": dict(SCENE),
         "text_tokens": DEMO["text_tokens"],
         "heads": 1,
         "sharing": sharing,
@@ -282,6 +285,10 @@ class TestSharedAttn:
             ({"mode": "frequency_aware", **DEMO["frequency_aware"], "ramp": RAMP2}, {"step": 5}),
             (PLAIN, {"text_tokens": -1}),
             (PLAIN, {"grid": {"width": 0, "height": DEMO["grid"]}}),
+            (PLAIN, {"scene": {**SCENE, "kind": "bogus"}}),
+            (PLAIN, {"scene": {**SCENE, "noise_level": -1}}),
+            (PLAIN, {"scene": {**SCENE, "style_strength": 1.0}}),
+            (PLAIN, {"scene": {**SCENE, "kind": "shift", "shift": DEMO["grid"] ** 2}}),
         ],
     )
     def test_emit_config_rejects_what_the_run_rejects(self, tmp_path, sharing, overrides):
