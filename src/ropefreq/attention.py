@@ -6,15 +6,16 @@ positional mechanics. Two entry points:
 
 * :func:`attend` runs plain attention between two token sets, rotating
   queries and keys by their grid positions.
-* :func:`shared_attend` evaluates the sharing setup: a target image plus its
-  text tokens attend over their own keys concatenated with keys from a
+* :func:`build_shared_qkv` assembles the sharing setup: a target image plus
+  its text tokens attend over their own keys concatenated with keys from a
   reference image. Reference keys can be scaled uniformly, per frequency
   chunk (interpolating from ``s_hf`` at the fastest chunk to ``s_lf`` at the
   slowest), or given shifted positions. AdaIN re-statistics the target image
   features against the reference before any rotation.
+  :func:`ropefreq.diagnostics.evaluate_shared` evaluates it.
 
-Attention is evaluated one block of query rows at a time. Both entry points
-stack the blocks into the dense arrays of their report;
+Attention is evaluated one block of query rows at a time. :func:`attend`
+stacks the blocks into the dense arrays of its report;
 :func:`ropefreq.diagnostics.evaluate_shared` folds the same blocks into its
 metrics and keeps none of them.
 
@@ -47,7 +48,6 @@ __all__ = [
     "adain",
     "attend",
     "build_shared_qkv",
-    "shared_attend",
     "modulation_scales",
     "ramp_at",
     "shift_positions",
@@ -280,30 +280,25 @@ class Layout:
 
 @dataclass(frozen=True)
 class AttentionReport:
-    """One attention evaluation: weights, outputs, and row provenance.
+    """One :func:`attend` evaluation: weights, outputs, and row provenance.
 
-    ``attention`` rows sum to 1 (head-averaged when ``heads > 1``).
-    ``per_band_logits``, when present, holds each band's additive share of the
-    pre-softmax logits (after the 1/sqrt(head_dim) scaling, before the
-    stabilizing max subtraction); summing over bands recovers the full logits.
+    ``attention`` rows sum to 1 (head-averaged over several heads).
+    ``per_band_logits``, when present, holds each band of ``band_partition``'s
+    additive share of the pre-softmax logits (after the 1/sqrt(head_dim)
+    scaling, before the stabilizing max subtraction); summing over bands
+    recovers the full logits.
     """
 
     attention: np.ndarray
     output: np.ndarray
     key_layout: Layout
     query_layout: Layout
-    heads: int = 1
     per_band_logits: np.ndarray | None = None
     band_partition: BandPartition | None = None
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.attention.shape != (len(self.query_layout), len(self.key_layout)):
             raise ShapeError("attention shape does not match the query/key layouts")
-
-    @property
-    def band_labels(self) -> tuple[str, ...] | None:
-        return self.band_partition.labels if self.band_partition is not None else None
 
 
 @dataclass(frozen=True)
@@ -437,31 +432,6 @@ def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
         yield start, attention, output, per_band
 
 
-def _dense(
-    q_rot: np.ndarray,
-    k_rot: np.ndarray,
-    v: np.ndarray,
-    heads: int,
-    band_partition: BandPartition | None,
-    config: RotaryConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Stack every block into the dense arrays an :class:`AttentionReport` holds."""
-    nq, nk = q_rot.shape[0], k_rot.shape[0]
-    blocks = _attention_blocks(q_rot, k_rot, v, heads, band_partition, config)
-    attention = np.empty((nq, nk))
-    output = np.empty((nq, config.dim))
-    per_band = None
-    if band_partition is not None:
-        per_band = np.empty((len(band_partition.bands), nq, nk))
-    for start, block_attention, block_output, block_per_band in blocks:
-        rows = slice(start, start + block_attention.shape[0])
-        attention[rows] = block_attention
-        output[rows] = block_output
-        if per_band is not None:
-            per_band[:, rows] = block_per_band
-    return attention, output, per_band
-
-
 def _layout(*parts: tuple[str, np.ndarray]) -> Layout:
     """The layout of ``(source, positions)`` parts stacked in order."""
     codes = [np.full(len(pos), SOURCES.index(src), dtype=np.int8) for src, pos in parts]
@@ -491,13 +461,24 @@ def attend(
         raise ShapeError(f"V must have shape ({K.n_tokens}, {config.dim}), got {v.shape}")
     q_rot = apply_rope_batch(Q.features, Q.positions, config)
     k_rot = apply_rope_batch(K.features, K.positions, config)
-    attention, output, per_band = _dense(q_rot, k_rot, v, heads, band_partition, config)
+    blocks = _attention_blocks(q_rot, k_rot, v, heads, band_partition, config)
+    nq, nk = Q.n_tokens, K.n_tokens
+    attention = np.empty((nq, nk))
+    output = np.empty((nq, config.dim))
+    per_band = None
+    if band_partition is not None:
+        per_band = np.empty((len(band_partition.bands), nq, nk))
+    for start, block_attention, block_output, block_per_band in blocks:
+        rows = slice(start, start + block_attention.shape[0])
+        attention[rows] = block_attention
+        output[rows] = block_output
+        if per_band is not None:
+            per_band[:, rows] = block_per_band
     return AttentionReport(
         attention=attention,
         output=output,
         key_layout=_layout((f"target-{K.modality}", K.positions)),
         query_layout=_layout((f"target-{Q.modality}", Q.positions)),
-        heads=heads,
         per_band_logits=per_band,
         band_partition=band_partition,
     )
@@ -591,31 +572,6 @@ def build_shared_qkv(
         key_layout=_layout(*parts),
         query_layout=query_layout,
         notes=tuple(notes),
-    )
-
-
-def shared_attend(
-    target: TokenSet,
-    target_text: TokenSet,
-    reference: TokenSet,
-    params: SharingParams,
-    config: RotaryConfig,
-    heads: int = 1,
-    step: int | None = None,
-    band_partition: BandPartition | None = None,
-) -> AttentionReport:
-    """Evaluate shared attention and package the result."""
-    qkv = build_shared_qkv(target, target_text, reference, params, config, step)
-    attention, output, per_band = _dense(qkv.q, qkv.k, qkv.v, heads, band_partition, config)
-    return AttentionReport(
-        attention=attention,
-        output=output,
-        key_layout=qkv.key_layout,
-        query_layout=qkv.query_layout,
-        heads=heads,
-        per_band_logits=per_band,
-        band_partition=band_partition,
-        notes=qkv.notes,
     )
 
 

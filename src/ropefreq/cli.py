@@ -9,6 +9,7 @@ Subcommands. All outputs are deterministic given the same flags and config.
   experiment config file (plus optional raw attention matrices).
 
 Exit codes: 0 success, 2 usage error, 3 config/validation error, 4 I/O error.
+``shared-attn`` writes its report, raw matrices and sidecars all or not at all.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -118,8 +122,8 @@ def _sharing(raw: dict, config: RotaryConfig | None = None) -> tuple[dict, Shari
     """Validate a sharing section; returns its normalized echo and its parameters.
 
     The echo keeps only the keys the mode uses. The parameters are built
-    against ``config``; without one they are ``None``, which is how the base
-    section of a sweep, run only through its entries, is read.
+    against ``config``; without one they are ``None``, which is how the echo
+    of the base section is read before the rotary config exists.
     """
     _check_keys(raw, _SHARING_KEYS, "sharing")
     mode = _require(raw, "mode", "sharing")
@@ -285,19 +289,15 @@ class ExperimentConfig:
             cfg.width, cfg.height, cfg.dim, cfg.style_strength,
             cfg.scene_kind, cfg.noise_level, cfg.shift,
         )
-        entries = []
-        for i, overrides in enumerate(cfg.sweep or ({},)):
-            merged = {**cfg.sharing, **overrides}
-            step = merged.pop("step", cfg.step)
-            step = None if step is None else _int(step, f"sweep[{i}].step")
-            sharing, params = _sharing(merged, config)
-            if params.mode == "frequency_aware":
-                _effective_schedule(params, config, step)
-            spec = params.band_mask_override
-            if spec is not None:
-                band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
-            entries.append((f"entry{i}", params, sharing, step))
-        return replace(cfg, entries=tuple(entries))
+        # The base section is checked like an entry without overrides even
+        # when a sweep replaces it, so that no config echoes what a run rejects.
+        base = _entry(cfg, {}, config, "config")
+        if cfg.sweep is None:
+            runs = [base]
+        else:
+            runs = [_entry(cfg, o, config, f"sweep[{i}]") for i, o in enumerate(cfg.sweep)]
+        entries = tuple((f"entry{i}", *run) for i, run in enumerate(runs))
+        return replace(cfg, entries=entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,6 +332,20 @@ class ExperimentConfig:
     def iter_entries(self):
         """Yield (label, params, sharing echo, step) for the base run or each sweep item."""
         yield from self.entries
+
+
+def _entry(cfg: ExperimentConfig, overrides: dict, config: RotaryConfig, context: str):
+    """``(params, sharing echo, step)`` of the base sharing section merged with ``overrides``."""
+    merged = {**cfg.sharing, **overrides}
+    step = merged.pop("step", cfg.step)
+    step = None if step is None else _int(step, f"{context}.step")
+    sharing, params = _sharing(merged, config)
+    if params.mode == "frequency_aware":
+        _effective_schedule(params, config, step)
+    spec = params.band_mask_override
+    if spec is not None:
+        band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
+    return params, sharing, step
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
@@ -394,6 +408,32 @@ def _dump_json(obj) -> str:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ConfigurationError(f"refusing to write a non-finite number: {exc}") from exc
+
+
+@contextmanager
+def _all_or_nothing():
+    """Yield ``stage(path)``, the temporary path to write ``path`` (and its sidecar) at.
+
+    Staged files sit in a hidden directory beside their targets. They are
+    renamed into place only when the block completes, and are removed when
+    it raises, so a run leaves either all of its outputs or none.
+    """
+    staging: dict[Path, Path] = {}
+
+    def stage(path) -> Path:
+        path = Path(path)
+        if path.parent not in staging:
+            staging[path.parent] = Path(tempfile.mkdtemp(prefix=".ropefreq-", dir=path.parent))
+        return staging[path.parent] / path.name
+
+    try:
+        yield stage
+        for parent, tmp in staging.items():
+            for staged in tmp.iterdir():
+                staged.replace(parent / staged.name)
+    finally:
+        for tmp in staging.values():
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _info(args, message: str) -> None:
@@ -471,22 +511,27 @@ def cmd_shared_attn(args) -> int:
         return 0
 
     result, evaluations = run_experiment(cfg)
+    report = _dump_json(result)
 
     report_path = args.out or cfg.output_report
+    written = []
+    with _all_or_nothing() as stage:
+        if report_path is not None:
+            stage(report_path).write_text(report)
+            written.append(report_path)
+        if cfg.output_attention:
+            base = Path(cfg.output_attention)
+            for entry, evaluation in zip(result["entries"], evaluations):
+                if len(evaluations) == 1:
+                    path = base
+                else:
+                    path = base.with_name(f"{base.stem}.{entry['label']}{base.suffix}")
+                write_attention_matrix(stage(path), evaluation)
+                written.append(path)
     if report_path is None:
-        sys.stdout.write(_dump_json(result))
-    else:
-        Path(report_path).write_text(_dump_json(result))
-        _info(args, f"wrote {report_path}")
-    if cfg.output_attention:
-        base = Path(cfg.output_attention)
-        for entry, evaluation in zip(result["entries"], evaluations):
-            if len(evaluations) == 1:
-                path = base
-            else:
-                path = base.with_name(f"{base.stem}.{entry['label']}{base.suffix}")
-            write_attention_matrix(path, evaluation)
-            _info(args, f"wrote {path}")
+        sys.stdout.write(report)
+    for path in written:
+        _info(args, f"wrote {path}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Quantitative diagnostics for shared-attention reports.
+"""Quantitative diagnostics for shared attention.
 
 The central question: does a target query's attention to the reference land
 on the reference token at the *same grid position* (positional alignment,
@@ -7,6 +7,9 @@ the copying signature) or on the token holding its *matching content*
 count winners among the reference keys, since with tied query/key features
 the query's own target key trivially dominates the global argmax and carries
 no information about the reference competition.
+
+:func:`evaluate_shared` is the one evaluator: it reduces each block of query
+rows as it is computed, so no dense matrix is ever held.
 """
 
 from __future__ import annotations
@@ -15,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    AttentionReport,
-    Layout,
-    SharedQKV,
-    _attention_blocks,
-    _block_rows,
-)
+from .attention import Layout, SharedQKV, _attention_blocks
 from .bands import BandPartition
-from .errors import ShapeError, UnsupportedReportError
+from .errors import ShapeError
 from .rope import RotaryConfig
 from .synthetic import PlantedScene
 
@@ -31,8 +28,6 @@ __all__ = [
     "AlignmentMetrics",
     "BandAttribution",
     "SharedEvaluation",
-    "compute_alignment",
-    "band_attribution",
     "evaluate_shared",
 ]
 
@@ -87,18 +82,19 @@ def _span(rows: np.ndarray, start: int, stop: int) -> tuple[int, int, object]:
 class _AlignmentFold:
     """Alignment terms of each image query, filled one block of rows at a time.
 
-    Built from a report's (or an evaluation's) layouts and the scene; feed
-    it every block of softmax rows with :meth:`add`, then read
-    :meth:`result`.
+    Built from the query and key layouts and the scene; feed it every block
+    of softmax rows with :meth:`add`, then read :meth:`result`. A reference
+    key is positionally aligned with a query at exactly the same grid
+    coordinates.
     """
 
-    def __init__(self, query_layout, key_layout, scene: PlantedScene, radius: int = 0) -> None:
+    def __init__(self, query_layout, key_layout, scene: PlantedScene) -> None:
         self.q_rows = query_layout.rows("target-image")
         ref_cols = key_layout.rows("reference-image")
         n = scene.target.n_tokens
         if len(self.q_rows) != n:
             raise ShapeError(
-                f"report has {len(self.q_rows)} image queries but the scene has {n} tokens"
+                f"the queries hold {len(self.q_rows)} image rows but the scene has {n} tokens"
             )
         self.has_reference = bool(ref_cols.size)
         self.ref_cols = _index(ref_cols)
@@ -106,14 +102,13 @@ class _AlignmentFold:
             return
         if len(ref_cols) != n:
             raise ShapeError(
-                f"report has {len(ref_cols)} reference keys but the scene has {n} tokens"
+                f"the keys hold {len(ref_cols)} reference rows but the scene has {n} tokens"
             )
         ref_index = key_layout.index[ref_cols]
         if not np.array_equal(np.sort(ref_index), np.arange(n)):
             raise ShapeError("reference keys do not cover the scene's token indices")
         local_of_index = np.empty(n, dtype=np.intp)
         local_of_index[ref_index] = np.arange(n)
-        self.radius = radius
         self.query_pos = query_layout.positions[self.q_rows]
         self.ref_pos = key_layout.positions[ref_cols]
         self.semantic = local_of_index[np.asarray(scene.correspondence, dtype=np.intp)]
@@ -132,9 +127,7 @@ class _AlignmentFold:
             return
         ref = attention[local][:, self.ref_cols]
         qpos = self.query_pos[lo:hi]
-        near = (np.abs(qpos[:, :1] - self.ref_pos[:, 0]) <= self.radius) & (
-            np.abs(qpos[:, 1:] - self.ref_pos[:, 1]) <= self.radius
-        )
+        near = (qpos[:, :1] == self.ref_pos[:, 0]) & (qpos[:, 1:] == self.ref_pos[:, 1])
         rows = np.arange(hi - lo)
         semantic = self.semantic[lo:hi]
         winner = ref.argmax(axis=1)
@@ -157,24 +150,6 @@ class _AlignmentFold:
         )
 
 
-def compute_alignment(
-    report: AttentionReport, scene: PlantedScene, radius: int = 0
-) -> AlignmentMetrics:
-    """Alignment metrics of a report against the scene that produced it.
-
-    Positional alignment means exact grid-coordinate equality between the
-    query and a reference key; ``radius > 0`` relaxes it to a Chebyshev
-    neighborhood (not used by the standard experiments). A report without
-    reference keys yields all-zero reference metrics.
-    """
-    fold = _AlignmentFold(report.query_layout, report.key_layout, scene, radius)
-    attention = report.attention
-    step = _block_rows(attention.shape[1])
-    for start in range(0, attention.shape[0], step):
-        fold.add(start, attention[start : start + step])
-    return fold.result()
-
-
 @dataclass(frozen=True)
 class BandAttribution:
     """Mean absolute per-band logit contribution over image-query/reference pairs."""
@@ -187,22 +162,21 @@ class BandAttribution:
 class _AttributionFold:
     """Per-band |logit| sums over image queries x reference keys, one block at a time.
 
-    ``key_cols`` picks the reference keys among the columns of the per-band
-    blocks fed to :meth:`add`.
+    The per-band blocks fed to :meth:`add` hold logits against the scene's
+    reference keys only.
     """
 
-    def __init__(self, partition: BandPartition, query_layout, key_cols, n_keys: int) -> None:
+    def __init__(self, partition: BandPartition, query_layout, scene: PlantedScene) -> None:
         self.partition = partition
         self.q_rows = query_layout.rows("target-image")
-        self.key_cols = key_cols
-        self.n_pairs = len(self.q_rows) * n_keys
+        self.n_pairs = len(self.q_rows) * scene.target.n_tokens
         self.totals = np.zeros(len(partition.bands))
 
     def add(self, start: int, per_band: np.ndarray) -> None:
         """Fold per-band logits of query rows ``start:start + per_band.shape[1]``."""
         lo, hi, local = _span(self.q_rows, start, start + per_band.shape[1])
         if lo < hi:
-            self.totals += np.abs(per_band[:, local][:, :, self.key_cols]).sum(axis=(1, 2))
+            self.totals += np.abs(per_band[:, local]).sum(axis=(1, 2))
 
     def result(self) -> BandAttribution:
         labels = self.partition.labels
@@ -212,25 +186,6 @@ class _AttributionFold:
             mean_abs_logit={lab: float(m) for lab, m in zip(labels, means)},
             n_pairs=self.n_pairs,
         )
-
-
-def band_attribution(report: AttentionReport, partition: BandPartition) -> BandAttribution:
-    """Summarize how much each frequency band contributes to reference logits."""
-    if report.per_band_logits is None:
-        raise UnsupportedReportError("report carries no per-band logits")
-    if report.band_partition != partition:
-        raise UnsupportedReportError(
-            "partition does not match the one the report was computed with"
-        )
-    ref_cols = report.key_layout.rows("reference-image")
-    if not ref_cols.size:
-        raise UnsupportedReportError("report has no reference keys to attribute")
-    fold = _AttributionFold(partition, report.query_layout, _index(ref_cols), len(ref_cols))
-    per_band = report.per_band_logits
-    step = _block_rows(per_band.shape[2])
-    for start in range(0, per_band.shape[1], step):
-        fold.add(start, per_band[:, start : start + step])
-    return fold.result()
 
 
 @dataclass(frozen=True)
@@ -260,18 +215,16 @@ def evaluate_shared(
 ) -> SharedEvaluation:
     """Alignment, band attribution and (optionally) the ``<f4`` attention of ``qkv``.
 
-    Gives the alignment of :func:`compute_alignment` and, up to rounding,
-    the attribution of :func:`band_attribution` on the matching
-    :func:`shared_attend` report, but holds no dense f64 matrix: each block
-    of query rows is folded into the running sums and dropped. Per-band
-    logits are taken against the reference keys only.
+    Holds no dense f64 matrix: each block of query rows is folded into the
+    running sums and dropped. Per-band logits are taken against the
+    reference keys only. Positional alignment is exact grid-coordinate
+    equality between a query and a reference key; without reference keys
+    every alignment metric is 0.
     """
     align = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
     attribution = None
     if band_partition is not None and align.has_reference:
-        attribution = _AttributionFold(
-            band_partition, qkv.query_layout, slice(None), scene.target.n_tokens
-        )
+        attribution = _AttributionFold(band_partition, qkv.query_layout, scene)
     nq, nk = qkv.q.shape[0], qkv.k.shape[0]
     matrix = np.empty((nq, nk), dtype="<f4") if keep_attention else None
     blocks = _attention_blocks(

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["RopeFreqError", "ConfigurationError", "ShapeError", "UnsupportedReportError"]
+__all__ = ["RopeFreqError", "ConfigurationError", "ShapeError"]
 
 
 class RopeFreqError(ValueError):
@@ -14,6 +14,3 @@ class ConfigurationError(RopeFreqError):
 class ShapeError(RopeFreqError):
     """Array shape or layout does not match what an operation requires."""
 
-
-class UnsupportedReportError(RopeFreqError):
-    """An attention report lacks the data a diagnostic needs."""

@@ -1,4 +1,4 @@
-"""Serialization of attention reports.
+"""Serialization of shared-attention evaluations.
 
 Two artifacts: a JSON summary (composed by the CLI) and an optional raw
 attention matrix. The raw file holds the matrix as little-endian 32-bit
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import SOURCES, AttentionReport, Layout
+from .attention import SOURCES, Layout
 from .diagnostics import SharedEvaluation
 from .errors import ShapeError
 
@@ -25,20 +25,18 @@ def layout_to_json(layout: Layout) -> list[dict]:
     return [{"source": SOURCES[c], "index": i, "position": xy} for c, i, xy in rows]
 
 
-def write_attention_matrix(
-    path: str | Path, report: AttentionReport | SharedEvaluation
-) -> Path:
-    """Write the attention matrix in raw form; returns the sidecar path."""
+def write_attention_matrix(path: str | Path, evaluation: SharedEvaluation) -> Path:
+    """Write the kept attention matrix in raw form; returns the sidecar path."""
     path = Path(path)
-    matrix = np.ascontiguousarray(report.attention, dtype="<f4")
+    matrix = np.ascontiguousarray(evaluation.attention, dtype="<f4")
     path.write_bytes(matrix.tobytes())
     sidecar = path.with_name(path.name + ".json")
     meta = {
         "dtype": "<f4",
         "order": "row-major",
-        "shape": list(report.attention.shape),
-        "key_layout": layout_to_json(report.key_layout),
-        "query_layout": layout_to_json(report.query_layout),
+        "shape": list(evaluation.attention.shape),
+        "key_layout": layout_to_json(evaluation.key_layout),
+        "query_layout": layout_to_json(evaluation.query_layout),
     }
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return sidecar

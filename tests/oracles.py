@@ -298,12 +298,7 @@ def build_demo_fixture(seed: int, noise: float, style: float, zero_stop: int) ->
 
 def library_metrics(kind, seed, noise, style, mode_kwargs):
     """Fast path used for scanning; mirrors the CLI experiment assembly."""
-    from ropefreq import (
-        ModulationSchedule,
-        SharingParams,
-        compute_alignment,
-        shared_attend,
-    )
+    from ropefreq import ModulationSchedule, SharingParams, build_shared_qkv, evaluate_shared
 
     config = interleaved_config()
     scene, text = _scene(kind, noise, style, seed, seed + 1, seed + 2)
@@ -314,8 +309,8 @@ def library_metrics(kind, seed, noise, style, mode_kwargs):
         )
     else:
         params = SharingParams(**mode_kwargs)
-    rep = shared_attend(scene.target, text, scene.reference, params, config)
-    return compute_alignment(rep, scene), scene
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+    return evaluate_shared(qkv, scene, config).alignment, scene
 
 
 def search_copying_seed(seeds, noises, styles, verbose=True):
@@ -349,7 +344,7 @@ def search_copying_seed(seeds, noises, styles, verbose=True):
 
 def search_demo(seeds, noises, styles, zero_stop=22, verbose=True):
     """Scan identity-scene parameters for the copying demo fixture."""
-    from ropefreq import Band, SharingParams, BandMaskSpec, compute_alignment, shared_attend
+    from ropefreq import Band, SharingParams, BandMaskSpec, build_shared_qkv, evaluate_shared
 
     results = []
     for style in styles:
@@ -366,8 +361,8 @@ def search_demo(seeds, noises, styles, zero_stop=22, verbose=True):
                     s=1.0,
                     band_mask_override=BandMaskSpec(Band("high", 0, zero_stop), "zero"),
                 )
-                rep = shared_attend(scene.target, text, scene.reference, masked_params, config)
-                m = compute_alignment(rep, scene)
+                qkv = build_shared_qkv(scene.target, text, scene.reference, masked_params, config)
+                m = evaluate_shared(qkv, scene, config).alignment
                 ok = (
                     p.argmax_positional_rate >= 0.9
                     and f.argmax_positional_rate <= p.argmax_positional_rate - 2 / 64

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
+from dense_reference import dense_attribution, dense_band_logits, evaluate_with_reference
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -24,7 +25,7 @@ from ropefreq import (
     apply_rope,
     build_shared_qkv,
     chunk_decomposition,
-    compute_alignment,
+    make_even_partition,
     make_grid,
     make_text,
     modulation_scales,
@@ -32,7 +33,6 @@ from ropefreq import (
     ramp_at,
     reconstruct_inner_product,
     relative_inner_product,
-    shared_attend,
 )
 from ropefreq.cli import main
 
@@ -64,6 +64,15 @@ def rebuild_scene(record):
 
 def frozen_match(got, frozen, tol=1e-9):
     return max(abs(got.as_dict()[k] - frozen[k]) for k in frozen)
+
+
+def evaluate(scene, text, params, cfg, band_partition=None):
+    """``(evaluation, qkv, dense softmax, kept matrix == softmax as <f4)`` of one setup."""
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, cfg)
+    evaluation, attention, tied = evaluate_with_reference(
+        qkv, scene, cfg, band_partition=band_partition
+    )
+    return evaluation, qkv, attention, tied
 
 
 def test_criterion_1_rope_identity_suite():
@@ -206,18 +215,15 @@ def test_criterion_6_copying_mitigation():
     scene, text = rebuild_scene(COPYING)
     fa_args = COPYING["frequency_aware"]
 
-    plain_rep = shared_attend(
-        scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), cfg
-    )
-    fa_rep = shared_attend(
-        scene.target, text, scene.reference,
+    plain_eval, _, _, plain_tied = evaluate(scene, text, SharingParams(mode="plain", s=1.0), cfg)
+    fa_eval, _, _, fa_tied = evaluate(
+        scene, text,
         SharingParams(
             mode="frequency_aware", schedule=ModulationSchedule.for_config(cfg, **fa_args)
         ),
         cfg,
     )
-    plain = compute_alignment(plain_rep, scene)
-    fa = compute_alignment(fa_rep, scene)
+    plain, fa = plain_eval.alignment, fa_eval.alignment
 
     err_plain = frozen_match(plain, COPYING["plain"])
     err_fa = frozen_match(fa, COPYING["freq_aware"])
@@ -236,53 +242,60 @@ def test_criterion_6_copying_mitigation():
         and fa.argmax_semantic_rate > plain.argmax_semantic_rate
     )
     elapsed = time.perf_counter() - start
-    ok = err_plain < 1e-9 and err_fa < 1e-9 and err_oracle < 1e-9 and ordering and elapsed < 10.0
+    tied = plain_tied and fa_tied
+    ok = (
+        err_plain < 1e-9 and err_fa < 1e-9 and err_oracle < 1e-9 and ordering and tied
+        and elapsed < 10.0
+    )
     check(
         "criterion 6 (copying mitigation)",
         ok,
         f"pos rate {plain.argmax_positional_rate:.4f}->{fa.argmax_positional_rate:.4f}, "
         f"sem rate {plain.argmax_semantic_rate:.4f}->{fa.argmax_semantic_rate:.4f}, "
-        f"fixture err {max(err_plain, err_fa):.2e}, oracle err {err_oracle:.2e}, {elapsed:.2f}s",
+        f"fixture err {max(err_plain, err_fa):.2e}, oracle err {err_oracle:.2e}, "
+        f"matrix matches reference {tied}, {elapsed:.2f}s",
     )
 
 
 def test_criterion_7_band_attribution():
     cfg = RotaryConfig.interleaved(DEMO["dim"])
     scene, text = rebuild_scene(DEMO)
-    from ropefreq import make_even_partition
 
     partition = make_even_partition(cfg, 3, "all")
     plain_params = SharingParams(mode="plain", s=1.0)
-    rep = shared_attend(
-        scene.target, text, scene.reference, plain_params, cfg, band_partition=partition
-    )
-    qkv = build_shared_qkv(scene.target, text, scene.reference, plain_params, cfg)
+    plain_eval, qkv, _, plain_tied = evaluate(scene, text, plain_params, cfg, partition)
     logits = qkv.q @ qkv.k.T / math.sqrt(cfg.dim)
-    recon_err = float(np.max(np.abs(rep.per_band_logits.sum(axis=0) - logits)))
+    per_band = dense_band_logits(qkv.q, qkv.k, partition)
+    recon_err = float(np.max(np.abs(per_band.sum(axis=0) - logits)))
+    want = dense_attribution(qkv, partition)
+    attribution_err = max(
+        abs(plain_eval.attribution.mean_abs_logit[label] - want[label]) for label in want
+    )
 
     zero_stop = DEMO["zero_band"][1]
-    masked_rep = shared_attend(
-        scene.target, text, scene.reference,
+    masked_eval, _, _, masked_tied = evaluate(
+        scene, text,
         SharingParams(
             mode="plain", s=1.0,
             band_mask_override=BandMaskSpec(Band("high", 0, zero_stop), "zero"),
         ),
         cfg,
     )
-    plain_m = compute_alignment(rep, scene)
-    masked_m = compute_alignment(masked_rep, scene)
+    plain_m, masked_m = plain_eval.alignment, masked_eval.alignment
     err_frozen = max(
         frozen_match(plain_m, DEMO["plain"]),
         frozen_match(masked_m, DEMO["plain_high_band_zeroed"]),
     )
     direction = masked_m.positional_mass < plain_m.positional_mass
-    ok = recon_err < 1e-8 and direction and err_frozen < 1e-9
+    tied = plain_tied and masked_tied
+    ok = recon_err < 1e-8 and attribution_err < 1e-12 and direction and err_frozen < 1e-9 and tied
     check(
         "criterion 7 (band attribution)",
         ok,
-        f"reconstruction err {recon_err:.2e}, positional mass "
+        f"reconstruction err {recon_err:.2e}, attribution err {attribution_err:.2e}, "
+        f"positional mass "
         f"{plain_m.positional_mass:.6f} -> {masked_m.positional_mass:.6f} (zeroed high band), "
-        f"fixture err {err_frozen:.2e}",
+        f"fixture err {err_frozen:.2e}, matrix matches reference {tied}",
     )
 
 
@@ -290,21 +303,21 @@ def test_criterion_8_shifted_mode_sanity():
     cfg = RotaryConfig.interleaved(DEMO["dim"])
     scene, text = rebuild_scene(DEMO)
     width = DEMO["grid"]
-    rep = shared_attend(
-        scene.target, text, scene.reference,
-        SharingParams(mode="shifted", offset=(width, 0), s=1.0), cfg,
+    evaluation, _, attention, tied = evaluate(
+        scene, text, SharingParams(mode="shifted", offset=(width, 0), s=1.0), cfg
     )
-    metrics = compute_alignment(rep, scene)
+    metrics = evaluation.alignment
     target_positions = {tuple(p) for p in scene.target.positions}
-    layout = rep.key_layout
+    layout = evaluation.key_layout
     ref_positions = {tuple(p) for p in layout.positions[layout.rows("reference-image")].tolist()}
     disjoint = not (target_positions & ref_positions)
-    row_err = float(np.max(np.abs(rep.attention.sum(axis=1) - 1.0)))
-    ok = disjoint and metrics.positional_mass == 0.0 and row_err < 1e-9
+    row_err = float(np.max(np.abs(attention.sum(axis=1) - 1.0)))
+    ok = disjoint and metrics.positional_mass == 0.0 and row_err < 1e-9 and tied
     check(
         "criterion 8 (shifted-mode sanity)",
         ok,
-        f"disjoint {disjoint}, positional mass {metrics.positional_mass}, row-sum err {row_err:.2e}",
+        f"disjoint {disjoint}, positional mass {metrics.positional_mass}, "
+        f"row-sum err {row_err:.2e}, matrix matches reference {tied}",
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dense_reference import dense_attribution, dense_band_logits, evaluate_with_reference
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -21,6 +22,7 @@ from ropefreq import (
     attend,
     build_shared_qkv,
     chunk_decomposition,
+    evaluate_shared,
     grid_positions,
     make_even_partition,
     make_grid,
@@ -28,7 +30,6 @@ from ropefreq import (
     modulation_scales,
     plant_scene,
     ramp_at,
-    shared_attend,
     shift_positions,
 )
 from ropefreq.reportio import layout_to_json
@@ -286,14 +287,17 @@ class TestBuildSharedQKV:
 
     def test_mode_none_reduces_to_attend_on_target(self):
         scene, text = scene_and_text()
-        rep = shared_attend(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
+        qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
+        evaluation, attention, tied = evaluate_with_reference(qkv, scene, CFG)
+        assert tied
         combined = TokenSet(
             np.vstack([scene.target.features, text.features]),
             np.vstack([scene.target.positions, text.positions]),
             "image",
         )
         base = attend(combined, combined, combined.features, CFG)
-        np.testing.assert_allclose(rep.attention, base.attention, atol=1e-15)
+        np.testing.assert_allclose(attention, base.attention, atol=1e-15)
+        assert evaluation.attention.tobytes() == base.attention.astype("<f4").tobytes()
 
     def test_constant_schedule_equals_plain(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")
@@ -339,14 +343,16 @@ class TestBuildSharedQKV:
 
     def test_mirror_symmetry_for_duplicated_reference(self):
         scene, text = scene_and_text(noise=0.0, kind="identity")
-        rep = shared_attend(
+        qkv = build_shared_qkv(
             scene.target, text, scene.reference,
             SharingParams(mode="plain", s=1.0, adain_enabled=False), CFG,
         )
+        _, attention, tied = evaluate_with_reference(qkv, scene, CFG)
+        assert tied
         n_img, n_txt = scene.target.n_tokens, text.n_tokens
         ref_cols = slice(n_img + n_txt, n_img + n_txt + n_img)
         np.testing.assert_allclose(
-            rep.attention[:n_img, :n_img], rep.attention[:n_img, ref_cols], atol=1e-9
+            attention[:n_img, :n_img], attention[:n_img, ref_cols], atol=1e-9
         )
 
     def test_modulated_logit_matches_chunk_decomposition(self):
@@ -464,33 +470,36 @@ class TestBuildSharedQKV:
     def test_per_band_logits_sum_to_logits(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")
         part = make_even_partition(CFG, 3, "all")
-        rep = shared_attend(
-            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG,
-            band_partition=part,
-        )
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
+        evaluation, _, tied = evaluate_with_reference(qkv, scene, CFG, band_partition=part)
+        assert tied
         logits = qkv.q @ qkv.k.T / math.sqrt(32)
-        np.testing.assert_allclose(rep.per_band_logits.sum(axis=0), logits, atol=1e-8)
+        np.testing.assert_allclose(
+            dense_band_logits(qkv.q, qkv.k, part).sum(axis=0), logits, atol=1e-8
+        )
+        assert evaluation.attribution.mean_abs_logit == pytest.approx(
+            dense_attribution(qkv, part), abs=1e-12, rel=0
+        )
 
     def test_band_partition_requires_single_head(self):
         scene, text = scene_and_text()
         part = make_even_partition(CFG, 3, "all")
+        qkv = build_shared_qkv(
+            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
+        )
         with pytest.raises(ConfigurationError):
-            shared_attend(
-                scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG,
-                heads=2, band_partition=part,
-            )
+            evaluate_shared(qkv, scene, CFG, heads=2, band_partition=part)
 
     def test_band_partition_must_cover_all_chunks(self):
         scene, text = scene_and_text()
         part = make_even_partition(CFG, 2, "x")
+        qkv = build_shared_qkv(
+            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
+        )
         with pytest.raises(ConfigurationError):
-            shared_attend(
-                scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG,
-                band_partition=part,
-            )
+            evaluate_shared(qkv, scene, CFG, band_partition=part)
 
 
 class TestAttendBandDecomposition:
@@ -504,7 +513,7 @@ class TestAttendBandDecomposition:
         k_rot = apply_rope_batch(k.features, k.positions, CFG)
         logits = q_rot @ k_rot.T / math.sqrt(32)
         np.testing.assert_allclose(rep.per_band_logits.sum(axis=0), logits, atol=1e-8)
-        assert rep.band_labels == ("band0", "band1", "band2", "band3")
+        assert rep.band_partition.labels == ("band0", "band1", "band2", "band3")
 
 
 class TestPositionValidation:

@@ -1,10 +1,9 @@
 """The blocked attention evaluator against a dense reference.
 
-The reference below builds the full N x 2N softmax and per-band logits with
-plain NumPy and walks the image queries one at a time, the way the metrics
-are defined. It imports nothing private from ``ropefreq``. The block budget
-is shrunk so that every evaluation runs in several blocks, the last one
-shorter than the rest.
+The reference (``dense_reference.py``) builds the full N x 2N softmax and
+per-band logits with plain NumPy and walks the image queries one at a time,
+the way the metrics are defined. The block budget is shrunk so that every
+evaluation runs in several blocks, the last one shorter than the rest.
 """
 
 import json
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 import ropefreq.attention
+from dense_reference import dense_alignment, dense_attribution, dense_softmax
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -24,87 +24,21 @@ from ropefreq import (
     RotaryConfig,
     SharingParams,
     TimestepRamp,
-    band_attribution,
+    TokenSet,
+    attend,
     build_shared_qkv,
-    compute_alignment,
     evaluate_shared,
     make_even_partition,
     make_grid,
     make_text,
     plant_scene,
-    shared_attend,
 )
-from ropefreq.attention import SOURCES
 from ropefreq.cli import ExperimentConfig, run_experiment
 
 CFG = RotaryConfig(dim=32)
 GRID = 5
 TEXT = 3
 ROWS_PER_BLOCK = 5
-
-
-def dense_softmax(q, k, heads):
-    head_dim = q.shape[1] // heads
-    attention = np.zeros((q.shape[0], k.shape[0]))
-    for h in range(heads):
-        sl = slice(h * head_dim, (h + 1) * head_dim)
-        logits = (q[:, sl] @ k[:, sl].T) * (1.0 / math.sqrt(head_dim))
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        attention += e / e.sum(axis=1, keepdims=True)
-    return attention / heads
-
-
-def rows_of(layout, source):
-    return [i for i, code in enumerate(layout.source.tolist()) if SOURCES[code] == source]
-
-
-def dense_alignment(attention, qkv, scene, radius):
-    q_rows = rows_of(qkv.query_layout, "target-image")
-    ref_cols = rows_of(qkv.key_layout, "reference-image")
-    if not ref_cols:
-        return dict.fromkeys(
-            ("positional_mass", "semantic_mass", "argmax_positional_rate",
-             "argmax_semantic_rate", "reference_mass"), 0.0)
-    key_index = qkv.key_layout.index.tolist()
-    key_pos = qkv.key_layout.positions.tolist()
-    query_pos = qkv.query_layout.positions.tolist()
-    col_of_index = {key_index[c]: c for c in ref_cols}
-    pos_mass = sem_mass = ref_mass = 0.0
-    pos_hits = sem_hits = 0
-    for i, row in enumerate(q_rows):
-        qx, qy = query_pos[row]
-        aligned = [
-            c for c in ref_cols
-            if max(abs(key_pos[c][0] - qx), abs(key_pos[c][1] - qy)) <= radius
-        ]
-        sem_col = col_of_index[int(scene.correspondence[i])]
-        ref_row = attention[row, ref_cols]
-        ref_mass += float(ref_row.sum())
-        pos_mass += float(attention[row, aligned].sum())
-        sem_mass += float(attention[row, sem_col])
-        winner = ref_cols[int(np.argmax(ref_row))]
-        pos_hits += winner in aligned
-        sem_hits += winner == sem_col
-    n = len(q_rows)
-    return {
-        "positional_mass": pos_mass / n,
-        "semantic_mass": sem_mass / n,
-        "argmax_positional_rate": pos_hits / n,
-        "argmax_semantic_rate": sem_hits / n,
-        "reference_mass": ref_mass / n,
-    }
-
-
-def dense_attribution(qkv, partition):
-    q_rows = rows_of(qkv.query_layout, "target-image")
-    ref_cols = rows_of(qkv.key_layout, "reference-image")
-    scale = 1.0 / math.sqrt(qkv.q.shape[1])
-    out = {}
-    for band in partition.bands:
-        cols = slice(2 * band.start, 2 * band.stop)
-        logits = (qkv.q[:, cols] @ qkv.k[:, cols].T) * scale
-        out[band.label] = float(np.abs(logits[np.ix_(q_rows, ref_cols)]).mean())
-    return out
 
 
 RAMP = TimestepRamp(0.2, 0.8, 1.0, 1.4, total_steps=10)
@@ -167,34 +101,32 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     evaluation = evaluate_shared(
         qkv, scene, CFG, heads=heads, band_partition=partition, keep_attention=True
     )
-    report = shared_attend(
-        scene.target, text, scene.reference, params, CFG,
-        heads=heads, step=step, band_partition=partition,
-    )
+    # attend at position (0, 0) rotates nothing, so over the assembled q/k it
+    # stacks the very softmax blocks that evaluate_shared folds.
+    def unrotated(rows):
+        return TokenSet(rows, np.zeros((rows.shape[0], 2)), "image")
+
+    blocks = attend(unrotated(qkv.q), unrotated(qkv.k), qkv.v, CFG, heads=heads).attention
     # BLAS may round a product differently depending on how many rows it
     # multiplies at once, so the blocked softmax can differ from the one-shot
     # dense one in the last bit; both round to the same <f4 bytes.
-    np.testing.assert_allclose(report.attention, attention, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(blocks, attention, rtol=0, atol=1e-15)
     assert evaluation.attention.dtype == np.dtype("<f4")
     assert evaluation.attention.tobytes() == attention.astype("<f4").tobytes()
-    assert evaluation.attention.tobytes() == report.attention.astype("<f4").tobytes()
+    assert evaluation.attention.tobytes() == blocks.astype("<f4").tobytes()
 
     # On the same softmax rows, the block-by-block reductions equal the
-    # per-query loop exactly at radius 0.
-    exact = dense_alignment(report.attention, qkv, scene, 0)
+    # per-query loop exactly.
+    exact = dense_alignment(blocks, qkv, scene)
     assert evaluation.alignment.as_dict() == exact
-    assert compute_alignment(report, scene).as_dict() == exact
-    assert exact == pytest.approx(dense_alignment(attention, qkv, scene, 0), abs=1e-12, rel=0)
-    relaxed = compute_alignment(report, scene, radius=2).as_dict()
-    assert relaxed == pytest.approx(dense_alignment(attention, qkv, scene, 2), abs=1e-12, rel=0)
+    assert exact == pytest.approx(dense_alignment(attention, qkv, scene), abs=1e-12, rel=0)
 
     if partition is None or params.mode == "none":
         assert evaluation.attribution is None
         return
-    want = dense_attribution(qkv, partition)
-    for got in (evaluation.attribution, band_attribution(report, partition)):
-        assert got.n_pairs == GRID**4
-        assert got.mean_abs_logit == pytest.approx(want, abs=1e-12, rel=0)
+    got = evaluation.attribution
+    assert got.n_pairs == GRID**4
+    assert got.mean_abs_logit == pytest.approx(dense_attribution(qkv, partition), abs=1e-12, rel=0)
 
 
 def test_non_finite_logits_raise_without_a_numpy_warning():
@@ -202,8 +134,9 @@ def test_non_finite_logits_raise_without_a_numpy_warning():
     # overflowing matmul or softmax would fail this test before the guard.
     scene, text = scene_and_text()
     params = SharingParams(mode="plain", s=math.inf)
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
     with pytest.raises(ConfigurationError, match="not finite"):
-        shared_attend(scene.target, text, scene.reference, params, CFG)
+        evaluate_shared(qkv, scene, CFG)
 
 
 def test_run_experiment_allocates_no_dense_matrix():

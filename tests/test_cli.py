@@ -319,6 +319,30 @@ class TestSharedAttn:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
 
+    def test_invalid_base_sharing_of_a_sweep_exits_3_without_outputs(self, tmp_path, capsys):
+        # A sweep replaces the base section in the run, but the base is still
+        # echoed in the report, so it must be as valid as an entry.
+        sweep = [PLAIN, {"mode": "frequency_aware", **DEMO["frequency_aware"]}]
+        cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": -1}, sweep=sweep)
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert not emitted.exists()
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert not report_path.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    def test_failed_matrix_write_leaves_no_report(self, tmp_path):
+        cfg_path, report_path = demo_config(
+            tmp_path, PLAIN, output={
+                "report": str(tmp_path / "report.json"),
+                "attention": str(tmp_path / "missing-dir" / "attn.f4"),
+            },
+        )
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
+        assert not report_path.exists()
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+
     def test_emit_config_round_trips(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0})
         emitted = tmp_path / "normalized.json"
@@ -370,22 +394,25 @@ class TestBuildRotary:
 
 class TestReportIO:
     def test_raw_attention_round_trip(self, tmp_path):
-        from ropefreq import RotaryConfig, SharingParams, make_grid, make_text, plant_scene, shared_attend
+        from dense_reference import evaluate_with_reference
+        from ropefreq import RotaryConfig, SharingParams, build_shared_qkv, make_grid, make_text, plant_scene
         from ropefreq.reportio import read_attention_matrix, write_attention_matrix
 
         base = make_grid(3, 3, 16, seed=1)
         scene = plant_scene(base, kind="identity", seed=2)
         text = make_text(2, 16, seed=3)
-        rep = shared_attend(
-            scene.target, text, scene.reference,
-            SharingParams(mode="plain", s=1.0), RotaryConfig(dim=16),
+        config = RotaryConfig(dim=16)
+        qkv = build_shared_qkv(
+            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), config
         )
+        evaluation, attention, tied = evaluate_with_reference(qkv, scene, config)
+        assert tied
         path = tmp_path / "attn.f32"
-        sidecar = write_attention_matrix(path, rep)
+        sidecar = write_attention_matrix(path, evaluation)
         assert sidecar.name == "attn.f32.json"
         matrix, meta = read_attention_matrix(path)
         assert meta["order"] == "row-major" and meta["dtype"] == "<f4"
-        np.testing.assert_allclose(matrix, rep.attention, atol=1e-6)
+        np.testing.assert_allclose(matrix, attention, atol=1e-6)
         assert [lab["source"] for lab in meta["key_layout"][:2]] == ["target-image", "target-image"]
 
 

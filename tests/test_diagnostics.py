@@ -1,32 +1,39 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
+from dense_reference import dense_attribution, dense_band_logits, evaluate_with_reference
 from ropefreq import (
+    Band,
+    BandMaskSpec,
     PlantedScene,
     RotaryConfig,
     ShapeError,
     SharingParams,
     TokenSet,
-    UnsupportedReportError,
-    band_attribution,
-    compute_alignment,
+    build_shared_qkv,
+    evaluate_shared,
     grid_positions,
     make_even_partition,
     make_grid,
     make_text,
     plant_scene,
-    shared_attend,
 )
 
 CFG = RotaryConfig(dim=32)
+COPYING = json.loads((Path(__file__).parent / "fixtures" / "copying_fixture.json").read_text())
 
 
 def run(scene, text, params, heads=1, bands=None, config=CFG):
+    """``(evaluation, partition, qkv)`` of one shared setup."""
     part = make_even_partition(config, bands, "all") if bands else None
-    rep = shared_attend(
-        scene.target, text, scene.reference, params, config, heads=heads, band_partition=part
-    )
-    return rep, part
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+    evaluation = evaluate_shared(qkv, scene, config, heads=heads, band_partition=part)
+    return evaluation, part, qkv
 
 
 def basic_scene(kind="shuffle", noise=0.1, seed=0, grid=4, dim=32):
@@ -38,15 +45,13 @@ def basic_scene(kind="shuffle", noise=0.1, seed=0, grid=4, dim=32):
 class TestComputeAlignment:
     def test_identity_scene_positional_equals_semantic(self):
         scene, text = basic_scene(kind="identity")
-        rep, _ = run(scene, text, SharingParams(mode="plain", s=1.0))
-        m = compute_alignment(rep, scene)
+        m = run(scene, text, SharingParams(mode="plain", s=1.0))[0].alignment
         assert m.positional_mass == m.semantic_mass
         assert m.argmax_positional_rate == m.argmax_semantic_rate
 
     def test_mode_none_zeroes_reference_metrics(self):
         scene, text = basic_scene()
-        rep, _ = run(scene, text, SharingParams(mode="none"))
-        m = compute_alignment(rep, scene)
+        m = run(scene, text, SharingParams(mode="none"))[0].alignment
         assert m.positional_mass == 0.0
         assert m.semantic_mass == 0.0
         assert m.argmax_positional_rate == 0.0
@@ -55,8 +60,7 @@ class TestComputeAlignment:
 
     def test_fields_bounded_and_dominated_by_reference_mass(self):
         scene, text = basic_scene()
-        rep, _ = run(scene, text, SharingParams(mode="plain", s=1.0))
-        m = compute_alignment(rep, scene)
+        m = run(scene, text, SharingParams(mode="plain", s=1.0))[0].alignment
         for value in m.as_dict().values():
             assert 0.0 <= value <= 1.0
         assert m.positional_mass <= m.reference_mass
@@ -64,10 +68,11 @@ class TestComputeAlignment:
 
     def test_masses_partition_per_query(self):
         scene, text = basic_scene()
-        rep, _ = run(scene, text, SharingParams(mode="plain", s=1.0))
+        *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
         n_img = scene.target.n_tokens
         n_txt = text.n_tokens
-        attn = rep.attention
+        _, attn, tied = evaluate_with_reference(qkv, scene, CFG)
+        assert tied
         tgt = attn[:n_img, :n_img].sum(axis=1)
         txt = attn[:n_img, n_img : n_img + n_txt].sum(axis=1)
         ref = attn[:n_img, n_img + n_txt :].sum(axis=1)
@@ -75,27 +80,18 @@ class TestComputeAlignment:
 
     def test_shifted_mode_has_zero_positional_mass(self):
         scene, text = basic_scene()
-        rep, _ = run(scene, text, SharingParams(mode="shifted", offset=(4, 0), s=1.0))
-        m = compute_alignment(rep, scene)
+        m = run(scene, text, SharingParams(mode="shifted", offset=(4, 0), s=1.0))[0].alignment
         assert m.positional_mass == 0.0
         assert m.argmax_positional_rate == 0.0
         assert m.reference_mass > 0.0
-
-    def test_radius_variant_recovers_shifted_neighborhood(self):
-        scene, text = basic_scene()
-        rep, _ = run(scene, text, SharingParams(mode="shifted", offset=(4, 0), s=1.0))
-        exact = compute_alignment(rep, scene)
-        relaxed = compute_alignment(rep, scene, radius=4)
-        assert exact.positional_mass == 0.0
-        assert relaxed.positional_mass > 0.0
 
     def test_query_count_mismatch_raises(self):
         scene, text = basic_scene()
         other_base = make_grid(3, 3, 32, seed=50)
         other = plant_scene(other_base, kind="identity", seed=51)
-        rep, _ = run(scene, text, SharingParams(mode="plain", s=1.0))
+        *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
         with pytest.raises(ShapeError):
-            compute_alignment(rep, other)
+            evaluate_shared(qkv, other, CFG)
 
     def test_monotone_reference_mass_on_positive_logit_fixture(self):
         # 1x2 grid of nonnegative features: x offsets are zero and y chunks
@@ -116,91 +112,72 @@ class TestComputeAlignment:
         text = make_text(0, 16, seed=0)
         masses = []
         for s in (0.5, 1.0, 2.0, 4.0):
-            rep = shared_attend(
-                target, text, target,
-                SharingParams(mode="plain", s=s, adain_enabled=False), cfg,
+            qkv = build_shared_qkv(
+                target, text, target, SharingParams(mode="plain", s=s, adain_enabled=False), cfg
             )
+            evaluation, attention, tied = evaluate_with_reference(qkv, scene, cfg)
+            assert tied
             n = target.n_tokens
-            logits_ref = (rep.attention[:n, n:] > 0).all()
+            logits_ref = (attention[:n, n:] > 0).all()
             assert logits_ref
-            masses.append(compute_alignment(rep, scene).reference_mass)
+            masses.append(evaluation.alignment.reference_mass)
         assert all(a < b for a, b in zip(masses, masses[1:]))
 
 
 class TestBandAttribution:
-    def test_requires_per_band_logits(self):
-        scene, text = basic_scene()
-        rep, _ = run(scene, text, SharingParams(mode="plain", s=1.0))
-        part = make_even_partition(CFG, 3, "all")
-        with pytest.raises(UnsupportedReportError):
-            band_attribution(rep, part)
-
-    def test_partition_must_match_report(self):
-        scene, text = basic_scene()
-        rep, part = run(scene, text, SharingParams(mode="plain", s=1.0), bands=3)
-        other = make_even_partition(CFG, 4, "all")
-        with pytest.raises(UnsupportedReportError):
-            band_attribution(rep, other)
-
     def test_requires_reference_keys(self):
         scene, text = basic_scene()
-        rep, part = run(scene, text, SharingParams(mode="none"), bands=3)
-        with pytest.raises(UnsupportedReportError):
-            band_attribution(rep, part)
+        evaluation, part, _ = run(scene, text, SharingParams(mode="none"), bands=3)
+        assert part is not None and evaluation.attribution is None
 
     def test_single_band_equals_full_logits(self):
         scene, text = basic_scene()
-        rep, part = run(scene, text, SharingParams(mode="plain", s=1.0), bands=1)
-        attr = band_attribution(rep, part)
+        evaluation, _, qkv = run(scene, text, SharingParams(mode="plain", s=1.0), bands=1)
         n_img, n_txt = scene.target.n_tokens, text.n_tokens
-        full = rep.per_band_logits.sum(axis=0)
+        full = qkv.q @ qkv.k.T / math.sqrt(CFG.dim)
         expected = np.abs(full[:n_img, n_img + n_txt :]).mean()
-        assert attr.mean_abs_logit["full"] == pytest.approx(expected, abs=1e-12)
+        assert evaluation.attribution.mean_abs_logit["full"] == pytest.approx(expected, abs=1e-12)
 
     def test_zeroed_band_has_zero_attribution(self):
-        from ropefreq import Band, BandMaskSpec
-
         scene, text = basic_scene()
         params = SharingParams(
             mode="plain", s=1.0, band_mask_override=BandMaskSpec(Band("high", 0, 6), "zero")
         )
-        rep, part = run(scene, text, params, bands=3)
-        attr = band_attribution(rep, part)
+        evaluation, part, _ = run(scene, text, params, bands=3)
+        attr = evaluation.attribution
         assert part.bands[0].stop == 6
         assert attr.mean_abs_logit["high"] == 0.0
         assert attr.mean_abs_logit["low"] > 0.0
 
     def test_bands_reconstruct_logits(self):
         scene, text = basic_scene(seed=21)
-        rep, part = run(scene, text, SharingParams(mode="plain", s=1.0), bands=3)
-        import math
-
-        from ropefreq import build_shared_qkv
-
-        qkv = build_shared_qkv(
-            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
-        )
+        evaluation, part, qkv = run(scene, text, SharingParams(mode="plain", s=1.0), bands=3)
         logits = qkv.q @ qkv.k.T / math.sqrt(CFG.dim)
-        np.testing.assert_allclose(rep.per_band_logits.sum(axis=0), logits, atol=1e-8)
+        per_band = dense_band_logits(qkv.q, qkv.k, part)
+        np.testing.assert_allclose(per_band.sum(axis=0), logits, atol=1e-8)
+        assert evaluation.attribution.mean_abs_logit == pytest.approx(
+            dense_attribution(qkv, part), abs=1e-12, rel=0
+        )
 
     def test_zeroing_high_band_reduces_positional_mass_on_copying_scene(self):
-        from ropefreq import Band, BandMaskSpec
-
         cfg = RotaryConfig.interleaved(128)
         base = make_grid(8, 8, 128, seed=10, style_strength=0.9)
         scene = plant_scene(base, kind="identity", noise_level=1.0, seed=11)
         text = make_text(4, 128, seed=12)
-        plain_rep = shared_attend(
-            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), cfg
+        plain_m = run(scene, text, SharingParams(mode="plain", s=1.0), config=cfg)[0].alignment
+        masked = SharingParams(
+            mode="plain", s=1.0, band_mask_override=BandMaskSpec(Band("high", 0, 22), "zero")
         )
-        masked_rep = shared_attend(
-            scene.target, text, scene.reference,
-            SharingParams(
-                mode="plain", s=1.0,
-                band_mask_override=BandMaskSpec(Band("high", 0, 22), "zero"),
-            ),
-            cfg,
-        )
-        plain_m = compute_alignment(plain_rep, scene)
-        masked_m = compute_alignment(masked_rep, scene)
+        masked_m = run(scene, text, masked, config=cfg)[0].alignment
         assert masked_m.positional_mass < plain_m.positional_mass
+
+
+@pytest.mark.parametrize("mode, frozen", [("plain", "plain"), ("frequency_aware", "freq_aware")])
+def test_oracle_search_metrics_reproduce_copying_fixture(mode, frozen):
+    # The fixture-search helpers in oracles.py scan scenes with the library
+    # and must agree with the frozen, oracle-built copying fixture.
+    kwargs = {"mode": "plain", "s": 1.0} if mode == "plain" else {"mode": mode}
+    got, _ = oracles.library_metrics(
+        COPYING["kind"], COPYING["seed"], COPYING["noise_level"], COPYING["style_strength"], kwargs
+    )
+    assert got.as_dict() == pytest.approx(COPYING[frozen], abs=1e-9, rel=0)
