@@ -1,23 +1,19 @@
 """Scaled-dot-product attention with rotary positions and key sharing.
 
-Tokens carry their own features (no learned projections: a token's query,
-key, and value are all its feature vector), so attention here isolates the
-positional mechanics. Two entry points:
+Tokens carry their own features (no learned projections: a token's query
+and key are both its feature vector), so attention here isolates the
+positional mechanics.
 
-* :func:`attend` runs plain attention between two token sets, rotating
-  queries and keys by their grid positions.
-* :func:`build_shared_qkv` assembles the sharing setup: a target image plus
-  its text tokens attend over their own keys concatenated with keys from a
-  reference image. Reference keys can be scaled uniformly, per frequency
-  chunk (interpolating from ``s_hf`` at the fastest chunk to ``s_lf`` at the
-  slowest), or given shifted positions. AdaIN re-statistics the target image
-  features against the reference before any rotation.
-  :func:`ropefreq.diagnostics.evaluate_shared` evaluates it.
+:func:`build_shared_qkv` assembles the one setting studied: a target image
+plus its text tokens attend over their own keys concatenated with keys from
+a reference image. Reference keys can be scaled uniformly, per frequency
+chunk (interpolating from ``s_hf`` at the fastest chunk to ``s_lf`` at the
+slowest), or given shifted positions. AdaIN re-statistics the target image
+features against the reference before any rotation.
 
-Attention is evaluated one block of query rows at a time. :func:`attend`
-stacks the blocks into the dense arrays of its report;
-:func:`ropefreq.diagnostics.evaluate_shared` folds the same blocks into its
-metrics and keeps none of them.
+Attention is evaluated one block of query rows at a time
+(:func:`_attention_blocks`); :func:`ropefreq.diagnostics.evaluate_shared`
+folds each block into its metrics and keeps none of them.
 
 Per-chunk scaling commutes with rotation (both act chunk-diagonally), so
 modulating before or after the rotary encoding is equivalent; this module
@@ -43,10 +39,8 @@ __all__ = [
     "BandMaskSpec",
     "SharingParams",
     "Layout",
-    "AttentionReport",
     "SharedQKV",
     "adain",
-    "attend",
     "build_shared_qkv",
     "modulation_scales",
     "ramp_at",
@@ -122,19 +116,24 @@ class TokenSet:
         return self.features.shape[1]
 
 
+def _check_scales(s_hf: float, s_lf: float, beta: float) -> None:
+    """Raise :class:`ConfigurationError` unless all three are finite and positive."""
+    for name, value in (("s_hf", s_hf), ("s_lf", s_lf), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
 def modulation_scales(s_hf: float, s_lf: float, beta: float, n_chunks_axis: int) -> np.ndarray:
     """Per-chunk scales interpolating from ``s_hf`` to ``s_lf``.
 
     Chunk ``d`` of an axis with ``n`` chunks gets
     ``s_hf + (s_lf - s_hf) * (d / (n - 1)) ** beta``; the endpoints are set
     to ``s_hf`` and ``s_lf`` exactly. Monotone whenever ``s_lf >= s_hf``.
+    All three must be finite and positive.
     """
+    _check_scales(s_hf, s_lf, beta)
     if n_chunks_axis < 2:
-        raise ConfigurationError(
-            f"an axis schedule needs at least 2 chunks, got {n_chunks_axis}"
-        )
-    if not beta > 0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
+        raise ConfigurationError(f"an axis schedule needs at least 2 chunks, got {n_chunks_axis}")
     d_norm = np.arange(n_chunks_axis, dtype=np.float64) / (n_chunks_axis - 1)
     scales = s_hf + (s_lf - s_hf) * d_norm**beta
     scales[0] = s_hf
@@ -157,10 +156,7 @@ class ModulationSchedule:
     per_chunk_scales: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.s_hf > 0 or not self.s_lf > 0:
-            raise ConfigurationError("modulation scales must be positive")
-        if not self.beta > 0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
+        _check_scales(self.s_hf, self.s_lf, self.beta)
         object.__setattr__(
             self, "per_chunk_scales", np.asarray(self.per_chunk_scales, dtype=np.float64)
         )
@@ -225,7 +221,7 @@ class BandMaskSpec:
 
 @dataclass(frozen=True)
 class SharingParams:
-    """How reference keys and values enter the target's attention.
+    """How reference keys enter the target's attention.
 
     Modes: "none" (no sharing), "plain" (reference keys scaled by the scalar
     ``s``), "frequency_aware" (per-chunk scales from ``schedule``, optionally
@@ -279,35 +275,11 @@ class Layout:
 
 
 @dataclass(frozen=True)
-class AttentionReport:
-    """One :func:`attend` evaluation: weights, outputs, and row provenance.
-
-    ``attention`` rows sum to 1 (head-averaged over several heads).
-    ``per_band_logits``, when present, holds each band of ``band_partition``'s
-    additive share of the pre-softmax logits (after the 1/sqrt(head_dim)
-    scaling, before the stabilizing max subtraction); summing over bands
-    recovers the full logits.
-    """
-
-    attention: np.ndarray
-    output: np.ndarray
-    key_layout: Layout
-    query_layout: Layout
-    per_band_logits: np.ndarray | None = None
-    band_partition: BandPartition | None = None
-
-    def __post_init__(self) -> None:
-        if self.attention.shape != (len(self.query_layout), len(self.key_layout)):
-            raise ShapeError("attention shape does not match the query/key layouts")
-
-
-@dataclass(frozen=True)
 class SharedQKV:
-    """Assembled shared-attention inputs; queries and keys already rotated."""
+    """Assembled shared-attention queries and keys, already rotated."""
 
     q: np.ndarray
     k: np.ndarray
-    v: np.ndarray
     key_layout: Layout
     query_layout: Layout
     notes: tuple[str, ...] = ()
@@ -349,27 +321,27 @@ def _block_rows(n_keys: int) -> int:
 def _attention_blocks(
     q_rot: np.ndarray,
     k_rot: np.ndarray,
-    v: np.ndarray | None,
     heads: int,
     band_partition: BandPartition | None,
     config: RotaryConfig,
-    band_keys=slice(None),
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    band_keys,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Evaluate attention one block of query rows at a time.
 
-    Yields ``(start, attention, output, per_band)`` for query rows
+    Yields ``(start, attention, per_band)`` for query rows
     ``start:start + len(attention)``: the head-averaged softmax rows over
-    every key, their weighted values (``None`` without ``v``), and each
-    band's share of the scaled logits against ``k_rot[band_keys]``, shaped
-    (bands, rows, band keys), or ``None`` without a partition. Every key is
-    in every block, so each softmax row is exact and needs no rescaling.
+    every key, and each band's share of the logits against
+    ``k_rot[band_keys]`` (after the 1/sqrt(head_dim) scaling, before the
+    stabilizing max subtraction), shaped (bands, rows, band keys), or
+    ``None`` without a partition. Every key is in every block, so each
+    softmax row is exact and needs no rescaling.
 
     Heads and partition are checked (:func:`_check_heads`) before the first
     block; a softmax row that is not finite (overflowing or NaN logits)
     raises :class:`ConfigurationError` in its block.
     """
     _check_heads(heads, band_partition, config)
-    return _blocks(q_rot, k_rot, v, heads, band_partition, k_rot[band_keys])
+    return _blocks(q_rot, k_rot, heads, band_partition, k_rot[band_keys])
 
 
 def _check_heads(heads: int, band_partition: BandPartition | None, config: RotaryConfig) -> None:
@@ -389,15 +361,13 @@ def _check_heads(heads: int, band_partition: BandPartition | None, config: Rotar
             )
 
 
-def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
-    dim = q_rot.shape[1]
-    head_dim = dim // heads
+def _blocks(q_rot, k_rot, heads, band_partition, band_k):
+    head_dim = q_rot.shape[1] // heads
     scale = 1.0 / math.sqrt(head_dim)
     step = _block_rows(k_rot.shape[0])
     for start in range(0, q_rot.shape[0], step):
         qb = q_rot[start : start + step]
         attention = None
-        output = None if v is None else np.empty((qb.shape[0], dim))
         # Overflowing or NaN logits are caught by the finiteness guard below,
         # so NumPy's own warnings about them would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -415,8 +385,6 @@ def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
                         "attention softmax is not finite: the logits overflow or contain NaN"
                     )
                 a /= total
-                if output is not None:
-                    output[:, sl] = a @ v[:, sl]
                 if attention is None:
                     attention = a
                 else:
@@ -429,7 +397,7 @@ def _blocks(q_rot, k_rot, v, heads, band_partition, band_k):
             for i, band in enumerate(band_partition.bands):
                 cols = slice(2 * band.start, 2 * band.stop)
                 per_band[i] = (qb[:, cols] @ band_k[:, cols].T) * scale
-        yield start, attention, output, per_band
+        yield start, attention, per_band
 
 
 def _layout(*parts: tuple[str, np.ndarray]) -> Layout:
@@ -438,50 +406,6 @@ def _layout(*parts: tuple[str, np.ndarray]) -> Layout:
     index = [np.arange(len(pos), dtype=np.int64) for _, pos in parts]
     positions = np.concatenate([pos for _, pos in parts])
     return Layout(np.concatenate(codes), np.concatenate(index), positions)
-
-
-def attend(
-    Q: TokenSet,
-    K: TokenSet,
-    V: np.ndarray,
-    config: RotaryConfig,
-    heads: int = 1,
-    band_partition: BandPartition | None = None,
-) -> AttentionReport:
-    """Rotary attention of one token set over another.
-
-    Queries and keys are rotated at their own positions, logits scaled by
-    ``1/sqrt(dim/heads)``, and each head attends over its own contiguous
-    chunk slice. ``V`` must align row-wise with ``K``.
-    """
-    if Q.dim != config.dim or K.dim != config.dim:
-        raise ShapeError(f"token features must have width {config.dim}")
-    v = np.asarray(V, dtype=np.float64)
-    if v.shape != (K.n_tokens, config.dim):
-        raise ShapeError(f"V must have shape ({K.n_tokens}, {config.dim}), got {v.shape}")
-    q_rot = apply_rope_batch(Q.features, Q.positions, config)
-    k_rot = apply_rope_batch(K.features, K.positions, config)
-    blocks = _attention_blocks(q_rot, k_rot, v, heads, band_partition, config)
-    nq, nk = Q.n_tokens, K.n_tokens
-    attention = np.empty((nq, nk))
-    output = np.empty((nq, config.dim))
-    per_band = None
-    if band_partition is not None:
-        per_band = np.empty((len(band_partition.bands), nq, nk))
-    for start, block_attention, block_output, block_per_band in blocks:
-        rows = slice(start, start + block_attention.shape[0])
-        attention[rows] = block_attention
-        output[rows] = block_output
-        if per_band is not None:
-            per_band[:, rows] = block_per_band
-    return AttentionReport(
-        attention=attention,
-        output=output,
-        key_layout=_layout((f"target-{K.modality}", K.positions)),
-        query_layout=_layout((f"target-{Q.modality}", Q.positions)),
-        per_band_logits=per_band,
-        band_partition=band_partition,
-    )
 
 
 def _effective_schedule(
@@ -510,14 +434,13 @@ def build_shared_qkv(
     config: RotaryConfig,
     step: int | None = None,
 ) -> SharedQKV:
-    """Assemble rotated queries, keys, and values for shared attention.
+    """Assemble rotated queries and keys for shared attention.
 
     Queries are the target image tokens (AdaIN-normalized to the reference
     when enabled) followed by the target text tokens, rotated at their own
     positions. Keys are the same rows followed by the reference image keys,
     rotated at the target's grid coordinates (plus the offset in shifted
-    mode) and then scaled per the sharing mode. Values concatenate the raw
-    target image, target text, and reference features, unmodulated.
+    mode) and then scaled per the sharing mode.
     """
     if target.modality != "image" or reference.modality != "image":
         raise ConfigurationError("target and reference must be image token sets")
@@ -542,8 +465,6 @@ def build_shared_qkv(
     query_layout = _layout(*parts)
 
     k_parts = [img_rot, txt_rot]
-    v_parts = [target.features, target_text.features]
-
     if params.mode != "none":
         ref_positions = reference.positions
         if params.mode == "shifted":
@@ -562,13 +483,11 @@ def build_shared_qkv(
             spec = params.band_mask_override
             ref_rot = band_mask(ref_rot, spec.band, spec.mode, config, spec.scale)
         k_parts.append(ref_rot)
-        v_parts.append(reference.features)
         parts.append(("reference-image", ref_positions))
 
     return SharedQKV(
         q=q,
         k=np.vstack(k_parts),
-        v=np.vstack(v_parts),
         key_layout=_layout(*parts),
         query_layout=query_layout,
         notes=tuple(notes),

@@ -9,8 +9,6 @@ drop steeply with small shifts, high indices (low frequency) barely move.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +145,6 @@ class DecayCurve:
 
     delta_values: tuple[int, ...]
     series: dict[str, tuple[float, ...]]
-    config_fingerprint: str = ""
 
     def __post_init__(self) -> None:
         n = len(self.delta_values)
@@ -156,18 +153,6 @@ class DecayCurve:
                 raise ShapeError(f"series {label!r} has {len(values)} points, expected {n}")
             if any(v < -1.0 - 1e-12 or v > 1.0 + 1e-12 for v in values):
                 raise ConfigurationError(f"series {label!r} leaves [-1, 1]")
-
-
-def _fingerprint(config: RotaryConfig, partition: BandPartition) -> str:
-    payload = json.dumps(
-        {
-            "dim": config.dim,
-            "rope_base": config.rope_base,
-            "bands": [[b.label, b.start, b.stop] for b in partition.bands],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def decay_curve(
@@ -198,7 +183,7 @@ def decay_curve(
         columns.append(("full", theta[partition.chunk_indices()]))
     d = np.array(deltas, dtype=np.float64)
     series = {label: tuple(_mean_cos(d, t).tolist()) for label, t in columns}
-    return DecayCurve(deltas, series, _fingerprint(config, partition))
+    return DecayCurve(deltas, series)
 
 
 def decay_curve_to_csv(curve: DecayCurve) -> str:

@@ -38,7 +38,7 @@ from .attention import (
 from .bands import Band, band_mask, decay_curve, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
-from .reportio import layout_to_json, write_attention_matrix
+from .reportio import layout_to_json, sidecar_path, write_attention_matrix
 from .rope import RotaryConfig, frequencies
 from .synthetic import _check_scene, make_grid, make_text, plant_scene
 
@@ -297,7 +297,9 @@ class ExperimentConfig:
         else:
             runs = [_entry(cfg, o, config, f"sweep[{i}]") for i, o in enumerate(cfg.sweep)]
         entries = tuple((f"entry{i}", *run) for i, run in enumerate(runs))
-        return replace(cfg, entries=entries)
+        cfg = replace(cfg, entries=entries)
+        _output_paths(cfg, cfg.output_report)
+        return cfg
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,6 +348,29 @@ def _entry(cfg: ExperimentConfig, overrides: dict, config: RotaryConfig, context
     if spec is not None:
         band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
     return params, sharing, step
+
+
+def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
+    """Each entry's matrix path, once no two of the run's outputs are one file.
+
+    The outputs (the report, each matrix and each sidecar) are compared as
+    resolved paths; a clash raises :class:`ConfigurationError`.
+    """
+    matrices = []
+    if cfg.output_attention:
+        base = Path(cfg.output_attention)
+        matrices = [
+            base if len(cfg.entries) == 1 else base.with_name(f"{base.stem}.{label}{base.suffix}")
+            for label, *_ in cfg.entries
+        ]
+    targets = [] if report is None else [Path(report)]
+    targets += [p for m in matrices for p in (m, sidecar_path(m))]
+    resolved = [t.resolve() for t in targets]
+    for i, r in enumerate(resolved):
+        if r in resolved[:i]:
+            other = targets[resolved.index(r)]
+            raise ConfigurationError(f"outputs {other} and {targets[i]} name the same file")
+    return matrices
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
@@ -510,27 +535,19 @@ def cmd_shared_attn(args) -> int:
         _info(args, f"wrote {args.emit_config}")
         return 0
 
+    report_path = args.out or cfg.output_report
+    matrices = _output_paths(cfg, report_path)
     result, evaluations = run_experiment(cfg)
     report = _dump_json(result)
 
-    report_path = args.out or cfg.output_report
-    written = []
     with _all_or_nothing() as stage:
         if report_path is not None:
             stage(report_path).write_text(report)
-            written.append(report_path)
-        if cfg.output_attention:
-            base = Path(cfg.output_attention)
-            for entry, evaluation in zip(result["entries"], evaluations):
-                if len(evaluations) == 1:
-                    path = base
-                else:
-                    path = base.with_name(f"{base.stem}.{entry['label']}{base.suffix}")
-                write_attention_matrix(stage(path), evaluation)
-                written.append(path)
+        for path, evaluation in zip(matrices, evaluations):
+            write_attention_matrix(stage(path), evaluation)
     if report_path is None:
         sys.stdout.write(report)
-    for path in written:
+    for path in ([] if report_path is None else [report_path]) + matrices:
         _info(args, f"wrote {path}")
     return 0
 

@@ -227,10 +227,8 @@ def evaluate_shared(
         attribution = _AttributionFold(band_partition, qkv.query_layout, scene)
     nq, nk = qkv.q.shape[0], qkv.k.shape[0]
     matrix = np.empty((nq, nk), dtype="<f4") if keep_attention else None
-    blocks = _attention_blocks(
-        qkv.q, qkv.k, None, heads, band_partition, config, band_keys=align.ref_cols
-    )
-    for start, attention, _, per_band in blocks:
+    blocks = _attention_blocks(qkv.q, qkv.k, heads, band_partition, config, align.ref_cols)
+    for start, attention, per_band in blocks:
         align.add(start, attention)
         if attribution is not None:
             attribution.add(start, per_band)

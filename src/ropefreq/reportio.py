@@ -17,7 +17,7 @@ from .attention import SOURCES, Layout
 from .diagnostics import SharedEvaluation
 from .errors import ShapeError
 
-__all__ = ["layout_to_json", "write_attention_matrix", "read_attention_matrix"]
+__all__ = ["layout_to_json", "sidecar_path", "write_attention_matrix", "read_attention_matrix"]
 
 
 def layout_to_json(layout: Layout) -> list[dict]:
@@ -25,12 +25,17 @@ def layout_to_json(layout: Layout) -> list[dict]:
     return [{"source": SOURCES[c], "index": i, "position": xy} for c, i, xy in rows]
 
 
+def sidecar_path(path: str | Path) -> Path:
+    """The JSON sidecar of the raw matrix at ``path``."""
+    return Path(path).with_name(Path(path).name + ".json")
+
+
 def write_attention_matrix(path: str | Path, evaluation: SharedEvaluation) -> Path:
     """Write the kept attention matrix in raw form; returns the sidecar path."""
     path = Path(path)
     matrix = np.ascontiguousarray(evaluation.attention, dtype="<f4")
     path.write_bytes(matrix.tobytes())
-    sidecar = path.with_name(path.name + ".json")
+    sidecar = sidecar_path(path)
     meta = {
         "dtype": "<f4",
         "order": "row-major",
@@ -45,7 +50,7 @@ def write_attention_matrix(path: str | Path, evaluation: SharedEvaluation) -> Pa
 def read_attention_matrix(path: str | Path) -> tuple[np.ndarray, dict]:
     """Load a raw attention file back using its sidecar."""
     path = Path(path)
-    meta = json.loads(path.with_name(path.name + ".json").read_text())
+    meta = json.loads(sidecar_path(path).read_text())
     raw = path.read_bytes()
     rows, cols = meta["shape"]
     expected = np.dtype(meta["dtype"]).itemsize * rows * cols

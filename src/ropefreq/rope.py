@@ -52,9 +52,6 @@ class Position2D:
     x: int
     y: int
 
-    def __add__(self, other: "Position2D") -> "Position2D":
-        return Position2D(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Position2D") -> "Position2D":
         return Position2D(self.x - other.x, self.y - other.y)
 

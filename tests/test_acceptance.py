@@ -94,7 +94,7 @@ def test_criterion_1_rope_identity_suite():
             abs(np.linalg.norm(rotated) - np.linalg.norm(q)) / np.linalg.norm(q),
         )
         twice = apply_rope(rotated, n, cfg)
-        once = apply_rope(q, m + n, cfg)
+        once = apply_rope(q, (m.x + n.x, m.y + n.y), cfg)
         worst_additivity = max(worst_additivity, float(np.max(np.abs(twice - once))))
     elapsed = time.perf_counter() - start
     ok = (

@@ -19,7 +19,6 @@ from ropefreq import (
     TokenSet,
     adain,
     apply_rope_batch,
-    attend,
     build_shared_qkv,
     chunk_decomposition,
     evaluate_shared,
@@ -32,6 +31,7 @@ from ropefreq import (
     ramp_at,
     shift_positions,
 )
+from ropefreq.attention import _attention_blocks
 from ropefreq.reportio import layout_to_json
 
 CFG = RotaryConfig(dim=32)
@@ -100,40 +100,42 @@ class TestAdain:
             adain(np.ones((3, 4)), np.ones((1, 4)))
 
 
-class TestAttend:
+def kernel(qf, qpos, kf, kpos, heads=1, band_partition=None):
+    """``(attention, per_band)`` of the blocked kernel on rows rotated at their positions.
+
+    The inputs are small enough for one block, which the unpacking checks.
+    """
+    q_rot = apply_rope_batch(qf, qpos, CFG)
+    k_rot = apply_rope_batch(kf, kpos, CFG)
+    ((start, attention, per_band),) = _attention_blocks(
+        q_rot, k_rot, heads, band_partition, CFG, slice(None)
+    )
+    assert start == 0
+    return attention, per_band
+
+
+class TestAttentionKernel:
     def test_single_key_gets_all_attention(self):
-        q = TokenSet(np.ones((1, 32)), np.array([[2, 3]]), "image")
-        k = TokenSet(np.ones((1, 32)), np.array([[5, 1]]), "image")
-        rep = attend(q, k, k.features, CFG)
-        np.testing.assert_array_equal(rep.attention, [[1.0]])
+        attention, _ = kernel(np.ones((1, 32)), [[2, 3]], np.ones((1, 32)), [[5, 1]])
+        np.testing.assert_array_equal(attention, [[1.0]])
 
     def test_identical_keys_at_same_position_split_evenly(self):
-        rng = np.random.default_rng(4)
-        qf = rng.standard_normal((1, 32))
-        kf = np.vstack([qf, qf])
-        q = TokenSet(qf, np.array([[0, 0]]), "image")
-        k = TokenSet(kf, np.array([[3, 2], [3, 2]]), "image")
-        rep = attend(q, k, kf, CFG)
-        np.testing.assert_allclose(rep.attention, [[0.5, 0.5]], atol=1e-12)
+        qf = np.random.default_rng(4).standard_normal((1, 32))
+        attention, _ = kernel(qf, [[0, 0]], np.vstack([qf, qf]), [[3, 2], [3, 2]])
+        np.testing.assert_allclose(attention, [[0.5, 0.5]], atol=1e-12)
 
     def test_symmetric_displacements_with_query_equal_key(self):
-        rng = np.random.default_rng(5)
-        f = rng.standard_normal((1, 32))
-        q = TokenSet(f, np.array([[0, 0]]), "image")
-        k = TokenSet(np.vstack([f, f]), np.array([[1, 0], [-1, 0]]), "image")
-        rep = attend(q, k, k.features, CFG)
-        np.testing.assert_allclose(rep.attention, [[0.5, 0.5]], atol=1e-12)
+        f = np.random.default_rng(5).standard_normal((1, 32))
+        attention, _ = kernel(f, [[0, 0]], np.vstack([f, f]), [[1, 0], [-1, 0]])
+        np.testing.assert_allclose(attention, [[0.5, 0.5]], atol=1e-12)
 
     def test_six_token_case_matches_bruteforce(self):
         rng = np.random.default_rng(6)
         qf = rng.standard_normal((6, 32))
         kf = rng.standard_normal((6, 32))
-        vf = rng.standard_normal((6, 32))
         qpos = rng.integers(-4, 5, (6, 2))
         kpos = rng.integers(-4, 5, (6, 2))
-        q = TokenSet(qf, qpos, "image")
-        k = TokenSet(kf, kpos, "image")
-        rep = attend(q, k, vf, CFG)
+        attention, _ = kernel(qf, qpos, kf, kpos)
 
         q_rot = [oracles.o_apply_rope(list(qf[i]), *qpos[i], 32, 10000.0) for i in range(6)]
         k_rot = [oracles.o_apply_rope(list(kf[i]), *kpos[i], 32, 10000.0) for i in range(6)]
@@ -143,39 +145,31 @@ class TestAttend:
         )
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = (e / e.sum(axis=1, keepdims=True)).astype(np.float64)
-        np.testing.assert_allclose(rep.attention, expected, atol=1e-9)
-        np.testing.assert_allclose(rep.output, rep.attention @ vf, atol=1e-12)
+        np.testing.assert_allclose(attention, expected, atol=1e-9)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        q = TokenSet(rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2)), "image")
-        k = TokenSet(rng.standard_normal((9, 32)), rng.integers(0, 4, (9, 2)), "image")
-        rep = attend(q, k, k.features, CFG, heads=2)
-        np.testing.assert_allclose(rep.attention.sum(axis=1), np.ones(4), atol=1e-9)
-
-    def test_multihead_output_stacks_head_slices(self):
-        rng = np.random.default_rng(8)
-        q = TokenSet(rng.standard_normal((3, 32)), rng.integers(0, 3, (3, 2)), "image")
-        k = TokenSet(rng.standard_normal((5, 32)), rng.integers(0, 3, (5, 2)), "image")
-        v = rng.standard_normal((5, 32))
-        rep = attend(q, k, v, CFG, heads=2)
-        q_rot = apply_rope_batch(q.features, q.positions, CFG)
-        k_rot = apply_rope_batch(k.features, k.positions, CFG)
-        for h, sl in enumerate([slice(0, 16), slice(16, 32)]):
-            logits = q_rot[:, sl] @ k_rot[:, sl].T / math.sqrt(16)
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            a = e / e.sum(axis=1, keepdims=True)
-            np.testing.assert_allclose(rep.output[:, sl], a @ v[:, sl], atol=1e-12)
+        attention, _ = kernel(
+            rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2)),
+            rng.standard_normal((9, 32)), rng.integers(0, 4, (9, 2)), heads=2,
+        )
+        np.testing.assert_allclose(attention.sum(axis=1), np.ones(4), atol=1e-9)
 
     def test_head_divisibility_error(self):
-        q = TokenSet(np.ones((1, 32)), np.zeros((1, 2)), "image")
         with pytest.raises(ConfigurationError):
-            attend(q, q, q.features, CFG, heads=3)
+            kernel(np.ones((1, 32)), [[0, 0]], np.ones((1, 32)), [[0, 0]], heads=3)
 
-    def test_value_row_mismatch(self):
-        q = TokenSet(np.ones((1, 32)), np.zeros((1, 2)), "image")
-        with pytest.raises(ShapeError):
-            attend(q, q, np.ones((2, 32)), CFG)
+    def test_band_logits_reconstruct(self):
+        rng = np.random.default_rng(30)
+        qf, qpos = rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2))
+        kf, kpos = rng.standard_normal((6, 32)), rng.integers(0, 4, (6, 2))
+        part = make_even_partition(CFG, 4, "all")
+        _, per_band = kernel(qf, qpos, kf, kpos, band_partition=part)
+        q_rot = apply_rope_batch(qf, qpos, CFG)
+        k_rot = apply_rope_batch(kf, kpos, CFG)
+        logits = q_rot @ k_rot.T / math.sqrt(32)
+        assert per_band.shape == (4, 4, 6)
+        np.testing.assert_allclose(per_band.sum(axis=0), logits, atol=1e-8)
 
 
 class TestModulationScales:
@@ -205,6 +199,16 @@ class TestModulationScales:
     def test_beta_positive(self):
         with pytest.raises(ConfigurationError):
             modulation_scales(0.3, 1.2, 0.0, 4)
+
+    @pytest.mark.parametrize(
+        "s_hf, s_lf, beta",
+        [(math.inf, 1.0, 2.0), (0.3, math.nan, 2.0), (0.3, 1.0, math.inf), (-0.3, 1.0, 2.0)],
+    )
+    def test_scales_and_beta_must_be_finite_and_positive(self, s_hf, s_lf, beta):
+        with pytest.raises(ConfigurationError):
+            modulation_scales(s_hf, s_lf, beta, 4)
+        with pytest.raises(ConfigurationError):
+            ModulationSchedule(s_hf, s_lf, beta, np.ones(4))
 
 
 class TestSchedule:
@@ -285,19 +289,16 @@ class TestBuildSharedQKV:
         assert qkv.key_layout.rows("reference-image").size == 0
         assert qkv.k.shape[0] == scene.target.n_tokens + text.n_tokens
 
-    def test_mode_none_reduces_to_attend_on_target(self):
+    def test_mode_none_reduces_to_self_attention_on_target(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
         evaluation, attention, tied = evaluate_with_reference(qkv, scene, CFG)
         assert tied
-        combined = TokenSet(
-            np.vstack([scene.target.features, text.features]),
-            np.vstack([scene.target.positions, text.positions]),
-            "image",
-        )
-        base = attend(combined, combined, combined.features, CFG)
-        np.testing.assert_allclose(attention, base.attention, atol=1e-15)
-        assert evaluation.attention.tobytes() == base.attention.astype("<f4").tobytes()
+        features = np.vstack([scene.target.features, text.features])
+        positions = np.vstack([scene.target.positions, text.positions])
+        base, _ = kernel(features, positions, features, positions)
+        np.testing.assert_allclose(attention, base, atol=1e-15)
+        assert evaluation.attention.tobytes() == base.astype("<f4").tobytes()
 
     def test_constant_schedule_equals_plain(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")
@@ -310,7 +311,6 @@ class TestBuildSharedQKV:
             scene.target, text, scene.reference, SharingParams(mode="plain", s=0.7), CFG
         )
         np.testing.assert_allclose(fa.k, plain.k, atol=1e-12)
-        np.testing.assert_array_equal(fa.v, plain.v)
 
     def test_middle_chunk_scale_per_axis(self):
         cfg = RotaryConfig(dim=256)  # 64 chunks per axis
@@ -412,14 +412,6 @@ class TestBuildSharedQKV:
         assert json.dumps(layout_to_json(qkv.query_layout)) == json.dumps(queries)
         assert json.dumps(layout_to_json(qkv.key_layout)) == json.dumps(keys)
 
-        rep = attend(text, scene.target, scene.target.features, CFG)
-        assert json.dumps(layout_to_json(rep.query_layout)) == json.dumps(
-            rows("target-text", text.positions)
-        )
-        assert json.dumps(layout_to_json(rep.key_layout)) == json.dumps(
-            rows("target-image", scene.target.positions)
-        )
-
     def test_shifted_zero_offset_notes_degeneration(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(
@@ -500,20 +492,6 @@ class TestBuildSharedQKV:
         )
         with pytest.raises(ConfigurationError):
             evaluate_shared(qkv, scene, CFG, band_partition=part)
-
-
-class TestAttendBandDecomposition:
-    def test_generic_attend_band_logits_reconstruct(self):
-        rng = np.random.default_rng(30)
-        q = TokenSet(rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2)), "image")
-        k = TokenSet(rng.standard_normal((6, 32)), rng.integers(0, 4, (6, 2)), "image")
-        part = make_even_partition(CFG, 4, "all")
-        rep = attend(q, k, k.features, CFG, band_partition=part)
-        q_rot = apply_rope_batch(q.features, q.positions, CFG)
-        k_rot = apply_rope_batch(k.features, k.positions, CFG)
-        logits = q_rot @ k_rot.T / math.sqrt(32)
-        np.testing.assert_allclose(rep.per_band_logits.sum(axis=0), logits, atol=1e-8)
-        assert rep.band_partition.labels == ("band0", "band1", "band2", "band3")
 
 
 class TestPositionValidation:

@@ -238,23 +238,6 @@ class TestBandMask:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-class TestFingerprint:
-    def test_same_inputs_same_fingerprint(self):
-        cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
-        a = decay_curve([0, 1], part, cfg).config_fingerprint
-        b = decay_curve([0, 1, 2], part, cfg).config_fingerprint
-        assert a == b  # fingerprint covers config and bands, not deltas
-
-    def test_config_changes_fingerprint(self):
-        part128 = make_even_partition(RotaryConfig.single_axis(128), 3, "x")
-        part64 = make_even_partition(RotaryConfig.single_axis(64), 3, "x")
-        a = decay_curve([0], part128, RotaryConfig.single_axis(128)).config_fingerprint
-        b = decay_curve([0], part64, RotaryConfig.single_axis(64)).config_fingerprint
-        c = decay_curve([0], part128, RotaryConfig.single_axis(128, 500.0)).config_fingerprint
-        assert a != b and a != c
-
-
 def test_decay_curve_rejects_partition_past_last_chunk():
     cfg = RotaryConfig(dim=16)
     part = BandPartition((Band("too-far", 0, 12),))

@@ -24,8 +24,6 @@ from ropefreq import (
     RotaryConfig,
     SharingParams,
     TimestepRamp,
-    TokenSet,
-    attend,
     build_shared_qkv,
     evaluate_shared,
     make_even_partition,
@@ -80,6 +78,15 @@ def ragged_blocks(monkeypatch):
     return for_keys
 
 
+def stacked_blocks(q, k, heads):
+    """The softmax blocks of the kernel over ``q`` and ``k``, stacked in query order."""
+    blocks = list(ropefreq.attention._attention_blocks(q, k, heads, None, CFG, slice(None)))
+    assert len(blocks) > 1 and [start for start, _, _ in blocks] == list(
+        range(0, q.shape[0], ROWS_PER_BLOCK)
+    )
+    return np.vstack([attention for _, attention, _ in blocks])
+
+
 def scene_and_text(seed=0):
     base = make_grid(GRID, GRID, CFG.dim, seed=seed, style_strength=0.6)
     scene = plant_scene(base, kind="shuffle", noise_level=0.3, seed=seed + 1)
@@ -101,12 +108,8 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     evaluation = evaluate_shared(
         qkv, scene, CFG, heads=heads, band_partition=partition, keep_attention=True
     )
-    # attend at position (0, 0) rotates nothing, so over the assembled q/k it
-    # stacks the very softmax blocks that evaluate_shared folds.
-    def unrotated(rows):
-        return TokenSet(rows, np.zeros((rows.shape[0], 2)), "image")
-
-    blocks = attend(unrotated(qkv.q), unrotated(qkv.k), qkv.v, CFG, heads=heads).attention
+    # The very softmax blocks that evaluate_shared folds.
+    blocks = stacked_blocks(qkv.q, qkv.k, heads)
     # BLAS may round a product differently depending on how many rows it
     # multiplies at once, so the blocked softmax can differ from the one-shot
     # dense one in the last bit; both round to the same <f4 bytes.
@@ -140,7 +143,7 @@ def test_non_finite_logits_raise_without_a_numpy_warning():
 
 
 def test_run_experiment_allocates_no_dense_matrix():
-    # At 24x24 the dim-128 features, rotated q/k/v and layouts alone outweigh
+    # At 24x24 the dim-128 features, rotated q/k and layouts alone outweigh
     # one dense matrix; at 48x48 one dense f64 matrix is about twice the peak.
     grid = 48
     raw = json.loads((Path(__file__).parents[1] / "configs" / "copying_demo.json").read_text())

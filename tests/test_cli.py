@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,22 @@ class TestSchedule:
         main(["schedule", "--dim", "16", "--s-hf", "0.3", "--s-lf", "1.2", "--out", str(out), "--quiet"])
         _, rows = read_csv(out)
         assert [(a, int(d)) for a, d, _ in rows] == [("x", 0), ("x", 1), ("x", 2), ("x", 3), ("y", 4), ("y", 5), ("y", 6), ("y", 7)]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--s-hf", "inf", "--s-lf", "1"],
+            ["--s-hf", "0.3", "--s-lf", "nan"],
+            ["--s-hf", "0.3", "--s-lf", "1", "--beta", "inf"],
+        ],
+    )
+    def test_non_finite_scale_exits_3_without_output_or_warning(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["schedule", *flags, "--out", str(out), "--quiet"]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBands:
@@ -342,6 +359,30 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
         assert not report_path.exists()
         assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize(
+        "output, sweep",
+        [
+            ({"report": "same.json", "attention": "same.json"}, None),
+            ({"report": "./attn.f4.json", "attention": "attn.f4"}, None),
+            ({"report": "attn.entry1.f4", "attention": "sub/../attn.f4"}, [PLAIN, PLAIN]),
+        ],
+    )
+    def test_colliding_outputs_exit_3_without_outputs(self, tmp_path, monkeypatch, output, sweep):
+        monkeypatch.chdir(tmp_path)
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output=output, sweep=sweep)
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+    def test_out_flag_naming_a_sidecar_exits_3_without_outputs(self, tmp_path, capsys):
+        output = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "attn.f4")}
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output=output)
+        out = str(tmp_path / "attn.f4.json")
+        assert main(["shared-attn", str(cfg_path), "--out", out, "--quiet"]) == 3
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+        assert "name the same file" in capsys.readouterr().err
 
     def test_emit_config_round_trips(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0})
