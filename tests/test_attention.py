@@ -114,7 +114,7 @@ def kernel(qf, qpos, kf, kpos, heads=1, band_partition=None):
     return attention, per_band
 
 
-class TestAttentionKernel:
+class TestAttend:
     def test_single_key_gets_all_attention(self):
         attention, _ = kernel(np.ones((1, 32)), [[2, 3]], np.ones((1, 32)), [[5, 1]])
         np.testing.assert_array_equal(attention, [[1.0]])
@@ -155,11 +155,29 @@ class TestAttentionKernel:
         )
         np.testing.assert_allclose(attention.sum(axis=1), np.ones(4), atol=1e-9)
 
+    def test_multihead_output_stacks_head_slices(self):
+        # With heads=2 each head attends over its own slice of chunks; the
+        # kernel's attention is the mean of the per-head softmaxes.
+        rng = np.random.default_rng(8)
+        qf, qpos = rng.standard_normal((3, 32)), rng.integers(0, 3, (3, 2))
+        kf, kpos = rng.standard_normal((5, 32)), rng.integers(0, 3, (5, 2))
+        attention, _ = kernel(qf, qpos, kf, kpos, heads=2)
+        q_rot = apply_rope_batch(qf, qpos, CFG)
+        k_rot = apply_rope_batch(kf, kpos, CFG)
+        per_head = []
+        for sl in [slice(0, 16), slice(16, 32)]:
+            logits = q_rot[:, sl] @ k_rot[:, sl].T / math.sqrt(16)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            per_head.append(e / e.sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(attention, np.mean(per_head, axis=0), atol=1e-12)
+
     def test_head_divisibility_error(self):
         with pytest.raises(ConfigurationError):
             kernel(np.ones((1, 32)), [[0, 0]], np.ones((1, 32)), [[0, 0]], heads=3)
 
-    def test_band_logits_reconstruct(self):
+
+class TestAttendBandDecomposition:
+    def test_generic_attend_band_logits_reconstruct(self):
         rng = np.random.default_rng(30)
         qf, qpos = rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2))
         kf, kpos = rng.standard_normal((6, 32)), rng.integers(0, 4, (6, 2))
@@ -289,7 +307,7 @@ class TestBuildSharedQKV:
         assert qkv.key_layout.rows("reference-image").size == 0
         assert qkv.k.shape[0] == scene.target.n_tokens + text.n_tokens
 
-    def test_mode_none_reduces_to_self_attention_on_target(self):
+    def test_mode_none_reduces_to_attend_on_target(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
         evaluation, attention, tied = evaluate_with_reference(qkv, scene, CFG)
