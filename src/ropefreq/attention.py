@@ -389,14 +389,16 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
                     attention = a
                 else:
                     attention += a
-        attention /= heads
+        if heads > 1:
+            attention /= heads
 
         per_band = None
         if band_partition is not None:
             per_band = np.empty((len(band_partition.bands), qb.shape[0], band_k.shape[0]))
             for i, band in enumerate(band_partition.bands):
                 cols = slice(2 * band.start, 2 * band.stop)
-                per_band[i] = (qb[:, cols] @ band_k[:, cols].T) * scale
+                np.matmul(qb[:, cols], band_k[:, cols].T, out=per_band[i])
+            per_band *= scale
         yield start, attention, per_band
 
 

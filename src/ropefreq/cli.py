@@ -461,6 +461,12 @@ def _all_or_nothing():
             shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all (see :func:`_all_or_nothing`)."""
+    with _all_or_nothing() as stage:
+        stage(path).write_text(text)
+
+
 def _info(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -474,10 +480,8 @@ def cmd_decay_curve(args) -> int:
     curve = decay_curve(
         range(args.delta_max + 1), partition, config, include_full=args.include_full
     )
-    csv_text = decay_curve_to_csv(curve)
-    out = Path(args.out)
-    out.write_text(csv_text)
-    _info(args, f"wrote {out}")
+    _write(args.out, decay_curve_to_csv(curve))
+    _info(args, f"wrote {Path(args.out)}")
     return 0
 
 
@@ -492,9 +496,8 @@ def cmd_schedule(args) -> int:
     ):
         for d in chunks:
             lines.append(f"{axis},{d},{format(schedule.per_chunk_scales[d], '.17g')}")
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-    _info(args, f"wrote {out}")
+    _write(args.out, "\n".join(lines) + "\n")
+    _info(args, f"wrote {Path(args.out)}")
     return 0
 
 
@@ -518,7 +521,7 @@ def cmd_bands(args) -> int:
     }
     text = _dump_json(listing)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         _info(args, f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -531,7 +534,7 @@ def cmd_shared_attn(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=_int(args.seed, "seed", minimum=0))
     if args.emit_config:
-        Path(args.emit_config).write_text(_dump_json(cfg.to_json_dict()))
+        _write(args.emit_config, _dump_json(cfg.to_json_dict()))
         _info(args, f"wrote {args.emit_config}")
         return 0
 

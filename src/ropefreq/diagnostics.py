@@ -79,6 +79,25 @@ def _span(rows: np.ndarray, start: int, stop: int) -> tuple[int, int, object]:
     return int(lo), int(hi), _index(rows[lo:hi] - start)
 
 
+def _aligned_columns(query_pos: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
+    """The reference column at each query's grid position, or -1 where there is none.
+
+    Reference rows are scattered into a table of cells over the box of the
+    query positions; a reference outside that box aligns with no query.
+    Raises :class:`ShapeError` if two reference rows share a cell.
+    """
+    origin = query_pos.min(axis=0)
+    shape = tuple(query_pos.max(axis=0) - origin + 1)
+    cell = ref_pos - origin
+    inside = np.flatnonzero(np.all((cell >= 0) & (cell < shape), axis=1))
+    table = np.full(shape, -1, dtype=np.intp)
+    table[cell[inside, 0], cell[inside, 1]] = inside
+    if np.count_nonzero(table >= 0) != inside.size:
+        raise ShapeError("reference keys repeat a grid position")
+    query_cell = query_pos - origin
+    return table[query_cell[:, 0], query_cell[:, 1]]
+
+
 class _AlignmentFold:
     """Alignment terms of each image query, filled one block of rows at a time.
 
@@ -109,8 +128,9 @@ class _AlignmentFold:
             raise ShapeError("reference keys do not cover the scene's token indices")
         local_of_index = np.empty(n, dtype=np.intp)
         local_of_index[ref_index] = np.arange(n)
-        self.query_pos = query_layout.positions[self.q_rows]
-        self.ref_pos = key_layout.positions[ref_cols]
+        self.aligned = _aligned_columns(
+            query_layout.positions[self.q_rows], key_layout.positions[ref_cols]
+        )
         self.semantic = local_of_index[np.asarray(scene.correspondence, dtype=np.intp)]
         self.ref_mass = np.zeros(n)
         self.pos_mass = np.zeros(n)
@@ -126,15 +146,16 @@ class _AlignmentFold:
         if lo == hi:
             return
         ref = attention[local][:, self.ref_cols]
-        qpos = self.query_pos[lo:hi]
-        near = (qpos[:, :1] == self.ref_pos[:, 0]) & (qpos[:, 1:] == self.ref_pos[:, 1])
         rows = np.arange(hi - lo)
+        aligned = self.aligned[lo:hi]
         semantic = self.semantic[lo:hi]
         winner = ref.argmax(axis=1)
         self.ref_mass[lo:hi] = ref.sum(axis=1)
-        self.pos_mass[lo:hi] = np.where(near, ref, 0.0).sum(axis=1)
+        # A query's one aligned weight is the sum over its aligned keys: the
+        # other terms of that sum are zeros, which add nothing.
+        self.pos_mass[lo:hi] = np.where(aligned >= 0, ref[rows, aligned], 0.0)
         self.sem_mass[lo:hi] = ref[rows, semantic]
-        self.pos_hit[lo:hi] = near[rows, winner]
+        self.pos_hit[lo:hi] = winner == aligned
         self.sem_hit[lo:hi] = winner == semantic
 
     def result(self) -> AlignmentMetrics:
@@ -173,10 +194,14 @@ class _AttributionFold:
         self.totals = np.zeros(len(partition.bands))
 
     def add(self, start: int, per_band: np.ndarray) -> None:
-        """Fold per-band logits of query rows ``start:start + per_band.shape[1]``."""
+        """Fold per-band logits of query rows ``start:start + per_band.shape[1]``.
+
+        Overwrites the image-query rows of ``per_band`` with their absolute values.
+        """
         lo, hi, local = _span(self.q_rows, start, start + per_band.shape[1])
         if lo < hi:
-            self.totals += np.abs(per_band[:, local]).sum(axis=(1, 2))
+            sub = per_band[:, local]
+            self.totals += np.abs(sub, out=sub).sum(axis=(1, 2))
 
     def result(self) -> BandAttribution:
         labels = self.partition.labels

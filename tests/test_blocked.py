@@ -45,6 +45,8 @@ SHARINGS = {
     "plain": (SharingParams(mode="plain", s=1.0), None),
     "plain_no_adain": (SharingParams(mode="plain", s=0.7, adain_enabled=False), None),
     "shifted": (SharingParams(mode="shifted", s=1.0, offset=(2, -1)), None),
+    # Every reference key off the grid, at negative x: no query has an aligned key.
+    "shifted_off_grid": (SharingParams(mode="shifted", s=1.0, offset=(-7, 9)), None),
     "frequency_aware": (
         SharingParams(mode="frequency_aware",
                       schedule=ModulationSchedule.for_config(CFG, 0.3, 1.2, 2.0)),

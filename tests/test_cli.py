@@ -483,3 +483,31 @@ class TestIncludeFull:
         bands = [band for _, band, _ in rows[:4]]
         assert bands == ["high", "mid", "low", "full"]
         assert len(rows) == 4 * 4
+
+
+class TestFailedWriteKeepsOldFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay-curve", "--delta-max", "3", "--out"],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--out"],
+            ["bands", "--out"],
+            ["shared-attn", "CONFIG", "--emit-config"],
+        ],
+        ids=["decay-curve", "schedule", "bands", "emit-config"],
+    )
+    def test_write_failing_partway_exits_4_and_keeps_old_bytes(self, tmp_path, monkeypatch, argv):
+        cfg_path, _ = demo_config(tmp_path, PLAIN)
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old bytes\n")
+        argv = [str(cfg_path) if a == "CONFIG" else a for a in argv]
+        write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        assert main(argv + [str(out), "--quiet"]) == 4
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, out])

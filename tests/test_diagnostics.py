@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,15 @@ class TestComputeAlignment:
         *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
         with pytest.raises(ShapeError):
             evaluate_shared(qkv, other, CFG)
+
+    def test_repeated_reference_position_raises(self):
+        scene, text = basic_scene()
+        *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
+        positions = qkv.key_layout.positions.copy()
+        positions[-1] = positions[-2]
+        repeated = replace(qkv, key_layout=replace(qkv.key_layout, positions=positions))
+        with pytest.raises(ShapeError, match="repeat a grid position"):
+            evaluate_shared(repeated, scene, CFG)
 
     def test_monotone_reference_mass_on_positive_logit_fixture(self):
         # 1x2 grid of nonnegative features: x offsets are zero and y chunks
