@@ -35,7 +35,7 @@ from .attention import (
     _effective_schedule,
     build_shared_qkv,
 )
-from .bands import Band, band_mask, decay_curve, decay_curve_to_csv, make_even_partition
+from .bands import Band, BandPartition, band_mask, decay_curve, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, sidecar_path, write_attention_matrix
@@ -118,12 +118,11 @@ _RAMP_KEYS = ("s_hf_start", "s_hf_end", "s_lf_start", "s_lf_end", "total_steps")
 _BAND_MASK_KEYS = ("label", "start", "stop", "mode", "scale")
 
 
-def _sharing(raw: dict, config: RotaryConfig | None = None) -> tuple[dict, SharingParams | None]:
+def _sharing(raw: dict, config: RotaryConfig) -> tuple[dict, SharingParams]:
     """Validate a sharing section; returns its normalized echo and its parameters.
 
-    The echo keeps only the keys the mode uses. The parameters are built
-    against ``config``; without one they are ``None``, which is how the echo
-    of the base section is read before the rotary config exists.
+    The echo keeps only the keys the mode uses; the parameters are built
+    against ``config``.
     """
     _check_keys(raw, _SHARING_KEYS, "sharing")
     mode = _require(raw, "mode", "sharing")
@@ -168,8 +167,6 @@ def _sharing(raw: dict, config: RotaryConfig | None = None) -> tuple[dict, Shari
             if mask.get("scale") is None
             else _number(mask["scale"], "sharing.band_mask.scale"),
         }
-    if config is None:
-        return out, None
 
     kwargs: dict = {"mode": mode, "adain_enabled": adain, "s": out.get("s", 1.0)}
     if mode == "shifted":
@@ -188,18 +185,25 @@ def _sharing(raw: dict, config: RotaryConfig | None = None) -> tuple[dict, Shari
     return out, SharingParams(**kwargs)
 
 
+def _entry(section: dict, step, config: RotaryConfig, context: str):
+    """``(params, sharing echo, step)`` of one sharing section at ``step``.
+
+    Runs the checks an evaluation makes of them (the ramp at ``step`` and
+    the band mask), so that no config echoes what a run rejects.
+    """
+    step = None if step is None else _int(step, f"{context}.step")
+    sharing, params = _sharing(section, config)
+    if params.mode == "frequency_aware":
+        _effective_schedule(params, config, step)
+    spec = params.band_mask_override
+    if spec is not None:
+        band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
+    return params, sharing, step
+
+
 _TOP_KEYS = (
-    "rotary",
-    "grid",
-    "scene",
-    "text_tokens",
-    "heads",
-    "sharing",
-    "step",
-    "attribution_bands",
-    "sweep",
-    "seed",
-    "output",
+    "rotary", "grid", "scene", "text_tokens", "heads", "sharing", "step", "attribution_bands",
+    "sweep", "seed", "output",
 )
 
 
@@ -207,31 +211,17 @@ _TOP_KEYS = (
 class ExperimentConfig:
     """Validated shared-attention experiment description.
 
-    Mirrors the JSON schema one-to-one so that parsing and re-emitting a
-    config is lossless; unknown fields anywhere are rejected. ``entries``
-    holds each run entry parsed once, as :meth:`iter_entries` yields them.
+    ``normalized`` is the nested config that ``--emit-config`` writes and the
+    report echoes under ``config``; unknown fields anywhere are rejected.
+    ``rotary``, the ``attribution_bands`` ``partition`` (or None) and
+    ``entries`` (each run entry, as :meth:`iter_entries` yields them) are
+    derived from it once, so configs compare by ``normalized`` alone.
     """
 
-    dim: int
-    rope_base: float
-    partition: object
-    width: int
-    height: int
-    scene_kind: str
-    noise_level: float
-    scene_seed: int | None
-    shift: int
-    style_strength: float
-    text_tokens: int
-    heads: int
-    sharing: dict
-    step: int | None
-    attribution_bands: int | None
-    sweep: tuple | None
-    seed: int
-    output_report: str | None
-    output_attention: str | None
-    entries: tuple = field(default=(), compare=False, repr=False)
+    normalized: dict
+    rotary: RotaryConfig = field(compare=False)
+    partition: BandPartition | None = field(compare=False)
+    entries: tuple = field(compare=False, repr=False)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -250,104 +240,85 @@ class ExperimentConfig:
                 raise ConfigurationError("sweep must be a non-empty list of sharing overrides")
             for i, item in enumerate(sweep):
                 _check_keys(item, _SHARING_KEYS + ("step",), f"sweep[{i}]")
-            sweep = tuple(dict(item) for item in sweep)
+            sweep = [dict(item) for item in sweep]
         output = d.get("output") or {}
         _check_keys(output, ("report", "attention"), "output")
         for key in ("report", "attention"):
-            if not isinstance(output.get(key), (str, type(None))):
-                raise ConfigurationError(f"output.{key} must be a path or null")
-        cfg = cls(
-            dim=_int(_require(rotary, "dim", "rotary"), "rotary.dim"),
-            rope_base=_number(rotary.get("rope_base", 10000.0), "rotary.rope_base"),
-            partition=rotary.get("partition", "default"),
-            width=_int(_require(grid, "width", "grid"), "grid.width", minimum=1),
-            height=_int(_require(grid, "height", "grid"), "grid.height", minimum=1),
-            scene_kind=str(scene.get("kind", "shuffle")),
-            noise_level=_number(scene.get("noise_level", 0.1), "scene.noise_level"),
-            scene_seed=None
-            if scene.get("seed") is None
-            else _int(scene["seed"], "scene.seed", minimum=0),
-            shift=_int(scene.get("shift", 0), "scene.shift"),
-            style_strength=_number(scene.get("style_strength", 0.0), "scene.style_strength"),
-            text_tokens=_int(d.get("text_tokens", 0), "text_tokens", minimum=0),
-            heads=_int(d.get("heads", 1), "heads"),
-            sharing=_sharing(_require(d, "sharing", "config"))[0],
-            step=None if d.get("step") is None else _int(d["step"], "step"),
-            attribution_bands=None
+            if output.get(key) == "" or not isinstance(output.get(key), (str, type(None))):
+                raise ConfigurationError(f"output.{key} must be a non-empty path or null")
+        norm = {
+            "rotary": {
+                "dim": _int(_require(rotary, "dim", "rotary"), "rotary.dim"),
+                "rope_base": _number(rotary.get("rope_base", 10000.0), "rotary.rope_base"),
+                "partition": rotary.get("partition", "default"),
+            },
+            "grid": {
+                "width": _int(_require(grid, "width", "grid"), "grid.width", minimum=1),
+                "height": _int(_require(grid, "height", "grid"), "grid.height", minimum=1),
+            },
+            "scene": {
+                "kind": str(scene.get("kind", "shuffle")),
+                "noise_level": _number(scene.get("noise_level", 0.1), "scene.noise_level"),
+                "seed": None
+                if scene.get("seed") is None
+                else _int(scene["seed"], "scene.seed", minimum=0),
+                "shift": _int(scene.get("shift", 0), "scene.shift"),
+                "style_strength": _number(scene.get("style_strength", 0.0), "scene.style_strength"),
+            },
+            "text_tokens": _int(d.get("text_tokens", 0), "text_tokens", minimum=0),
+            "heads": _int(d.get("heads", 1), "heads"),
+            "step": None if d.get("step") is None else _int(d["step"], "step"),
+            "attribution_bands": None
             if d.get("attribution_bands") is None
             else _int(d["attribution_bands"], "attribution_bands"),
-            sweep=sweep,
-            seed=_int(_require(d, "seed", "config"), "seed", minimum=0),
-            output_report=output.get("report"),
-            output_attention=output.get("attention"),
-        )
+            "sweep": sweep,
+            "seed": _int(_require(d, "seed", "config"), "seed", minimum=0),
+            "output": {"report": output.get("report"), "attention": output.get("attention")},
+        }
         # The checks the run makes, so that --emit-config rejects every
         # config they would stop.
-        config = cfg.build_rotary()
-        _check_heads(cfg.heads, cfg.band_partition(config), config)
+        config = build_rotary(**norm["rotary"])
+        bands = norm["attribution_bands"]
+        partition = make_even_partition(config, bands, "all") if bands else None
+        _check_heads(norm["heads"], partition, config)
+        scene = norm["scene"]
         _check_scene(
-            cfg.width, cfg.height, cfg.dim, cfg.style_strength,
-            cfg.scene_kind, cfg.noise_level, cfg.shift,
+            norm["grid"]["width"], norm["grid"]["height"], config.dim, scene["style_strength"],
+            scene["kind"], scene["noise_level"], scene["shift"],
         )
-        # The base section is checked like an entry without overrides even
-        # when a sweep replaces it, so that no config echoes what a run rejects.
-        base = _entry(cfg, {}, config, "config")
-        if cfg.sweep is None:
-            runs = [base]
-        else:
-            runs = [_entry(cfg, o, config, f"sweep[{i}]") for i, o in enumerate(cfg.sweep)]
+        # The base section is checked like an entry even when a sweep
+        # replaces it, since the report echoes it. Sweep items override its
+        # echo (and the top-level step), not the raw section.
+        base = _entry(_require(d, "sharing", "config"), norm["step"], config, "config")
+        norm["sharing"] = base[1]
+        runs = [base] if sweep is None else []
+        for i, item in enumerate(sweep or []):
+            merged = {**norm["sharing"], **item}
+            step = merged.pop("step", norm["step"])
+            runs.append(_entry(merged, step, config, f"sweep[{i}]"))
+        # AdaIN takes per-channel statistics over the reference's cells.
+        cells = norm["grid"]["width"] * norm["grid"]["height"]
+        if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, *_ in [base, *runs]):
+            raise ConfigurationError("sharing.adain needs a grid of at least 2 cells")
         entries = tuple((f"entry{i}", *run) for i, run in enumerate(runs))
-        cfg = replace(cfg, entries=entries)
-        _output_paths(cfg, cfg.output_report)
+        cfg = cls(normalized=norm, rotary=config, partition=partition, entries=entries)
+        _output_paths(cfg, norm["output"]["report"])
         return cfg
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rotary": {"dim": self.dim, "rope_base": self.rope_base, "partition": self.partition},
-            "grid": {"width": self.width, "height": self.height},
-            "scene": {
-                "kind": self.scene_kind,
-                "noise_level": self.noise_level,
-                "seed": self.scene_seed,
-                "shift": self.shift,
-                "style_strength": self.style_strength,
-            },
-            "text_tokens": self.text_tokens,
-            "heads": self.heads,
-            "sharing": self.sharing,
-            "step": self.step,
-            "attribution_bands": self.attribution_bands,
-            "sweep": list(self.sweep) if self.sweep is not None else None,
-            "seed": self.seed,
-            "output": {"report": self.output_report, "attention": self.output_attention},
-        }
-
-    def build_rotary(self) -> RotaryConfig:
-        return build_rotary(self.dim, self.rope_base, self.partition)
-
-    def band_partition(self, config: RotaryConfig):
-        """The ``attribution_bands`` partition over every chunk, or None."""
-        if not self.attribution_bands:
-            return None
-        return make_even_partition(config, self.attribution_bands, "all")
 
     def iter_entries(self):
         """Yield (label, params, sharing echo, step) for the base run or each sweep item."""
         yield from self.entries
 
 
-def _entry(cfg: ExperimentConfig, overrides: dict, config: RotaryConfig, context: str):
-    """``(params, sharing echo, step)`` of the base sharing section merged with ``overrides``."""
-    merged = {**cfg.sharing, **overrides}
-    step = merged.pop("step", cfg.step)
-    step = None if step is None else _int(step, f"{context}.step")
-    sharing, params = _sharing(merged, config)
-    if params.mode == "frequency_aware":
-        _effective_schedule(params, config, step)
-    spec = params.band_mask_override
-    if spec is not None:
-        band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
-    return params, sharing, step
+def _matrix_paths(cfg: ExperimentConfig) -> list[Path]:
+    """Each entry's ``<f4`` matrix path; none unless ``output.attention`` names one."""
+    attention = cfg.normalized["output"]["attention"]
+    if attention is None:
+        return []
+    base = Path(attention)
+    if len(cfg.entries) == 1:
+        return [base]
+    return [base.with_name(f"{base.stem}.{label}{base.suffix}") for label, *_ in cfg.entries]
 
 
 def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
@@ -356,13 +327,7 @@ def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
     The outputs (the report, each matrix and each sidecar) are compared as
     resolved paths; a clash raises :class:`ConfigurationError`.
     """
-    matrices = []
-    if cfg.output_attention:
-        base = Path(cfg.output_attention)
-        matrices = [
-            base if len(cfg.entries) == 1 else base.with_name(f"{base.stem}.{label}{base.suffix}")
-            for label, *_ in cfg.entries
-        ]
+    matrices = _matrix_paths(cfg)
     targets = [] if report is None else [Path(report)]
     targets += [p for m in matrices for p in (m, sidecar_path(m))]
     resolved = [t.resolve() for t in targets]
@@ -379,16 +344,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
     Each evaluation keeps its ``<f4`` attention matrix only when the config
     asks for attention output.
     """
-    config = cfg.build_rotary()
-    scene_seed = cfg.scene_seed if cfg.scene_seed is not None else cfg.seed + 1
+    norm, config = cfg.normalized, cfg.rotary
+    grid, sc, seed = norm["grid"], norm["scene"], norm["seed"]
     base = make_grid(
-        cfg.width, cfg.height, cfg.dim, seed=cfg.seed, style_strength=cfg.style_strength
+        grid["width"], grid["height"], config.dim, seed=seed, style_strength=sc["style_strength"]
     )
+    scene_seed = sc["seed"] if sc["seed"] is not None else seed + 1
     scene = plant_scene(
-        base, kind=cfg.scene_kind, noise_level=cfg.noise_level, seed=scene_seed, shift=cfg.shift
+        base, kind=sc["kind"], noise_level=sc["noise_level"], seed=scene_seed, shift=sc["shift"]
     )
-    text = make_text(cfg.text_tokens, cfg.dim, seed=cfg.seed + 2)
-    partition = cfg.band_partition(config)
+    text = make_text(norm["text_tokens"], config.dim, seed=seed + 2)
+    keep_attention = bool(_matrix_paths(cfg))
 
     entries = []
     evaluations = []
@@ -398,9 +364,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
             qkv,
             scene,
             config,
-            heads=cfg.heads,
-            band_partition=partition,
-            keep_attention=cfg.output_attention is not None,
+            heads=norm["heads"],
+            band_partition=cfg.partition,
+            keep_attention=keep_attention,
         )
         attribution = evaluation.attribution
         entries.append(
@@ -417,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
         )
         evaluations.append(evaluation)
 
-    result: dict = {"config": cfg.to_json_dict(), "entries": entries}
+    result: dict = {"config": norm, "entries": entries}
     if len(entries) > 1:
         keys = entries[0]["alignment"].keys()
         result["mean_alignment"] = {
@@ -529,16 +495,20 @@ def cmd_bands(args) -> int:
 
 
 def cmd_shared_attn(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    cfg = ExperimentConfig.from_json_dict(raw)
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"invalid config {args.config}: not UTF-8 ({exc})") from exc
+    cfg = ExperimentConfig.from_json_dict(json.loads(text))
     if args.seed is not None:
-        cfg = replace(cfg, seed=_int(args.seed, "seed", minimum=0))
+        seed = _int(args.seed, "seed", minimum=0)
+        cfg = replace(cfg, normalized={**cfg.normalized, "seed": seed})
     if args.emit_config:
-        _write(args.emit_config, _dump_json(cfg.to_json_dict()))
+        _write(args.emit_config, _dump_json(cfg.normalized))
         _info(args, f"wrote {args.emit_config}")
         return 0
 
-    report_path = args.out or cfg.output_report
+    report_path = args.out or cfg.normalized["output"]["report"]
     matrices = _output_paths(cfg, report_path)
     result, evaluations = run_experiment(cfg)
     report = _dump_json(result)
@@ -561,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotary-embedding frequency analysis and shared-attention experiments.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--quiet", action="store_true", help="suppress status messages")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -572,47 +540,49 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="mean band similarity vs. position shift, as CSV",
     )
+    p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--rope-base", type=float, default=10000.0)
     p.add_argument("--bands", type=int, default=3)
     p.add_argument("--delta-max", type=int, default=64)
     p.add_argument("--axis", choices=["x", "y"], default="x")
     p.add_argument("--include-full", action="store_true", help="add a series over all chunks")
-    p.set_defaults(func=cmd_decay_curve, out_required=True)
+    p.set_defaults(func=cmd_decay_curve)
 
     p = sub.add_parser(
         "schedule", parents=[common], help="per-chunk modulation scales, as CSV"
     )
+    p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--s-hf", type=float, required=True)
     p.add_argument("--s-lf", type=float, required=True)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--partition", default="default")
-    p.set_defaults(func=cmd_schedule, out_required=True)
+    p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser(
         "bands", parents=[common], help="band chunk ranges and frequency extrema, as JSON"
     )
+    p.add_argument("--out", help="output JSON path (default: standard output)")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--rope-base", type=float, default=10000.0)
     p.add_argument("--bands", type=int, default=3)
-    p.set_defaults(func=cmd_bands, out_required=False)
+    p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser(
         "shared-attn", parents=[common], help="run a shared-attention experiment config"
     )
     p.add_argument("config", help="path to an experiment config JSON file")
+    p.add_argument("--out", help="report path, in place of output.report")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--emit-config", help="write the normalized config here and exit")
-    p.set_defaults(func=cmd_shared_attn, out_required=False)
+    p.set_defaults(func=cmd_shared_attn)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "out_required", False) and not args.out:
-        parser.error(f"{args.command} requires --out")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -152,7 +152,7 @@ def test_run_experiment_allocates_no_dense_matrix():
     raw["grid"] = {"width": grid, "height": grid}
     cfg = ExperimentConfig.from_json_dict(raw)
     n = grid * grid
-    dense_bytes = 8 * (n + cfg.text_tokens) * (2 * n + cfg.text_tokens)
+    dense_bytes = 8 * (n + cfg.normalized["text_tokens"]) * (2 * n + cfg.normalized["text_tokens"])
     tracemalloc.start()
     try:
         result, _ = run_experiment(cfg)

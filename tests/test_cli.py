@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
+from ropefreq import cli
 from ropefreq.cli import ExperimentConfig, build_rotary, main
 from ropefreq.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SHIPPED_DEMO = Path(__file__).parent.parent / "configs" / "copying_demo.json"
 DEMO = json.loads((FIXTURES / "copying_demo_fixture.json").read_text())
 
 
@@ -99,6 +101,25 @@ class TestDecayCurve:
         out = tmp_path / "c.csv"
         assert main(["decay-curve", "--delta-max", "-3", "--out", str(out), "--quiet"]) == 3
         assert not out.exists()
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay-curve", "--seed", "1", "--out", "x.csv"],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--seed", "1", "--out", "x.csv"],
+            ["bands", "--seed", "1"],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0"],
+        ],
+        ids=["decay-curve-seed", "schedule-seed", "bands-seed", "schedule-without-out"],
+    )
+    def test_misplaced_or_missing_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSchedule:
@@ -306,6 +327,7 @@ class TestSharedAttn:
             (PLAIN, {"scene": {**SCENE, "noise_level": -1}}),
             (PLAIN, {"scene": {**SCENE, "style_strength": 1.0}}),
             (PLAIN, {"scene": {**SCENE, "kind": "shift", "shift": DEMO["grid"] ** 2}}),
+            (PLAIN, {"grid": {"width": 1, "height": 1}}),
         ],
     )
     def test_emit_config_rejects_what_the_run_rejects(self, tmp_path, sharing, overrides):
@@ -325,6 +347,12 @@ class TestSharedAttn:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["shared-attn", str(path), "--quiet"]) == 3
+
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"seed": 1}'.encode("utf-16-le"))
+        assert main(["shared-attn", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: invalid config {path}: not UTF-8")
 
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["shared-attn", str(tmp_path / "nope.json"), "--quiet"]) == 4
@@ -376,6 +404,16 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
         assert sorted(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("key", ["report", "attention"])
+    def test_empty_output_path_exits_3_without_outputs(self, tmp_path, capsys, key):
+        output = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "attn.f4")}
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output={**output, key: ""})
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+        assert f"output.{key} must be a non-empty path" in capsys.readouterr().err
+
     def test_out_flag_naming_a_sidecar_exits_3_without_outputs(self, tmp_path, capsys):
         output = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "attn.f4")}
         cfg_path, _ = demo_config(tmp_path, PLAIN, output=output)
@@ -390,15 +428,47 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 0
         assert not report_path.exists()  # emit-config skips the run
         first = ExperimentConfig.from_json_dict(json.loads(emitted.read_text()))
-        again = ExperimentConfig.from_json_dict(first.to_json_dict())
+        again = ExperimentConfig.from_json_dict(first.normalized)
         assert first == again
-        assert first.to_json_dict() == json.loads(emitted.read_text())
+        assert first.normalized == json.loads(emitted.read_text())
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0})
         assert main(["shared-attn", str(cfg_path), "--seed", "99", "--quiet"]) == 0
         report = json.loads(report_path.read_text())
         assert report["config"]["seed"] == 99
+
+    def test_rotary_and_bands_derived_once_per_invocation(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("build_rotary", "make_even_partition"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k)
+            )
+        cfg_path, _ = demo_config(tmp_path, PLAIN, attribution_bands=3, sweep=[PLAIN, PLAIN])
+        assert main(["shared-attn", str(cfg_path), "--seed", "3", "--quiet"]) == 0
+        assert calls == ["build_rotary", "make_even_partition"]
+
+
+class TestEmittedConfig:
+    """``--emit-config`` output against frozen files; never regenerate them to pass."""
+
+    @pytest.mark.parametrize(
+        "config, golden",
+        [
+            (SHIPPED_DEMO, "copying_demo.emitted.json"),
+            (FIXTURES / "emit_config" / "every_sharing_key.config.json",
+             "every_sharing_key.emitted.json"),
+        ],
+        ids=["copying_demo", "every_sharing_key"],
+    )
+    def test_emitted_bytes_match_golden_and_the_report_echo(self, tmp_path, config, golden):
+        golden = FIXTURES / "emit_config" / golden
+        emitted, report = tmp_path / "emitted.json", tmp_path / "report.json"
+        assert main(["shared-attn", str(config), "--emit-config", str(emitted), "--quiet"]) == 0
+        assert emitted.read_bytes() == golden.read_bytes()
+        assert main(["shared-attn", str(config), "--out", str(report), "--quiet"]) == 0
+        assert json.loads(report.read_text())["config"] == json.loads(golden.read_text())
 
 
 class TestShippedDemoConfig:
