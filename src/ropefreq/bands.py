@@ -10,6 +10,7 @@ drop steeply with small shifts, high indices (low frequency) barely move.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -118,40 +119,41 @@ def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> 
     return BandPartition(tuple(bands))
 
 
-# Bytes of f64 cosines one block of deltas may hold (chosen from a 32 KiB to
-# 4 MiB sweep for the lowest peak RSS); a block's height is this budget over
-# the bytes in one row of chunks, so memory stays flat however many deltas.
+# Bytes of f64 values one block of deltas may hold: cosines in
+# :func:`decay_curve` (chosen from a 32 KiB to 4 MiB sweep for the lowest
+# peak RSS), series values in :func:`decay_curve_to_csv`. A block's height
+# is this budget over the bytes in one row, so memory stays flat however
+# many deltas.
 _BLOCK_BYTES = 2**18
 
 
-def _mean_cos(deltas: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``mean(cos(outer(deltas, theta)), axis=1)``, one block of deltas at a time."""
-    out = np.empty(deltas.shape[0])
-    step = max(1, _BLOCK_BYTES // (8 * theta.shape[0]))
-    for start in range(0, deltas.shape[0], step):
-        block = np.multiply.outer(deltas[start : start + step], theta)
-        out[start : start + step] = np.cos(block, out=block).mean(axis=1)
-    return out
+def _block_deltas(row_values: int) -> int:
+    """Deltas per block when each delta holds ``row_values`` f64 values."""
+    return max(1, _BLOCK_BYTES // (8 * row_values))
 
 
 def mean_band_similarity(delta: int, band: Band, config: RotaryConfig) -> float:
     """Mean of ``cos(delta * theta_d)`` over the band's chunks: a one-point :func:`decay_curve`."""
-    return decay_curve((delta,), BandPartition((band,)), config).series[band.label][0]
+    return float(decay_curve((delta,), BandPartition((band,)), config).series[band.label][0])
 
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Mean similarity per band as a function of integer position shift."""
+    """Mean similarity per band as a function of integer position shift.
 
-    delta_values: tuple[int, ...]
-    series: dict[str, tuple[float, ...]]
+    ``delta_values`` is an int64 array and each series a float64 array of
+    the same length.
+    """
+
+    delta_values: np.ndarray
+    series: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
         n = len(self.delta_values)
         for label, values in self.series.items():
             if len(values) != n:
                 raise ShapeError(f"series {label!r} has {len(values)} points, expected {n}")
-            if any(v < -1.0 - 1e-12 or v > 1.0 + 1e-12 for v in values):
+            if not (np.abs(values) <= 1.0 + 1e-12).all():
                 raise ConfigurationError(f"series {label!r} leaves [-1, 1]")
 
 
@@ -165,38 +167,54 @@ def decay_curve(
 
     With ``include_full`` a series labeled "full" is appended, averaging over
     the union of the partition's chunks (the size-weighted mean of the band
-    series). Deltas are evaluated in blocks of a fixed byte budget. Purely
-    deterministic in its inputs.
+    series). Deltas are evaluated in blocks of a fixed byte budget; each
+    block takes ``cos`` once over every band's chunks, and each band's mean
+    is over its slice of that block. Purely deterministic in its inputs.
     """
-    deltas = tuple(int(d) for d in delta_values)
-    if not deltas:
+    deltas = np.array([int(d) for d in delta_values], dtype=np.int64)
+    if not deltas.size:
         raise ConfigurationError("delta_values must be non-empty")
     if partition.bands[-1].stop > config.n_chunks:
         raise ConfigurationError(
             f"partition extends past the last chunk index {config.n_chunks - 1}"
         )
-    theta = frequencies(config)
-    columns = [(band.label, theta[band.start : band.stop]) for band in partition.bands]
+    if include_full and "full" in partition.labels:
+        raise ConfigurationError("partition already has a band labeled 'full'")
+    theta = frequencies(config)[partition.chunk_indices()]
+    edges = np.cumsum([0] + [band.size for band in partition.bands]).tolist()
+    columns = [
+        (band.label, slice(lo, hi)) for band, lo, hi in zip(partition.bands, edges, edges[1:])
+    ]
     if include_full:
-        if "full" in partition.labels:
-            raise ConfigurationError("partition already has a band labeled 'full'")
-        columns.append(("full", theta[partition.chunk_indices()]))
-    d = np.array(deltas, dtype=np.float64)
-    series = {label: tuple(_mean_cos(d, t).tolist()) for label, t in columns}
+        columns.append(("full", slice(None)))
+    series = {label: np.empty(deltas.size) for label, _ in columns}
+    d = deltas.astype(np.float64)
+    step = _block_deltas(theta.size)
+    for start in range(0, d.size, step):
+        block = np.multiply.outer(d[start : start + step], theta)
+        np.cos(block, out=block)
+        for label, cols in columns:
+            series[label][start : start + step] = block[:, cols].mean(axis=1)
     return DecayCurve(deltas, series)
 
 
-def decay_curve_to_csv(curve: DecayCurve) -> str:
-    """Render a curve as ``delta,band,mean_similarity`` rows.
+def decay_curve_to_csv(curve: DecayCurve, out) -> None:
+    """Write a curve to the open text file ``out`` as ``delta,band,mean_similarity`` rows.
 
     Rows are sorted by (delta, band order); floats carry 17 significant
-    digits so parsing the file back reproduces the exact doubles.
+    digits so parsing the file back reproduces the exact doubles. Deltas are
+    rendered and written a block at a time.
     """
-    lines = ["delta,band,mean_similarity"]
-    for i, delta in enumerate(curve.delta_values):
-        for label, values in curve.series.items():
-            lines.append(f"{delta},{label},{format(values[i], '.17g')}")
-    return "\n".join(lines) + "\n"
+    labels = list(curve.series)
+    row = "".join(f"%d,{label},%.17g\n" for label in labels)
+    out.write("delta,band,mean_similarity\n")
+    step = _block_deltas(len(labels))
+    for start in range(0, len(curve.delta_values), step):
+        deltas = curve.delta_values[start : start + step].tolist()
+        columns = []
+        for label in labels:
+            columns += [deltas, curve.series[label][start : start + step].tolist()]
+        out.write(row * len(deltas) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def band_mask(vec, band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> np.ndarray:

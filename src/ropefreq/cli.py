@@ -20,7 +20,7 @@ import math
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -241,7 +241,8 @@ class ExperimentConfig:
             for i, item in enumerate(sweep):
                 _check_keys(item, _SHARING_KEYS + ("step",), f"sweep[{i}]")
             sweep = [dict(item) for item in sweep]
-        output = d.get("output") or {}
+        output = d.get("output")
+        output = {} if output is None else output
         _check_keys(output, ("report", "attention"), "output")
         for key in ("report", "attention"):
             if output.get(key) == "" or not isinstance(output.get(key), (str, type(None))):
@@ -338,11 +339,12 @@ def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
     return matrices
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
-    """Evaluate every entry; returns (report dict, one evaluation per entry).
+def run_experiment(cfg: ExperimentConfig, stage) -> dict:
+    """Evaluate every entry; returns the report dict.
 
-    Each evaluation keeps its ``<f4`` attention matrix only when the config
-    asks for attention output.
+    When the config asks for attention output, each entry's ``<f4`` matrix
+    is streamed to ``stage(path)`` block by block and its sidecar written as
+    soon as the entry finishes (``stage`` as from :func:`_all_or_nothing`).
     """
     norm, config = cfg.normalized, cfg.rotary
     grid, sc, seed = norm["grid"], norm["scene"], norm["seed"]
@@ -354,20 +356,26 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
         base, kind=sc["kind"], noise_level=sc["noise_level"], seed=scene_seed, shift=sc["shift"]
     )
     text = make_text(norm["text_tokens"], config.dim, seed=seed + 2)
-    keep_attention = bool(_matrix_paths(cfg))
+    matrices = _matrix_paths(cfg)
 
     entries = []
-    evaluations = []
-    for label, params, sharing, step in cfg.iter_entries():
+    key_layout = None
+    for i, (label, params, sharing, step) in enumerate(cfg.iter_entries()):
         qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
-        evaluation = evaluate_shared(
-            qkv,
-            scene,
-            config,
-            heads=norm["heads"],
-            band_partition=cfg.partition,
-            keep_attention=keep_attention,
-        )
+        path = stage(matrices[i]) if matrices else None
+        with nullcontext() if path is None else path.open("wb") as out:
+            evaluation = evaluate_shared(
+                qkv,
+                scene,
+                config,
+                heads=norm["heads"],
+                band_partition=cfg.partition,
+                attention_out=out,
+            )
+        if path is not None:
+            write_attention_matrix(path, evaluation)
+        if key_layout is None:
+            key_layout = evaluation.key_layout
         attribution = evaluation.attribution
         entries.append(
             {
@@ -381,7 +389,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
                 "band_attribution": None if attribution is None else attribution.mean_abs_logit,
             }
         )
-        evaluations.append(evaluation)
 
     result: dict = {"config": norm, "entries": entries}
     if len(entries) > 1:
@@ -390,8 +397,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list]:
             k: float(np.mean([e["alignment"][k] for e in entries])) for k in keys
         }
     if entries:
-        result["key_layout"] = layout_to_json(evaluations[0].key_layout)
-    return result, evaluations
+        result["key_layout"] = layout_to_json(key_layout)
+    return result
 
 
 def _dump_json(obj) -> str:
@@ -446,7 +453,8 @@ def cmd_decay_curve(args) -> int:
     curve = decay_curve(
         range(args.delta_max + 1), partition, config, include_full=args.include_full
     )
-    _write(args.out, decay_curve_to_csv(curve))
+    with _all_or_nothing() as stage, stage(args.out).open("w") as out:
+        decay_curve_to_csv(curve, out)
     _info(args, f"wrote {Path(args.out)}")
     return 0
 
@@ -486,7 +494,7 @@ def cmd_bands(args) -> int:
         ],
     }
     text = _dump_json(listing)
-    if args.out:
+    if args.out is not None:
         _write(args.out, text)
         _info(args, f"wrote {args.out}")
     else:
@@ -508,21 +516,26 @@ def cmd_shared_attn(args) -> int:
         _info(args, f"wrote {args.emit_config}")
         return 0
 
-    report_path = args.out or cfg.normalized["output"]["report"]
+    report_path = cfg.normalized["output"]["report"] if args.out is None else args.out
     matrices = _output_paths(cfg, report_path)
-    result, evaluations = run_experiment(cfg)
-    report = _dump_json(result)
-
     with _all_or_nothing() as stage:
-        if report_path is not None:
-            stage(report_path).write_text(report)
-        for path, evaluation in zip(matrices, evaluations):
-            write_attention_matrix(stage(path), evaluation)
+        # Staged first, so that a missing report directory fails before the run.
+        staged_report = None if report_path is None else stage(report_path)
+        report = _dump_json(run_experiment(cfg, stage))
+        if staged_report is not None:
+            staged_report.write_text(report)
     if report_path is None:
         sys.stdout.write(report)
     for path in ([] if report_path is None else [report_path]) + matrices:
         _info(args, f"wrote {path}")
     return 0
+
+
+def _path(value: str) -> str:
+    """An output path flag's value; an empty one is a usage error."""
+    if not value:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="mean band similarity vs. position shift, as CSV",
     )
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--rope-base", type=float, default=10000.0)
     p.add_argument("--bands", type=int, default=3)
@@ -552,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "schedule", parents=[common], help="per-chunk modulation scales, as CSV"
     )
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--s-hf", type=float, required=True)
     p.add_argument("--s-lf", type=float, required=True)
@@ -563,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bands", parents=[common], help="band chunk ranges and frequency extrema, as JSON"
     )
-    p.add_argument("--out", help="output JSON path (default: standard output)")
+    p.add_argument("--out", type=_path, help="output JSON path (default: standard output)")
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--rope-base", type=float, default=10000.0)
     p.add_argument("--bands", type=int, default=3)
@@ -573,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
         "shared-attn", parents=[common], help="run a shared-attention experiment config"
     )
     p.add_argument("config", help="path to an experiment config JSON file")
-    p.add_argument("--out", help="report path, in place of output.report")
+    p.add_argument("--out", type=_path, help="report path, in place of output.report")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--emit-config", help="write the normalized config here and exit")
+    p.add_argument("--emit-config", type=_path, help="write the normalized config here and exit")
     p.set_defaults(func=cmd_shared_attn)
 
     return parser

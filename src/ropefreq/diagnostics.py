@@ -217,14 +217,12 @@ class _AttributionFold:
 class SharedEvaluation:
     """One shared-attention evaluation, reduced block by block.
 
-    ``attention`` is the head-averaged softmax as a ``<f4`` matrix when it
-    was kept, else ``None``; ``attribution`` is ``None`` without a band
-    partition or without reference keys.
+    ``attribution`` is ``None`` without a band partition or without
+    reference keys.
     """
 
     alignment: AlignmentMetrics
     attribution: BandAttribution | None
-    attention: np.ndarray | None
     key_layout: Layout
     query_layout: Layout
     notes: tuple[str, ...] = ()
@@ -236,33 +234,32 @@ def evaluate_shared(
     config: RotaryConfig,
     heads: int = 1,
     band_partition: BandPartition | None = None,
-    keep_attention: bool = False,
+    attention_out=None,
 ) -> SharedEvaluation:
-    """Alignment, band attribution and (optionally) the ``<f4`` attention of ``qkv``.
+    """Alignment and band attribution of ``qkv``, streaming its attention if asked.
 
-    Holds no dense f64 matrix: each block of query rows is folded into the
-    running sums and dropped. Per-band logits are taken against the
-    reference keys only. Positional alignment is exact grid-coordinate
-    equality between a query and a reference key; without reference keys
-    every alignment metric is 0.
+    Holds no dense matrix: each block of query rows is folded into the
+    running sums, written to the open binary file ``attention_out`` (when
+    given) as head-averaged ``<f4`` rows, and dropped, so the file ends up
+    holding the ``(n_queries, n_keys)`` matrix row-major. Per-band logits
+    are taken against the reference keys only. Positional alignment is
+    exact grid-coordinate equality between a query and a reference key;
+    without reference keys every alignment metric is 0.
     """
     align = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
     attribution = None
     if band_partition is not None and align.has_reference:
         attribution = _AttributionFold(band_partition, qkv.query_layout, scene)
-    nq, nk = qkv.q.shape[0], qkv.k.shape[0]
-    matrix = np.empty((nq, nk), dtype="<f4") if keep_attention else None
     blocks = _attention_blocks(qkv.q, qkv.k, heads, band_partition, config, align.ref_cols)
     for start, attention, per_band in blocks:
         align.add(start, attention)
         if attribution is not None:
             attribution.add(start, per_band)
-        if matrix is not None:
-            matrix[start : start + attention.shape[0]] = attention
+        if attention_out is not None:
+            attention_out.write(attention.astype("<f4"))
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),
-        attention=matrix,
         key_layout=qkv.key_layout,
         query_layout=qkv.query_layout,
         notes=qkv.notes,

@@ -1,9 +1,11 @@
 """Serialization of shared-attention evaluations.
 
 Two artifacts: a JSON summary (composed by the CLI) and an optional raw
-attention matrix. The raw file holds the matrix as little-endian 32-bit
-floats, row-major, no header; a JSON sidecar at ``<path>.json`` records the
-shape, dtype, and key layout needed to interpret it.
+attention matrix. The raw file, streamed block by block by
+:func:`~ropefreq.diagnostics.evaluate_shared`, holds the matrix as
+little-endian 32-bit floats, row-major, no header; a JSON sidecar at
+``<path>.json`` records the shape, dtype, and key layout needed to
+interpret it.
 """
 
 from __future__ import annotations
@@ -31,15 +33,16 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def write_attention_matrix(path: str | Path, evaluation: SharedEvaluation) -> Path:
-    """Write the kept attention matrix in raw form; returns the sidecar path."""
-    path = Path(path)
-    matrix = np.ascontiguousarray(evaluation.attention, dtype="<f4")
-    path.write_bytes(matrix.tobytes())
+    """Write the sidecar of the matrix ``evaluation`` streamed to ``path``; returns its path.
+
+    The matrix itself is written by :func:`~ropefreq.diagnostics.evaluate_shared`
+    (``attention_out``); its shape is one row per query and one column per key.
+    """
     sidecar = sidecar_path(path)
     meta = {
         "dtype": "<f4",
         "order": "row-major",
-        "shape": list(evaluation.attention.shape),
+        "shape": [len(evaluation.query_layout), len(evaluation.key_layout)],
         "key_layout": layout_to_json(evaluation.key_layout),
         "query_layout": layout_to_json(evaluation.query_layout),
     }

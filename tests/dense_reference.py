@@ -5,6 +5,7 @@ with plain NumPy and walk the image queries one at a time, the way the
 metrics are defined. They import only public names from ``ropefreq``.
 """
 
+import io
 import math
 
 import numpy as np
@@ -83,15 +84,22 @@ def dense_attribution(qkv, partition):
     }
 
 
+def streamed_evaluation(qkv, scene, config, heads=1, band_partition=None):
+    """``(evaluate_shared's result, the <f4 bytes it streamed)`` for ``qkv``."""
+    out = io.BytesIO()
+    evaluation = evaluate_shared(
+        qkv, scene, config, heads=heads, band_partition=band_partition, attention_out=out
+    )
+    return evaluation, out.getvalue()
+
+
 def evaluate_with_reference(qkv, scene, config, heads=1, band_partition=None):
     """``(evaluate_shared's result, dense softmax, tied)`` for ``qkv``.
 
-    ``tied`` is whether the matrix the evaluation kept is the dense softmax
-    cast to ``<f4``, byte for byte.
+    ``tied`` is whether the matrix the evaluation streamed is the dense
+    softmax cast to ``<f4``, byte for byte.
     """
-    evaluation = evaluate_shared(
-        qkv, scene, config, heads=heads, band_partition=band_partition, keep_attention=True
-    )
+    evaluation, streamed = streamed_evaluation(qkv, scene, config, heads, band_partition)
     attention = dense_softmax(qkv.q, qkv.k, heads)
-    tied = evaluation.attention.tobytes() == attention.astype("<f4").tobytes()
+    tied = streamed == attention.astype("<f4").tobytes()
     return evaluation, attention, tied

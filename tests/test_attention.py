@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from dense_reference import dense_attribution, dense_band_logits, evaluate_with_reference
+from dense_reference import (
+    dense_attribution,
+    dense_band_logits,
+    evaluate_with_reference,
+    streamed_evaluation,
+)
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -310,13 +315,14 @@ class TestBuildSharedQKV:
     def test_mode_none_reduces_to_attend_on_target(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
-        evaluation, attention, tied = evaluate_with_reference(qkv, scene, CFG)
+        _, attention, tied = evaluate_with_reference(qkv, scene, CFG)
         assert tied
         features = np.vstack([scene.target.features, text.features])
         positions = np.vstack([scene.target.positions, text.positions])
         base, _ = kernel(features, positions, features, positions)
         np.testing.assert_allclose(attention, base, atol=1e-15)
-        assert evaluation.attention.tobytes() == base.astype("<f4").tobytes()
+        _, streamed = streamed_evaluation(qkv, scene, CFG)
+        assert streamed == base.astype("<f4").tobytes()
 
     def test_constant_schedule_equals_plain(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")

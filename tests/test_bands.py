@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -13,6 +14,7 @@ from ropefreq import (
     Band,
     BandPartition,
     ConfigurationError,
+    DecayCurve,
     RotaryConfig,
     ShapeError,
     band_mask,
@@ -96,7 +98,7 @@ class TestDecayCurve:
         cfg = RotaryConfig(dim=128)
         part = make_even_partition(cfg, 3, "all")
         curve = decay_curve([0], part, cfg)
-        assert all(v == (1.0,) for v in curve.series.values())
+        assert all(np.array_equal(v, [1.0]) for v in curve.series.values())
 
     def test_band_order_at_delta_one(self):
         cfg = RotaryConfig.single_axis(128)
@@ -130,7 +132,9 @@ class TestDecayCurve:
         columns["full"] = theta[part.chunk_indices()]
         assert list(curve.series) == ["high", "mid", "low", "full"]
         for label, t in columns.items():
-            assert curve.series[label] == tuple(float(np.mean(np.cos(d * t))) for d in deltas)
+            expected = [float(np.mean(np.cos(d * t))) for d in deltas]
+            assert curve.series[label].dtype == np.float64
+            assert np.array_equal(curve.series[label], expected)
 
     def test_single_band_similarity_is_a_one_point_curve(self):
         cfg = RotaryConfig(dim=128)
@@ -174,7 +178,9 @@ class TestDecayCurve:
         cfg = RotaryConfig.single_axis(32)
         part = make_even_partition(cfg, 3, "x")
         curve = decay_curve(range(5), part, cfg)
-        text = decay_curve_to_csv(curve)
+        out = io.StringIO()
+        decay_curve_to_csv(curve, out)
+        text = out.getvalue()
         lines = text.strip().splitlines()
         assert lines[0] == "delta,band,mean_similarity"
         parsed = {}
@@ -184,6 +190,34 @@ class TestDecayCurve:
         for label in part.labels:
             for d, value in parsed[label]:
                 assert value == curve.series[label][d]
+
+    @pytest.mark.parametrize("block_deltas", [1, 7])
+    def test_blocked_csv_equals_per_row_rendering(self, monkeypatch, block_deltas):
+        # Four series, so each CSV block holds ``block_deltas`` deltas; the
+        # 51 deltas leave the last block of 7 short.
+        monkeypatch.setattr(ropefreq.bands, "_BLOCK_BYTES", 8 * 4 * block_deltas)
+        cfg = RotaryConfig.single_axis(32)
+        part = make_even_partition(cfg, 3, "x")
+        curve = decay_curve(list(range(-20, 30)) + [99_999], part, cfg, include_full=True)
+        out = io.StringIO()
+        decay_curve_to_csv(curve, out)
+        lines = ["delta,band,mean_similarity"]
+        for i, delta in enumerate(curve.delta_values.tolist()):
+            for label, values in curve.series.items():
+                lines.append(f"{delta},{label},{format(float(values[i]), '.17g')}")
+        assert out.getvalue() == "\n".join(lines) + "\n"
+
+    def test_curve_holds_arrays_and_rejects_values_outside_unit_range(self):
+        cfg = RotaryConfig.single_axis(32)
+        curve = decay_curve(range(3), make_even_partition(cfg, 2, "x"), cfg)
+        assert curve.delta_values.dtype == np.int64
+        assert all(v.dtype == np.float64 for v in curve.series.values())
+        deltas = np.arange(3, dtype=np.int64)
+        for bad in (1.0 + 1e-9, -1.0 - 1e-9, np.nan):
+            with pytest.raises(ConfigurationError, match="leaves"):
+                DecayCurve(deltas, {"b": np.array([0.0, bad, 1.0])})
+        with pytest.raises(ShapeError):
+            DecayCurve(deltas, {"b": np.zeros(2)})
 
 
 class TestBandMask:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ropefreq.attention
-from dense_reference import dense_alignment, dense_attribution, dense_softmax
+from dense_reference import dense_alignment, dense_attribution, dense_softmax, streamed_evaluation
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -31,7 +31,7 @@ from ropefreq import (
     make_text,
     plant_scene,
 )
-from ropefreq.cli import ExperimentConfig, run_experiment
+from ropefreq.cli import ExperimentConfig, _all_or_nothing, main, run_experiment
 
 CFG = RotaryConfig(dim=32)
 GRID = 5
@@ -107,18 +107,15 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     partition = make_even_partition(CFG, 3, "all") if heads == 1 else None
 
     attention = dense_softmax(qkv.q, qkv.k, heads)
-    evaluation = evaluate_shared(
-        qkv, scene, CFG, heads=heads, band_partition=partition, keep_attention=True
-    )
+    evaluation, streamed = streamed_evaluation(qkv, scene, CFG, heads, partition)
     # The very softmax blocks that evaluate_shared folds.
     blocks = stacked_blocks(qkv.q, qkv.k, heads)
     # BLAS may round a product differently depending on how many rows it
     # multiplies at once, so the blocked softmax can differ from the one-shot
     # dense one in the last bit; both round to the same <f4 bytes.
     np.testing.assert_allclose(blocks, attention, rtol=0, atol=1e-15)
-    assert evaluation.attention.dtype == np.dtype("<f4")
-    assert evaluation.attention.tobytes() == attention.astype("<f4").tobytes()
-    assert evaluation.attention.tobytes() == blocks.astype("<f4").tobytes()
+    assert streamed == attention.astype("<f4").tobytes()
+    assert streamed == blocks.astype("<f4").tobytes()
 
     # On the same softmax rows, the block-by-block reductions equal the
     # per-query loop exactly.
@@ -155,9 +152,34 @@ def test_run_experiment_allocates_no_dense_matrix():
     dense_bytes = 8 * (n + cfg.normalized["text_tokens"]) * (2 * n + cfg.normalized["text_tokens"])
     tracemalloc.start()
     try:
-        result, _ = run_experiment(cfg)
+        with _all_or_nothing() as stage:
+            result = run_experiment(cfg, stage)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result["entries"][0]["band_attribution"] is not None
     assert peak < dense_bytes
+
+
+def test_streamed_sweep_holds_less_than_one_matrix(tmp_path):
+    # Each entry's matrix goes to its staged file block by block, so the
+    # run's peak stays below one entry's <f4 matrix however many entries
+    # it writes; the entries' matrices are not held until the run ends.
+    grid = 48
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "copying_demo.json").read_text())
+    raw["grid"] = {"width": grid, "height": grid}
+    raw["output"] = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "a.f4")}
+    assert len(raw["sweep"]) > 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    n, text = grid * grid, raw["text_tokens"]
+    matrix_bytes = 4 * (n + text) * (2 * n + text)
+    tracemalloc.start()
+    try:
+        assert main(["shared-attn", str(config), "--quiet"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for i in range(len(raw["sweep"])):
+        assert (tmp_path / f"a.entry{i}.f4").stat().st_size == matrix_bytes
+    assert peak < matrix_bytes

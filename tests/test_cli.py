@@ -122,6 +122,32 @@ class TestSubcommandFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestEmptyOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay-curve", "--out", ""],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--out", ""],
+            ["bands", "--out", ""],
+            ["shared-attn", "CONFIG", "--out", ""],
+            ["shared-attn", "CONFIG", "--emit-config", ""],
+        ],
+        ids=["decay-curve", "schedule", "bands", "shared-attn", "emit-config"],
+    )
+    def test_empty_path_is_usage_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        cfg_path, report_path = demo_config(tmp_path, PLAIN)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            main([str(cfg_path) if a == "CONFIG" else a for a in argv])
+        assert exc.value.code == 2
+        assert list(work.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, work])
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a non-empty path" in captured.err
+
+
 class TestSchedule:
     def test_constant_schedule(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -364,6 +390,14 @@ class TestSharedAttn:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
 
+    def test_missing_report_directory_fails_before_the_run(self, tmp_path, monkeypatch):
+        report = tmp_path / "missing-dir" / "report.json"
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output={"report": str(report)})
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: runs.append(args))
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
+        assert runs == [] and sorted(tmp_path.iterdir()) == [cfg_path]
+
     def test_invalid_base_sharing_of_a_sweep_exits_3_without_outputs(self, tmp_path, capsys):
         # A sweep replaces the base section in the run, but the base is still
         # echoed in the report, so it must be as valid as an entry.
@@ -413,6 +447,57 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
         assert sorted(tmp_path.iterdir()) == [cfg_path]
         assert f"output.{key} must be a non-empty path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", [False, 0, [], ""], ids=["false", "zero", "list", "empty"])
+    def test_non_object_output_exits_3_without_outputs(self, tmp_path, capsys, output):
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output=output)
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("output must be a JSON object") == 2
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "null"])
+    def test_missing_or_null_output_means_no_outputs(self, tmp_path, capsys, missing):
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output=None)
+        if missing:
+            cfg = json.loads(cfg_path.read_text())
+            del cfg["output"]
+            cfg_path.write_text(json.dumps(cfg))
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 0
+        assert json.loads(emitted.read_text())["output"] == {"attention": None, "report": None}
+        capsys.readouterr()
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["output"]["report"] is None
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, emitted])
+
+    def test_failing_second_entry_leaves_no_new_outputs(self, tmp_path, monkeypatch):
+        output = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "a.f4")}
+        cfg_path, report_path = demo_config(tmp_path, PLAIN, output=output, sweep=[PLAIN, PLAIN])
+        old = [report_path, tmp_path / "a.entry0.f4", tmp_path / "a.entry0.f4.json"]
+        for path in old:
+            path.write_bytes(b"old " + path.name.encode())
+        evaluate_shared = cli.evaluate_shared
+        staged = []
+
+        def second_entry_fails(*args, attention_out, **kwargs):
+            if staged:
+                # The first entry's matrix and sidecar are already staged.
+                staged.extend(sorted(p.name for p in Path(attention_out.name).parent.iterdir()))
+                attention_out.write(b"\0" * 64)
+                raise ConfigurationError("entry1 fails mid-stream")
+            staged.append(Path(attention_out.name).name)
+            return evaluate_shared(*args, attention_out=attention_out, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_shared", second_entry_fails)
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert staged == ["a.entry0.f4", "a.entry0.f4", "a.entry0.f4.json", "a.entry1.f4"]
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, *old])
+        for path in old:
+            assert path.read_bytes() == b"old " + path.name.encode()
 
     def test_out_flag_naming_a_sidecar_exits_3_without_outputs(self, tmp_path, capsys):
         output = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "attn.f4")}
@@ -505,8 +590,16 @@ class TestBuildRotary:
 
 class TestReportIO:
     def test_raw_attention_round_trip(self, tmp_path):
-        from dense_reference import evaluate_with_reference
-        from ropefreq import RotaryConfig, SharingParams, build_shared_qkv, make_grid, make_text, plant_scene
+        from dense_reference import dense_softmax, evaluate_with_reference
+        from ropefreq import (
+            RotaryConfig,
+            SharingParams,
+            build_shared_qkv,
+            evaluate_shared,
+            make_grid,
+            make_text,
+            plant_scene,
+        )
         from ropefreq.reportio import read_attention_matrix, write_attention_matrix
 
         base = make_grid(3, 3, 16, seed=1)
@@ -516,13 +609,17 @@ class TestReportIO:
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), config
         )
-        evaluation, attention, tied = evaluate_with_reference(qkv, scene, config)
+        _, attention, tied = evaluate_with_reference(qkv, scene, config)
         assert tied
         path = tmp_path / "attn.f32"
+        with path.open("wb") as out:
+            evaluation = evaluate_shared(qkv, scene, config, attention_out=out)
         sidecar = write_attention_matrix(path, evaluation)
         assert sidecar.name == "attn.f32.json"
         matrix, meta = read_attention_matrix(path)
         assert meta["order"] == "row-major" and meta["dtype"] == "<f4"
+        assert meta["shape"] == [len(evaluation.query_layout), len(evaluation.key_layout)]
+        assert matrix.tobytes() == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
         np.testing.assert_allclose(matrix, attention, atol=1e-6)
         assert [lab["source"] for lab in meta["key_layout"][:2]] == ["target-image", "target-image"]
 
@@ -571,13 +668,22 @@ class TestFailedWriteKeepsOldFile:
         out = tmp_path / "out.txt"
         out.write_bytes(b"old bytes\n")
         argv = [str(cfg_path) if a == "CONFIG" else a for a in argv]
-        write_text = Path.write_text
+        path_open = Path.open
 
-        def write_half_then_fail(self, data, *args, **kwargs):
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        def open_to_fail_partway(self, mode="r", *args, **kwargs):
+            f = path_open(self, mode, *args, **kwargs)
+            if "w" in mode:
+                write = f.write
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+                def write_half_then_fail(data):
+                    write(data[: len(data) // 2])
+                    raise OSError("disk full")
+
+                f.write = write_half_then_fail
+            return f
+
+        # Path.write_text writes through Path.open, as the streamed CSV does.
+        monkeypatch.setattr(Path, "open", open_to_fail_partway)
         assert main(argv + [str(out), "--quiet"]) == 4
         assert out.read_bytes() == b"old bytes\n"
         assert sorted(tmp_path.iterdir()) == sorted([cfg_path, out])
