@@ -50,7 +50,6 @@ __all__ = [
 
 MODALITIES = ("image", "text")
 SHARING_MODES = ("none", "plain", "frequency_aware", "shifted")
-SOURCES = ("target-image", "target-text", "reference-image")
 
 ADAIN_STD_FLOOR = 1e-8
 
@@ -256,33 +255,53 @@ class SharingParams:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """Provenance of every key (or query) row, one array per field.
+    """A stack of token rows as runs, one ``(source, positions)`` part per source.
 
-    Row ``r`` comes from ``SOURCES[source[r]]``, is row ``index[r]`` of that
-    source, and sits at grid position ``positions[r]`` (``(n, 2)``).
+    Each part's rows follow the previous part's, in order; ``positions`` are
+    the part's grid coordinates (``(n, 2)``), row ``i`` of the part being
+    row ``i`` of its source.
     """
 
-    source: np.ndarray
-    index: np.ndarray
-    positions: np.ndarray
+    parts: tuple[tuple[str, np.ndarray], ...]
 
     def __len__(self) -> int:
-        return len(self.source)
+        return sum(len(pos) for _, pos in self.parts)
 
-    def rows(self, source: str) -> np.ndarray:
-        """Ascending row numbers of ``source``."""
-        return np.flatnonzero(self.source == SOURCES.index(source))
+    @property
+    def positions(self) -> np.ndarray:
+        """The grid position of every row, ``(len(self), 2)``."""
+        return np.concatenate([pos for _, pos in self.parts])
+
+    def rows(self, source: str) -> slice:
+        """The rows of ``source``; an empty slice at the end when there are none."""
+        start = 0
+        for src, pos in self.parts:
+            if src == source:
+                return slice(start, start + len(pos))
+            start += len(pos)
+        return slice(start, start)
 
 
 @dataclass(frozen=True)
 class SharedQKV:
-    """Assembled shared-attention queries and keys, already rotated."""
+    """Assembled shared-attention keys, already rotated, and their layout.
 
-    q: np.ndarray
+    The keys stack the target image, the target text and (unless the mode
+    is "none") the reference image; the queries are the first two of
+    those runs, so ``q`` is a view of the leading rows of ``k``.
+    """
+
     k: np.ndarray
     key_layout: Layout
-    query_layout: Layout
     notes: tuple[str, ...] = ()
+
+    @property
+    def query_layout(self) -> Layout:
+        return Layout(self.key_layout.parts[:2])
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.k[: len(self.query_layout)]
 
 
 def adain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -402,14 +421,6 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
         yield start, attention, per_band
 
 
-def _layout(*parts: tuple[str, np.ndarray]) -> Layout:
-    """The layout of ``(source, positions)`` parts stacked in order."""
-    codes = [np.full(len(pos), SOURCES.index(src), dtype=np.int8) for src, pos in parts]
-    index = [np.arange(len(pos), dtype=np.int64) for _, pos in parts]
-    positions = np.concatenate([pos for _, pos in parts])
-    return Layout(np.concatenate(codes), np.concatenate(index), positions)
-
-
 def _effective_schedule(
     params: SharingParams, config: RotaryConfig, step: int | None
 ) -> tuple[ModulationSchedule, list[str]]:
@@ -462,11 +473,8 @@ def build_shared_qkv(
 
     img_rot = apply_rope_batch(img_feats, target.positions, config)
     txt_rot = apply_rope_batch(target_text.features, target_text.positions, config)
-    q = np.vstack([img_rot, txt_rot])
-    parts = [("target-image", target.positions), ("target-text", target_text.positions)]
-    query_layout = _layout(*parts)
-
     k_parts = [img_rot, txt_rot]
+    parts = [("target-image", target.positions), ("target-text", target_text.positions)]
     if params.mode != "none":
         ref_positions = reference.positions
         if params.mode == "shifted":
@@ -487,19 +495,24 @@ def build_shared_qkv(
         k_parts.append(ref_rot)
         parts.append(("reference-image", ref_positions))
 
-    return SharedQKV(
-        q=q,
-        k=np.vstack(k_parts),
-        key_layout=_layout(*parts),
-        query_layout=query_layout,
-        notes=tuple(notes),
-    )
+    return SharedQKV(k=np.vstack(k_parts), key_layout=Layout(tuple(parts)), notes=tuple(notes))
 
 
 def shift_positions(positions: np.ndarray, offset) -> np.ndarray:
-    """Translate an ``(n, 2)`` integer position array by ``offset``."""
+    """Translate an ``(n, 2)`` integer position array by ``offset``.
+
+    Raises :class:`ConfigurationError` if a shifted position would leave the
+    int64 range, where NumPy's addition would wrap it silently.
+    """
     pos = np.asarray(positions)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ShapeError(f"expected positions of shape (n, 2), got {pos.shape}")
     off = as_position(offset)
+    if pos.size:
+        bounds = np.iinfo(np.int64)
+        for lo, hi, d in zip(pos.min(axis=0).tolist(), pos.max(axis=0).tolist(), (off.x, off.y)):
+            if lo + d < bounds.min or hi + d > bounds.max:
+                raise ConfigurationError(
+                    f"offset {off.as_tuple()} moves a position out of the int64 range"
+                )
     return pos + np.array([off.x, off.y], dtype=pos.dtype)

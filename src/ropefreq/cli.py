@@ -34,6 +34,7 @@ from .attention import (
     _check_heads,
     _effective_schedule,
     build_shared_qkv,
+    shift_positions,
 )
 from .bands import Band, BandPartition, band_mask, decay_curve, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
@@ -158,8 +159,11 @@ def _sharing(raw: dict, config: RotaryConfig) -> tuple[dict, SharingParams]:
     mask = raw.get("band_mask")
     if mask is not None:
         _check_keys(mask, _BAND_MASK_KEYS, "sharing.band_mask")
+        label = mask.get("label", "masked")
+        if not isinstance(label, str):
+            raise ConfigurationError(f"sharing.band_mask.label must be a string, got {label!r}")
         out["band_mask"] = {
-            "label": str(mask.get("label", "masked")),
+            "label": label,
             "start": _int(_require(mask, "start", "sharing.band_mask"), "sharing.band_mask.start"),
             "stop": _int(_require(mask, "stop", "sharing.band_mask"), "sharing.band_mask.stop"),
             "mode": str(_require(mask, "mode", "sharing.band_mask")),
@@ -185,16 +189,20 @@ def _sharing(raw: dict, config: RotaryConfig) -> tuple[dict, SharingParams]:
     return out, SharingParams(**kwargs)
 
 
-def _entry(section: dict, step, config: RotaryConfig, context: str):
+def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
     """``(params, sharing echo, step)`` of one sharing section at ``step``.
 
-    Runs the checks an evaluation makes of them (the ramp at ``step`` and
-    the band mask), so that no config echoes what a run rejects.
+    Runs the checks an evaluation makes of them (the ramp at ``step``, the
+    shifted positions on ``grid`` and the band mask), so that no config
+    echoes what a run rejects.
     """
     step = None if step is None else _int(step, f"{context}.step")
     sharing, params = _sharing(section, config)
     if params.mode == "frequency_aware":
         _effective_schedule(params, config, step)
+    if params.mode == "shifted":
+        corners = np.array([[0, 0], [grid["width"] - 1, grid["height"] - 1]])
+        shift_positions(corners, params.offset)
     spec = params.band_mask_override
     if spec is not None:
         band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
@@ -280,7 +288,7 @@ class ExperimentConfig:
         # config they would stop.
         config = build_rotary(**norm["rotary"])
         bands = norm["attribution_bands"]
-        partition = make_even_partition(config, bands, "all") if bands else None
+        partition = None if bands is None else make_even_partition(config, bands, "all")
         _check_heads(norm["heads"], partition, config)
         scene = norm["scene"]
         _check_scene(
@@ -290,13 +298,14 @@ class ExperimentConfig:
         # The base section is checked like an entry even when a sweep
         # replaces it, since the report echoes it. Sweep items override its
         # echo (and the top-level step), not the raw section.
-        base = _entry(_require(d, "sharing", "config"), norm["step"], config, "config")
+        section = _require(d, "sharing", "config")
+        base = _entry(section, norm["step"], config, norm["grid"], "config")
         norm["sharing"] = base[1]
         runs = [base] if sweep is None else []
         for i, item in enumerate(sweep or []):
             merged = {**norm["sharing"], **item}
             step = merged.pop("step", norm["step"])
-            runs.append(_entry(merged, step, config, f"sweep[{i}]"))
+            runs.append(_entry(merged, step, config, norm["grid"], f"sweep[{i}]"))
         # AdaIN takes per-channel statistics over the reference's cells.
         cells = norm["grid"]["width"] * norm["grid"]["height"]
         if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, *_ in [base, *runs]):
@@ -373,9 +382,9 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
                 attention_out=out,
             )
         if path is not None:
-            write_attention_matrix(path, evaluation)
+            write_attention_matrix(path, qkv)
         if key_layout is None:
-            key_layout = evaluation.key_layout
+            key_layout = qkv.key_layout
         attribution = evaluation.attribution
         entries.append(
             {
@@ -383,9 +392,9 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
                 "sharing": sharing,
                 "step": step,
                 "alignment": evaluation.alignment.as_dict(),
-                "notes": list(evaluation.notes),
-                "n_queries": len(evaluation.query_layout),
-                "n_keys": len(evaluation.key_layout),
+                "notes": list(qkv.notes),
+                "n_queries": len(qkv.query_layout),
+                "n_keys": len(qkv.key_layout),
                 "band_attribution": None if attribution is None else attribution.mean_abs_logit,
             }
         )

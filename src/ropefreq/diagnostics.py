@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Layout, SharedQKV, _attention_blocks
+from .attention import SharedQKV, _attention_blocks
 from .bands import BandPartition
 from .errors import ShapeError
 from .rope import RotaryConfig
@@ -57,13 +57,6 @@ class AlignmentMetrics:
         }
 
 
-def _index(rows: np.ndarray):
-    """``rows`` as a slice when it is one ascending run, so indexing is a view."""
-    if rows.size and rows[-1] - rows[0] == rows.size - 1:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
 def _row_order_sum(values: np.ndarray) -> float:
     # One float at a time in query order, as a per-query loop adds them, so
     # the result does not depend on how the rows were blocked.
@@ -73,10 +66,14 @@ def _row_order_sum(values: np.ndarray) -> float:
     return total
 
 
-def _span(rows: np.ndarray, start: int, stop: int) -> tuple[int, int, object]:
-    """``(lo, hi, local)``: ``rows[lo:hi]`` fall in ``start:stop``, at ``local`` in the block."""
-    lo, hi = np.searchsorted(rows, (start, stop))
-    return int(lo), int(hi), _index(rows[lo:hi] - start)
+def _span(rows: slice, start: int, stop: int) -> tuple[int, int, slice]:
+    """``(lo, hi, local)``: rows ``lo:hi`` of the run ``rows`` lie in ``start:stop``.
+
+    ``local`` is where they sit in the block that starts at ``start``.
+    """
+    first = max(rows.start, start)
+    last = max(first, min(rows.stop, stop))
+    return first - rows.start, last - rows.start, slice(first - start, last - start)
 
 
 def _aligned_columns(query_pos: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
@@ -109,29 +106,21 @@ class _AlignmentFold:
 
     def __init__(self, query_layout, key_layout, scene: PlantedScene) -> None:
         self.q_rows = query_layout.rows("target-image")
-        ref_cols = key_layout.rows("reference-image")
-        n = scene.target.n_tokens
-        if len(self.q_rows) != n:
-            raise ShapeError(
-                f"the queries hold {len(self.q_rows)} image rows but the scene has {n} tokens"
-            )
-        self.has_reference = bool(ref_cols.size)
-        self.ref_cols = _index(ref_cols)
+        self.ref_cols = key_layout.rows("reference-image")
+        n = self.n = scene.target.n_tokens
+        n_rows = self.q_rows.stop - self.q_rows.start
+        if n_rows != n:
+            raise ShapeError(f"the queries hold {n_rows} image rows but the scene has {n} tokens")
+        n_ref = self.ref_cols.stop - self.ref_cols.start
+        self.has_reference = n_ref > 0
         if not self.has_reference:
             return
-        if len(ref_cols) != n:
-            raise ShapeError(
-                f"the keys hold {len(ref_cols)} reference rows but the scene has {n} tokens"
-            )
-        ref_index = key_layout.index[ref_cols]
-        if not np.array_equal(np.sort(ref_index), np.arange(n)):
-            raise ShapeError("reference keys do not cover the scene's token indices")
-        local_of_index = np.empty(n, dtype=np.intp)
-        local_of_index[ref_index] = np.arange(n)
+        if n_ref != n:
+            raise ShapeError(f"the keys hold {n_ref} reference rows but the scene has {n} tokens")
         self.aligned = _aligned_columns(
-            query_layout.positions[self.q_rows], key_layout.positions[ref_cols]
+            query_layout.positions[self.q_rows], key_layout.positions[self.ref_cols]
         )
-        self.semantic = local_of_index[np.asarray(scene.correspondence, dtype=np.intp)]
+        self.semantic = np.asarray(scene.correspondence, dtype=np.intp)
         self.ref_mass = np.zeros(n)
         self.pos_mass = np.zeros(n)
         self.sem_mass = np.zeros(n)
@@ -161,7 +150,7 @@ class _AlignmentFold:
     def result(self) -> AlignmentMetrics:
         if not self.has_reference:
             return AlignmentMetrics(0.0, 0.0, 0.0, 0.0, 0.0)
-        nq = len(self.q_rows)
+        nq = self.n
         return AlignmentMetrics(
             positional_mass=_row_order_sum(self.pos_mass) / nq,
             semantic_mass=_row_order_sum(self.sem_mass) / nq,
@@ -190,7 +179,7 @@ class _AttributionFold:
     def __init__(self, partition: BandPartition, query_layout, scene: PlantedScene) -> None:
         self.partition = partition
         self.q_rows = query_layout.rows("target-image")
-        self.n_pairs = len(self.q_rows) * scene.target.n_tokens
+        self.n_pairs = (self.q_rows.stop - self.q_rows.start) * scene.target.n_tokens
         self.totals = np.zeros(len(partition.bands))
 
     def add(self, start: int, per_band: np.ndarray) -> None:
@@ -223,9 +212,6 @@ class SharedEvaluation:
 
     alignment: AlignmentMetrics
     attribution: BandAttribution | None
-    key_layout: Layout
-    query_layout: Layout
-    notes: tuple[str, ...] = ()
 
 
 def evaluate_shared(
@@ -260,7 +246,4 @@ def evaluate_shared(
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),
-        key_layout=qkv.key_layout,
-        query_layout=qkv.query_layout,
-        notes=qkv.notes,
     )

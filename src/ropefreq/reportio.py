@@ -15,16 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import SOURCES, Layout
-from .diagnostics import SharedEvaluation
+from .attention import Layout, SharedQKV
 from .errors import ShapeError
 
 __all__ = ["layout_to_json", "sidecar_path", "write_attention_matrix", "read_attention_matrix"]
 
 
 def layout_to_json(layout: Layout) -> list[dict]:
-    rows = zip(layout.source.tolist(), layout.index.tolist(), layout.positions.tolist())
-    return [{"source": SOURCES[c], "index": i, "position": xy} for c, i, xy in rows]
+    return [
+        {"source": source, "index": i, "position": xy}
+        for source, positions in layout.parts
+        for i, xy in enumerate(positions.tolist())
+    ]
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -32,8 +34,8 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(path).with_name(Path(path).name + ".json")
 
 
-def write_attention_matrix(path: str | Path, evaluation: SharedEvaluation) -> Path:
-    """Write the sidecar of the matrix ``evaluation`` streamed to ``path``; returns its path.
+def write_attention_matrix(path: str | Path, qkv: SharedQKV) -> Path:
+    """Write the sidecar of the matrix of ``qkv`` streamed to ``path``; returns its path.
 
     The matrix itself is written by :func:`~ropefreq.diagnostics.evaluate_shared`
     (``attention_out``); its shape is one row per query and one column per key.
@@ -42,9 +44,9 @@ def write_attention_matrix(path: str | Path, evaluation: SharedEvaluation) -> Pa
     meta = {
         "dtype": "<f4",
         "order": "row-major",
-        "shape": [len(evaluation.query_layout), len(evaluation.key_layout)],
-        "key_layout": layout_to_json(evaluation.key_layout),
-        "query_layout": layout_to_json(evaluation.query_layout),
+        "shape": [len(qkv.query_layout), len(qkv.key_layout)],
+        "key_layout": layout_to_json(qkv.key_layout),
+        "query_layout": layout_to_json(qkv.query_layout),
     }
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return sidecar

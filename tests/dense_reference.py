@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from ropefreq import evaluate_shared
-from ropefreq.attention import SOURCES
 
 
 def dense_softmax(q, k, heads=1):
@@ -36,7 +35,13 @@ def dense_band_logits(q, k, partition):
 
 
 def rows_of(layout, source):
-    return [i for i, code in enumerate(layout.source.tolist()) if SOURCES[code] == source]
+    """Row numbers of ``source``, counted along the layout's parts."""
+    rows, start = [], 0
+    for src, positions in layout.parts:
+        if src == source:
+            rows += range(start, start + len(positions))
+        start += len(positions)
+    return rows
 
 
 def dense_alignment(attention, qkv, scene):
@@ -47,7 +52,7 @@ def dense_alignment(attention, qkv, scene):
         return dict.fromkeys(
             ("positional_mass", "semantic_mass", "argmax_positional_rate",
              "argmax_semantic_rate", "reference_mass"), 0.0)
-    key_index = qkv.key_layout.index.tolist()
+    key_index = [i for _, positions in qkv.key_layout.parts for i in range(len(positions))]
     key_pos = qkv.key_layout.positions.tolist()
     query_pos = qkv.query_layout.positions.tolist()
     col_of_index = {key_index[c]: c for c in ref_cols}

@@ -303,12 +303,12 @@ def test_criterion_8_shifted_mode_sanity():
     cfg = RotaryConfig.interleaved(DEMO["dim"])
     scene, text = rebuild_scene(DEMO)
     width = DEMO["grid"]
-    evaluation, _, attention, tied = evaluate(
+    evaluation, qkv, attention, tied = evaluate(
         scene, text, SharingParams(mode="shifted", offset=(width, 0), s=1.0), cfg
     )
     metrics = evaluation.alignment
     target_positions = {tuple(p) for p in scene.target.positions}
-    layout = evaluation.key_layout
+    layout = qkv.key_layout
     ref_positions = {tuple(p) for p in layout.positions[layout.rows("reference-image")].tolist()}
     disjoint = not (target_positions & ref_positions)
     row_err = float(np.max(np.abs(attention.sum(axis=1) - 1.0)))

@@ -297,6 +297,21 @@ class TestShiftPositions:
         with pytest.raises(ShapeError):
             shift_positions([Position2D(0, 0), Position2D(1, 0)], (1, 0))
 
+    @pytest.mark.parametrize(
+        "offset", [(2**63 - 1, 0), (0, -(2**63) - 1), (10**30, 0), (-(10**30), 5)]
+    )
+    def test_rejects_a_shift_out_of_int64(self, offset):
+        # NumPy's int64 addition would wrap these (or fail to convert them).
+        with pytest.raises(ConfigurationError, match="int64"):
+            shift_positions(grid_positions(2, 2), offset)
+
+    def test_shift_to_the_int64_bounds_is_exact(self):
+        out = shift_positions(grid_positions(2, 2), (2**63 - 2, -(2**63)))
+        assert out.tolist() == [
+            [2**63 - 2, -(2**63)], [2**63 - 1, -(2**63)],
+            [2**63 - 2, -(2**63) + 1], [2**63 - 1, -(2**63) + 1],
+        ]
+
 
 def scene_and_text(dim=32, grid=4, noise=0.0, kind="identity", seed=0):
     base = make_grid(grid, grid, dim, seed=seed)
@@ -309,7 +324,7 @@ class TestBuildSharedQKV:
     def test_mode_none_has_no_reference_rows(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
-        assert qkv.key_layout.rows("reference-image").size == 0
+        assert qkv.k[qkv.key_layout.rows("reference-image")].size == 0
         assert qkv.k.shape[0] == scene.target.n_tokens + text.n_tokens
 
     def test_mode_none_reduces_to_attend_on_target(self):

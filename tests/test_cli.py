@@ -354,6 +354,17 @@ class TestSharedAttn:
             (PLAIN, {"scene": {**SCENE, "style_strength": 1.0}}),
             (PLAIN, {"scene": {**SCENE, "kind": "shift", "shift": DEMO["grid"] ** 2}}),
             (PLAIN, {"grid": {"width": 1, "height": 1}}),
+            # Reference positions shifted past int64 (the first two would wrap).
+            ({"mode": "shifted", "offset": [2**63 - 1, 0]}, {}),
+            ({"mode": "shifted", "offset": [0, -(2**63) - 1]}, {}),
+            ({"mode": "shifted", "offset": [10**30, 0]}, {}),
+            (PLAIN, {"sweep": [PLAIN, {"mode": "shifted", "offset": [2**63 - 1, 0]}]}),
+            # A band-mask label is a JSON string, not echoed through str().
+            ({**PLAIN, "band_mask": {"label": None, "start": 0, "stop": 4, "mode": "zero"}}, {}),
+            ({**PLAIN, "band_mask": {"label": [1, 2], "start": 0, "stop": 4, "mode": "zero"}}, {}),
+            ({**PLAIN, "band_mask": {"label": 3, "start": 0, "stop": 4, "mode": "zero"}}, {}),
+            # null is the one way to turn attribution off.
+            (PLAIN, {"attribution_bands": 0}),
         ],
     )
     def test_emit_config_rejects_what_the_run_rejects(self, tmp_path, sharing, overrides):
@@ -363,6 +374,31 @@ class TestSharedAttn:
         assert not emitted.exists()
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
         assert not report_path.exists()
+
+    def test_offset_to_the_int64_bound_runs_unwrapped(self, tmp_path):
+        width = DEMO["grid"]
+        offset = [2**63 - width, -(2**63)]
+        cfg_path, report_path = demo_config(tmp_path, {"mode": "shifted", "offset": offset})
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 0
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 0
+        report = json.loads(report_path.read_text())
+        ref = [k["position"] for k in report["key_layout"] if k["source"] == "reference-image"]
+        assert ref[0] == offset and ref[-1] == [2**63 - 1, -(2**63) + width - 1]
+
+    def test_band_mask_label_defaults_to_masked(self, tmp_path):
+        mask = {"start": 0, "stop": 4, "mode": "zero"}
+        cfg_path, _ = demo_config(tmp_path, {**PLAIN, "band_mask": mask})
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 0
+        assert json.loads(emitted.read_text())["sharing"]["band_mask"]["label"] == "masked"
+
+    def test_null_attribution_bands_runs_without_attribution(self, tmp_path):
+        cfg_path, report_path = demo_config(tmp_path, PLAIN, attribution_bands=None)
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["attribution_bands"] is None
+        assert report["entries"][0]["band_attribution"] is None
 
     def test_unknown_sharing_field_rejected(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0, "sharpness": 2})
@@ -613,12 +649,12 @@ class TestReportIO:
         assert tied
         path = tmp_path / "attn.f32"
         with path.open("wb") as out:
-            evaluation = evaluate_shared(qkv, scene, config, attention_out=out)
-        sidecar = write_attention_matrix(path, evaluation)
+            evaluate_shared(qkv, scene, config, attention_out=out)
+        sidecar = write_attention_matrix(path, qkv)
         assert sidecar.name == "attn.f32.json"
         matrix, meta = read_attention_matrix(path)
         assert meta["order"] == "row-major" and meta["dtype"] == "<f4"
-        assert meta["shape"] == [len(evaluation.query_layout), len(evaluation.key_layout)]
+        assert meta["shape"] == [len(qkv.query_layout), len(qkv.key_layout)]
         assert matrix.tobytes() == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
         np.testing.assert_allclose(matrix, attention, atol=1e-6)
         assert [lab["source"] for lab in meta["key_layout"][:2]] == ["target-image", "target-image"]

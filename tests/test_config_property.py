@@ -17,6 +17,11 @@ from ropefreq.cli import PARTITION_NAMES, main
 
 SCALES = st.one_of(st.integers(0, 3), st.floats(-0.25, 3.0))
 STEPS = st.integers(-1, 4)
+# Small shifts, and shifts that take a grid position up to or past an int64 bound.
+OFFSETS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**63 - 3, 2**63 - 1, 2**63, 10**30, -(2**63), -(2**63) - 1, -(10**30)]),
+)
 
 
 @st.composite
@@ -28,7 +33,7 @@ def sharing_sections(draw):
     if mode in ("plain", "shifted") and draw(st.booleans()):
         section["s"] = draw(SCALES)
     if mode == "shifted":
-        section["offset"] = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        section["offset"] = draw(st.lists(OFFSETS, min_size=2, max_size=2))
     if mode == "frequency_aware":
         section["s_hf"], section["s_lf"] = draw(SCALES), draw(SCALES)
         if draw(st.booleans()):

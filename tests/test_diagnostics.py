@@ -97,9 +97,11 @@ class TestComputeAlignment:
     def test_repeated_reference_position_raises(self):
         scene, text = basic_scene()
         *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
-        positions = qkv.key_layout.positions.copy()
+        *parts, (source, positions) = qkv.key_layout.parts
+        positions = positions.copy()
         positions[-1] = positions[-2]
-        repeated = replace(qkv, key_layout=replace(qkv.key_layout, positions=positions))
+        layout = replace(qkv.key_layout, parts=(*parts, (source, positions)))
+        repeated = replace(qkv, key_layout=layout)
         with pytest.raises(ShapeError, match="repeat a grid position"):
             evaluate_shared(repeated, scene, CFG)
 
