@@ -30,7 +30,7 @@ import numpy as np
 
 from .bands import Band, BandPartition, band_mask
 from .errors import ConfigurationError, ShapeError
-from .rope import Position2D, RotaryConfig, apply_rope_batch, as_position
+from .rope import RotaryConfig, _position, apply_rope_batch
 
 __all__ = [
     "TokenSet",
@@ -232,7 +232,7 @@ class SharingParams:
     s: float = 1.0
     schedule: ModulationSchedule | None = None
     ramp: TimestepRamp | None = None
-    offset: Position2D | None = None
+    offset: tuple[int, int] | None = None
     adain_enabled: bool = True
     band_mask_override: BandMaskSpec | None = None
 
@@ -248,7 +248,7 @@ class SharingParams:
         if self.mode == "shifted":
             if self.offset is None:
                 raise ConfigurationError("shifted mode requires an offset")
-            object.__setattr__(self, "offset", as_position(self.offset))
+            object.__setattr__(self, "offset", tuple(_position(self.offset)[0].tolist()))
         elif self.offset is not None:
             raise ConfigurationError("offset only applies to shifted mode")
 
@@ -478,10 +478,9 @@ def build_shared_qkv(
     if params.mode != "none":
         ref_positions = reference.positions
         if params.mode == "shifted":
-            off = params.offset
-            if off.x == 0 and off.y == 0:
+            if params.offset == (0, 0):
                 notes.append("shifted mode with zero offset degenerates to plain")
-            ref_positions = shift_positions(ref_positions, off)
+            ref_positions = shift_positions(ref_positions, params.offset)
         ref_rot = apply_rope_batch(reference.features, ref_positions, config)
         if params.mode in ("plain", "shifted"):
             ref_rot = ref_rot * params.s
@@ -507,12 +506,10 @@ def shift_positions(positions: np.ndarray, offset) -> np.ndarray:
     pos = np.asarray(positions)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ShapeError(f"expected positions of shape (n, 2), got {pos.shape}")
-    off = as_position(offset)
+    off = _position(offset)
     if pos.size:
         bounds = np.iinfo(np.int64)
-        for lo, hi, d in zip(pos.min(axis=0).tolist(), pos.max(axis=0).tolist(), (off.x, off.y)):
+        for lo, hi, d in zip(pos.min(axis=0).tolist(), pos.max(axis=0).tolist(), off[0].tolist()):
             if lo + d < bounds.min or hi + d > bounds.max:
-                raise ConfigurationError(
-                    f"offset {off.as_tuple()} moves a position out of the int64 range"
-                )
-    return pos + np.array([off.x, off.y], dtype=pos.dtype)
+                raise ConfigurationError(f"offset {offset} moves a position out of the int64 range")
+    return pos + off

@@ -22,7 +22,6 @@ __all__ = [
     "BandPartition",
     "DecayCurve",
     "make_even_partition",
-    "mean_band_similarity",
     "decay_curve",
     "decay_curve_to_csv",
     "band_mask",
@@ -130,11 +129,6 @@ _BLOCK_BYTES = 2**18
 def _block_deltas(row_values: int) -> int:
     """Deltas per block when each delta holds ``row_values`` f64 values."""
     return max(1, _BLOCK_BYTES // (8 * row_values))
-
-
-def mean_band_similarity(delta: int, band: Band, config: RotaryConfig) -> float:
-    """Mean of ``cos(delta * theta_d)`` over the band's chunks: a one-point :func:`decay_curve`."""
-    return float(decay_curve((delta,), BandPartition((band,)), config).series[band.label][0])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shutil
 import sys
 import tempfile
@@ -31,6 +30,7 @@ from .attention import (
     ModulationSchedule,
     SharingParams,
     TimestepRamp,
+    _BLOCK_BYTES,
     _check_heads,
     _effective_schedule,
     build_shared_qkv,
@@ -72,8 +72,13 @@ def _int(value, context: str, minimum: int | None = None) -> int:
 
 
 def _number(value, context: str) -> float:
-    """``value`` as a float if it is a finite JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """``value`` as a float if it is a finite JSON number (not a bool).
+
+    The bound is a comparison, exact for an integer of any size (and false for
+    NaN), where converting an integer too large for a float would raise.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
         raise ConfigurationError(f"{context} must be a finite number, got {value!r}")
     return float(value)
 
@@ -310,6 +315,12 @@ class ExperimentConfig:
         cells = norm["grid"]["width"] * norm["grid"]["height"]
         if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, *_ in [base, *runs]):
             raise ConfigurationError("sharing.adain needs a grid of at least 2 cells")
+        # One logits row (8 bytes a key) must fit in an evaluation block.
+        keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, *_ in runs)
+        if keys > _BLOCK_BYTES // 8:
+            raise ConfigurationError(
+                f"an entry has {keys} keys, past the {_BLOCK_BYTES // 8} whose logits fill a block"
+            )
         entries = tuple((f"entry{i}", *run) for i, run in enumerate(runs))
         cfg = cls(normalized=norm, rotary=config, partition=partition, entries=entries)
         _output_paths(cfg, norm["output"]["report"])
@@ -513,10 +524,12 @@ def cmd_bands(args) -> int:
 
 def cmd_shared_attn(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"invalid config {args.config}: not UTF-8 ({exc})") from exc
-    cfg = ExperimentConfig.from_json_dict(json.loads(text))
+    except ValueError as exc:  # not JSON, or an integer with more digits than int() takes
+        raise ConfigurationError(f"invalid config {args.config}: {exc}") from exc
+    cfg = ExperimentConfig.from_json_dict(raw)
     if args.seed is not None:
         seed = _int(args.seed, "seed", minimum=0)
         cfg = replace(cfg, normalized={**cfg.normalized, "seed": seed})
@@ -607,9 +620,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 3
     except RopeFreqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -31,42 +31,14 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 
 __all__ = [
-    "Position2D",
     "RotaryConfig",
     "ChunkTerm",
-    "as_position",
     "frequencies",
-    "rotate_chunk",
-    "apply_rope",
     "apply_rope_batch",
     "relative_inner_product",
     "chunk_decomposition",
     "reconstruct_inner_product",
 ]
-
-
-@dataclass(frozen=True)
-class Position2D:
-    """Integer grid coordinate. Negative values are allowed (shift modes)."""
-
-    x: int
-    y: int
-
-    def __sub__(self, other: "Position2D") -> "Position2D":
-        return Position2D(self.x - other.x, self.y - other.y)
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
-
-def as_position(pos) -> Position2D:
-    """Coerce a Position2D, ``(x, y)`` pair, or length-2 array to Position2D."""
-    if isinstance(pos, Position2D):
-        return pos
-    seq = tuple(np.asarray(pos).reshape(-1).tolist())
-    if len(seq) != 2:
-        raise ShapeError(f"expected a 2-D position, got {pos!r}")
-    return Position2D(int(seq[0]), int(seq[1]))
 
 
 @dataclass(frozen=True)
@@ -165,6 +137,16 @@ def frequencies(config: RotaryConfig) -> np.ndarray:
     return (1.0 / config.rope_base) ** (2.0 * d / config.dim)
 
 
+def _position(pos) -> np.ndarray:
+    """An ``(x, y)`` pair as a ``(1, 2)`` int64 row, the form of a position array's rows."""
+    xy = [int(v) for v in np.asarray(pos).reshape(-1).tolist()]
+    if len(xy) != 2:
+        raise ShapeError(f"expected a 2-D position, got {pos!r}")
+    if not all(-(2**63) <= v < 2**63 for v in xy):
+        raise ConfigurationError(f"position {tuple(xy)} is out of the int64 range")
+    return np.array([xy], dtype=np.int64)
+
+
 def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
     """Rotation angle of every chunk for each ``(x, y)`` row of ``positions``.
 
@@ -190,27 +172,6 @@ def _rotate_pairs(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
     out[..., 0::2] = a * c - b * s
     out[..., 1::2] = a * s + b * c
     return out
-
-
-def rotate_chunk(chunk, angle: float) -> np.ndarray:
-    """Rotate one 2-D chunk by ``angle`` radians (counterclockwise)."""
-    c = np.asarray(chunk, dtype=np.float64).reshape(-1)
-    if c.shape != (2,):
-        raise ShapeError(f"a chunk has exactly 2 entries, got shape {c.shape}")
-    return _rotate_pairs(c, np.array([float(angle)]))
-
-
-def apply_rope(vec, pos, config: RotaryConfig) -> np.ndarray:
-    """Apply the rotary encoding for grid position ``pos`` to one embedding.
-
-    The result has the same Euclidean norm as the input (rotations are
-    isometries) and rotating by ``p1`` then ``p2`` equals rotating by
-    ``p1 + p2``. It is the one-row case of :func:`apply_rope_batch`.
-    """
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (config.dim,):
-        raise ShapeError(f"expected embedding of shape ({config.dim},), got {v.shape}")
-    return apply_rope_batch(v[np.newaxis], [as_position(pos).as_tuple()], config)[0]
 
 
 def apply_rope_batch(features: np.ndarray, positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
@@ -249,11 +210,11 @@ def relative_inner_product(q, k, delta, config: RotaryConfig) -> float:
     """Rotary attention inner product for displacement ``delta = pos_k - pos_q``.
 
     Evaluates ``sum_d <q_d, R(delta . theta_d) k_d>`` without materializing
-    rotated vectors; equal to ``<apply_rope(q, m), apply_rope(k, n)>`` for
-    every ``m, n`` with ``n - m == delta``.
+    rotated vectors; equal to ``q_m @ k_n`` for ``q_m, k_n = apply_rope_batch([q, k],
+    [m, n], config)`` whenever ``n - m == delta``.
     """
     dots, crosses, _, _ = _chunk_products(q, k, config)
-    angles = _angles(np.array([as_position(delta).as_tuple()]), config)[0]
+    angles = _angles(_position(delta), config)[0]
     return float(np.sum(dots * np.cos(angles) + crosses * np.sin(angles)))
 
 
@@ -289,7 +250,7 @@ def chunk_decomposition(q, k, delta, config: RotaryConfig) -> list[ChunkTerm]:
     dots, crosses, mq, mk = _chunk_products(q, k, config)
     # cos(alpha + rot) must match <q_d, R(delta.theta_d) k_d>, which expands to
     # cos((angle_q - angle_k) - delta*theta_d); hence rot carries -delta.
-    rot = -_angles(np.array([as_position(delta).as_tuple()]), config)[0]
+    rot = -_angles(_position(delta), config)[0]
     zero = (mq == 0.0) | (mk == 0.0)
     alpha = np.where(zero, 0.0, np.arctan2(crosses, dots))
     return [

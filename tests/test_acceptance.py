@@ -18,11 +18,10 @@ from ropefreq import (
     Band,
     BandMaskSpec,
     ModulationSchedule,
-    Position2D,
     RotaryConfig,
     SharingParams,
     TimestepRamp,
-    apply_rope,
+    apply_rope_batch,
     build_shared_qkv,
     chunk_decomposition,
     make_even_partition,
@@ -82,19 +81,17 @@ def test_criterion_1_rope_identity_suite():
     worst_identity = worst_isometry = worst_additivity = 0.0
     for _ in range(1000):
         q, k = rng.standard_normal((2, 128))
-        m = Position2D(*rng.integers(-32, 33, 2))
-        n = Position2D(*rng.integers(-32, 33, 2))
-        direct = float(apply_rope(q, m, cfg) @ apply_rope(k, n, cfg))
+        m, n = rng.integers(-32, 33, 2), rng.integers(-32, 33, 2)
+        rotated, k_n, once = apply_rope_batch([q, k, q], [m, n, m + n], cfg)
+        direct = float(rotated @ k_n)
         closed = relative_inner_product(q, k, n - m, cfg)
         worst_identity = max(worst_identity, abs(direct - closed))
 
-        rotated = apply_rope(q, m, cfg)
         worst_isometry = max(
             worst_isometry,
             abs(np.linalg.norm(rotated) - np.linalg.norm(q)) / np.linalg.norm(q),
         )
-        twice = apply_rope(rotated, n, cfg)
-        once = apply_rope(q, (m.x + n.x, m.y + n.y), cfg)
+        (twice,) = apply_rope_batch([rotated], [n], cfg)
         worst_additivity = max(worst_additivity, float(np.max(np.abs(twice - once))))
     elapsed = time.perf_counter() - start
     ok = (
@@ -117,7 +114,7 @@ def test_criterion_2_polar_decomposition():
     worst = 0.0
     for _ in range(200):
         q, k = rng.standard_normal((2, 128))
-        delta = Position2D(*rng.integers(-16, 17, 2))
+        delta = tuple(rng.integers(-16, 17, 2).tolist())
         terms = chunk_decomposition(q, k, delta, cfg)
         expected = relative_inner_product(q, k, delta, cfg)
         worst = max(worst, abs(reconstruct_inner_product(terms) - expected))

@@ -16,7 +16,6 @@ from ropefreq import (
     BandMaskSpec,
     ConfigurationError,
     ModulationSchedule,
-    Position2D,
     RotaryConfig,
     ShapeError,
     SharingParams,
@@ -290,12 +289,12 @@ class TestShiftPositions:
         assert set(shifted[:, 0].tolist()) == {4, 5, 6, 7}
 
     def test_negative_offset(self):
-        out = shift_positions(np.array([[0, 0], [1, 0]]), Position2D(-3, 2))
+        out = shift_positions(np.array([[0, 0], [1, 0]]), (-3, 2))
         assert out.tolist() == [[-3, 2], [-2, 2]]
 
     def test_rejects_position_list(self):
         with pytest.raises(ShapeError):
-            shift_positions([Position2D(0, 0), Position2D(1, 0)], (1, 0))
+            shift_positions([0, 0, 1, 0], (1, 0))
 
     @pytest.mark.parametrize(
         "offset", [(2**63 - 1, 0), (0, -(2**63) - 1), (10**30, 0), (-(10**30), 5)]
@@ -404,7 +403,7 @@ class TestBuildSharedQKV:
         n_target = scene.target.n_tokens + text.n_tokens
         i, j = 3, 7  # query token i, reference key j
         logit = float(qkv.q[i] @ qkv.k[n_target + j])
-        delta = Position2D(*scene.reference.positions[j]) - Position2D(*scene.target.positions[i])
+        delta = scene.reference.positions[j] - scene.target.positions[i]
         terms = chunk_decomposition(
             scene.target.features[i], scene.reference.features[j], delta, CFG
         )

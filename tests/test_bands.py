@@ -22,7 +22,6 @@ from ropefreq import (
     decay_curve_to_csv,
     frequencies,
     make_even_partition,
-    mean_band_similarity,
 )
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "decay_fixture.json").read_text())
@@ -74,22 +73,20 @@ class TestMeanBandSimilarity:
     def test_zero_delta_is_one(self):
         cfg = RotaryConfig(dim=128)
         for band in make_even_partition(cfg, 3, "all").bands:
-            assert mean_band_similarity(0, band, cfg) == 1.0
+            assert decay_curve([0], BandPartition((band,)), cfg).series[band.label][0] == 1.0
 
     def test_single_chunk_band(self):
         cfg = RotaryConfig(dim=128)
         theta = frequencies(cfg)
-        band = Band("one", 17, 18)
-        for delta in (1, 5, 40):
-            assert mean_band_similarity(delta, band, cfg) == pytest.approx(
-                math.cos(delta * theta[17]), abs=1e-15
-            )
+        curve = decay_curve([1, 5, 40], BandPartition((Band("one", 17, 18),)), cfg)
+        np.testing.assert_allclose(
+            curve.series["one"], np.cos(curve.delta_values * theta[17]), rtol=0, atol=1e-15
+        )
 
     def test_high_third_matches_term_by_term_oracle(self):
         cfg = RotaryConfig(dim=128)
         stop = 64 // 3
-        band = Band("high", 0, stop)
-        got = mean_band_similarity(8, band, cfg)
+        got = decay_curve([8], BandPartition((Band("high", 0, stop),)), cfg).series["high"][0]
         assert got == pytest.approx(oracles.o_band_mean(8, 0, stop, 128, 10000.0), abs=1e-12)
 
 
@@ -137,11 +134,17 @@ class TestDecayCurve:
             assert np.array_equal(curve.series[label], expected)
 
     def test_single_band_similarity_is_a_one_point_curve(self):
+        # A band's one-point curve is its point in the whole partition's curve.
         cfg = RotaryConfig(dim=128)
-        for band in make_even_partition(cfg, 3, "all").bands:
-            for delta in (-7, 0, 3, 10**5):
-                curve = decay_curve([delta], BandPartition((band,)), cfg)
-                assert mean_band_similarity(delta, band, cfg) == curve.series[band.label][0]
+        part = make_even_partition(cfg, 3, "all")
+        deltas = [-7, 0, 3, 10**5]
+        curve = decay_curve(deltas, part, cfg)
+        for band in part.bands:
+            for i, delta in enumerate(deltas):
+                point = decay_curve([delta], BandPartition((band,)), cfg).series[band.label][0]
+                assert point == curve.series[band.label][i]
+                expected = oracles.o_band_mean(delta, band.start, band.stop, 128, 10000.0)
+                assert point == pytest.approx(expected, abs=1e-9)
 
     def test_matches_frozen_oracle_table(self):
         cfg = RotaryConfig.single_axis(FIXTURE["dim"], FIXTURE["rope_base"])

@@ -365,6 +365,13 @@ class TestSharedAttn:
             ({**PLAIN, "band_mask": {"label": 3, "start": 0, "stop": 4, "mode": "zero"}}, {}),
             # null is the one way to turn attribution off.
             (PLAIN, {"attribution_bands": 0}),
+            # Integers too large for a float.
+            ({"mode": "plain", "s": 10**400}, {}),
+            ({"mode": "plain", "s": -(10**400)}, {}),
+            (PLAIN, {"rotary": {"dim": DEMO["dim"], "rope_base": 10**400}}),
+            (PLAIN, {"rotary": {"dim": DEMO["dim"], "rope_base": -(10**400)}}),
+            ({**PLAIN, "band_mask": {"start": 0, "stop": 4, "mode": "scale", "scale": 10**400}}, {}),
+            ({**PLAIN, "band_mask": {"start": 0, "stop": 4, "mode": "scale", "scale": -(10**400)}}, {}),
         ],
     )
     def test_emit_config_rejects_what_the_run_rejects(self, tmp_path, sharing, overrides):
@@ -374,6 +381,24 @@ class TestSharedAttn:
         assert not emitted.exists()
         assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
         assert not report_path.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"grid": {"width": 3_000_000, "height": 3_000_000}}, 3),
+            ({"text_tokens": 10**12}, 3),
+            # 2 * 512**2 keys: one logits row fills an evaluation block exactly.
+            ({"grid": {"width": 512, "height": 512}, "text_tokens": 0}, 0),
+            ({"grid": {"width": 512, "height": 512}, "text_tokens": 1}, 3),
+        ],
+    )
+    def test_emit_config_bounds_the_key_count(self, tmp_path, overrides, code):
+        # Only --emit-config: an accepted config this size would take far too
+        # long to run, and a rejected one could not even be allocated.
+        cfg_path, _ = demo_config(tmp_path, PLAIN, **overrides)
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == code
+        assert emitted.exists() == (code == 0)
 
     def test_offset_to_the_int64_bound_runs_unwrapped(self, tmp_path):
         width = DEMO["grid"]
@@ -415,6 +440,18 @@ class TestSharedAttn:
         path.write_bytes(b"\xff\xfe" + '{"seed": 1}'.encode("utf-16-le"))
         assert main(["shared-attn", str(path), "--quiet"]) == 3
         assert capsys.readouterr().err.startswith(f"error: invalid config {path}: not UTF-8")
+
+    def test_overlong_integer_in_config_exits_3(self, tmp_path, capsys):
+        # Past Python's int digit limit json.loads raises a plain ValueError.
+        cfg_path, report_path = demo_config(tmp_path, PLAIN)
+        seed = f'"seed": {DEMO["seed"]},'
+        assert seed in cfg_path.read_text()
+        cfg_path.write_text(cfg_path.read_text().replace(seed, '"seed": ' + "1" * 5000 + ","))
+        emitted = tmp_path / "normalized.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert not emitted.exists() and not report_path.exists()
+        assert capsys.readouterr().err.startswith(f"error: invalid config {cfg_path}: Exceeds")
 
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["shared-attn", str(tmp_path / "nope.json"), "--quiet"]) == 4

@@ -2,8 +2,10 @@
 
 Generated configs cover small grids, every partition preset, every sharing
 mode, ramps, band masks and sweeps with ``step``, with values on both sides
-of each check. Whatever ``--emit-config`` decides, the run decides the same:
-exit 0 with the emitted config echoed in the report, or exit 3 and no files.
+of each check, numbers too large for a float, and now and then a grid or a
+text count past the key bound. Whatever ``--emit-config`` decides, the run
+decides the same: exit 0 with the emitted config echoed in the report, or
+exit 3 and no files.
 """
 
 import json
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 from ropefreq.cli import PARTITION_NAMES, main
 
-SCALES = st.one_of(st.integers(0, 3), st.floats(-0.25, 3.0))
+# Numbers on both sides of each check, and integers too large for a float.
+SCALES = st.one_of(st.sampled_from([0, 1, 2, 3, 10**400, -(10**400)]), st.floats(-0.25, 3.0))
 STEPS = st.integers(-1, 4)
 # Small shifts, and shifts that take a grid position up to or past an int64 bound.
 OFFSETS = st.one_of(
@@ -68,19 +71,24 @@ def sweep_items(draw):
 
 @st.composite
 def configs(draw):
+    # Now and then a grid or a text count far past the key bound, whose
+    # tokens a run could not even allocate.
+    huge = draw(st.sampled_from([None] * 8 + ["grid", "text"]))
     cfg = {
         "rotary": {
             "dim": draw(st.sampled_from([8, 16, 32])),
             "partition": draw(st.sampled_from(PARTITION_NAMES)),
         },
-        "grid": {"width": draw(st.integers(1, 3)), "height": draw(st.integers(1, 3))},
+        "grid": {"width": draw(st.integers(1, 3)), "height": draw(st.integers(1, 3))}
+        if huge != "grid"
+        else {"width": 10**6, "height": 10**6},
         "scene": {
             "kind": draw(st.sampled_from(["identity", "shuffle", "shift"])),
             "noise_level": draw(st.floats(0.0, 1.0)),
             "shift": draw(st.integers(-9, 9)),
             "style_strength": draw(st.floats(0.0, 0.95)),
         },
-        "text_tokens": draw(st.integers(0, 2)),
+        "text_tokens": draw(st.integers(0, 2)) if huge != "text" else 10**12,
         "heads": draw(st.integers(1, 2)),
         "sharing": draw(sharing_sections()),
         "seed": draw(st.integers(0, 100)),

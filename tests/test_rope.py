@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 import oracles
 from ropefreq import (
     ConfigurationError,
-    Position2D,
     RotaryConfig,
     ShapeError,
-    apply_rope,
     apply_rope_batch,
     chunk_decomposition,
     frequencies,
     reconstruct_inner_product,
     relative_inner_product,
-    rotate_chunk,
 )
 
 CFG128 = RotaryConfig(dim=128)
+# One chunk on x with theta_0 == 1, so a token at (x, 0) is turned by x radians.
+CFG2 = RotaryConfig.single_axis(2)
 
 
 class TestRotaryConfig:
@@ -84,51 +83,58 @@ class TestFrequencies:
 
 class TestRotateChunk:
     def test_zero_angle_identity(self):
-        np.testing.assert_array_equal(rotate_chunk((1.0, 0.0), 0.0), [1.0, 0.0])
+        np.testing.assert_array_equal(apply_rope_batch([[1.0, 0.0]], [(0, 0)], CFG2), [[1.0, 0.0]])
 
     def test_quarter_turn(self):
-        np.testing.assert_allclose(rotate_chunk((1.0, 0.0), math.pi / 2), [0.0, 1.0], atol=1e-12)
+        # Rotations commute with the quarter turn (a, b) -> (-b, a).
+        (c, s), turned = apply_rope_batch([[1.0, 0.0], [0.0, 1.0]], [(5, 0), (5, 0)], CFG2)
+        np.testing.assert_array_equal(turned, [-s, c])
+        np.testing.assert_allclose([c, s], [math.cos(5.0), math.sin(5.0)], atol=1e-15)
 
     def test_matches_complex_multiplication(self):
         rng = np.random.default_rng(3)
         chunk = rng.standard_normal(2)
-        z = complex(chunk[0], chunk[1]) * np.exp(1j * 0.7)
-        np.testing.assert_allclose(rotate_chunk(chunk, 0.7), [z.real, z.imag], atol=1e-15)
+        z = complex(chunk[0], chunk[1]) * np.exp(7j)
+        np.testing.assert_allclose(
+            apply_rope_batch([chunk], [(7, 0)], CFG2)[0], [z.real, z.imag], atol=1e-15
+        )
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            chunk = rng.standard_normal(2)
-            out = rotate_chunk(chunk, rng.uniform(-10, 10))
-            assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(chunk), abs=1e-15)
+        chunks = rng.standard_normal((20, 2))
+        pos = np.column_stack([rng.integers(-10, 11, size=20), np.zeros(20, dtype=np.int64)])
+        out = apply_rope_batch(chunks, pos, CFG2)
+        np.testing.assert_allclose(
+            np.linalg.norm(out, axis=1), np.linalg.norm(chunks, axis=1), rtol=0, atol=1e-15
+        )
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ShapeError):
-            rotate_chunk((1.0, 2.0, 3.0), 0.1)
+            apply_rope_batch([[1.0, 2.0, 3.0]], [(0, 0)], CFG2)
 
 
 class TestApplyRope:
     def test_origin_is_identity(self):
         rng = np.random.default_rng(5)
-        v = rng.standard_normal(128)
-        np.testing.assert_array_equal(apply_rope(v, (0, 0), CFG128), v)
+        v = rng.standard_normal((1, 128))
+        np.testing.assert_array_equal(apply_rope_batch(v, [(0, 0)], CFG128), v)
 
     def test_hand_evaluated_dim4(self):
         cfg = RotaryConfig(dim=4, x_chunks=(0,), y_chunks=(1,))
-        out = apply_rope([1.0, 0.0, 1.0, 0.0], (1, 0), cfg)
+        (out,) = apply_rope_batch([[1.0, 0.0, 1.0, 0.0]], [(1, 0)], cfg)
         np.testing.assert_allclose(out, [math.cos(1.0), math.sin(1.0), 1.0, 0.0], atol=1e-15)
 
     def test_norm_preserved_at_mixed_position(self):
         rng = np.random.default_rng(6)
         v = rng.standard_normal(128)
-        out = apply_rope(v, (3, -2), CFG128)
+        (out,) = apply_rope_batch([v], [(3, -2)], CFG128)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), rel=1e-10)
 
     def test_matches_complex_oracle(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal(64)
         cfg = RotaryConfig(dim=64)
-        out = apply_rope(v, (5, -3), cfg)
+        (out,) = apply_rope_batch([v], [(5, -3)], cfg)
         exp = oracles.o_apply_rope(list(v), 5, -3, 64, 10000.0)
         np.testing.assert_allclose(out, exp, atol=1e-14)
 
@@ -136,12 +142,12 @@ class TestApplyRope:
         cfg = RotaryConfig.flux_like(32)
         v = np.zeros(32)
         v[: 2 * len(cfg.temporal_chunks)] = np.arange(1, 2 * len(cfg.temporal_chunks) + 1)
-        for pos in [(0, 0), (9, -4), (100, 55)]:
-            np.testing.assert_array_equal(apply_rope(v, pos, cfg), v)
+        pos = [(0, 0), (9, -4), (100, 55)]
+        np.testing.assert_array_equal(apply_rope_batch([v] * 3, pos, cfg), [v] * 3)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ShapeError):
-            apply_rope(np.ones(12), (0, 0), CFG128)
+            apply_rope_batch(np.ones((1, 12)), [(0, 0)], CFG128)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
@@ -149,8 +155,8 @@ class TestApplyRope:
         pos = rng.integers(-10, 10, size=(5, 2))
         batch = apply_rope_batch(feats, pos, CFG128)
         for i in range(5):
-            np.testing.assert_array_equal(batch[i], apply_rope(feats[i], tuple(pos[i]), CFG128))
-
+            exp = oracles.o_apply_rope(list(feats[i]), *pos[i].tolist(), 128, 10000.0)
+            np.testing.assert_allclose(batch[i], exp, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("make", [RotaryConfig.interleaved, RotaryConfig.flux_like])
     def test_single_is_a_batch_row(self, make):
@@ -159,8 +165,10 @@ class TestApplyRope:
         feats = rng.standard_normal((6, 64))
         pos = rng.integers(-40, 40, size=(6, 2))
         batch = apply_rope_batch(feats, pos, cfg)
+        axes = (cfg.x_chunks, cfg.y_chunks, cfg.temporal_chunks)
         for i in range(6):
-            np.testing.assert_array_equal(apply_rope(feats[i], Position2D(*pos[i]), cfg), batch[i])
+            exp = oracles.o_apply_rope(list(feats[i]), *pos[i].tolist(), 64, 10000.0, axes)
+            np.testing.assert_allclose(batch[i], exp, rtol=0, atol=1e-13)
 
     def test_rotate_chunk_is_a_batch_chunk(self):
         cfg = RotaryConfig.single_axis(16)
@@ -171,8 +179,11 @@ class TestApplyRope:
         batch = apply_rope_batch(feats, pos, cfg)
         for i in range(4):
             for d in range(cfg.n_chunks):
-                got = rotate_chunk(feats[i, 2 * d : 2 * d + 2], float(pos[i, 0]) * theta[d])
-                np.testing.assert_array_equal(got, batch[i, 2 * d : 2 * d + 2])
+                a, b = feats[i, 2 * d : 2 * d + 2]
+                c, s = math.cos(pos[i, 0] * theta[d]), math.sin(pos[i, 0] * theta[d])
+                got = batch[i, 2 * d : 2 * d + 2]
+                np.testing.assert_allclose(got, [a * c - b * s, a * s + b * c], rtol=0, atol=1e-14)
+
 
 class TestRelativeInnerProduct:
     def test_zero_delta_is_plain_dot(self):
@@ -183,9 +194,8 @@ class TestRelativeInnerProduct:
     def test_two_sided_evaluation(self):
         rng = np.random.default_rng(10)
         q, k = rng.standard_normal((2, 128))
-        m, n = Position2D(2, 5), Position2D(7, 1)
-        direct = float(apply_rope(q, m, CFG128) @ apply_rope(k, n, CFG128))
-        assert relative_inner_product(q, k, n - m, CFG128) == pytest.approx(direct, abs=1e-10)
+        q_m, k_n = apply_rope_batch([q, k], [(2, 5), (7, 1)], CFG128)
+        assert relative_inner_product(q, k, (5, -4), CFG128) == pytest.approx(q_m @ k_n, abs=1e-10)
 
     def test_single_chunk_closed_form(self):
         cfg = RotaryConfig(dim=8)
@@ -258,14 +268,15 @@ class TestProperties:
     @given(finite_vec, position)
     def test_isometry(self, v, pos):
         cfg = RotaryConfig(dim=32)
-        out = apply_rope(v, pos, cfg)
+        (out,) = apply_rope_batch([v], [pos], cfg)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), rel=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(finite_vec, finite_vec, position, position)
     def test_relative_position_identity(self, q, k, m, n):
         cfg = RotaryConfig(dim=32)
-        direct = float(apply_rope(q, m, cfg) @ apply_rope(k, n, cfg))
+        q_m, k_n = apply_rope_batch([q, k], [m, n], cfg)
+        direct = float(q_m @ k_n)
         delta = (n[0] - m[0], n[1] - m[1])
         assert relative_inner_product(q, k, delta, cfg) == pytest.approx(direct, abs=1e-10)
 
@@ -273,8 +284,8 @@ class TestProperties:
     @given(finite_vec, position, position)
     def test_additivity(self, v, p1, p2):
         cfg = RotaryConfig(dim=32)
-        twice = apply_rope(apply_rope(v, p1, cfg), p2, cfg)
-        once = apply_rope(v, (p1[0] + p2[0], p1[1] + p2[1]), cfg)
+        twice = apply_rope_batch(apply_rope_batch([v], [p1], cfg), [p2], cfg)
+        once = apply_rope_batch([v], [(p1[0] + p2[0], p1[1] + p2[1])], cfg)
         np.testing.assert_allclose(twice, once, atol=1e-10)
 
     @settings(max_examples=30, deadline=None)
