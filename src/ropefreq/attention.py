@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import Band, BandPartition, band_mask
+from .bands import Band, BandPartition, _band_factor
 from .errors import ConfigurationError, ShapeError
 from .rope import RotaryConfig, _position, apply_rope_batch
 
@@ -304,11 +304,14 @@ class SharedQKV:
         return self.k[: len(self.query_layout)]
 
 
-def adain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Re-statistic ``x`` per channel to the mean/std of ``y``.
 
     Uses population statistics. Channels of ``x`` with std below 1e-8 cannot
     be normalized; they pass through as the constant ``mean(y)`` (zero scale).
+    The result is written to ``out`` (a new array when it is ``None``), an
+    f64 array of ``x``'s shape which may be ``x`` itself, and ``out`` is
+    returned.
     """
     xm = np.asarray(x, dtype=np.float64)
     ym = np.asarray(y, dtype=np.float64)
@@ -316,11 +319,16 @@ def adain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeError(f"adain needs two (n, dim) matrices of equal width, got {xm.shape} and {ym.shape}")
     if ym.shape[0] < 2:
         raise ShapeError("reference statistics need at least 2 rows")
+    if out is not None and (out.shape != xm.shape or out.dtype != np.float64):
+        raise ShapeError(f"expected an f64 out of shape {xm.shape}, got {out.dtype} {out.shape}")
     mean_x, std_x = xm.mean(axis=0), xm.std(axis=0)
     mean_y, std_y = ym.mean(axis=0), ym.std(axis=0)
     degenerate = std_x < ADAIN_STD_FLOOR
     safe_std = np.where(degenerate, 1.0, std_x)
-    out = (xm - mean_x) / safe_std * std_y + mean_y
+    out = np.subtract(xm, mean_x, out=out)
+    out /= safe_std
+    out *= std_y
+    out += mean_y
     if np.any(degenerate):
         out[:, degenerate] = mean_y[degenerate]
     return out
@@ -353,7 +361,8 @@ def _attention_blocks(
     ``k_rot[band_keys]`` (after the 1/sqrt(head_dim) scaling, before the
     stabilizing max subtraction), shaped (bands, rows, band keys), or
     ``None`` without a partition. Every key is in every block, so each
-    softmax row is exact and needs no rescaling.
+    softmax row is exact and needs no rescaling. Both arrays are views of
+    buffers the next block overwrites: copy what must outlive the block.
 
     Heads and partition are checked (:func:`_check_heads`) before the first
     block; a softmax row that is not finite (overflowing or NaN logits)
@@ -384,15 +393,23 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
     head_dim = q_rot.shape[1] // heads
     scale = 1.0 / math.sqrt(head_dim)
     step = _block_rows(k_rot.shape[0])
+    # Every block is computed into the same buffers, so one block is held
+    # however many there are, and no block's memory goes back to the
+    # allocator (and its pages to the OS) only to be asked for again.
+    rows = min(step, q_rot.shape[0])
+    logits = np.empty((min(heads, 2), rows, k_rot.shape[0]))
+    if band_partition is not None:
+        band_logits = np.empty((len(band_partition.bands), rows, band_k.shape[0]))
     for start in range(0, q_rot.shape[0], step):
         qb = q_rot[start : start + step]
-        attention = None
+        attention = logits[0, : qb.shape[0]]
         # Overflowing or NaN logits are caught by the finiteness guard below,
         # so NumPy's own warnings about them would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
             for h in range(heads):
                 sl = slice(h * head_dim, (h + 1) * head_dim)
-                a = qb[:, sl] @ k_rot[:, sl].T
+                a = logits[min(h, 1), : qb.shape[0]]
+                np.matmul(qb[:, sl], k_rot[:, sl].T, out=a)
                 a *= scale
                 a -= a.max(axis=1, keepdims=True)
                 np.exp(a, out=a)
@@ -404,16 +421,14 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
                         "attention softmax is not finite: the logits overflow or contain NaN"
                     )
                 a /= total
-                if attention is None:
-                    attention = a
-                else:
+                if h > 0:
                     attention += a
         if heads > 1:
             attention /= heads
 
         per_band = None
         if band_partition is not None:
-            per_band = np.empty((len(band_partition.bands), qb.shape[0], band_k.shape[0]))
+            per_band = band_logits[:, : qb.shape[0]]
             for i, band in enumerate(band_partition.bands):
                 cols = slice(2 * band.start, 2 * band.stop)
                 np.matmul(qb[:, cols], band_k[:, cols].T, out=per_band[i])
@@ -467,13 +482,6 @@ def build_shared_qkv(
         )
 
     notes: list[str] = []
-    img_feats = target.features
-    if params.adain_enabled and params.mode != "none":
-        img_feats = adain(img_feats, reference.features)
-
-    img_rot = apply_rope_batch(img_feats, target.positions, config)
-    txt_rot = apply_rope_batch(target_text.features, target_text.positions, config)
-    k_parts = [img_rot, txt_rot]
     parts = [("target-image", target.positions), ("target-text", target_text.positions)]
     if params.mode != "none":
         ref_positions = reference.positions
@@ -481,20 +489,35 @@ def build_shared_qkv(
             if params.offset == (0, 0):
                 notes.append("shifted mode with zero offset degenerates to plain")
             ref_positions = shift_positions(ref_positions, params.offset)
-        ref_rot = apply_rope_batch(reference.features, ref_positions, config)
+        parts.append(("reference-image", ref_positions))
+    layout = Layout(tuple(parts))
+
+    # Each run is rotated into its own rows of one preallocated stack.
+    k = np.empty((len(layout), config.dim))
+    img = k[layout.rows("target-image")]
+    img_feats = target.features
+    if params.adain_enabled and params.mode != "none":
+        img_feats = adain(img_feats, reference.features, out=img)
+    apply_rope_batch(img_feats, target.positions, config, out=img)
+    apply_rope_batch(
+        target_text.features, target_text.positions, config, out=k[layout.rows("target-text")]
+    )
+    if params.mode != "none":
+        ref = k[layout.rows("reference-image")]
+        apply_rope_batch(reference.features, ref_positions, config, out=ref)
         if params.mode in ("plain", "shifted"):
-            ref_rot = ref_rot * params.s
+            ref *= params.s
         else:
             schedule, sched_notes = _effective_schedule(params, config, step)
             notes.extend(sched_notes)
-            ref_rot = ref_rot * np.repeat(schedule.per_chunk_scales, 2)
+            ref *= np.repeat(schedule.per_chunk_scales, 2)
         if params.band_mask_override is not None:
             spec = params.band_mask_override
-            ref_rot = band_mask(ref_rot, spec.band, spec.mode, config, spec.scale)
-        k_parts.append(ref_rot)
-        parts.append(("reference-image", ref_positions))
+            ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= _band_factor(
+                spec.band, spec.mode, config, spec.scale
+            )
 
-    return SharedQKV(k=np.vstack(k_parts), key_layout=Layout(tuple(parts)), notes=tuple(notes))
+    return SharedQKV(k=k, key_layout=layout, notes=tuple(notes))
 
 
 def shift_positions(positions: np.ndarray, offset) -> np.ndarray:

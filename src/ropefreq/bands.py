@@ -211,6 +211,23 @@ def decay_curve_to_csv(curve: DecayCurve, out) -> None:
         out.write(row * len(deltas) % tuple(chain.from_iterable(zip(*columns))))
 
 
+def _band_factor(band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> float:
+    """The factor :func:`band_mask` multiplies ``band``'s coordinates by.
+
+    Raises :class:`ConfigurationError` if the band does not fit ``config``
+    or the mode (and scale) are not a valid mask.
+    """
+    if band.stop > config.n_chunks:
+        raise ConfigurationError(f"band {band.label!r} extends past the last chunk")
+    if mode == "zero":
+        return 0.0
+    if mode == "scale":
+        if scale is None:
+            raise ConfigurationError("mode 'scale' requires a scale value")
+        return float(scale)
+    raise ConfigurationError(f"mode must be 'zero' or 'scale', got {mode!r}")
+
+
 def band_mask(vec, band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> np.ndarray:
     """Zero or rescale the coordinates of one chunk band, leaving the rest.
 
@@ -220,15 +237,5 @@ def band_mask(vec, band: Band, mode: str, config: RotaryConfig, scale: float | N
     v = np.array(vec, dtype=np.float64)
     if v.shape[-1] != config.dim:
         raise ShapeError(f"expected last axis of width {config.dim}, got shape {v.shape}")
-    if band.stop > config.n_chunks:
-        raise ConfigurationError(f"band {band.label!r} extends past the last chunk")
-    if mode == "zero":
-        factor = 0.0
-    elif mode == "scale":
-        if scale is None:
-            raise ConfigurationError("mode 'scale' requires a scale value")
-        factor = float(scale)
-    else:
-        raise ConfigurationError(f"mode must be 'zero' or 'scale', got {mode!r}")
-    v[..., 2 * band.start : 2 * band.stop] *= factor
+    v[..., 2 * band.start : 2 * band.stop] *= _band_factor(band, mode, config, scale)
     return v

@@ -36,7 +36,7 @@ from .attention import (
     build_shared_qkv,
     shift_positions,
 )
-from .bands import Band, BandPartition, band_mask, decay_curve, decay_curve_to_csv, make_even_partition
+from .bands import Band, BandPartition, _band_factor, decay_curve, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, sidecar_path, write_attention_matrix
@@ -210,7 +210,7 @@ def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
         shift_positions(corners, params.offset)
     spec = params.band_mask_override
     if spec is not None:
-        band_mask(np.zeros(config.dim), spec.band, spec.mode, config, spec.scale)
+        _band_factor(spec.band, spec.mode, config, spec.scale)
     return params, sharing, step
 
 
@@ -409,6 +409,8 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
                 "band_attribution": None if attribution is None else attribution.mean_abs_logit,
             }
         )
+        # Let go of this entry before building the next, so one is held at a time.
+        del qkv, evaluation, attribution
 
     result: dict = {"config": norm, "entries": entries}
     if len(entries) > 1:
@@ -465,11 +467,23 @@ def _info(args, message: str) -> None:
         print(message)
 
 
+# Bytes a decay curve's arrays may hold: its int64 deltas and one f64 per
+# series per delta. 256 MiB takes --delta-max up to 8,388,607 with the
+# default 3 bands, or 6,710,885 with "full" as well.
+_CURVE_BYTES = 2**28
+
+
 def cmd_decay_curve(args) -> int:
     if args.delta_max < 0:
         raise ConfigurationError(f"--delta-max must be >= 0, got {args.delta_max}")
     config = RotaryConfig.single_axis(args.dim, args.rope_base, args.axis)
     partition = make_even_partition(config, args.bands, args.axis)
+    n_series = len(partition.bands) + args.include_full
+    largest = _CURVE_BYTES // (8 * (1 + n_series)) - 1
+    if args.delta_max > largest:
+        raise ConfigurationError(
+            f"--delta-max must be at most {largest} for {n_series} series, got {args.delta_max}"
+        )
     curve = decay_curve(
         range(args.delta_max + 1), partition, config, include_full=args.include_full
     )
@@ -579,7 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--rope-base", type=float, default=10000.0)
     p.add_argument("--bands", type=int, default=3)
-    p.add_argument("--delta-max", type=int, default=64)
+    p.add_argument(
+        "--delta-max", type=int, default=64,
+        help="largest shift; the curve must fit 256 MiB (at most 8,388,607 for 3 bands)",
+    )
     p.add_argument("--axis", choices=["x", "y"], default="x")
     p.add_argument("--include-full", action="store_true", help="add a series over all chunks")
     p.set_defaults(func=cmd_decay_curve)

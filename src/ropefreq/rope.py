@@ -162,23 +162,38 @@ def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
     return angles
 
 
-def _rotate_pairs(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate consecutive pairs of the last axis by per-chunk angles."""
+# Bytes of f64 rotation angles one block of rows may hold. The cos, sin and
+# product temporaries of a block are each about this size, so rotating a
+# stack holds a few times this budget however many rows it has.
+_ROTATE_BYTES = 2**20
+
+
+def _rotate_pairs(values: np.ndarray, angles: np.ndarray, out: np.ndarray) -> None:
+    """Rotate consecutive pairs of the last axis of ``values`` by per-chunk angles into ``out``.
+
+    ``out`` may be ``values``: both halves are computed from the old pairs
+    before either is written. ``angles`` is overwritten.
+    """
     c = np.cos(angles)
-    s = np.sin(angles)
+    s = np.sin(angles, out=angles)
     a = values[..., 0::2]
     b = values[..., 1::2]
-    out = np.empty_like(values)
-    out[..., 0::2] = a * c - b * s
+    even = a * c - b * s
     out[..., 1::2] = a * s + b * c
-    return out
+    out[..., 0::2] = even
 
 
-def apply_rope_batch(features: np.ndarray, positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
+def apply_rope_batch(
+    features: np.ndarray, positions: np.ndarray, config: RotaryConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rotary encoding of a stack of tokens, each at its own grid position.
 
     ``features`` is ``(n, dim)``; ``positions`` is ``(n, 2)`` integer grid
-    coordinates, column order (x, y).
+    coordinates, column order (x, y). The rotated rows are written to
+    ``out`` (a new array when it is ``None``), an f64 array of the features'
+    shape which may be ``features`` itself, and ``out`` is returned. Rows
+    are rotated a block at a time, so the temporaries stay within a fixed
+    budget however many rows there are.
     """
     feats = np.asarray(features, dtype=np.float64)
     pos = np.asarray(positions)
@@ -186,7 +201,15 @@ def apply_rope_batch(features: np.ndarray, positions: np.ndarray, config: Rotary
         raise ShapeError(f"expected features of shape (n, {config.dim}), got {feats.shape}")
     if pos.shape != (feats.shape[0], 2):
         raise ShapeError(f"expected positions of shape ({feats.shape[0]}, 2), got {pos.shape}")
-    return _rotate_pairs(feats, _angles(pos, config))
+    if out is None:
+        out = np.empty_like(feats)
+    elif out.shape != feats.shape or out.dtype != np.float64:
+        raise ShapeError(f"expected an f64 out of shape {feats.shape}, got {out.dtype} {out.shape}")
+    step = max(1, _ROTATE_BYTES // (8 * config.n_chunks))
+    for start in range(0, feats.shape[0], step):
+        rows = slice(start, start + step)
+        _rotate_pairs(feats[rows], _angles(pos[rows], config), out[rows])
+    return out
 
 
 def _chunk_products(q, k, config: RotaryConfig) -> tuple[np.ndarray, ...]:

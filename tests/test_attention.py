@@ -95,6 +95,21 @@ class TestAdain:
         x, y = rng.standard_normal((8, 5)), rng.standard_normal((9, 5))
         np.testing.assert_allclose(adain(x, y), oracles.o_adain(x, y), atol=1e-12)
 
+    def test_out_is_bit_identical(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((8, 5)), rng.standard_normal((9, 5))
+        x[:, 2] = 1.5  # a degenerate channel takes the reference mean
+        expected = adain(x, y)
+        stack = np.full((10, 5), 7.0)
+        rows = stack[1:9]
+        assert adain(x, y, out=rows) is rows
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_array_equal(stack[[0, 9]], 7.0)
+        assert adain(x, y, out=x) is x
+        np.testing.assert_array_equal(x, expected)
+        with pytest.raises(ShapeError):
+            adain(x, y, out=np.empty((9, 5)))
+
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             adain(np.ones((3, 4)), np.ones((3, 5)))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ropefreq.attention
+import ropefreq.rope
 from dense_reference import dense_alignment, dense_attribution, dense_softmax, streamed_evaluation
 from ropefreq import (
     Band,
@@ -82,11 +83,15 @@ def ragged_blocks(monkeypatch):
 
 def stacked_blocks(q, k, heads):
     """The softmax blocks of the kernel over ``q`` and ``k``, stacked in query order."""
-    blocks = list(ropefreq.attention._attention_blocks(q, k, heads, None, CFG, slice(None)))
-    assert len(blocks) > 1 and [start for start, _, _ in blocks] == list(
+    # Each block is copied as it comes: the next one overwrites its buffer.
+    blocks = [
+        (start, attention.copy())
+        for start, attention, _ in ropefreq.attention._attention_blocks(q, k, heads, None, CFG, slice(None))
+    ]
+    assert len(blocks) > 1 and [start for start, _ in blocks] == list(
         range(0, q.shape[0], ROWS_PER_BLOCK)
     )
-    return np.vstack([attention for _, attention, _ in blocks])
+    return np.vstack([attention for _, attention in blocks])
 
 
 def scene_and_text(seed=0):
@@ -183,3 +188,72 @@ def test_streamed_sweep_holds_less_than_one_matrix(tmp_path):
     for i in range(len(raw["sweep"])):
         assert (tmp_path / f"a.entry{i}.f4").stat().st_size == matrix_bytes
     assert peak < matrix_bytes
+
+
+def traced_growth(fn, *args, **kwargs):
+    """``(result, bytes)``: ``fn``'s result and its traced peak above what was live before it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def demo_scene(grid):
+    """The copying demo's scene and text at ``grid`` x ``grid``, and its rotary config."""
+    config = RotaryConfig.interleaved(128)
+    base = make_grid(grid, grid, config.dim, seed=10, style_strength=0.9)
+    scene = plant_scene(base, kind="identity", noise_level=1.0, seed=11)
+    return scene, make_text(4, config.dim, seed=12), config
+
+
+def test_shared_qkv_assembly_holds_one_stack():
+    # AdaIN writes into k and the runs are rotated in place or into k, so
+    # besides k assembly holds either AdaIN's one temporary the size of the
+    # target features (NumPy's std) or a few rotation blocks, plus small
+    # statistics. Stacking separate parts held the parts, the stack and the
+    # AdaIN output at once, about 2.7 k here; an AdaIN output apart from k
+    # would be live during the rotation too.
+    scene, text, config = demo_scene(80)
+    params = SharingParams(mode="plain", s=1.0)
+    qkv, peak = traced_growth(build_shared_qkv, scene.target, text, scene.reference, params, config)
+    budget = max(scene.target.features.nbytes, 6 * ropefreq.rope._ROTATE_BYTES)
+    assert peak < qkv.k.nbytes + budget + 2**19
+
+
+def test_evaluation_holds_one_block():
+    # One block's logits and its per-band logits are held, in buffers every
+    # block reuses, plus the alignment fold's transient copy of the block's
+    # reference columns (less than a block). Holding the previous block
+    # while the next is computed would add its logits and per-band logits.
+    scene, text, config = demo_scene(64)
+    params = SharingParams(mode="plain", s=1.0)
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+    partition = make_even_partition(config, 3, "all")
+    _, peak = traced_growth(evaluate_shared, qkv, scene, config, band_partition=partition)
+    rows = ropefreq.attention._block_rows(len(qkv.k))
+    block = 8 * rows * len(qkv.k)
+    per_band = 8 * len(partition.bands) * rows * scene.reference.n_tokens
+    assert peak < 2 * block + per_band
+
+
+def test_sweep_holds_one_entry_at_a_time():
+    # Each entry's keys are let go before the next entry is built, so a
+    # second entry adds only its report lines to the peak. Without
+    # attribution, assembly sets the peak, so a pinned entry would add its k.
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "copying_demo.json").read_text())
+    raw["grid"] = {"width": 48, "height": 48}
+    raw["attribution_bands"] = None
+    assert len(raw["sweep"]) == 2
+
+    def run(raw):
+        with _all_or_nothing() as stage:
+            return run_experiment(ExperimentConfig.from_json_dict(raw), stage)
+
+    both, peak = traced_growth(run, raw)
+    first, first_peak = traced_growth(run, {**raw, "sweep": raw["sweep"][:1]})
+    assert len(both["entries"]) == 2 and len(first["entries"]) == 1
+    assert peak < first_peak + 2**18

@@ -102,6 +102,30 @@ class TestDecayCurve:
         assert main(["decay-curve", "--delta-max", "-3", "--out", str(out), "--quiet"]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--include-full"]])
+    def test_delta_max_past_the_curve_budget_rejected(self, tmp_path, monkeypatch, flags):
+        # The stub stands in for the curve and builds one delta, so no run
+        # here allocates a long curve, whether or not the bound stops it.
+        built = []
+        real = cli.decay_curve
+
+        def one_delta(deltas, *args, **kwargs):
+            built.append(len(deltas))
+            return real(range(1), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decay_curve", one_delta)
+
+        def run(delta_max, name):
+            argv = ["decay-curve", "--delta-max", str(delta_max), "--out", str(tmp_path / name)]
+            return main(argv + flags + ["--quiet"])
+
+        assert run(10**12, "huge.csv") == 3
+        largest = cli._CURVE_BYTES // (8 * (1 + 3 + len(flags))) - 1
+        assert run(largest + 1, "over.csv") == 3
+        assert built == [] and not any(tmp_path.iterdir())
+        assert run(largest, "edge.csv") == 0
+        assert built == [largest + 1]
+
 
 class TestSubcommandFlags:
     @pytest.mark.parametrize(

@@ -91,11 +91,15 @@ def test_blocked_evaluation_equals_dense_reference(setup):
     budget = 8 * qkv.k.shape[0] * rows_per_block
     with mock.patch.object(ropefreq.attention, "_BLOCK_BYTES", budget):
         evaluation, streamed = streamed_evaluation(qkv, scene, config, heads, partition)
-        blocks = list(
-            ropefreq.attention._attention_blocks(qkv.q, qkv.k, heads, None, config, slice(None))
-        )
-    assert [start for start, _, _ in blocks] == list(range(0, qkv.q.shape[0], rows_per_block))
-    stacked = np.vstack([attention for _, attention, _ in blocks])
+        # Each block is copied as it comes: the next one overwrites its buffer.
+        blocks = [
+            (start, attention.copy())
+            for start, attention, _ in ropefreq.attention._attention_blocks(
+                qkv.q, qkv.k, heads, None, config, slice(None)
+            )
+        ]
+    assert [start for start, _ in blocks] == list(range(0, qkv.q.shape[0], rows_per_block))
+    stacked = np.vstack([attention for _, attention in blocks])
 
     attention = dense_softmax(qkv.q, qkv.k, heads)
     np.testing.assert_allclose(stacked, attention, rtol=0, atol=1e-15)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ropefreq.rope
 from ropefreq import (
     ConfigurationError,
     RotaryConfig,
@@ -183,6 +184,69 @@ class TestApplyRope:
                 c, s = math.cos(pos[i, 0] * theta[d]), math.sin(pos[i, 0] * theta[d])
                 got = batch[i, 2 * d : 2 * d + 2]
                 np.testing.assert_allclose(got, [a * c - b * s, a * s + b * c], rtol=0, atol=1e-14)
+
+
+def one_shot_rotation(feats, pos, cfg):
+    """Every row rotated at once, with the rotation's own expressions."""
+    theta = frequencies(cfg)
+    angles = np.zeros((len(feats), cfg.n_chunks))
+    for column, chunks in enumerate((cfg.x_chunks, cfg.y_chunks)):
+        idx = np.asarray(chunks, dtype=np.intp)
+        angles[:, idx] = pos[:, column : column + 1].astype(np.float64) * theta[idx]
+    c, s = np.cos(angles), np.sin(angles)
+    a, b = feats[:, 0::2], feats[:, 1::2]
+    out = np.empty_like(feats)
+    out[:, 0::2] = a * c - b * s
+    out[:, 1::2] = a * s + b * c
+    return out
+
+
+class TestApplyRopeOut:
+    """``out=``: rotating in place, into part of a larger array, and in several blocks."""
+
+    CFG = RotaryConfig.interleaved(16)
+
+    def rows(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, 16)), rng.integers(-50, 50, size=(n, 2))
+
+    def check_oracle(self, got, feats, pos):
+        axes = (self.CFG.x_chunks, self.CFG.y_chunks, self.CFG.temporal_chunks)
+        for row, f, p in zip(got, feats, pos.tolist()):
+            exp = oracles.o_apply_rope(list(f), *p, 16, 10000.0, axes)
+            np.testing.assert_allclose(row, exp, rtol=0, atol=1e-13)
+
+    def test_in_place(self):
+        feats, pos = self.rows(7, 30)
+        work = feats.copy()
+        assert apply_rope_batch(work, pos, self.CFG, out=work) is work
+        np.testing.assert_array_equal(work, one_shot_rotation(feats, pos, self.CFG))
+        self.check_oracle(work, feats, pos)
+
+    def test_into_a_row_slice(self):
+        feats, pos = self.rows(5, 31)
+        stack = np.full((9, 16), 7.0)
+        apply_rope_batch(feats, pos, self.CFG, out=stack[3:8])
+        np.testing.assert_array_equal(stack[3:8], one_shot_rotation(feats, pos, self.CFG))
+        np.testing.assert_array_equal(stack[[0, 1, 2, 8]], 7.0)
+        self.check_oracle(stack[3:8], feats, pos)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_several_blocks(self, monkeypatch, in_place):
+        # Three rows of angles per block: 11 rows make blocks of 3, 3, 3 and 2.
+        monkeypatch.setattr(ropefreq.rope, "_ROTATE_BYTES", 3 * 8 * self.CFG.n_chunks)
+        feats, pos = self.rows(11, 32)
+        work = feats.copy()
+        got = apply_rope_batch(work, pos, self.CFG, out=work if in_place else None)
+        assert (got is work) == in_place
+        np.testing.assert_array_equal(got, one_shot_rotation(feats, pos, self.CFG))
+        self.check_oracle(got, feats, pos)
+
+    @pytest.mark.parametrize("out", [np.empty((3, 16)), np.empty((2, 16), dtype=np.float32)])
+    def test_rejects_out_of_another_shape_or_dtype(self, out):
+        feats, pos = self.rows(2, 33)
+        with pytest.raises(ShapeError):
+            apply_rope_batch(feats, pos, self.CFG, out=out)
 
 
 class TestRelativeInnerProduct:
