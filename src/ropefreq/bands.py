@@ -147,7 +147,9 @@ class DecayCurve:
         for label, values in self.series.items():
             if len(values) != n:
                 raise ShapeError(f"series {label!r} has {len(values)} points, expected {n}")
-            if not (np.abs(values) <= 1.0 + 1e-12).all():
+            # Extremes rather than an |values| array; a NaN fails either bound.
+            bound = 1.0 + 1e-12
+            if not -bound <= np.min(values, initial=0.0) <= np.max(values, initial=0.0) <= bound:
                 raise ConfigurationError(f"series {label!r} leaves [-1, 1]")
 
 
@@ -165,7 +167,8 @@ def decay_curve(
     block takes ``cos`` once over every band's chunks, and each band's mean
     is over its slice of that block. Purely deterministic in its inputs.
     """
-    deltas = np.array([int(d) for d in delta_values], dtype=np.int64)
+    count = len(delta_values) if hasattr(delta_values, "__len__") else -1
+    deltas = np.fromiter(map(int, delta_values), dtype=np.int64, count=count)
     if not deltas.size:
         raise ConfigurationError("delta_values must be non-empty")
     if partition.bands[-1].stop > config.n_chunks:
@@ -182,10 +185,10 @@ def decay_curve(
     if include_full:
         columns.append(("full", slice(None)))
     series = {label: np.empty(deltas.size) for label, _ in columns}
-    d = deltas.astype(np.float64)
     step = _block_deltas(theta.size)
-    for start in range(0, d.size, step):
-        block = np.multiply.outer(d[start : start + step], theta)
+    for start in range(0, deltas.size, step):
+        # The int64 deltas are cast to f64 as the product is taken.
+        block = np.multiply.outer(deltas[start : start + step], theta)
         np.cos(block, out=block)
         for label, cols in columns:
             series[label][start : start + step] = block[:, cols].mean(axis=1)

@@ -362,6 +362,9 @@ def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
 def run_experiment(cfg: ExperimentConfig, stage) -> dict:
     """Evaluate every entry; returns the report dict.
 
+    Its ``key_layout`` is the first entry's :class:`~ropefreq.attention.Layout`,
+    which :func:`_report_json` renders.
+
     When the config asks for attention output, each entry's ``<f4`` matrix
     is streamed to ``stage(path)`` block by block and its sidecar written as
     soon as the entry finishes (``stage`` as from :func:`_all_or_nothing`).
@@ -412,14 +415,12 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
         # Let go of this entry before building the next, so one is held at a time.
         del qkv, evaluation, attribution
 
-    result: dict = {"config": norm, "entries": entries}
+    result: dict = {"config": norm, "entries": entries, "key_layout": key_layout}
     if len(entries) > 1:
         keys = entries[0]["alignment"].keys()
         result["mean_alignment"] = {
             k: float(np.mean([e["alignment"][k] for e in entries])) for k in keys
         }
-    if entries:
-        result["key_layout"] = layout_to_json(key_layout)
     return result
 
 
@@ -428,6 +429,19 @@ def _dump_json(obj) -> str:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ConfigurationError(f"refusing to write a non-finite number: {exc}") from exc
+
+
+def _report_json(report: dict) -> str:
+    """The JSON text of ``report``, as :func:`run_experiment` returns it.
+
+    :func:`_dump_json` writes the report with its key layout as null, on the
+    one line that starts with a newline, two spaces and ``"key_layout"``;
+    the layout's text from :func:`layout_to_json`, nested one level,
+    replaces that null.
+    """
+    text = _dump_json({**report, "key_layout": None})
+    nested = layout_to_json(report["key_layout"]).replace("\n", "\n  ")
+    return text.replace('\n  "key_layout": null', '\n  "key_layout": ' + nested, 1)
 
 
 @contextmanager
@@ -557,7 +571,7 @@ def cmd_shared_attn(args) -> int:
     with _all_or_nothing() as stage:
         # Staged first, so that a missing report directory fails before the run.
         staged_report = None if report_path is None else stage(report_path)
-        report = _dump_json(run_experiment(cfg, stage))
+        report = _report_json(run_experiment(cfg, stage))
         if staged_report is not None:
             staged_report.write_text(report)
     if report_path is None:

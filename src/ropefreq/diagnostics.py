@@ -138,7 +138,9 @@ class _AlignmentFold:
         rows = np.arange(hi - lo)
         aligned = self.aligned[lo:hi]
         semantic = self.semantic[lo:hi]
-        winner = ref.argmax(axis=1)
+        # The first maximum, as argmax takes it; argmax of the strided view
+        # itself would copy it whole. Rows are finite (the softmax guard).
+        winner = (ref == ref.max(axis=1, keepdims=True)).argmax(axis=1)
         self.ref_mass[lo:hi] = ref.sum(axis=1)
         # A query's one aligned weight is the sum over its aligned keys: the
         # other terms of that sum are zeros, which add nothing.

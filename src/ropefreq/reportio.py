@@ -21,17 +21,42 @@ from .errors import ShapeError
 __all__ = ["layout_to_json", "sidecar_path", "write_attention_matrix", "read_attention_matrix"]
 
 
-def layout_to_json(layout: Layout) -> list[dict]:
-    return [
-        {"source": source, "index": i, "position": xy}
-        for source, positions in layout.parts
-        for i, xy in enumerate(positions.tolist())
-    ]
+# One layout row as ``json.dumps(rows, indent=2, sort_keys=True)`` writes it,
+# after the comma and newline that end the row before; ``%s`` is the source.
+_ROW = (
+    ',\n  {\n    "index": %%d,\n    "position": [\n      %%d,\n      %%d\n    ],\n'
+    '    "source": %s\n  }'
+)
+
+
+def layout_to_json(layout: Layout) -> str:
+    """The text ``json.dumps(rows, indent=2, sort_keys=True)`` writes for ``layout``.
+
+    ``rows`` holds one ``{"source", "index", "position"}`` object per row, in
+    order. Each part is rendered with one ``%`` over its row template
+    repeated once per row. Nest the text one level deeper with
+    ``.replace("\\n", "\\n  ")``.
+    """
+    parts = []
+    for source, positions in layout.parts:
+        n = len(positions)
+        row = _ROW % json.dumps(source).replace("%", "%%")
+        parts.append(row * n % tuple(np.column_stack([np.arange(n), positions]).ravel().tolist()))
+    text = "".join(parts)
+    return "[" + text[1:] + "\n]" if text else "[]"
 
 
 def sidecar_path(path: str | Path) -> Path:
     """The JSON sidecar of the raw matrix at ``path``."""
     return Path(path).with_name(Path(path).name + ".json")
+
+
+# The sidecar as ``json.dumps(meta, indent=2, sort_keys=True)`` writes it,
+# with a final newline: the key and query layouts (nested), then the shape.
+_SIDECAR = (
+    '{\n  "dtype": "<f4",\n  "key_layout": %s,\n  "order": "row-major",\n'
+    '  "query_layout": %s,\n  "shape": [\n    %d,\n    %d\n  ]\n}\n'
+)
 
 
 def write_attention_matrix(path: str | Path, qkv: SharedQKV) -> Path:
@@ -41,14 +66,16 @@ def write_attention_matrix(path: str | Path, qkv: SharedQKV) -> Path:
     (``attention_out``); its shape is one row per query and one column per key.
     """
     sidecar = sidecar_path(path)
-    meta = {
-        "dtype": "<f4",
-        "order": "row-major",
-        "shape": [len(qkv.query_layout), len(qkv.key_layout)],
-        "key_layout": layout_to_json(qkv.key_layout),
-        "query_layout": layout_to_json(qkv.query_layout),
-    }
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    keys, queries = qkv.key_layout, qkv.query_layout
+    sidecar.write_text(
+        _SIDECAR
+        % (
+            layout_to_json(keys).replace("\n", "\n  "),
+            layout_to_json(queries).replace("\n", "\n  "),
+            len(queries),
+            len(keys),
+        )
+    )
     return sidecar
 
 

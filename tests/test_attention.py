@@ -461,9 +461,9 @@ class TestBuildSharedQKV:
 
         queries = rows("target-image", scene.target.positions) + rows("target-text", text.positions)
         keys = queries + rows("reference-image", scene.reference.positions, *offset)
-        # json.dumps refuses NumPy integers, so equal text means plain ints.
-        assert json.dumps(layout_to_json(qkv.query_layout)) == json.dumps(queries)
-        assert json.dumps(layout_to_json(qkv.key_layout)) == json.dumps(keys)
+        # The layout's JSON text parses back to exactly these rows, in order.
+        assert json.loads(layout_to_json(qkv.query_layout)) == queries
+        assert json.loads(layout_to_json(qkv.key_layout)) == keys
 
     def test_shifted_zero_offset_notes_degeneration(self):
         scene, text = scene_and_text()

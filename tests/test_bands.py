@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,37 @@ class TestDecayCurve:
                 DecayCurve(deltas, {"b": np.array([0.0, bad, 1.0])})
         with pytest.raises(ShapeError):
             DecayCurve(deltas, {"b": np.zeros(2)})
+
+    def test_deltas_are_read_with_int(self):
+        cfg = RotaryConfig.single_axis(32)
+        part = make_even_partition(cfg, 2, "x")
+        want = decay_curve([1, 3, 5], part, cfg)
+        for deltas in (iter([1, 3, 5]), [1.9, "3", np.int8(5)], np.array([1, 3, 5])):
+            got = decay_curve(deltas, part, cfg)
+            assert got.delta_values.tolist() == [1, 3, 5]
+            for label, values in want.series.items():
+                assert got.series[label].tobytes() == values.tobytes()
+        with pytest.raises(ValueError):
+            decay_curve(["one"], part, cfg)
+        with pytest.raises(OverflowError):
+            decay_curve([2**63], part, cfg)
+
+    def test_curve_peak_is_its_arrays_and_a_few_blocks(self):
+        # The deltas go straight into their int64 array and the cosines are
+        # taken from it a block at a time, so the traced peak is the curve's
+        # arrays and a few blocks. A Python list of the deltas, an f64 copy
+        # of them or an |series| temporary would each add 8 bytes or more a
+        # delta, 800 KB here.
+        cfg = RotaryConfig.single_axis(128)
+        part = make_even_partition(cfg, 3, "x")
+        tracemalloc.start()
+        try:
+            curve = decay_curve(range(100_000), part, cfg, include_full=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = curve.delta_values.nbytes + sum(v.nbytes for v in curve.series.values())
+        assert peak < arrays + 4 * ropefreq.bands._BLOCK_BYTES
 
 
 class TestBandMask:

@@ -315,6 +315,28 @@ class TestSharedAttn:
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-5)
         assert len(meta["key_layout"]) == n_keys
 
+    @pytest.mark.parametrize(
+        "sharing, overrides",
+        [
+            (PLAIN, {"sweep": [{"mode": "none"}, {"mode": "shifted", "offset": [-3, 2]}]}),
+            ({"mode": "none"}, {"text_tokens": 0}),
+        ],
+        ids=["sweep", "none-without-text"],
+    )
+    def test_outputs_are_their_own_json_reencoding(self, tmp_path, sharing, overrides):
+        # The layouts are rendered from row templates, yet every report and
+        # sidecar is exactly the text the JSON encoder writes for its content.
+        cfg_path, report_path = demo_config(tmp_path, sharing, **overrides)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["output"]["attention"] = str(tmp_path / "attn.f4")
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 0
+        outputs = [report_path, *sorted(tmp_path.glob("attn*.f4.json"))]
+        assert len(outputs) == 1 + len(cfg.get("sweep") or [sharing])
+        for path in outputs:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
+
     def test_unknown_field_rejected_without_outputs(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0})
         cfg = json.loads(cfg_path.read_text())

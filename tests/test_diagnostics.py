@@ -24,6 +24,7 @@ from ropefreq import (
     make_text,
     plant_scene,
 )
+from ropefreq.diagnostics import _AlignmentFold
 
 CFG = RotaryConfig(dim=32)
 COPYING = json.loads((Path(__file__).parent / "fixtures" / "copying_fixture.json").read_text())
@@ -58,6 +59,20 @@ class TestComputeAlignment:
         assert m.argmax_positional_rate == 0.0
         assert m.argmax_semantic_rate == 0.0
         assert m.reference_mass == 0.0
+
+    def test_tied_reference_weights_resolve_to_the_lower_index(self):
+        # argmax takes the first of equal maxima; the fold's winner must too.
+        scene, text = basic_scene(kind="identity")
+        params = SharingParams(mode="plain")
+        qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
+        fold = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
+        np.testing.assert_array_equal(fold.aligned, np.arange(scene.target.n_tokens))
+        attention = np.full((len(qkv.query_layout), len(qkv.key_layout)), 0.01)
+        ref = attention[:, fold.ref_cols]
+        ref[0, [0, 5]] = 0.3  # row 0 aligns with reference 0, the lower of the tie
+        ref[1, [0, 1]] = 0.3  # row 1 aligns with reference 1, the higher of the tie
+        fold.add(0, attention)
+        assert fold.pos_hit[0] and not fold.pos_hit[1]
 
     def test_fields_bounded_and_dominated_by_reference_mass(self):
         scene, text = basic_scene()
