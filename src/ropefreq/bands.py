@@ -10,7 +10,6 @@ drop steeply with small shifts, high indices (low frequency) barely move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -118,17 +117,17 @@ def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> 
     return BandPartition(tuple(bands))
 
 
-# Bytes of f64 values one block of deltas may hold: cosines in
-# :func:`decay_curve` (chosen from a 32 KiB to 4 MiB sweep for the lowest
-# peak RSS), series values in :func:`decay_curve_to_csv`. A block's height
-# is this budget over the bytes in one row, so memory stays flat however
-# many deltas.
+# Bytes one block of deltas may hold: f64 cosines in :func:`decay_curve`
+# (chosen from a 32 KiB to 4 MiB sweep for the lowest peak RSS), row text
+# and its keep mask in :func:`decay_curve_to_csv`. A block's height is this
+# budget over the bytes of one delta, so memory stays flat however many
+# deltas.
 _BLOCK_BYTES = 2**18
 
 
-def _block_deltas(row_values: int) -> int:
-    """Deltas per block when each delta holds ``row_values`` f64 values."""
-    return max(1, _BLOCK_BYTES // (8 * row_values))
+def _block_deltas(delta_bytes: int) -> int:
+    """Deltas per block when each delta holds ``delta_bytes`` bytes."""
+    return max(1, _BLOCK_BYTES // delta_bytes)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def decay_curve(
     if include_full:
         columns.append(("full", slice(None)))
     series = {label: np.empty(deltas.size) for label, _ in columns}
-    step = _block_deltas(theta.size)
+    step = _block_deltas(8 * theta.size)
     for start in range(0, deltas.size, step):
         # The int64 deltas are cast to f64 as the product is taken.
         block = np.multiply.outer(deltas[start : start + step], theta)
@@ -199,19 +198,16 @@ def decay_curve_to_csv(curve: DecayCurve, out) -> None:
     """Write a curve to the open text file ``out`` as ``delta,band,mean_similarity`` rows.
 
     Rows are sorted by (delta, band order); floats carry 17 significant
-    digits so parsing the file back reproduces the exact doubles. Deltas are
-    rendered and written a block at a time.
+    digits so parsing the file back reproduces the exact doubles. Each row
+    is byte for byte ``"%d,%s,%.17g\\n" % (delta, band, value)``. Deltas are
+    rendered and written a block at a time (see :mod:`ropefreq._csvrows`).
     """
-    labels = list(curve.series)
-    row = "".join(f"%d,{label},%.17g\n" for label in labels)
+    # Imported on first use: every run that writes no CSV would otherwise
+    # compile the renderer at start-up.
+    from ._csvrows import write_rows
+
     out.write("delta,band,mean_similarity\n")
-    step = _block_deltas(len(labels))
-    for start in range(0, len(curve.delta_values), step):
-        deltas = curve.delta_values[start : start + step].tolist()
-        columns = []
-        for label in labels:
-            columns += [deltas, curve.series[label][start : start + step].tolist()]
-        out.write(row * len(deltas) % tuple(chain.from_iterable(zip(*columns))))
+    write_rows(curve, out)
 
 
 def _band_factor(band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> float:

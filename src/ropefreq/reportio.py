@@ -37,13 +37,22 @@ def layout_to_json(layout: Layout) -> str:
     repeated once per row. Nest the text one level deeper with
     ``.replace("\\n", "\\n  ")``.
     """
-    parts = []
-    for source, positions in layout.parts:
+    return _json_array(_json_rows(layout.parts))
+
+
+def _json_rows(parts: tuple[tuple[str, np.ndarray], ...]) -> str:
+    """The rows of ``parts``, each as :data:`_ROW` writes it."""
+    text = []
+    for source, positions in parts:
         n = len(positions)
         row = _ROW % json.dumps(source).replace("%", "%%")
-        parts.append(row * n % tuple(np.column_stack([np.arange(n), positions]).ravel().tolist()))
-    text = "".join(parts)
-    return "[" + text[1:] + "\n]" if text else "[]"
+        text.append(row * n % tuple(np.column_stack([np.arange(n), positions]).ravel().tolist()))
+    return "".join(text)
+
+
+def _json_array(rows: str) -> str:
+    """The JSON array of the rows :func:`_json_rows` wrote."""
+    return "[" + rows[1:] + "\n]" if rows else "[]"
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -67,11 +76,14 @@ def write_attention_matrix(path: str | Path, qkv: SharedQKV) -> Path:
     """
     sidecar = sidecar_path(path)
     keys, queries = qkv.key_layout, qkv.query_layout
+    # The queries are the keys' leading parts: render their rows once.
+    query_rows = _json_rows(queries.parts)
+    key_rows = query_rows + _json_rows(keys.parts[len(queries.parts) :])
     sidecar.write_text(
         _SIDECAR
         % (
-            layout_to_json(keys).replace("\n", "\n  "),
-            layout_to_json(queries).replace("\n", "\n  "),
+            _json_array(key_rows).replace("\n", "\n  "),
+            _json_array(query_rows).replace("\n", "\n  "),
             len(queries),
             len(keys),
         )

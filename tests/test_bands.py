@@ -2,7 +2,9 @@ import io
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,32 @@ from ropefreq import (
 )
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "decay_fixture.json").read_text())
+
+
+def _per_row_csv(curve: DecayCurve) -> str:
+    """The CSV of ``curve`` rendered one row at a time with ``format(value, '.17g')``."""
+    lines = ["delta,band,mean_similarity"]
+    for i, delta in enumerate(curve.delta_values.tolist()):
+        for label, values in curve.series.items():
+            lines.append(f"{delta},{label},{format(float(values[i]), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def _percent_csv(curve: DecayCurve) -> str:
+    """The CSV of ``curve`` rendered one row at a time with ``"%d,%s,%.17g\\n"``."""
+    rows = [
+        "%d,%s,%.17g\n" % (delta, label, float(values[i]))
+        for i, delta in enumerate(curve.delta_values.tolist())
+        for label, values in curve.series.items()
+    ]
+    return "delta,band,mean_similarity\n" + "".join(rows)
+
+
+class _Discard:
+    """A text file that keeps nothing written to it."""
+
+    def write(self, text: str) -> None:
+        pass
 
 
 class TestMakeEvenPartition:
@@ -197,19 +225,72 @@ class TestDecayCurve:
 
     @pytest.mark.parametrize("block_deltas", [1, 7])
     def test_blocked_csv_equals_per_row_rendering(self, monkeypatch, block_deltas):
-        # Four series, so each CSV block holds ``block_deltas`` deltas; the
-        # 51 deltas leave the last block of 7 short.
-        monkeypatch.setattr(ropefreq.bands, "_BLOCK_BYTES", 8 * 4 * block_deltas)
+        # Each CSV block holds ``block_deltas`` deltas; the 51 deltas leave
+        # the last block of 7 short.
         cfg = RotaryConfig.single_axis(32)
         part = make_even_partition(cfg, 3, "x")
         curve = decay_curve(list(range(-20, 30)) + [99_999], part, cfg, include_full=True)
+        monkeypatch.setattr(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas)
         out = io.StringIO()
         decay_curve_to_csv(curve, out)
-        lines = ["delta,band,mean_similarity"]
-        for i, delta in enumerate(curve.delta_values.tolist()):
-            for label, values in curve.series.items():
-                lines.append(f"{delta},{label},{format(float(values[i]), '.17g')}")
-        assert out.getvalue() == "\n".join(lines) + "\n"
+        assert out.getvalue() == _per_row_csv(curve)
+
+    def test_workload_scale_csv_equals_per_row_rendering_in_a_few_blocks(self):
+        # The benchmark's decay1e5 curve: 10^5 deltas, three bands and "full".
+        cfg = RotaryConfig.single_axis(128)
+        curve = decay_curve(range(100_000), make_even_partition(cfg, 3, "x"), cfg, include_full=True)
+        out = io.StringIO()
+        decay_curve_to_csv(curve, out)
+        assert out.getvalue() == _per_row_csv(curve)
+        # Written to a file that keeps nothing, the renderer holds a block's
+        # text and keep mask, its work arrays and one block of output. The
+        # whole-block ``%`` it replaces peaked at 3.4 MB here.
+        tracemalloc.start()
+        try:
+            decay_curve_to_csv(curve, _Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * ropefreq.bands._BLOCK_BYTES
+
+    @pytest.mark.parametrize("block_deltas", [1, 7, None])
+    def test_csv_edge_values_are_percent_rendering(self, monkeypatch, block_deltas):
+        if block_deltas is not None:
+            monkeypatch.setattr(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas)
+        powers = [10.0**-k for k in range(6)]
+        # Exact ties m * 2**-k: odd m of up to 53 bits near 2**-1, 2**-4,
+        # 2**-7 and 2**-10, one in each decade of the laid-out window.
+        ties = [
+            math.ldexp(2 ** min(k - top, 52) + odd, -k)
+            for k in range(18, 61)
+            for top in (1, 4, 7, 10)
+            for odd in (1, 3)
+        ]
+        values = [
+            0.0,
+            1.0,
+            1.0 + 1e-12,
+            *powers,
+            # The neighbours of each power of ten; the one below 0.1 is where
+            # a rounding would carry into the next decade.
+            *(np.nextafter(p, toward) for p in powers for toward in (0.0, 2.0)),
+            *ties,
+            # The smallest subnormal, the largest and one between.
+            5e-324,
+            np.nextafter(2.2250738585072014e-308, 0.0),
+            1e-310,
+        ]
+        values = np.array(values + [-v for v in values])
+        halfway = [
+            v for v in ties if len(t := Decimal(v).as_tuple().digits) == 18 and t[-1] == 5
+        ]
+        assert len(halfway) == 8
+        deltas = np.arange(len(values))
+        deltas[:6] = [-(2**63), 2**63 - 1, 10**8 - 1, 10**8, -1, 0]
+        curve = DecayCurve(deltas, {"high": values, "full": values[::-1].copy()})
+        out = io.StringIO()
+        decay_curve_to_csv(curve, out)
+        assert out.getvalue() == _percent_csv(curve)
 
     def test_curve_holds_arrays_and_rejects_values_outside_unit_range(self):
         cfg = RotaryConfig.single_axis(32)
@@ -253,6 +334,29 @@ class TestDecayCurve:
             tracemalloc.stop()
         arrays = curve.delta_values.nbytes + sum(v.nbytes for v in curve.series.values())
         assert peak < arrays + 4 * ropefreq.bands._BLOCK_BYTES
+
+
+_UNIT = 1.0 + 1e-12  # DecayCurve's bound on a series value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(-(2**63), 2**63 - 1), st.floats(-_UNIT, _UNIT), st.floats(-_UNIT, _UNIT)
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    block_deltas=st.integers(1, 8),
+)
+def test_csv_rows_are_percent_rendering(rows, block_deltas):
+    deltas, high, full = zip(*rows)
+    curve = DecayCurve(np.array(deltas, dtype=np.int64), {"high": np.array(high), "full": np.array(full)})
+    out = io.StringIO()
+    with mock.patch.object(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas):
+        decay_curve_to_csv(curve, out)
+    assert out.getvalue() == _percent_csv(curve)
 
 
 class TestBandMask:
