@@ -357,12 +357,12 @@ def _attention_blocks(
 
     Yields ``(start, attention, per_band)`` for query rows
     ``start:start + len(attention)``: the head-averaged softmax rows over
-    every key, and each band's share of the logits against
-    ``k_rot[band_keys]`` (after the 1/sqrt(head_dim) scaling, before the
-    stabilizing max subtraction), shaped (bands, rows, band keys), or
-    ``None`` without a partition. Every key is in every block, so each
-    softmax row is exact and needs no rescaling. Both arrays are views of
-    buffers the next block overwrites: copy what must outlive the block.
+    every key, and ``None`` without a partition, else an iterator over each
+    band's (rows, band keys) share of the logits against ``k_rot[band_keys]``
+    (scaled by 1/sqrt(head_dim), not max-shifted), each computed when reached.
+    Every key is in every block, so each softmax row is exact. Both are views
+    of buffers the next block (a panel: the next band) overwrites: copy what
+    must outlive them.
 
     Heads and partition are checked (:func:`_check_heads`) before the first
     block; a softmax row that is not finite (overflowing or NaN logits)
@@ -393,13 +393,13 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
     head_dim = q_rot.shape[1] // heads
     scale = 1.0 / math.sqrt(head_dim)
     step = _block_rows(k_rot.shape[0])
-    # Every block is computed into the same buffers, so one block is held
-    # however many there are, and no block's memory goes back to the
-    # allocator (and its pages to the OS) only to be asked for again.
+    # Every block, and each band of it, is computed into the same buffers, so
+    # one block and one band panel are held however many there are, and no
+    # block's memory goes back to the allocator only to be asked for again.
     rows = min(step, q_rot.shape[0])
     logits = np.empty((min(heads, 2), rows, k_rot.shape[0]))
     if band_partition is not None:
-        band_logits = np.empty((len(band_partition.bands), rows, band_k.shape[0]))
+        panel = np.empty((rows, band_k.shape[0]))
     for start in range(0, q_rot.shape[0], step):
         qb = q_rot[start : start + step]
         attention = logits[0, : qb.shape[0]]
@@ -428,12 +428,16 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
 
         per_band = None
         if band_partition is not None:
-            per_band = band_logits[:, : qb.shape[0]]
-            for i, band in enumerate(band_partition.bands):
-                cols = slice(2 * band.start, 2 * band.stop)
-                np.matmul(qb[:, cols], band_k[:, cols].T, out=per_band[i])
-            per_band *= scale
+            per_band = _band_panels(qb, band_k, band_partition, scale, panel[: qb.shape[0]])
         yield start, attention, per_band
+
+
+def _band_panels(qb, band_k, band_partition, scale, panel):
+    for band in band_partition.bands:
+        cols = slice(2 * band.start, 2 * band.stop)
+        np.matmul(qb[:, cols], band_k[:, cols].T, out=panel)
+        panel *= scale
+        yield panel
 
 
 def _effective_schedule(

@@ -207,7 +207,8 @@ def decay_curve_to_csv(curve: DecayCurve, out) -> None:
     from ._csvrows import write_rows
 
     out.write("delta,band,mean_similarity\n")
-    write_rows(curve, out)
+    if curve.series:
+        write_rows(curve, out)
 
 
 def _band_factor(band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> float:

@@ -31,6 +31,9 @@ __all__ = [
     "evaluate_shared",
 ]
 
+# Bytes of <f4 rows cast and written at a time when a matrix is streamed.
+_WRITE_BYTES = 256 * 2**10
+
 
 @dataclass(frozen=True)
 class AlignmentMetrics:
@@ -174,7 +177,7 @@ class BandAttribution:
 class _AttributionFold:
     """Per-band |logit| sums over image queries x reference keys, one block at a time.
 
-    The per-band blocks fed to :meth:`add` hold logits against the scene's
+    The band panels fed to :meth:`add` hold logits against the scene's
     reference keys only.
     """
 
@@ -184,15 +187,15 @@ class _AttributionFold:
         self.n_pairs = (self.q_rows.stop - self.q_rows.start) * scene.target.n_tokens
         self.totals = np.zeros(len(partition.bands))
 
-    def add(self, start: int, per_band: np.ndarray) -> None:
-        """Fold per-band logits of query rows ``start:start + per_band.shape[1]``.
+    def add(self, start: int, per_band) -> None:
+        """Fold each band's panel of rows ``start:`` from ``per_band``, then ask for the next.
 
-        Overwrites the image-query rows of ``per_band`` with their absolute values.
+        Overwrites the image-query rows of each panel with their absolute values.
         """
-        lo, hi, local = _span(self.q_rows, start, start + per_band.shape[1])
-        if lo < hi:
-            sub = per_band[:, local]
-            self.totals += np.abs(sub, out=sub).sum(axis=(1, 2))
+        for i, panel in enumerate(per_band):
+            lo, hi, local = _span(self.q_rows, start, start + panel.shape[0])
+            if lo < hi:
+                self.totals[i] += np.abs(panel[local], out=panel[local]).sum()
 
     def result(self) -> BandAttribution:
         labels = self.partition.labels
@@ -239,12 +242,14 @@ def evaluate_shared(
     if band_partition is not None and align.has_reference:
         attribution = _AttributionFold(band_partition, qkv.query_layout, scene)
     blocks = _attention_blocks(qkv.q, qkv.k, heads, band_partition, config, align.ref_cols)
+    chunk = max(1, _WRITE_BYTES // (4 * qkv.k.shape[0]))
     for start, attention, per_band in blocks:
         align.add(start, attention)
         if attribution is not None:
             attribution.add(start, per_band)
         if attention_out is not None:
-            attention_out.write(attention.astype("<f4"))
+            for row in range(0, attention.shape[0], chunk):
+                attention_out.write(attention[row : row + chunk].astype("<f4"))
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),

@@ -130,6 +130,9 @@ def kernel(qf, qpos, kf, kpos, heads=1, band_partition=None):
         q_rot, k_rot, heads, band_partition, CFG, slice(None)
     )
     assert start == 0
+    # Each band's panel is computed into the buffer the next band reuses.
+    if per_band is not None:
+        per_band = np.stack([panel.copy() for panel in per_band])
     return attention, per_band
 
 

@@ -292,6 +292,14 @@ class TestDecayCurve:
         decay_curve_to_csv(curve, out)
         assert out.getvalue() == _percent_csv(curve)
 
+    @pytest.mark.parametrize("deltas", [np.arange(3), np.arange(0)])
+    def test_curve_without_series_is_its_header(self, deltas):
+        # A curve with no series has no rows, as the per-row rendering writes.
+        curve = DecayCurve(deltas, {})
+        out = io.StringIO()
+        decay_curve_to_csv(curve, out)
+        assert out.getvalue() == _percent_csv(curve) == "delta,band,mean_similarity\n"
+
     def test_curve_holds_arrays_and_rejects_values_outside_unit_range(self):
         cfg = RotaryConfig.single_axis(32)
         curve = decay_curve(range(3), make_even_partition(cfg, 2, "x"), cfg)

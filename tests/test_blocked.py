@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ropefreq.attention
+import ropefreq.diagnostics
 import ropefreq.rope
 from dense_reference import dense_alignment, dense_attribution, dense_softmax, streamed_evaluation
 from ropefreq import (
@@ -81,16 +82,14 @@ def ragged_blocks(monkeypatch):
     return for_keys
 
 
-def stacked_blocks(q, k, heads):
+def stacked_blocks(q, k, heads, config=CFG, rows=ROWS_PER_BLOCK):
     """The softmax blocks of the kernel over ``q`` and ``k``, stacked in query order."""
     # Each block is copied as it comes: the next one overwrites its buffer.
     blocks = [
         (start, attention.copy())
-        for start, attention, _ in ropefreq.attention._attention_blocks(q, k, heads, None, CFG, slice(None))
+        for start, attention, _ in ropefreq.attention._attention_blocks(q, k, heads, None, config, slice(None))
     ]
-    assert len(blocks) > 1 and [start for start, _ in blocks] == list(
-        range(0, q.shape[0], ROWS_PER_BLOCK)
-    )
+    assert len(blocks) > 1 and [start for start, _ in blocks] == list(range(0, q.shape[0], rows))
     return np.vstack([attention for _, attention in blocks])
 
 
@@ -225,12 +224,13 @@ def test_shared_qkv_assembly_holds_one_stack():
 
 
 def test_evaluation_holds_one_block():
-    # One block's logits and its per-band logits are held, in buffers every
-    # block reuses, plus small transients: the alignment fold's boolean mask
-    # of the block's row maxima (one byte per reference column) and its
-    # per-query arrays. An f64 copy of the block's reference columns (2 MiB
-    # here) does not fit, nor would the previous block held while the next
-    # is computed.
+    # One block's logits and one band's logits against the reference keys
+    # are held, in buffers every block and band reuses, plus small
+    # transients: the alignment fold's boolean mask of the block's row
+    # maxima (one byte per reference column) and its per-query arrays. All
+    # three bands' logits at once (two more 2 MiB panels here) do not fit,
+    # nor does an f64 copy of the block's reference columns, nor the
+    # previous block held while the next is computed.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
@@ -238,8 +238,83 @@ def test_evaluation_holds_one_block():
     _, peak = traced_growth(evaluate_shared, qkv, scene, config, band_partition=partition)
     rows = ropefreq.attention._block_rows(len(qkv.k))
     block = 8 * rows * len(qkv.k)
-    per_band = 8 * len(partition.bands) * rows * scene.reference.n_tokens
-    assert peak < block + per_band + 2**20
+    panel = 8 * rows * scene.reference.n_tokens
+    assert peak < block + panel + 2**20
+
+
+class _Discard:
+    """A binary file that keeps nothing written to it."""
+
+    def write(self, data) -> None:
+        pass
+
+
+def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
+    # Each block's rows are cast to <f4 and written a chunk at a time, so a
+    # streamed matrix adds one chunk to the block, not a <f4 copy of the
+    # whole block (2 MiB here).
+    scene, text, config = demo_scene(64)
+    params = SharingParams(mode="plain", s=1.0)
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+    _, peak = traced_growth(evaluate_shared, qkv, scene, config, attention_out=_Discard())
+    block = 8 * ropefreq.attention._block_rows(len(qkv.k)) * len(qkv.k)
+    assert peak < block + ropefreq.diagnostics._WRITE_BYTES + 2**20
+
+
+class _Chunks:
+    """A binary file that keeps each write as it came."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, data) -> None:
+        self.chunks.append(bytes(data))
+
+
+def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_chunks(
+    monkeypatch,
+):
+    # The bands' |logit| sums are compared with ==: the fold computes one
+    # band panel at a time, and each must add the same bits as summing the
+    # stacked panels of a block over (rows, keys) and adding the blocks in
+    # order. Five blocks of 48 query rows and a sixth of 20 (16 image rows
+    # and the 4 text rows); the streamed rows go out 7 at a time, so every
+    # block ends in a short chunk.
+    scene, text, config = demo_scene(16)
+    params = SharingParams(mode="plain", s=1.0)
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+    n_queries, n_keys, n = len(qkv.q), len(qkv.k), scene.target.n_tokens
+    step, chunk = 48, 7
+    assert n_queries == 5 * step + 20 and n < n_queries < n + step
+    monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", 8 * n_keys * step)
+    monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
+    partition = make_even_partition(config, 3, "all")
+    out = _Chunks()
+    evaluation = evaluate_shared(qkv, scene, config, band_partition=partition, attention_out=out)
+
+    ref = qkv.k[qkv.key_layout.rows("reference-image")]
+    scale = 1.0 / math.sqrt(config.dim)
+    totals = np.zeros(len(partition.bands))
+    for start in range(0, n_queries, step):
+        qb = qkv.q[start : start + step]
+        stacked = np.stack([
+            np.matmul(qb[:, 2 * band.start : 2 * band.stop], ref[:, 2 * band.start : 2 * band.stop].T)
+            for band in partition.bands
+        ])
+        stacked *= scale
+        totals += np.abs(stacked[:, : max(0, n - start)]).sum(axis=(1, 2))
+    got = evaluation.attribution
+    assert got.n_pairs == n * n
+    assert got.mean_abs_logit == {
+        band.label: float(total / (n * n)) for band, total in zip(partition.bands, totals)
+    }
+
+    rows = [min(step, n_queries - start) for start in range(0, n_queries, step)]
+    sizes = [4 * n_keys * min(chunk, r - c) for r in rows for c in range(0, r, chunk)]
+    assert [len(c) for c in out.chunks] == sizes and sizes[-1] < 4 * n_keys * chunk
+    streamed = b"".join(out.chunks)
+    assert streamed == stacked_blocks(qkv.q, qkv.k, 1, config, step).astype("<f4").tobytes()
+    assert streamed == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
 
 
 def test_sweep_holds_one_entry_at_a_time():
