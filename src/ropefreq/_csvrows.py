@@ -19,7 +19,10 @@ import numpy as np
 from . import bands
 from .bands import DecayCurve
 
-__all__ = ["write_rows"]
+__all__ = ["HEADER", "write_rows"]
+
+# The first line of a decay-curve CSV.
+HEADER = "delta,band,mean_similarity\n"
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

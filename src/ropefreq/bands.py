@@ -204,9 +204,9 @@ def decay_curve_to_csv(curve: DecayCurve, out) -> None:
     """
     # Imported on first use: every run that writes no CSV would otherwise
     # compile the renderer at start-up.
-    from ._csvrows import write_rows
+    from ._csvrows import HEADER, write_rows
 
-    out.write("delta,band,mean_similarity\n")
+    out.write(HEADER)
     if curve.series:
         write_rows(curve, out)
 

@@ -19,6 +19,7 @@ import json
 import shutil
 import sys
 import tempfile
+import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from .attention import (
     build_shared_qkv,
     shift_positions,
 )
-from .bands import Band, BandPartition, _band_factor, decay_curve, decay_curve_to_csv, make_even_partition
+from .bands import Band, BandPartition, _band_factor, _block_deltas, decay_curve, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, sidecar_path, write_attention_matrix
@@ -457,7 +458,11 @@ def _all_or_nothing():
     def stage(path) -> Path:
         path = Path(path)
         if path.parent not in staging:
-            staging[path.parent] = Path(tempfile.mkdtemp(prefix=".ropefreq-", dir=path.parent))
+            try:
+                staging[path.parent] = Path(tempfile.mkdtemp(prefix=".ropefreq-", dir=path.parent))
+            except OSError as exc:
+                # Name the path asked for, not the hidden directory.
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
         return staging[path.parent] / path.name
 
     try:
@@ -481,10 +486,56 @@ def _info(args, message: str) -> None:
         print(message)
 
 
-# Bytes a decay curve's arrays may hold: its int64 deltas and one f64 per
+# Bytes a decay curve's arrays would hold: its int64 deltas and one f64 per
 # series per delta. 256 MiB takes --delta-max up to 8,388,607 with the
-# default 3 bands, or 6,710,885 with "full" as well.
+# default 3 bands, or 6,710,885 with "full" as well. The curve is streamed
+# and never held whole, so this caps the size of the CSV, not memory.
 _CURVE_BYTES = 2**28
+
+# Deltas per streamed chunk of a decay curve: a block's budget at 16 bytes a
+# delta, 16,384. At 10**5 deltas on 2 cores, 2**13 to 2**15 were fastest of
+# 2**11 to 2**16: shorter chunks start more threads, longer ones leave the
+# first chunk's cosines and the last one's rows unoverlapped for longer.
+# Two chunks of 3 bands and "full" hold 1.3 MB.
+_CHUNK_DELTAS = _block_deltas(16)
+
+
+def _write_decay_curve(deltas: range, out, partition, config, include_full: bool) -> None:
+    """Write the CSV of the curve over ``deltas`` to ``out``, a chunk at a time.
+
+    Each chunk is ``decay_curve`` over its slice of ``deltas``; every value
+    is a mean over one delta's row, so the rows are those of the whole
+    curve. While this chunk's rows are written, a worker thread takes the
+    next chunk's cosines, which release the GIL. The worker has ended
+    before this returns or raises, and its exception is raised here.
+    """
+    from ._csvrows import HEADER, write_rows
+
+    def chunk(lo: int):
+        return decay_curve(
+            deltas[lo : lo + _CHUNK_DELTAS], partition, config, include_full=include_full
+        )
+
+    def compute(lo: int, result: list) -> None:
+        try:
+            result.append(chunk(lo))
+        except BaseException as exc:  # raised again in the main thread
+            result.append(exc)
+
+    out.write(HEADER)
+    curve = chunk(0)
+    for lo in range(_CHUNK_DELTAS, len(deltas), _CHUNK_DELTAS):
+        result: list = []
+        worker = threading.Thread(target=compute, args=(lo, result))
+        worker.start()
+        try:
+            write_rows(curve, out)
+        finally:
+            worker.join()
+        [curve] = result
+        if isinstance(curve, BaseException):
+            raise curve
+    write_rows(curve, out)
 
 
 def cmd_decay_curve(args) -> int:
@@ -498,11 +549,9 @@ def cmd_decay_curve(args) -> int:
         raise ConfigurationError(
             f"--delta-max must be at most {largest} for {n_series} series, got {args.delta_max}"
         )
-    curve = decay_curve(
-        range(args.delta_max + 1), partition, config, include_full=args.include_full
-    )
+    # Opened first, so that a missing directory fails before any chunk.
     with _all_or_nothing() as stage, stage(args.out).open("w") as out:
-        decay_curve_to_csv(curve, out)
+        _write_decay_curve(range(args.delta_max + 1), out, partition, config, args.include_full)
     _info(args, f"wrote {Path(args.out)}")
     return 0
 
@@ -609,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=int, default=3)
     p.add_argument(
         "--delta-max", type=int, default=64,
-        help="largest shift; the curve must fit 256 MiB (at most 8,388,607 for 3 bands)",
+        help="largest shift; at most 8,388,607 for 3 bands, a cap on the CSV's size",
     )
     p.add_argument("--axis", choices=["x", "y"], default="x")
     p.add_argument("--include-full", action="store_true", help="add a series over all chunks")

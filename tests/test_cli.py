@@ -1,4 +1,8 @@
+import io
 import json
+import threading
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -6,9 +10,12 @@ import numpy as np
 import pytest
 
 import oracles
+import ropefreq._csvrows
 from ropefreq import cli
+from ropefreq.bands import decay_curve, decay_curve_to_csv, make_even_partition
 from ropefreq.cli import ExperimentConfig, build_rotary, main
 from ropefreq.errors import ConfigurationError
+from ropefreq.rope import RotaryConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SHIPPED_DEMO = Path(__file__).parent.parent / "configs" / "copying_demo.json"
@@ -124,7 +131,160 @@ class TestDecayCurve:
         assert run(largest + 1, "over.csv") == 3
         assert built == [] and not any(tmp_path.iterdir())
         assert run(largest, "edge.csv") == 0
-        assert built == [largest + 1]
+        assert sum(built) == largest + 1 and max(built) == cli._CHUNK_DELTAS
+
+
+class TestDecayCurveChunks:
+    """The CLI streams the curve in chunks, the next computed on a worker thread."""
+
+    CHUNK = 7
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The length of each ``decay_curve`` chunk, and the threads alive during it."""
+        monkeypatch.setattr(cli, "_CHUNK_DELTAS", self.CHUNK)
+        real, calls = cli.decay_curve, []
+
+        def counted(deltas, *args, **kwargs):
+            calls.append((len(deltas), threading.active_count()))
+            return real(deltas, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decay_curve", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--include-full"], ["--axis", "y"], ["--bands", "1"], ["--bands", "5"]],
+        ids=["include-full", "axis-y", "bands-1", "bands-5"],
+    )
+    def test_chunked_csv_is_the_whole_curve(self, tmp_path, calls, n, flags):
+        threads = threading.active_count()
+        out = tmp_path / "c.csv"
+        argv = ["decay-curve", "--delta-max", str(n - 1), "--out", str(out), "--quiet"]
+        assert main(argv + flags) == 0
+        axis = "y" if "y" in flags else "x"
+        n_bands = int(flags[1]) if flags[0] == "--bands" else 3
+        config = RotaryConfig.single_axis(128, 10000.0, axis)
+        partition = make_even_partition(config, n_bands, axis)
+        whole = io.StringIO()
+        curve = decay_curve(range(n), partition, config, include_full="--include-full" in flags)
+        decay_curve_to_csv(curve, whole)
+        assert out.read_bytes() == whole.getvalue().encode()
+        # Every chunk went through decay_curve, with at most one worker alive.
+        assert [length for length, _ in calls] == [
+            min(self.CHUNK, n - lo) for lo in range(0, n, self.CHUNK)
+        ]
+        assert max(alive for _, alive in calls) <= threads + 1
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "error, code", [(ConfigurationError, 3), (OSError, 4)], ids=["config", "io"]
+    )
+    def test_failing_chunk_exits_as_a_serial_failure(self, tmp_path, monkeypatch, error, code):
+        threads = threading.active_count()
+        monkeypatch.setattr(cli, "_CHUNK_DELTAS", self.CHUNK)
+        out = tmp_path / "c.csv"
+        out.write_bytes(b"old bytes\n")
+        real = cli.decay_curve
+
+        def run(failing_call):
+            calls = []
+
+            def fails(*args, **kwargs):
+                calls.append(threading.current_thread() is threading.main_thread())
+                if len(calls) == failing_call:
+                    raise error("chunk fails")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "decay_curve", fails)
+            argv = ["decay-curve", "--delta-max", str(4 * self.CHUNK), "--out", str(out)]
+            return main(argv + ["--quiet"]), calls
+
+        # The first chunk is taken in the main thread, the second in a worker.
+        assert run(1) == (code, [True])
+        assert run(2) == (code, [True, False])
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert threading.active_count() == threads
+
+    def test_failed_write_waits_for_the_worker(self, tmp_path, monkeypatch, calls):
+        threads = threading.active_count()
+        out = tmp_path / "c.csv"
+        events = []
+        counted, rmtree = cli.decay_curve, cli.shutil.rmtree
+
+        def slow_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+                events.append("computed")
+            return counted(*args, **kwargs)
+
+        def failing_write(curve, out):
+            raise OSError("disk full")
+
+        def discard(path, *args, **kwargs):
+            events.append("discarded")
+            return rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decay_curve", slow_worker)
+        monkeypatch.setattr(ropefreq._csvrows, "write_rows", failing_write)
+        monkeypatch.setattr(cli.shutil, "rmtree", discard)
+        assert main(["decay-curve", "--delta-max", "20", "--out", str(out), "--quiet"]) == 4
+        # The second chunk's worker ended before the staged file was discarded.
+        assert events == ["computed", "discarded"]
+        assert len(calls) == 2 and not any(tmp_path.iterdir())
+        assert threading.active_count() == threads
+
+    def test_missing_directory_fails_before_any_chunk(self, tmp_path, monkeypatch):
+        # The stub builds one delta, so a run that computes first stays short.
+        real, calls = cli.decay_curve, []
+
+        def one_delta(deltas, *args, **kwargs):
+            calls.append(len(deltas))
+            return real(range(1), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decay_curve", one_delta)
+        out = tmp_path / "missing" / "c.csv"
+        argv = ["decay-curve", "--delta-max", "3000000", "--out", str(out), "--quiet"]
+        assert main(argv) == 4
+        assert calls == [] and not any(tmp_path.iterdir())
+
+    def test_peak_is_below_the_whole_curve(self, tmp_path):
+        # tracemalloc traces every thread. 10**5 deltas hold 4 MB of curve
+        # arrays (an int64 delta and four f64 series each); streamed, at most
+        # two chunks and a few blocks are held.
+        argv = ["decay-curve", "--delta-max", "99999", "--include-full"]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 * 5 * 8
+
+
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay-curve", "--delta-max", "3", "--out"],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--out"],
+            ["bands", "--out"],
+            ["shared-attn", "CONFIG", "--out"],
+            ["shared-attn", "CONFIG", "--emit-config"],
+        ],
+        ids=["decay-curve", "schedule", "bands", "shared-attn", "emit-config"],
+    )
+    def test_error_names_the_requested_path(self, tmp_path, capsys, argv):
+        cfg_path, _ = demo_config(tmp_path, PLAIN)
+        out = tmp_path / "missing" / "out.txt"
+        argv = [str(cfg_path) if a == "CONFIG" else a for a in argv]
+        assert main(argv + [str(out), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] ") and err.endswith(f": {str(out)!r}\n")
+        assert ".ropefreq-" not in err
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 class TestSubcommandFlags:
