@@ -334,15 +334,25 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-# Bytes of f64 logits one block of query rows may hold. A block's height is
-# this budget over the bytes in one row of logits, so the working set stays
-# flat however many keys there are.
+# Bytes of f64 logits one block of query rows may hold, counting every
+# logits buffer of the block. A block's height is this budget over the bytes
+# those buffers take per query row, so the working set stays flat however
+# many keys and heads there are.
 _BLOCK_BYTES = 4 * 2**20
 
 
-def _block_rows(n_keys: int) -> int:
-    """Query rows per block for ``n_keys`` keys."""
-    return max(1, _BLOCK_BYTES // (8 * max(n_keys, 1)))
+def _row_bytes(n_keys: int, heads: int) -> int:
+    """Bytes of f64 logits a block holds per query row over ``n_keys`` keys.
+
+    One row per logits buffer: the first head's, which becomes the head
+    average, and with more heads one that each further head is computed in.
+    """
+    return 8 * max(n_keys, 1) * min(heads, 2)
+
+
+def _block_rows(n_keys: int, heads: int = 1) -> int:
+    """Query rows per block for ``n_keys`` keys and ``heads`` heads."""
+    return max(1, _BLOCK_BYTES // _row_bytes(n_keys, heads))
 
 
 def _attention_blocks(
@@ -362,7 +372,9 @@ def _attention_blocks(
     (scaled by 1/sqrt(head_dim), not max-shifted), each computed when reached.
     Every key is in every block, so each softmax row is exact. Both are views
     of buffers the next block (a panel: the next band) overwrites: copy what
-    must outlive them.
+    must outlive them. A block is :func:`_block_rows` high, so its logits
+    buffers (two with more than one head) together hold at most
+    ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
 
     Heads and partition are checked (:func:`_check_heads`) before the first
     block; a softmax row that is not finite (overflowing or NaN logits)
@@ -392,7 +404,7 @@ def _check_heads(heads: int, band_partition: BandPartition | None, config: Rotar
 def _blocks(q_rot, k_rot, heads, band_partition, band_k):
     head_dim = q_rot.shape[1] // heads
     scale = 1.0 / math.sqrt(head_dim)
-    step = _block_rows(k_rot.shape[0])
+    step = _block_rows(k_rot.shape[0], heads)
     # Every block, and each band of it, is computed into the same buffers, so
     # one block and one band panel are held however many there are, and no
     # block's memory goes back to the allocator only to be asked for again.

@@ -316,7 +316,8 @@ class ExperimentConfig:
         cells = norm["grid"]["width"] * norm["grid"]["height"]
         if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, *_ in [base, *runs]):
             raise ConfigurationError("sharing.adain needs a grid of at least 2 cells")
-        # One logits row (8 bytes a key) must fit in an evaluation block.
+        # One logits row (8 bytes a key) must fit in an evaluation block. With
+        # more than one head a block holds two such rows, up to 8 MiB at the bound.
         keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, *_ in runs)
         if keys > _BLOCK_BYTES // 8:
             raise ConfigurationError(

@@ -76,14 +76,16 @@ SHARINGS = {
 def ragged_blocks(monkeypatch):
     """Shrink the block budget so each evaluation takes several ragged blocks."""
 
-    def for_keys(n_keys):
-        monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", 8 * n_keys * ROWS_PER_BLOCK)
+    def for_keys(n_keys, heads):
+        budget = ROWS_PER_BLOCK * ropefreq.attention._row_bytes(n_keys, heads)
+        monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", budget)
 
     return for_keys
 
 
 def stacked_blocks(q, k, heads, config=CFG, rows=ROWS_PER_BLOCK):
     """The softmax blocks of the kernel over ``q`` and ``k``, stacked in query order."""
+    assert ropefreq.attention._block_rows(k.shape[0], heads) == rows
     # Each block is copied as it comes: the next one overwrites its buffer.
     blocks = [
         (start, attention.copy())
@@ -106,7 +108,7 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     params, step = SHARINGS[name]
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG, step)
     n_queries, n_keys = qkv.q.shape[0], qkv.k.shape[0]
-    ragged_blocks(n_keys)
+    ragged_blocks(n_keys, heads)
     assert n_queries % ROWS_PER_BLOCK != 0 and n_queries > 2 * ROWS_PER_BLOCK
     partition = make_even_partition(CFG, 3, "all") if heads == 1 else None
 
@@ -261,6 +263,19 @@ def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
     assert peak < block + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
 
+@pytest.mark.parametrize("heads", [2, 4])
+def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
+    # With more than one head a block holds two logits buffers, the head
+    # average and the head being computed; the block is only as high as lets
+    # both fit the one budget, so the peak is that of one head. Two buffers of
+    # the one-head height (8 MiB here) do not fit.
+    scene, text, config = demo_scene(64)
+    params = SharingParams(mode="plain", s=1.0)
+    qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+    _, peak = traced_growth(evaluate_shared, qkv, scene, config, heads=heads, attention_out=_Discard())
+    assert peak < ropefreq.attention._BLOCK_BYTES + ropefreq.diagnostics._WRITE_BYTES + 2**20
+
+
 class _Chunks:
     """A binary file that keeps each write as it came."""
 
@@ -286,7 +301,8 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     n_queries, n_keys, n = len(qkv.q), len(qkv.k), scene.target.n_tokens
     step, chunk = 48, 7
     assert n_queries == 5 * step + 20 and n < n_queries < n + step
-    monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", 8 * n_keys * step)
+    budget = step * ropefreq.attention._row_bytes(n_keys, 1)
+    monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
     partition = make_even_partition(config, 3, "all")
     out = _Chunks()

@@ -88,7 +88,7 @@ def setups(draw):
 def test_blocked_evaluation_equals_dense_reference(setup):
     config, scene, text, params, step, heads, partition, rows_per_block = setup
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
-    budget = 8 * qkv.k.shape[0] * rows_per_block
+    budget = rows_per_block * ropefreq.attention._row_bytes(qkv.k.shape[0], heads)
     with mock.patch.object(ropefreq.attention, "_BLOCK_BYTES", budget):
         evaluation, streamed = streamed_evaluation(qkv, scene, config, heads, partition)
         # Each block is copied as it comes: the next one overwrites its buffer.
