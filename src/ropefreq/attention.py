@@ -11,8 +11,8 @@ chunk (interpolating from ``s_hf`` at the fastest chunk to ``s_lf`` at the
 slowest), or given shifted positions. AdaIN re-statistics the target image
 features against the reference before any rotation.
 
-Attention is evaluated one block of query rows at a time
-(:func:`_attention_blocks`); :func:`ropefreq.diagnostics.evaluate_shared`
+Attention is evaluated one block of query rows at a time (:func:`_blocks`,
+which yields softmax rows only); :func:`ropefreq.diagnostics.evaluate_shared`
 folds each block into its metrics and keeps none of them.
 
 Per-chunk scaling commutes with rotation (both act chunk-diagonally), so
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import Band, BandPartition, _band_factor
+from .bands import Band, BandPartition
 from .errors import ConfigurationError, ShapeError
 from .rope import RotaryConfig, _position, apply_rope_batch
 
@@ -217,6 +217,22 @@ class BandMaskSpec:
     mode: str
     scale: float | None = None
 
+    def factor(self, config: RotaryConfig) -> float:
+        """The factor the band's coordinates of each reference key are multiplied by.
+
+        Raises :class:`ConfigurationError` if the band does not fit ``config``
+        or the mode (and scale) are not a valid mask.
+        """
+        if self.band.stop > config.n_chunks:
+            raise ConfigurationError(f"band {self.band.label!r} extends past the last chunk")
+        if self.mode == "zero":
+            return 0.0
+        if self.mode == "scale":
+            if self.scale is None:
+                raise ConfigurationError("mode 'scale' requires a scale value")
+            return float(self.scale)
+        raise ConfigurationError(f"mode must be 'zero' or 'scale', got {self.mode!r}")
+
 
 @dataclass(frozen=True)
 class SharingParams:
@@ -355,35 +371,6 @@ def _block_rows(n_keys: int, heads: int = 1) -> int:
     return max(1, _BLOCK_BYTES // _row_bytes(n_keys, heads))
 
 
-def _attention_blocks(
-    q_rot: np.ndarray,
-    k_rot: np.ndarray,
-    heads: int,
-    band_partition: BandPartition | None,
-    config: RotaryConfig,
-    band_keys,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Evaluate attention one block of query rows at a time.
-
-    Yields ``(start, attention, per_band)`` for query rows
-    ``start:start + len(attention)``: the head-averaged softmax rows over
-    every key, and ``None`` without a partition, else an iterator over each
-    band's (rows, band keys) share of the logits against ``k_rot[band_keys]``
-    (scaled by 1/sqrt(head_dim), not max-shifted), each computed when reached.
-    Every key is in every block, so each softmax row is exact. Both are views
-    of buffers the next block (a panel: the next band) overwrites: copy what
-    must outlive them. A block is :func:`_block_rows` high, so its logits
-    buffers (two with more than one head) together hold at most
-    ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
-
-    Heads and partition are checked (:func:`_check_heads`) before the first
-    block; a softmax row that is not finite (overflowing or NaN logits)
-    raises :class:`ConfigurationError` in its block.
-    """
-    _check_heads(heads, band_partition, config)
-    return _blocks(q_rot, k_rot, heads, band_partition, k_rot[band_keys])
-
-
 def _check_heads(heads: int, band_partition: BandPartition | None, config: RotaryConfig) -> None:
     """Raise :class:`ConfigurationError` unless ``heads`` and the partition fit ``config``."""
     if heads < 1:
@@ -401,17 +388,32 @@ def _check_heads(heads: int, band_partition: BandPartition | None, config: Rotar
             )
 
 
-def _blocks(q_rot, k_rot, heads, band_partition, band_k):
+def _logit_scale(head_dim: int) -> float:
+    """The factor a head's logits are scaled by: 1/sqrt of its width."""
+    return 1.0 / math.sqrt(head_dim)
+
+
+def _blocks(q_rot: np.ndarray, k_rot: np.ndarray, heads: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Evaluate attention one block of query rows at a time.
+
+    Yields ``(start, attention)``: the head-averaged softmax rows of query
+    rows ``start:start + len(attention)`` over every key, so each row is
+    exact. ``attention`` is a view of a buffer the next block overwrites:
+    copy what must outlive it. A block is :func:`_block_rows` high, so its
+    logits buffers (two with more than one head) together hold at most
+    ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
+
+    ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
+    a softmax row that is not finite (overflowing or NaN logits) raises
+    :class:`ConfigurationError` in its block.
+    """
     head_dim = q_rot.shape[1] // heads
-    scale = 1.0 / math.sqrt(head_dim)
+    scale = _logit_scale(head_dim)
     step = _block_rows(k_rot.shape[0], heads)
-    # Every block, and each band of it, is computed into the same buffers, so
-    # one block and one band panel are held however many there are, and no
-    # block's memory goes back to the allocator only to be asked for again.
-    rows = min(step, q_rot.shape[0])
-    logits = np.empty((min(heads, 2), rows, k_rot.shape[0]))
-    if band_partition is not None:
-        panel = np.empty((rows, band_k.shape[0]))
+    # Every block is computed into the same buffers, so one block is held
+    # however many there are, and no block's memory goes back to the
+    # allocator only to be asked for again.
+    logits = np.empty((min(heads, 2), min(step, q_rot.shape[0]), k_rot.shape[0]))
     for start in range(0, q_rot.shape[0], step):
         qb = q_rot[start : start + step]
         attention = logits[0, : qb.shape[0]]
@@ -437,19 +439,7 @@ def _blocks(q_rot, k_rot, heads, band_partition, band_k):
                     attention += a
         if heads > 1:
             attention /= heads
-
-        per_band = None
-        if band_partition is not None:
-            per_band = _band_panels(qb, band_k, band_partition, scale, panel[: qb.shape[0]])
-        yield start, attention, per_band
-
-
-def _band_panels(qb, band_k, band_partition, scale, panel):
-    for band in band_partition.bands:
-        cols = slice(2 * band.start, 2 * band.stop)
-        np.matmul(qb[:, cols], band_k[:, cols].T, out=panel)
-        panel *= scale
-        yield panel
+        yield start, attention
 
 
 def _effective_schedule(
@@ -529,9 +519,7 @@ def build_shared_qkv(
             ref *= np.repeat(schedule.per_chunk_scales, 2)
         if params.band_mask_override is not None:
             spec = params.band_mask_override
-            ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= _band_factor(
-                spec.band, spec.mode, config, spec.scale
-            )
+            ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= spec.factor(config)
 
     return SharedQKV(k=k, key_layout=layout, notes=tuple(notes))
 

@@ -23,7 +23,6 @@ __all__ = [
     "make_even_partition",
     "decay_curve",
     "decay_curve_to_csv",
-    "band_mask",
 ]
 
 _DEFAULT_LABELS = {1: ("full",), 2: ("high", "low"), 3: ("high", "mid", "low")}
@@ -209,33 +208,3 @@ def decay_curve_to_csv(curve: DecayCurve, out) -> None:
     out.write(HEADER)
     if curve.series:
         write_rows(curve, out)
-
-
-def _band_factor(band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> float:
-    """The factor :func:`band_mask` multiplies ``band``'s coordinates by.
-
-    Raises :class:`ConfigurationError` if the band does not fit ``config``
-    or the mode (and scale) are not a valid mask.
-    """
-    if band.stop > config.n_chunks:
-        raise ConfigurationError(f"band {band.label!r} extends past the last chunk")
-    if mode == "zero":
-        return 0.0
-    if mode == "scale":
-        if scale is None:
-            raise ConfigurationError("mode 'scale' requires a scale value")
-        return float(scale)
-    raise ConfigurationError(f"mode must be 'zero' or 'scale', got {mode!r}")
-
-
-def band_mask(vec, band: Band, mode: str, config: RotaryConfig, scale: float | None = None) -> np.ndarray:
-    """Zero or rescale the coordinates of one chunk band, leaving the rest.
-
-    ``vec`` may be a single embedding ``(dim,)`` or a stack ``(n, dim)``.
-    ``mode`` is "zero" or "scale"; scaling requires ``scale``.
-    """
-    v = np.array(vec, dtype=np.float64)
-    if v.shape[-1] != config.dim:
-        raise ShapeError(f"expected last axis of width {config.dim}, got shape {v.shape}")
-    v[..., 2 * band.start : 2 * band.stop] *= _band_factor(band, mode, config, scale)
-    return v

@@ -15,7 +15,9 @@ Exit codes: 0 success, 2 usage error, 3 config/validation error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -37,7 +39,7 @@ from .attention import (
     build_shared_qkv,
     shift_positions,
 )
-from .bands import Band, BandPartition, _band_factor, _block_deltas, decay_curve, make_even_partition
+from .bands import Band, BandPartition, _block_deltas, decay_curve, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, sidecar_path, write_attention_matrix
@@ -209,9 +211,8 @@ def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
     if params.mode == "shifted":
         corners = np.array([[0, 0], [grid["width"] - 1, grid["height"] - 1]])
         shift_positions(corners, params.offset)
-    spec = params.band_mask_override
-    if spec is not None:
-        _band_factor(spec.band, spec.mode, config, spec.scale)
+    if params.band_mask_override is not None:
+        params.band_mask_override.factor(config)
     return params, sharing, step
 
 
@@ -345,20 +346,19 @@ def _matrix_paths(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
-    """Each entry's matrix path, once no two of the run's outputs are one file.
+    """The run's outputs: the report (when given), then each matrix and its sidecar.
 
-    The outputs (the report, each matrix and each sidecar) are compared as
-    resolved paths; a clash raises :class:`ConfigurationError`.
+    They are compared as resolved paths; two that name the same file raise
+    :class:`ConfigurationError`.
     """
-    matrices = _matrix_paths(cfg)
     targets = [] if report is None else [Path(report)]
-    targets += [p for m in matrices for p in (m, sidecar_path(m))]
+    targets += [p for m in _matrix_paths(cfg) for p in (m, sidecar_path(m))]
     resolved = [t.resolve() for t in targets]
     for i, r in enumerate(resolved):
         if r in resolved[:i]:
             other = targets[resolved.index(r)]
             raise ConfigurationError(f"outputs {other} and {targets[i]} name the same file")
-    return matrices
+    return targets
 
 
 def run_experiment(cfg: ExperimentConfig, stage) -> dict:
@@ -452,12 +452,16 @@ def _all_or_nothing():
 
     Staged files sit in a hidden directory beside their targets. They are
     renamed into place only when the block completes, and are removed when
-    it raises, so a run leaves either all of its outputs or none.
+    it raises, so a run leaves either all of its outputs or none. A target
+    that is an existing directory (not a link, which is replaced) raises
+    when it is staged. Errors name the target, not its staged file.
     """
     staging: dict[Path, Path] = {}
 
     def stage(path) -> Path:
         path = Path(path)
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if path.parent not in staging:
             try:
                 staging[path.parent] = Path(tempfile.mkdtemp(prefix=".ropefreq-", dir=path.parent))
@@ -470,7 +474,11 @@ def _all_or_nothing():
         yield stage
         for parent, tmp in staging.items():
             for staged in tmp.iterdir():
-                staged.replace(parent / staged.name)
+                target = parent / staged.name
+                try:
+                    staged.replace(target)
+                except OSError as exc:
+                    raise OSError(exc.errno, exc.strerror, str(target)) from exc
     finally:
         for tmp in staging.values():
             shutil.rmtree(tmp, ignore_errors=True)
@@ -550,7 +558,8 @@ def cmd_decay_curve(args) -> int:
         raise ConfigurationError(
             f"--delta-max must be at most {largest} for {n_series} series, got {args.delta_max}"
         )
-    # Opened first, so that a missing directory fails before any chunk.
+    # Opened first, so that a missing directory, or a directory at --out,
+    # fails before any chunk.
     with _all_or_nothing() as stage, stage(args.out).open("w") as out:
         _write_decay_curve(range(args.delta_max + 1), out, partition, config, args.include_full)
     _info(args, f"wrote {Path(args.out)}")
@@ -617,16 +626,17 @@ def cmd_shared_attn(args) -> int:
         return 0
 
     report_path = cfg.normalized["output"]["report"] if args.out is None else args.out
-    matrices = _output_paths(cfg, report_path)
+    targets = _output_paths(cfg, report_path)
     with _all_or_nothing() as stage:
-        # Staged first, so that a missing report directory fails before the run.
-        staged_report = None if report_path is None else stage(report_path)
+        # Every target is staged first, so that a missing directory, or a
+        # directory at a target, fails before the run.
+        staged = [stage(target) for target in targets]
         report = _report_json(run_experiment(cfg, stage))
-        if staged_report is not None:
-            staged_report.write_text(report)
+        if report_path is not None:
+            staged[0].write_text(report)
     if report_path is None:
         sys.stdout.write(report)
-    for path in ([] if report_path is None else [report_path]) + matrices:
+    for path in ([] if report_path is None else [report_path]) + _matrix_paths(cfg):
         _info(args, f"wrote {path}")
     return 0
 

@@ -9,7 +9,9 @@ the query's own target key trivially dominates the global argmax and carries
 no information about the reference competition.
 
 :func:`evaluate_shared` is the one evaluator: it reduces each block of query
-rows as it is computed, so no dense matrix is ever held.
+rows as it is computed, so no dense matrix is ever held. The attention
+kernel yields softmax rows only; the attribution fold takes each band's
+logits of a block's query rows itself.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SharedQKV, _attention_blocks
+from .attention import SharedQKV, _blocks, _check_heads, _logit_scale
 from .bands import BandPartition
 from .errors import ShapeError
 from .rope import RotaryConfig
@@ -62,11 +64,9 @@ class AlignmentMetrics:
 
 def _row_order_sum(values: np.ndarray) -> float:
     # One float at a time in query order, as a per-query loop adds them, so
-    # the result does not depend on how the rows were blocked.
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
+    # the result does not depend on how the rows were blocked. Accumulation
+    # adds left to right, never pairwise.
+    return float(np.add.accumulate(values)[-1])
 
 
 def _span(rows: slice, start: int, stop: int) -> tuple[int, int, slice]:
@@ -174,28 +174,48 @@ class BandAttribution:
     n_pairs: int
 
 
+def _band_panels(qb: np.ndarray, ref_k: np.ndarray, partition: BandPartition, panel: np.ndarray):
+    """Yield each band's logits of the rows ``qb`` against ``ref_k``, in ``panel``.
+
+    A band's panel is its chunks' share of the scaled logits, so the panels
+    sum to the full logits. Each band is computed into ``panel``, a
+    ``(len(qb), len(ref_k))`` buffer, when reached and overwritten by the next.
+    """
+    scale = _logit_scale(qb.shape[1])
+    for band in partition.bands:
+        cols = slice(2 * band.start, 2 * band.stop)
+        np.matmul(qb[:, cols], ref_k[:, cols].T, out=panel)
+        panel *= scale
+        yield panel
+
+
 class _AttributionFold:
     """Per-band |logit| sums over image queries x reference keys, one block at a time.
 
-    The band panels fed to :meth:`add` hold logits against the scene's
-    reference keys only.
+    Built from the partition, the assembled keys and the scene; feed it each
+    block's query rows with :meth:`add`, then read :meth:`result`.
     """
 
-    def __init__(self, partition: BandPartition, query_layout, scene: PlantedScene) -> None:
+    def __init__(self, partition: BandPartition, qkv: SharedQKV, scene: PlantedScene) -> None:
         self.partition = partition
-        self.q_rows = query_layout.rows("target-image")
+        self.q_rows = qkv.query_layout.rows("target-image")
+        self.ref_k = qkv.k[qkv.key_layout.rows("reference-image")]
         self.n_pairs = (self.q_rows.stop - self.q_rows.start) * scene.target.n_tokens
         self.totals = np.zeros(len(partition.bands))
+        # One band panel, reused by every band of every block; grown only
+        # when a block is taller than any before (the first is the tallest).
+        self.panel = np.empty((0, self.ref_k.shape[0]))
 
-    def add(self, start: int, per_band) -> None:
-        """Fold each band's panel of rows ``start:`` from ``per_band``, then ask for the next.
-
-        Overwrites the image-query rows of each panel with their absolute values.
-        """
-        for i, panel in enumerate(per_band):
-            lo, hi, local = _span(self.q_rows, start, start + panel.shape[0])
-            if lo < hi:
-                self.totals[i] += np.abs(panel[local], out=panel[local]).sum()
+    def add(self, start: int, qb: np.ndarray) -> None:
+        """Fold each band's logits of query rows ``qb``, rows ``start:`` of the queries."""
+        lo, hi, local = _span(self.q_rows, start, start + qb.shape[0])
+        if lo == hi:
+            return
+        if self.panel.shape[0] < qb.shape[0]:
+            self.panel = np.empty((qb.shape[0], self.ref_k.shape[0]))
+        panels = _band_panels(qb, self.ref_k, self.partition, self.panel[: qb.shape[0]])
+        for i, panel in enumerate(panels):
+            self.totals[i] += np.abs(panel[local], out=panel[local]).sum()
 
     def result(self) -> BandAttribution:
         labels = self.partition.labels
@@ -238,15 +258,16 @@ def evaluate_shared(
     without reference keys every alignment metric is 0.
     """
     align = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
+    _check_heads(heads, band_partition, config)
     attribution = None
     if band_partition is not None and align.has_reference:
-        attribution = _AttributionFold(band_partition, qkv.query_layout, scene)
-    blocks = _attention_blocks(qkv.q, qkv.k, heads, band_partition, config, align.ref_cols)
+        attribution = _AttributionFold(band_partition, qkv, scene)
+    q = qkv.q
     chunk = max(1, _WRITE_BYTES // (4 * qkv.k.shape[0]))
-    for start, attention, per_band in blocks:
+    for start, attention in _blocks(q, qkv.k, heads):
         align.add(start, attention)
         if attribution is not None:
-            attribution.add(start, per_band)
+            attribution.add(start, q[start : start + attention.shape[0]])
         if attention_out is not None:
             for row in range(0, attention.shape[0], chunk):
                 attention_out.write(attention[row : row + chunk].astype("<f4"))

@@ -35,7 +35,8 @@ from ropefreq import (
     ramp_at,
     shift_positions,
 )
-from ropefreq.attention import _attention_blocks
+from ropefreq.attention import _blocks
+from ropefreq.diagnostics import _band_panels
 from ropefreq.reportio import layout_to_json
 
 CFG = RotaryConfig(dim=32)
@@ -119,36 +120,31 @@ class TestAdain:
             adain(np.ones((3, 4)), np.ones((1, 4)))
 
 
-def kernel(qf, qpos, kf, kpos, heads=1, band_partition=None):
-    """``(attention, per_band)`` of the blocked kernel on rows rotated at their positions.
+def kernel(qf, qpos, kf, kpos, heads=1):
+    """The softmax rows of the blocked kernel on rows rotated at their positions.
 
     The inputs are small enough for one block, which the unpacking checks.
     """
     q_rot = apply_rope_batch(qf, qpos, CFG)
     k_rot = apply_rope_batch(kf, kpos, CFG)
-    ((start, attention, per_band),) = _attention_blocks(
-        q_rot, k_rot, heads, band_partition, CFG, slice(None)
-    )
+    ((start, attention),) = _blocks(q_rot, k_rot, heads)
     assert start == 0
-    # Each band's panel is computed into the buffer the next band reuses.
-    if per_band is not None:
-        per_band = np.stack([panel.copy() for panel in per_band])
-    return attention, per_band
+    return attention
 
 
 class TestAttend:
     def test_single_key_gets_all_attention(self):
-        attention, _ = kernel(np.ones((1, 32)), [[2, 3]], np.ones((1, 32)), [[5, 1]])
+        attention = kernel(np.ones((1, 32)), [[2, 3]], np.ones((1, 32)), [[5, 1]])
         np.testing.assert_array_equal(attention, [[1.0]])
 
     def test_identical_keys_at_same_position_split_evenly(self):
         qf = np.random.default_rng(4).standard_normal((1, 32))
-        attention, _ = kernel(qf, [[0, 0]], np.vstack([qf, qf]), [[3, 2], [3, 2]])
+        attention = kernel(qf, [[0, 0]], np.vstack([qf, qf]), [[3, 2], [3, 2]])
         np.testing.assert_allclose(attention, [[0.5, 0.5]], atol=1e-12)
 
     def test_symmetric_displacements_with_query_equal_key(self):
         f = np.random.default_rng(5).standard_normal((1, 32))
-        attention, _ = kernel(f, [[0, 0]], np.vstack([f, f]), [[1, 0], [-1, 0]])
+        attention = kernel(f, [[0, 0]], np.vstack([f, f]), [[1, 0], [-1, 0]])
         np.testing.assert_allclose(attention, [[0.5, 0.5]], atol=1e-12)
 
     def test_six_token_case_matches_bruteforce(self):
@@ -157,7 +153,7 @@ class TestAttend:
         kf = rng.standard_normal((6, 32))
         qpos = rng.integers(-4, 5, (6, 2))
         kpos = rng.integers(-4, 5, (6, 2))
-        attention, _ = kernel(qf, qpos, kf, kpos)
+        attention = kernel(qf, qpos, kf, kpos)
 
         q_rot = [oracles.o_apply_rope(list(qf[i]), *qpos[i], 32, 10000.0) for i in range(6)]
         k_rot = [oracles.o_apply_rope(list(kf[i]), *kpos[i], 32, 10000.0) for i in range(6)]
@@ -171,7 +167,7 @@ class TestAttend:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        attention, _ = kernel(
+        attention = kernel(
             rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2)),
             rng.standard_normal((9, 32)), rng.integers(0, 4, (9, 2)), heads=2,
         )
@@ -183,7 +179,7 @@ class TestAttend:
         rng = np.random.default_rng(8)
         qf, qpos = rng.standard_normal((3, 32)), rng.integers(0, 3, (3, 2))
         kf, kpos = rng.standard_normal((5, 32)), rng.integers(0, 3, (5, 2))
-        attention, _ = kernel(qf, qpos, kf, kpos, heads=2)
+        attention = kernel(qf, qpos, kf, kpos, heads=2)
         q_rot = apply_rope_batch(qf, qpos, CFG)
         k_rot = apply_rope_batch(kf, kpos, CFG)
         per_head = []
@@ -194,8 +190,12 @@ class TestAttend:
         np.testing.assert_allclose(attention, np.mean(per_head, axis=0), atol=1e-12)
 
     def test_head_divisibility_error(self):
-        with pytest.raises(ConfigurationError):
-            kernel(np.ones((1, 32)), [[0, 0]], np.ones((1, 32)), [[0, 0]], heads=3)
+        scene, text = scene_and_text()
+        qkv = build_shared_qkv(
+            scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
+        )
+        with pytest.raises(ConfigurationError, match="divisible"):
+            evaluate_shared(qkv, scene, CFG, heads=3)
 
 
 class TestAttendBandDecomposition:
@@ -204,9 +204,11 @@ class TestAttendBandDecomposition:
         qf, qpos = rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2))
         kf, kpos = rng.standard_normal((6, 32)), rng.integers(0, 4, (6, 2))
         part = make_even_partition(CFG, 4, "all")
-        _, per_band = kernel(qf, qpos, kf, kpos, band_partition=part)
         q_rot = apply_rope_batch(qf, qpos, CFG)
         k_rot = apply_rope_batch(kf, kpos, CFG)
+        # Each band's panel is computed into the buffer the next band reuses.
+        panels = _band_panels(q_rot, k_rot, part, np.empty((4, 6)))
+        per_band = np.stack([panel.copy() for panel in panels])
         logits = q_rot @ k_rot.T / math.sqrt(32)
         assert per_band.shape == (4, 4, 6)
         np.testing.assert_allclose(per_band.sum(axis=0), logits, atol=1e-8)
@@ -351,7 +353,7 @@ class TestBuildSharedQKV:
         assert tied
         features = np.vstack([scene.target.features, text.features])
         positions = np.vstack([scene.target.positions, text.positions])
-        base, _ = kernel(features, positions, features, positions)
+        base = kernel(features, positions, features, positions)
         np.testing.assert_allclose(attention, base, atol=1e-15)
         _, streamed = streamed_evaluation(qkv, scene, CFG)
         assert streamed == base.astype("<f4").tobytes()

@@ -15,16 +15,21 @@ import oracles
 import ropefreq.bands
 from ropefreq import (
     Band,
+    BandMaskSpec,
     BandPartition,
     ConfigurationError,
     DecayCurve,
     RotaryConfig,
     ShapeError,
-    band_mask,
+    SharingParams,
+    build_shared_qkv,
     decay_curve,
     decay_curve_to_csv,
     frequencies,
     make_even_partition,
+    make_grid,
+    make_text,
+    plant_scene,
 )
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "decay_fixture.json").read_text())
@@ -367,56 +372,96 @@ def test_csv_rows_are_percent_rendering(rows, block_deltas):
     assert out.getvalue() == _percent_csv(curve)
 
 
+MASK_CFG = RotaryConfig(dim=16)
+# The reference rows of a mask scene's keys follow its 9 image and 2 text rows.
+MASK_REF = slice(11, None)
+
+
+def mask_scene(seed=0, dim=16):
+    scene = plant_scene(make_grid(3, 3, dim, seed=seed), kind="shuffle", noise_level=0.3, seed=seed + 1)
+    return scene, make_text(2, dim, seed=seed + 2)
+
+
+def masked_keys(spec, seed=0):
+    """``(masked, plain)``: the keys ``build_shared_qkv`` stacks with and without ``spec``."""
+    scene, text = mask_scene(seed)
+    return tuple(
+        build_shared_qkv(
+            scene.target, text, scene.reference,
+            SharingParams(mode="plain", s=1.0, band_mask_override=mask), MASK_CFG,
+        ).k
+        for mask in (spec, None)
+    )
+
+
+def assert_masked_columns(spec, factor, seed=0):
+    """Only the band's columns of the reference rows differ, each times ``factor``."""
+    masked, plain = masked_keys(spec, seed)
+    expected = plain.copy()
+    expected[MASK_REF, 2 * spec.band.start : 2 * spec.band.stop] *= factor
+    np.testing.assert_array_equal(masked, expected)
+
+
 class TestBandMask:
+    """A ``BandMaskSpec`` on the reference keys ``build_shared_qkv`` assembles."""
+
     def test_scale_one_is_identity(self):
-        cfg = RotaryConfig(dim=8)
-        v = np.arange(8.0)
-        np.testing.assert_array_equal(band_mask(v, Band("b", 0, 4), "scale", cfg, scale=1.0), v)
+        spec = BandMaskSpec(Band("b", 0, 4), "scale", 1.0)
+        assert spec.factor(MASK_CFG) == 1.0
+        masked, plain = masked_keys(spec)
+        np.testing.assert_array_equal(masked, plain)
 
     def test_zero_everything(self):
-        cfg = RotaryConfig(dim=8)
-        out = band_mask(np.arange(8.0), Band("b", 0, 4), "zero", cfg)
-        np.testing.assert_array_equal(out, np.zeros(8))
+        spec = BandMaskSpec(Band("b", 0, MASK_CFG.n_chunks), "zero")
+        assert spec.factor(MASK_CFG) == 0.0
+        masked, plain = masked_keys(spec)
+        np.testing.assert_array_equal(masked[MASK_REF], 0.0)
+        np.testing.assert_array_equal(masked[: MASK_REF.start], plain[: MASK_REF.start])
 
     def test_half_scale_on_leading_band(self):
-        cfg = RotaryConfig(dim=8)
-        v = np.ones(8)
-        out = band_mask(v, Band("b", 0, 2), "scale", cfg, scale=0.5)
-        np.testing.assert_array_equal(out, [0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
+        spec = BandMaskSpec(Band("b", 0, 2), "scale", 0.5)
+        assert spec.factor(MASK_CFG) == 0.5
+        assert_masked_columns(spec, 0.5)
 
     def test_input_not_mutated(self):
-        cfg = RotaryConfig(dim=8)
-        v = np.ones(8)
-        band_mask(v, Band("b", 0, 4), "zero", cfg)
-        np.testing.assert_array_equal(v, np.ones(8))
+        scene, text = mask_scene()
+        before = [t.features.copy() for t in (scene.target, text, scene.reference)]
+        params = SharingParams(mode="plain", band_mask_override=BandMaskSpec(Band("b", 0, 4), "zero"))
+        build_shared_qkv(scene.target, text, scene.reference, params, MASK_CFG)
+        for b, t in zip(before, (scene.target, text, scene.reference)):
+            np.testing.assert_array_equal(t.features, b)
 
     def test_matrix_input(self):
-        cfg = RotaryConfig(dim=8)
-        m = np.ones((3, 8))
-        out = band_mask(m, Band("b", 1, 2), "zero", cfg)
-        assert out[:, 2:4].sum() == 0 and out.sum() == 3 * 6
+        # Zero mode zeroes exactly columns 2*start:2*stop of every reference row.
+        spec = BandMaskSpec(Band("b", 1, 2), "zero")
+        assert_masked_columns(spec, 0.0)
+        ref = masked_keys(spec)[0][MASK_REF]
+        assert not ref[:, 2:4].any() and ref[:, :2].all() and ref[:, 4:].all()
 
     def test_shape_error(self):
-        cfg = RotaryConfig(dim=8)
+        # The mask applies to keys of the config's width only.
+        scene, text = mask_scene(dim=8)
+        params = SharingParams(mode="plain", band_mask_override=BandMaskSpec(Band("b", 0, 2), "zero"))
         with pytest.raises(ShapeError):
-            band_mask(np.ones(6), Band("b", 0, 2), "zero", cfg)
+            build_shared_qkv(scene.target, text, scene.reference, params, MASK_CFG)
 
     def test_mode_validation(self):
-        cfg = RotaryConfig(dim=8)
-        with pytest.raises(ConfigurationError):
-            band_mask(np.ones(8), Band("b", 0, 2), "clip", cfg)
-        with pytest.raises(ConfigurationError):
-            band_mask(np.ones(8), Band("b", 0, 2), "scale", cfg)
+        for spec in (
+            BandMaskSpec(Band("b", 0, 2), "clip"),
+            BandMaskSpec(Band("b", 0, 2), "scale"),
+            BandMaskSpec(Band("b", 0, MASK_CFG.n_chunks + 1), "zero"),
+        ):
+            with pytest.raises(ConfigurationError):
+                spec.factor(MASK_CFG)
+            with pytest.raises(ConfigurationError):
+                masked_keys(spec)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(-4, 4, allow_nan=False))
+    @given(st.integers(0, 999), st.floats(-4, 4, allow_nan=False))
     def test_scaling_is_linear(self, seed, a):
-        cfg = RotaryConfig(dim=16)
-        v = np.random.default_rng(seed).standard_normal(16)
-        band = Band("b", 2, 6)
-        lhs = band_mask(a * v, band, "scale", cfg, scale=0.7)
-        rhs = a * band_mask(v, band, "scale", cfg, scale=0.7)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        spec = BandMaskSpec(Band("b", 2, 6), "scale", a)
+        assert spec.factor(MASK_CFG) == a
+        assert_masked_columns(spec, a, seed)
 
 
 def test_decay_curve_rejects_partition_past_last_chunk():

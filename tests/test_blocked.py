@@ -83,14 +83,11 @@ def ragged_blocks(monkeypatch):
     return for_keys
 
 
-def stacked_blocks(q, k, heads, config=CFG, rows=ROWS_PER_BLOCK):
+def stacked_blocks(q, k, heads, rows=ROWS_PER_BLOCK):
     """The softmax blocks of the kernel over ``q`` and ``k``, stacked in query order."""
     assert ropefreq.attention._block_rows(k.shape[0], heads) == rows
     # Each block is copied as it comes: the next one overwrites its buffer.
-    blocks = [
-        (start, attention.copy())
-        for start, attention, _ in ropefreq.attention._attention_blocks(q, k, heads, None, config, slice(None))
-    ]
+    blocks = [(start, attention.copy()) for start, attention in ropefreq.attention._blocks(q, k, heads)]
     assert len(blocks) > 1 and [start for start, _ in blocks] == list(range(0, q.shape[0], rows))
     return np.vstack([attention for _, attention in blocks])
 
@@ -329,7 +326,7 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     sizes = [4 * n_keys * min(chunk, r - c) for r in rows for c in range(0, r, chunk)]
     assert [len(c) for c in out.chunks] == sizes and sizes[-1] < 4 * n_keys * chunk
     streamed = b"".join(out.chunks)
-    assert streamed == stacked_blocks(qkv.q, qkv.k, 1, config, step).astype("<f4").tobytes()
+    assert streamed == stacked_blocks(qkv.q, qkv.k, 1, rows=step).astype("<f4").tobytes()
     assert streamed == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
 
 

@@ -287,6 +287,72 @@ class TestMissingOutputDirectory:
         assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
+class TestDirectoryTarget:
+    """An output target that is an existing directory fails before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay-curve", "--delta-max", "3", "--out"],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--out"],
+            ["bands", "--out"],
+            ["shared-attn", "CONFIG", "--out"],
+            ["shared-attn", "CONFIG", "--emit-config"],
+        ],
+        ids=["decay-curve", "schedule", "bands", "shared-attn", "emit-config"],
+    )
+    def test_error_names_the_requested_path(self, tmp_path, capsys, argv):
+        cfg_path, _ = demo_config(tmp_path, PLAIN)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [str(cfg_path) if a == "CONFIG" else a for a in argv]
+        assert main(argv + [str(out), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, out])
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("target", ["report.json", "attn.entry1.f4", "attn.entry1.f4.json"])
+    def test_shared_attn_evaluates_nothing(self, tmp_path, monkeypatch, capsys, target):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg_path, _ = demo_config(
+            tmp_path, PLAIN, sweep=[PLAIN, PLAIN],
+            output={"report": str(out / "report.json"), "attention": str(out / "attn.f4")},
+        )
+        (out / target).mkdir()
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_shared", lambda *args, **kwargs: calls.append(args))
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
+        assert calls == []
+        assert capsys.readouterr().err.endswith(f": {str(out / target)!r}\n")
+        assert list(out.iterdir()) == [out / target] and not any((out / target).iterdir())
+
+    def test_decay_curve_computes_nothing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "decay_curve", lambda *args, **kwargs: calls.append(args))
+        argv = ["decay-curve", "--delta-max", "2000000", "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 4
+        assert calls == [] and not any(tmp_path.iterdir())
+
+    def test_link_to_a_directory_is_replaced(self, tmp_path):
+        out, link = tmp_path / "dir", tmp_path / "link"
+        out.mkdir()
+        link.symlink_to(out)
+        assert main(["bands", "--out", str(link), "--quiet"]) == 0
+        assert not link.is_symlink() and json.loads(link.read_text())["bands"]
+        assert not any(out.iterdir())
+
+    def test_failed_rename_names_the_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with pytest.raises(IsADirectoryError) as exc:
+            with cli._all_or_nothing() as stage:
+                stage(target).write_text("x")
+                target.mkdir()  # after staging, so that only the rename fails
+        assert exc.value.filename == str(target) and exc.value.filename2 is None
+        assert list(tmp_path.iterdir()) == [target]
+
+
 class TestSubcommandFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dense_reference import dense_attribution, dense_band_logits, evaluate_with_reference
@@ -24,7 +26,7 @@ from ropefreq import (
     make_text,
     plant_scene,
 )
-from ropefreq.diagnostics import _AlignmentFold
+from ropefreq.diagnostics import _AlignmentFold, _row_order_sum
 
 CFG = RotaryConfig(dim=32)
 COPYING = json.loads((Path(__file__).parent / "fixtures" / "copying_fixture.json").read_text())
@@ -208,3 +210,15 @@ def test_oracle_search_metrics_reproduce_copying_fixture(mode, frozen):
         COPYING["kind"], COPYING["seed"], COPYING["noise_level"], COPYING["style_strength"], kwargs
     )
     assert got.as_dict() == pytest.approx(COPYING[frozen], abs=1e-9, rel=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1e300), min_size=1, max_size=300))
+# Added pairwise, the small terms would not vanish one by one into the large one.
+@example([1.0] + [2.0**-60] * 256)
+def test_row_order_sum_adds_left_to_right(values):
+    # Masses are never negative; a query loop adds them one at a time.
+    total = 0.0
+    for v in values:
+        total += v
+    assert _row_order_sum(np.array(values)) == total

@@ -94,9 +94,7 @@ def test_blocked_evaluation_equals_dense_reference(setup):
         # Each block is copied as it comes: the next one overwrites its buffer.
         blocks = [
             (start, attention.copy())
-            for start, attention, _ in ropefreq.attention._attention_blocks(
-                qkv.q, qkv.k, heads, None, config, slice(None)
-            )
+            for start, attention in ropefreq.attention._blocks(qkv.q, qkv.k, heads)
         ]
     assert [start for start, _ in blocks] == list(range(0, qkv.q.shape[0], rows_per_block))
     stacked = np.vstack([attention for _, attention in blocks])
