@@ -52,6 +52,7 @@ MODALITIES = ("image", "text")
 SHARING_MODES = ("none", "plain", "frequency_aware", "shifted")
 
 ADAIN_STD_FLOOR = 1e-8
+_ROWS_BYTES = 2**20  # bytes of f64 rows AdaIN's statistics and the scene builders take at a time
 
 
 def grid_positions(width: int, height: int) -> np.ndarray:
@@ -320,6 +321,28 @@ class SharedQKV:
         return self.k[: len(self.query_layout)]
 
 
+def _column_stats(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``x.mean(axis=0)`` and ``x.std(axis=0)`` bit for bit, ``rows`` rows at a time.
+
+    NumPy adds a C-contiguous matrix's rows one by one; so does each block, after row 0's sums.
+    """
+    if x.shape[1] < 2 or not x.flags.c_contiguous:  # NumPy sums these pairwise
+        return x.mean(axis=0), x.std(axis=0)
+    buf, total = np.empty((min(rows, len(x)) + 1, x.shape[1])), np.empty(x.shape[1])
+
+    def column_means(term) -> np.ndarray:
+        for lo in range(0, len(x), rows):
+            m = min(rows, len(x) - lo)
+            term(x[lo : lo + m], buf[1 : m + 1])
+            buf[0] = total
+            np.add.reduce(buf[int(lo == 0) : m + 1], axis=0, out=total)
+        return total / len(x)
+
+    mean = column_means(lambda block, out: np.copyto(out, block))
+    var = column_means(lambda block, out: np.square(np.subtract(block, mean, out=out), out=out))
+    return mean, np.sqrt(var, out=var)
+
+
 def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Re-statistic ``x`` per channel to the mean/std of ``y``.
 
@@ -327,7 +350,7 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     be normalized; they pass through as the constant ``mean(y)`` (zero scale).
     The result is written to ``out`` (a new array when it is ``None``), an
     f64 array of ``x``'s shape which may be ``x`` itself, and ``out`` is
-    returned.
+    returned. Besides ``out`` it holds one block of rows (:func:`_column_stats`).
     """
     xm = np.asarray(x, dtype=np.float64)
     ym = np.asarray(y, dtype=np.float64)
@@ -337,8 +360,8 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
         raise ShapeError("reference statistics need at least 2 rows")
     if out is not None and (out.shape != xm.shape or out.dtype != np.float64):
         raise ShapeError(f"expected an f64 out of shape {xm.shape}, got {out.dtype} {out.shape}")
-    mean_x, std_x = xm.mean(axis=0), xm.std(axis=0)
-    mean_y, std_y = ym.mean(axis=0), ym.std(axis=0)
+    rows = max(1, _ROWS_BYTES // (8 * xm.shape[1]))
+    (mean_x, std_x), (mean_y, std_y) = _column_stats(xm, rows), _column_stats(ym, rows)
     degenerate = std_x < ADAIN_STD_FLOOR
     safe_std = np.where(degenerate, 1.0, std_x)
     out = np.subtract(xm, mean_x, out=out)
@@ -398,9 +421,10 @@ def _blocks(q_rot: np.ndarray, k_rot: np.ndarray, heads: int) -> Iterator[tuple[
 
     Yields ``(start, attention)``: the head-averaged softmax rows of query
     rows ``start:start + len(attention)`` over every key, so each row is
-    exact. ``attention`` is a view of a buffer the next block overwrites:
-    copy what must outlive it. A block is :func:`_block_rows` high, so its
-    logits buffers (two with more than one head) together hold at most
+    exact. ``attention`` is a C-contiguous view of a buffer the next block
+    overwrites (the caller may compute in it): copy what must outlive it. A
+    block is :func:`_block_rows` high, so its logits buffers (two with more
+    than one head) together hold at most
     ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
 
     ``heads`` must divide the width into whole chunks (:func:`_check_heads`);

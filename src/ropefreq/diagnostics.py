@@ -11,12 +11,12 @@ no information about the reference competition.
 :func:`evaluate_shared` is the one evaluator: it reduces each block of query
 rows as it is computed, so no dense matrix is ever held. The attention
 kernel yields softmax rows only; the attribution fold takes each band's
-logits of a block's query rows itself.
+logits of a block's query rows itself, in the kernel's buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,13 +53,7 @@ class AlignmentMetrics:
     reference_mass: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "positional_mass": self.positional_mass,
-            "semantic_mass": self.semantic_mass,
-            "argmax_positional_rate": self.argmax_positional_rate,
-            "argmax_semantic_rate": self.argmax_semantic_rate,
-            "reference_mass": self.reference_mass,
-        }
+        return asdict(self)
 
 
 def _row_order_sum(values: np.ndarray) -> float:
@@ -192,8 +186,9 @@ def _band_panels(qb: np.ndarray, ref_k: np.ndarray, partition: BandPartition, pa
 class _AttributionFold:
     """Per-band |logit| sums over image queries x reference keys, one block at a time.
 
-    Built from the partition, the assembled keys and the scene; feed it each
-    block's query rows with :meth:`add`, then read :meth:`result`.
+    Built from the partition, the assembled keys and the scene; feed :meth:`add` each
+    block's query rows and its used softmax rows, whose buffer holds each band's
+    ``(rows, N_ref)`` panel as a C-contiguous view, then read :meth:`result`.
     """
 
     def __init__(self, partition: BandPartition, qkv: SharedQKV, scene: PlantedScene) -> None:
@@ -202,19 +197,14 @@ class _AttributionFold:
         self.ref_k = qkv.k[qkv.key_layout.rows("reference-image")]
         self.n_pairs = (self.q_rows.stop - self.q_rows.start) * scene.target.n_tokens
         self.totals = np.zeros(len(partition.bands))
-        # One band panel, reused by every band of every block; grown only
-        # when a block is taller than any before (the first is the tallest).
-        self.panel = np.empty((0, self.ref_k.shape[0]))
 
-    def add(self, start: int, qb: np.ndarray) -> None:
-        """Fold each band's logits of query rows ``qb``, rows ``start:`` of the queries."""
+    def add(self, start: int, qb: np.ndarray, attention: np.ndarray) -> None:
+        """Fold the band logits of query rows ``qb`` (from ``start``), computed in ``attention``."""
         lo, hi, local = _span(self.q_rows, start, start + qb.shape[0])
         if lo == hi:
             return
-        if self.panel.shape[0] < qb.shape[0]:
-            self.panel = np.empty((qb.shape[0], self.ref_k.shape[0]))
-        panels = _band_panels(qb, self.ref_k, self.partition, self.panel[: qb.shape[0]])
-        for i, panel in enumerate(panels):
+        panel = attention.reshape(-1)[: len(qb) * len(self.ref_k)].reshape(len(qb), -1)
+        for i, panel in enumerate(_band_panels(qb, self.ref_k, self.partition, panel)):
             self.totals[i] += np.abs(panel[local], out=panel[local]).sum()
 
     def result(self) -> BandAttribution:
@@ -253,9 +243,9 @@ def evaluate_shared(
     running sums, written to the open binary file ``attention_out`` (when
     given) as head-averaged ``<f4`` rows, and dropped, so the file ends up
     holding the ``(n_queries, n_keys)`` matrix row-major. Per-band logits
-    are taken against the reference keys only. Positional alignment is
-    exact grid-coordinate equality between a query and a reference key;
-    without reference keys every alignment metric is 0.
+    are taken against the reference keys only, in the block's buffer once its
+    rows are folded and written. Positional alignment is exact grid equality
+    of a query and a reference key; without reference keys all alignment is 0.
     """
     align = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
     _check_heads(heads, band_partition, config)
@@ -266,11 +256,11 @@ def evaluate_shared(
     chunk = max(1, _WRITE_BYTES // (4 * qkv.k.shape[0]))
     for start, attention in _blocks(q, qkv.k, heads):
         align.add(start, attention)
-        if attribution is not None:
-            attribution.add(start, q[start : start + attention.shape[0]])
         if attention_out is not None:
             for row in range(0, attention.shape[0], chunk):
                 attention_out.write(attention[row : row + chunk].astype("<f4"))
+        if attribution is not None:
+            attribution.add(start, q[start : start + attention.shape[0]], attention)
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),

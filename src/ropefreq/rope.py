@@ -162,24 +162,25 @@ def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
     return angles
 
 
-# Bytes of f64 rotation angles one block of rows may hold. The cos, sin and
-# product temporaries of a block are each about this size, so rotating a
-# stack holds a few times this budget however many rows it has.
+# Bytes of f64 rotation angles one block of rows may hold. A block holds four
+# arrays of this size (_rotate_pairs), however many rows the stack has.
 _ROTATE_BYTES = 2**20
 
 
 def _rotate_pairs(values: np.ndarray, angles: np.ndarray, out: np.ndarray) -> None:
     """Rotate consecutive pairs of the last axis of ``values`` by per-chunk angles into ``out``.
 
-    ``out`` may be ``values``: both halves are computed from the old pairs
-    before either is written. ``angles`` is overwritten.
+    ``out`` may be ``values``: both halves are computed before either is written. ``angles``
+    is overwritten; products are taken in place, rounded as ``a*c - b*s`` and ``a*s + b*c``.
     """
     c = np.cos(angles)
     s = np.sin(angles, out=angles)
     a = values[..., 0::2]
     b = values[..., 1::2]
-    even = a * c - b * s
-    out[..., 1::2] = a * s + b * c
+    even = a * c
+    even -= b * s
+    s *= a
+    out[..., 1::2] = np.add(s, np.multiply(b, c, out=c), out=s)
     out[..., 0::2] = even
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import TokenSet, grid_positions
+from .attention import _ROWS_BYTES, TokenSet, grid_positions
 from .errors import ConfigurationError
 
 __all__ = ["PlantedScene", "make_grid", "make_text", "plant_scene"]
@@ -38,6 +38,15 @@ def _check_scene(
         raise ConfigurationError(f"shift must satisfy |shift| < {n}, got {shift}")
 
 
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """``x /= np.linalg.norm(x, axis=1, keepdims=True)`` bit for bit, a block of rows at a time."""
+    step = max(1, _ROWS_BYTES // (8 * x.shape[1]))
+    for lo in range(0, len(x), step):
+        block = x[lo : lo + step]
+        block /= np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
+    return x
+
+
 def make_grid(
     width: int, height: int, dim: int, seed: int, style_strength: float = 0.0
 ) -> TokenSet:
@@ -56,11 +65,11 @@ def make_grid(
     if style_strength > 0.0:
         style = rng.standard_normal(dim)
         style /= np.linalg.norm(style)
-    feats = rng.standard_normal((width * height, dim))
-    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    feats = _normalize_rows(rng.standard_normal((width * height, dim)))
     if style_strength > 0.0:
-        feats = np.sqrt(1.0 - style_strength**2) * feats + style_strength * style
-        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        feats *= np.sqrt(1.0 - style_strength**2)
+        feats += style_strength * style
+        _normalize_rows(feats)
     return TokenSet(
         features=feats,
         positions=grid_positions(width, height),
@@ -75,8 +84,7 @@ def make_text(n_tokens: int, dim: int, seed: int) -> TokenSet:
         raise ConfigurationError(f"invalid text set size {n_tokens}, dim={dim}")
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((n_tokens, dim))
-    if n_tokens:
-        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    _normalize_rows(feats)
     return TokenSet(
         features=feats,
         positions=np.zeros((n_tokens, 2), dtype=np.int64),
@@ -140,10 +148,13 @@ def plant_scene(
     if noise_level == 0:
         ref_feats[corr] = base.features
     else:
-        sigma = noise_level / np.sqrt(base.dim)
-        noisy = base.features + sigma * rng.standard_normal(base.features.shape)
-        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-        ref_feats[corr] = noisy
+        # A block of noisy rows at a time: the generator draws the same values in blocks.
+        sigma, step = noise_level / np.sqrt(base.dim), max(1, _ROWS_BYTES // (8 * base.dim))
+        for lo in range(0, n, step):
+            noisy = rng.standard_normal((min(step, n - lo), base.dim))
+            noisy *= sigma
+            noisy += base.features[lo : lo + step]
+            ref_feats[corr[lo : lo + step]] = _normalize_rows(noisy)
     reference = TokenSet(
         features=ref_feats,
         positions=base.positions.copy(),

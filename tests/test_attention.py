@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import ropefreq.attention
 from dense_reference import (
     dense_attribution,
     dense_band_logits,
@@ -35,7 +38,7 @@ from ropefreq import (
     ramp_at,
     shift_positions,
 )
-from ropefreq.attention import _blocks
+from ropefreq.attention import _blocks, _column_stats
 from ropefreq.diagnostics import _band_panels
 from ropefreq.reportio import layout_to_json
 
@@ -111,6 +114,19 @@ class TestAdain:
         with pytest.raises(ShapeError):
             adain(x, y, out=np.empty((9, 5)))
 
+    def test_blocked_statistics_keep_the_bits_of_whole_matrix_statistics(self, monkeypatch):
+        # Three rows at a time: x's 11 rows and y's 13 take several ragged blocks.
+        monkeypatch.setattr(ropefreq.attention, "_ROWS_BYTES", 3 * 8 * 6)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((11, 6)) * 3.0 + 1e4, rng.standard_normal((13, 6)) - 2.0
+        x[:, 4] = -7.25  # a degenerate channel takes the reference mean
+        mean_x, std_x, mean_y, std_y = x.mean(axis=0), x.std(axis=0), y.mean(axis=0), y.std(axis=0)
+        degenerate = std_x < 1e-8
+        expected = (x - mean_x) / np.where(degenerate, 1.0, std_x) * std_y + mean_y
+        expected[:, degenerate] = mean_y[degenerate]
+        assert degenerate.tolist() == [False] * 4 + [True, False]
+        assert adain(x, y).tobytes() == expected.tobytes()
+
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             adain(np.ones((3, 4)), np.ones((3, 5)))
@@ -118,6 +134,35 @@ class TestAdain:
     def test_reference_needs_two_rows(self):
         with pytest.raises(ShapeError):
             adain(np.ones((3, 4)), np.ones((1, 4)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 70),
+    width=st.integers(1, 9),
+    rows=st.integers(1, 16),
+    log_scale=st.floats(-8, 8),
+    offset=st.floats(-1e8, 1e8),
+    constant=st.booleans(),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, width=4, rows=1, log_scale=8.0, offset=-1e8, constant=True, fortran=False, seed=0)
+@example(n=61, width=8, rows=7, log_scale=-8.0, offset=1.0, constant=False, fortran=False, seed=1)
+def test_blocked_column_statistics_equal_numpys(
+    n, width, rows, log_scale, offset, constant, fortran, seed
+):
+    # Bit for bit, so even a zero mean keeps its sign. A constant channel is
+    # AdaIN's degenerate path; a lone column and a column-major matrix are
+    # the layouts NumPy sums pairwise.
+    x = np.random.default_rng(seed).standard_normal((n, width)) * 10.0**log_scale + offset
+    if constant:
+        x[:, 0] = offset
+    if fortran:
+        x = np.asfortranarray(x)
+    mean, std = _column_stats(x, rows)
+    assert mean.tobytes() == x.mean(axis=0).tobytes()
+    assert std.tobytes() == x.std(axis=0).tobytes()
 
 
 def kernel(qf, qpos, kf, kpos, heads=1):

@@ -200,45 +200,46 @@ def traced_growth(fn, *args, **kwargs):
     return result, peak - before
 
 
-def demo_scene(grid):
+def demo_scene(grid, text_tokens=4):
     """The copying demo's scene and text at ``grid`` x ``grid``, and its rotary config."""
     config = RotaryConfig.interleaved(128)
     base = make_grid(grid, grid, config.dim, seed=10, style_strength=0.9)
     scene = plant_scene(base, kind="identity", noise_level=1.0, seed=11)
-    return scene, make_text(4, config.dim, seed=12), config
+    return scene, make_text(text_tokens, config.dim, seed=12), config
 
 
 def test_shared_qkv_assembly_holds_one_stack():
     # AdaIN writes into k and the runs are rotated in place or into k, so
-    # besides k assembly holds either AdaIN's one temporary the size of the
-    # target features (NumPy's std) or a few rotation blocks, plus small
-    # statistics. Stacking separate parts held the parts, the stack and the
-    # AdaIN output at once, about 2.7 k here; an AdaIN output apart from k
-    # would be live during the rotation too.
+    # besides k assembly holds four rotation budgets (the sines, the cosines
+    # and two products of a block) and small statistics: AdaIN's statistics
+    # take one block of rows at a time, where NumPy's std held a temporary
+    # the size of the target features (6.25 MiB here), and six budgets were
+    # held while the products were not taken in place. Stacking separate
+    # parts held the parts, the stack and the AdaIN output at once, about
+    # 2.7 k here; an AdaIN output apart from k would be live during the
+    # rotation too.
     scene, text, config = demo_scene(80)
     params = SharingParams(mode="plain", s=1.0)
     qkv, peak = traced_growth(build_shared_qkv, scene.target, text, scene.reference, params, config)
-    budget = max(scene.target.features.nbytes, 6 * ropefreq.rope._ROTATE_BYTES)
-    assert peak < qkv.k.nbytes + budget + 2**19
+    assert peak < qkv.k.nbytes + 4 * ropefreq.rope._ROTATE_BYTES + 2**19
 
 
 def test_evaluation_holds_one_block():
-    # One block's logits and one band's logits against the reference keys
-    # are held, in buffers every block and band reuses, plus small
+    # One block's logits are held, in a buffer every block reuses; each
+    # band's logits against the reference keys are computed in that buffer
+    # once the block's softmax rows are folded. Besides it only small
     # transients: the alignment fold's boolean mask of the block's row
-    # maxima (one byte per reference column) and its per-query arrays. All
-    # three bands' logits at once (two more 2 MiB panels here) do not fit,
-    # nor does an f64 copy of the block's reference columns, nor the
-    # previous block held while the next is computed.
+    # maxima (one byte per reference column) and its per-query arrays. A
+    # band panel of its own (2 MiB here) does not fit, nor do all three
+    # bands' panels at once, nor an f64 copy of the block's reference
+    # columns, nor the previous block held while the next is computed.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     partition = make_even_partition(config, 3, "all")
     _, peak = traced_growth(evaluate_shared, qkv, scene, config, band_partition=partition)
-    rows = ropefreq.attention._block_rows(len(qkv.k))
-    block = 8 * rows * len(qkv.k)
-    panel = 8 * rows * scene.reference.n_tokens
-    assert peak < block + panel + 2**20
+    block = 8 * ropefreq.attention._block_rows(len(qkv.k)) * len(qkv.k)
+    assert peak < block + 2**20
 
 
 class _Discard:
@@ -287,17 +288,27 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     monkeypatch,
 ):
     # The bands' |logit| sums are compared with ==: the fold computes one
-    # band panel at a time, and each must add the same bits as summing the
-    # stacked panels of a block over (rows, keys) and adding the blocks in
-    # order. Five blocks of 48 query rows and a sixth of 20 (16 image rows
-    # and the 4 text rows); the streamed rows go out 7 at a time, so every
-    # block ends in a short chunk.
-    scene, text, config = demo_scene(16)
+    # band panel at a time in the kernel's logits buffer, and each must add
+    # the same bits as summing the stacked panels of a block over (rows,
+    # keys) and adding the blocks in order. The streamed rows go out 7 at a
+    # time. With 4 text tokens and blocks of 48 query rows there are five
+    # full blocks and a sixth of 20 (16 image rows and the 4 text rows), so
+    # every block ends in a short chunk. Without text tokens a panel over
+    # the 256 reference keys fills exactly half of a block's 512 columns.
+    # With one-row blocks each query row is a block, a panel and a chunk.
+    for text_tokens, step in ((4, 48), (0, 48), (4, 1)):
+        with monkeypatch.context() as patch:
+            check_bytes_across_panels_and_chunks(patch, text_tokens, step, chunk=7)
+
+
+def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, step, chunk):
+    scene, text, config = demo_scene(16, text_tokens)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     n_queries, n_keys, n = len(qkv.q), len(qkv.k), scene.target.n_tokens
-    step, chunk = 48, 7
-    assert n_queries == 5 * step + 20 and n < n_queries < n + step
+    assert n_queries == n + text_tokens and n_keys == n_queries + n
+    # With text tokens and blocks of more than one row, the last block holds both kinds of row.
+    assert text_tokens == 0 or step == 1 or (n - 1) // step == (n_queries - 1) // step
     budget = step * ropefreq.attention._row_bytes(n_keys, 1)
     monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)

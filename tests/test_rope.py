@@ -249,6 +249,28 @@ class TestApplyRopeOut:
             apply_rope_batch(feats, pos, self.CFG, out=out)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    chunks=st.integers(1, 8),
+    log_scale=st.floats(-8, 8),
+    in_place=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotate_pairs_keeps_the_bits_of_the_rotation_expressions(rows, chunks, log_scale, in_place, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, 2 * chunks)) * 10.0**log_scale
+    angles = rng.uniform(-1e5, 1e5, (rows, chunks))
+    c, s = np.cos(angles), np.sin(angles)
+    a, b = values[:, 0::2], values[:, 1::2]
+    expected = np.empty_like(values)
+    expected[:, 0::2] = a * c - b * s
+    expected[:, 1::2] = a * s + b * c
+    out = values if in_place else np.empty_like(values)
+    ropefreq.rope._rotate_pairs(values, angles, out)
+    assert out.tobytes() == expected.tobytes()
+
+
 class TestRelativeInnerProduct:
     def test_zero_delta_is_plain_dot(self):
         rng = np.random.default_rng(9)

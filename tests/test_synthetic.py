@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ropefreq.synthetic
 from ropefreq import ConfigurationError, grid_positions, make_grid, make_text, plant_scene
 
 
@@ -142,3 +143,40 @@ class TestPlantedSceneValidation:
                 noise_level=0.0,
                 seed=0,
             )
+
+
+def whole_matrix_scene(width, height, dim, seed, style_strength, kind, noise_level, scene_seed, shift):
+    """The grid, text and reference features as whole-matrix NumPy expressions build them."""
+    rng = np.random.default_rng(seed)
+    style = rng.standard_normal(dim)
+    style /= np.linalg.norm(style)
+    feats = rng.standard_normal((width * height, dim))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    feats = np.sqrt(1.0 - style_strength**2) * feats + style_strength * style
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    text = np.random.default_rng(seed + 2).standard_normal((3, dim))
+    text /= np.linalg.norm(text, axis=1, keepdims=True)
+    rng = np.random.default_rng(scene_seed)
+    n = width * height
+    corr = rng.permutation(n) if kind == "shuffle" else (np.arange(n) + shift) % n
+    noisy = feats + noise_level / np.sqrt(dim) * rng.standard_normal(feats.shape)
+    noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+    ref = np.empty_like(feats)
+    ref[corr] = noisy
+    return feats, text, ref
+
+
+@pytest.mark.parametrize("rows_bytes", [8 * 16 * 3, 8 * 16 * 7, 2**20], ids=["3-rows", "7-rows", "1MiB"])
+@pytest.mark.parametrize("kind, shift", [("identity", 0), ("shuffle", 0), ("shift", -5)])
+def test_blocked_scene_keeps_the_bits_of_whole_matrix_expressions(monkeypatch, rows_bytes, kind, shift):
+    # The builders normalize and perturb a block of rows at a time; the
+    # generator draws the same values in blocks, and each row's norm is its
+    # own sum, so every byte matches. 7x5 cells leave a ragged last block.
+    monkeypatch.setattr(ropefreq.synthetic, "_ROWS_BYTES", rows_bytes)
+    args = 7, 5, 16, 21, 0.9
+    feats, text, ref = whole_matrix_scene(*args, kind, 0.8, 4, shift)
+    base = make_grid(*args)
+    scene = plant_scene(base, kind=kind, noise_level=0.8, seed=4, shift=shift)
+    assert base.features.tobytes() == feats.tobytes()
+    assert make_text(3, 16, seed=23).features.tobytes() == text.tobytes()
+    assert scene.reference.features.tobytes() == ref.tobytes()
