@@ -34,7 +34,6 @@ from .rope import RotaryConfig, _position, apply_rope_batch
 
 __all__ = [
     "TokenSet",
-    "ModulationSchedule",
     "TimestepRamp",
     "BandMaskSpec",
     "SharingParams",
@@ -42,6 +41,7 @@ __all__ = [
     "SharedQKV",
     "adain",
     "build_shared_qkv",
+    "chunk_scales",
     "modulation_scales",
     "ramp_at",
     "shift_positions",
@@ -78,8 +78,11 @@ class TokenSet:
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
         pos_in = np.asarray(self.positions)
-        if pos_in.dtype.kind == "f" and pos_in.size and np.any(pos_in != np.round(pos_in)):
-            raise ConfigurationError("positions must be integer grid coordinates")
+        # Float positions outside int64 would wrap in the cast below, inf and NaN too.
+        if pos_in.dtype.kind == "f" and pos_in.size and not np.all(
+            (pos_in == np.round(pos_in)) & (pos_in >= -(2.0**63)) & (pos_in < 2.0**63)
+        ):
+            raise ConfigurationError("positions must be integer grid coordinates in the int64 range")
         pos = pos_in.astype(np.int64)
         if feats.ndim != 2:
             raise ShapeError(f"features must be 2-D (n, dim), got shape {feats.shape}")
@@ -117,9 +120,9 @@ class TokenSet:
 
 
 def _check_scales(s_hf: float, s_lf: float, beta: float) -> None:
-    """Raise :class:`ConfigurationError` unless all three are finite and positive."""
+    """Raise :class:`ConfigurationError` unless all three are given, finite and positive."""
     for name, value in (("s_hf", s_hf), ("s_lf", s_lf), ("beta", beta)):
-        if not (math.isfinite(value) and value > 0):
+        if value is None or not (math.isfinite(value) and value > 0):
             raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
@@ -141,39 +144,22 @@ def modulation_scales(s_hf: float, s_lf: float, beta: float, n_chunks_axis: int)
     return scales
 
 
-@dataclass(frozen=True)
-class ModulationSchedule:
+def chunk_scales(config: RotaryConfig, s_hf: float, s_lf: float, beta: float) -> np.ndarray:
     """Per-chunk scale vector for frequency-aware key modulation.
 
-    The interpolation runs independently over each spatial axis's chunks
-    (ordered fastest to slowest within the axis); temporal chunks always get
-    ``s_lf`` since they carry no positional sensitivity.
+    The interpolation of :func:`modulation_scales` runs independently over
+    each spatial axis's chunks (ordered fastest to slowest within the axis);
+    temporal chunks always get ``s_lf`` since they carry no positional
+    sensitivity.
     """
-
-    s_hf: float
-    s_lf: float
-    beta: float
-    per_chunk_scales: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_scales(self.s_hf, self.s_lf, self.beta)
-        object.__setattr__(
-            self, "per_chunk_scales", np.asarray(self.per_chunk_scales, dtype=np.float64)
-        )
-
-    @classmethod
-    def for_config(
-        cls, config: RotaryConfig, s_hf: float, s_lf: float, beta: float
-    ) -> "ModulationSchedule":
-        scales = np.empty(config.n_chunks, dtype=np.float64)
-        for axis_chunks in (config.x_chunks, config.y_chunks):
-            if not axis_chunks:
-                continue
-            idx = np.asarray(axis_chunks)
-            scales[idx] = modulation_scales(s_hf, s_lf, beta, len(axis_chunks))
-        if config.temporal_chunks:
-            scales[np.asarray(config.temporal_chunks)] = s_lf
-        return cls(s_hf=s_hf, s_lf=s_lf, beta=beta, per_chunk_scales=scales)
+    _check_scales(s_hf, s_lf, beta)
+    scales = np.empty(config.n_chunks, dtype=np.float64)
+    for axis_chunks in (config.x_chunks, config.y_chunks):
+        if axis_chunks:
+            scales[np.asarray(axis_chunks)] = modulation_scales(s_hf, s_lf, beta, len(axis_chunks))
+    if config.temporal_chunks:
+        scales[np.asarray(config.temporal_chunks)] = s_lf
+    return scales
 
 
 @dataclass(frozen=True)
@@ -240,14 +226,17 @@ class SharingParams:
     """How reference keys enter the target's attention.
 
     Modes: "none" (no sharing), "plain" (reference keys scaled by the scalar
-    ``s``), "frequency_aware" (per-chunk scales from ``schedule``, optionally
-    re-interpolated over time by ``ramp``), "shifted" (reference positions
-    offset before rotation, keys scaled by ``s``).
+    ``s``), "frequency_aware" (the :func:`chunk_scales` of ``s_hf``, ``s_lf``
+    and ``beta``, with ``s_hf`` and ``s_lf`` optionally re-interpolated over
+    time by ``ramp``), "shifted" (reference positions offset before rotation,
+    keys scaled by ``s``).
     """
 
     mode: str
     s: float = 1.0
-    schedule: ModulationSchedule | None = None
+    s_hf: float | None = None
+    s_lf: float | None = None
+    beta: float | None = None
     ramp: TimestepRamp | None = None
     offset: tuple[int, int] | None = None
     adain_enabled: bool = True
@@ -258,10 +247,11 @@ class SharingParams:
             raise ConfigurationError(f"mode must be one of {SHARING_MODES}, got {self.mode!r}")
         if self.mode in ("plain", "shifted") and not self.s > 0:
             raise ConfigurationError(f"scalar s must be positive, got {self.s}")
-        if self.mode == "frequency_aware" and self.schedule is None:
-            raise ConfigurationError("frequency_aware mode requires a schedule")
-        if self.mode != "frequency_aware" and (self.schedule is not None or self.ramp is not None):
-            raise ConfigurationError("schedule/ramp only apply to frequency_aware mode")
+        scales = (self.s_hf, self.s_lf, self.beta)
+        if self.mode == "frequency_aware":
+            _check_scales(*scales)
+        elif scales != (None, None, None) or self.ramp is not None:
+            raise ConfigurationError("s_hf/s_lf/beta/ramp only apply to frequency_aware mode")
         if self.mode == "shifted":
             if self.offset is None:
                 raise ConfigurationError("shifted mode requires an offset")
@@ -468,20 +458,15 @@ def _blocks(q_rot: np.ndarray, k_rot: np.ndarray, heads: int) -> Iterator[tuple[
 
 def _effective_schedule(
     params: SharingParams, config: RotaryConfig, step: int | None
-) -> tuple[ModulationSchedule, list[str]]:
+) -> tuple[np.ndarray, list[str]]:
+    """The frequency-aware chunk scales of ``params`` at ``step``, and notes on them."""
     notes: list[str] = []
-    schedule = params.schedule
-    assert schedule is not None
+    s_hf, s_lf = params.s_hf, params.s_lf
     if params.ramp is not None and step is not None:
-        s_hf_t, s_lf_t = ramp_at(params.ramp, step)
-        schedule = ModulationSchedule.for_config(config, s_hf_t, s_lf_t, schedule.beta)
+        s_hf, s_lf = ramp_at(params.ramp, step)
     elif step is not None:
         notes.append("step given without a ramp; using the base schedule")
-    if schedule.per_chunk_scales.shape != (config.n_chunks,):
-        raise ConfigurationError(
-            f"schedule has {schedule.per_chunk_scales.shape[0]} chunk scales, config needs {config.n_chunks}"
-        )
-    return schedule, notes
+    return chunk_scales(config, s_hf, s_lf, params.beta), notes
 
 
 def build_shared_qkv(
@@ -538,9 +523,9 @@ def build_shared_qkv(
         if params.mode in ("plain", "shifted"):
             ref *= params.s
         else:
-            schedule, sched_notes = _effective_schedule(params, config, step)
+            scales, sched_notes = _effective_schedule(params, config, step)
             notes.extend(sched_notes)
-            ref *= np.repeat(schedule.per_chunk_scales, 2)
+            ref *= np.repeat(scales, 2)
         if params.band_mask_override is not None:
             spec = params.band_mask_override
             ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= spec.factor(config)

@@ -23,20 +23,21 @@ import sys
 import tempfile
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .attention import (
+    SHARING_MODES,
     BandMaskSpec,
-    ModulationSchedule,
     SharingParams,
     TimestepRamp,
     _BLOCK_BYTES,
     _check_heads,
     _effective_schedule,
     build_shared_qkv,
+    chunk_scales,
     shift_positions,
 )
 from .bands import Band, BandPartition, _block_deltas, decay_curve, make_even_partition
@@ -127,85 +128,87 @@ _RAMP_KEYS = ("s_hf_start", "s_hf_end", "s_lf_start", "s_lf_end", "total_steps")
 _BAND_MASK_KEYS = ("label", "start", "stop", "mode", "scale")
 
 
-def _sharing(raw: dict, config: RotaryConfig) -> tuple[dict, SharingParams]:
-    """Validate a sharing section; returns its normalized echo and its parameters.
-
-    The echo keeps only the keys the mode uses; the parameters are built
-    against ``config``.
-    """
+def _sharing(raw: dict) -> SharingParams:
+    """The parameters of a sharing section; :func:`_sharing_json` renders its normalized echo."""
     _check_keys(raw, _SHARING_KEYS, "sharing")
     mode = _require(raw, "mode", "sharing")
     adain = raw.get("adain", True)
     if not isinstance(adain, bool):
         raise ConfigurationError(f"sharing.adain must be true or false, got {adain!r}")
-    out: dict = {"mode": mode, "adain": adain}
-    if mode == "none":
-        pass
-    elif mode == "plain":
-        out["s"] = _number(raw.get("s", 1.0), "sharing.s")
-    elif mode == "shifted":
-        out["s"] = _number(raw.get("s", 1.0), "sharing.s")
-        out["offset"] = _ints(_require(raw, "offset", "sharing (shifted mode)"), "sharing.offset")
-        if len(out["offset"]) != 2:
-            raise ConfigurationError(f"offset must be [x, y], got {out['offset']!r}")
-    elif mode == "frequency_aware":
+    if mode not in SHARING_MODES:
+        raise ConfigurationError(f"unknown sharing mode {mode!r}")
+    kwargs: dict = {"mode": mode, "adain_enabled": adain}
+    if mode in ("plain", "shifted"):
+        kwargs["s"] = _number(raw.get("s", 1.0), "sharing.s")
+    if mode == "shifted":
+        offset = _ints(_require(raw, "offset", "sharing (shifted mode)"), "sharing.offset")
+        if len(offset) != 2:
+            raise ConfigurationError(f"offset must be [x, y], got {offset!r}")
+        kwargs["offset"] = tuple(offset)
+    if mode == "frequency_aware":
         for key in ("s_hf", "s_lf"):
             value = _require(raw, key, "sharing (frequency_aware mode)")
-            out[key] = _number(value, f"sharing.{key}")
-        out["beta"] = _number(raw.get("beta", 2.0), "sharing.beta")
+            kwargs[key] = _number(value, f"sharing.{key}")
+        kwargs["beta"] = _number(raw.get("beta", 2.0), "sharing.beta")
         ramp = raw.get("ramp")
         if ramp is not None:
             _check_keys(ramp, _RAMP_KEYS, "sharing.ramp")
-            out["ramp"] = {
+            kwargs["ramp"] = TimestepRamp(**{
                 k: (_int if k == "total_steps" else _number)(
                     _require(ramp, k, "sharing.ramp"), f"sharing.ramp.{k}"
                 )
                 for k in _RAMP_KEYS
-            }
-    else:
-        raise ConfigurationError(f"unknown sharing mode {mode!r}")
+            })
     mask = raw.get("band_mask")
     if mask is not None:
         _check_keys(mask, _BAND_MASK_KEYS, "sharing.band_mask")
         label = mask.get("label", "masked")
         if not isinstance(label, str):
             raise ConfigurationError(f"sharing.band_mask.label must be a string, got {label!r}")
-        out["band_mask"] = {
-            "label": label,
-            "start": _int(_require(mask, "start", "sharing.band_mask"), "sharing.band_mask.start"),
-            "stop": _int(_require(mask, "stop", "sharing.band_mask"), "sharing.band_mask.stop"),
-            "mode": str(_require(mask, "mode", "sharing.band_mask")),
-            "scale": None
+        kwargs["band_mask_override"] = BandMaskSpec(
+            band=Band(
+                label,
+                _int(_require(mask, "start", "sharing.band_mask"), "sharing.band_mask.start"),
+                _int(_require(mask, "stop", "sharing.band_mask"), "sharing.band_mask.stop"),
+            ),
+            mode=str(_require(mask, "mode", "sharing.band_mask")),
+            scale=None
             if mask.get("scale") is None
             else _number(mask["scale"], "sharing.band_mask.scale"),
-        }
+        )
+    return SharingParams(**kwargs)
 
-    kwargs: dict = {"mode": mode, "adain_enabled": adain, "s": out.get("s", 1.0)}
-    if mode == "shifted":
-        kwargs["offset"] = tuple(out["offset"])
-    if mode == "frequency_aware":
-        kwargs["schedule"] = ModulationSchedule.for_config(
-            config, out["s_hf"], out["s_lf"], out["beta"]
-        )
-        if "ramp" in out:
-            kwargs["ramp"] = TimestepRamp(**out["ramp"])
-    if "band_mask" in out:
-        m = out["band_mask"]
-        kwargs["band_mask_override"] = BandMaskSpec(
-            band=Band(m["label"], m["start"], m["stop"]), mode=m["mode"], scale=m["scale"]
-        )
-    return out, SharingParams(**kwargs)
+
+def _sharing_json(params: SharingParams) -> dict:
+    """The normalized echo of a sharing section: the keys its mode uses.
+
+    ``--emit-config`` writes it, and the report shows it under
+    ``config.sharing`` and in each entry's ``sharing``.
+    """
+    out: dict = {"mode": params.mode, "adain": params.adain_enabled}
+    if params.mode in ("plain", "shifted"):
+        out["s"] = params.s
+    if params.offset is not None:
+        out["offset"] = list(params.offset)
+    if params.mode == "frequency_aware":
+        out.update(s_hf=params.s_hf, s_lf=params.s_lf, beta=params.beta)
+    if params.ramp is not None:
+        out["ramp"] = asdict(params.ramp)
+    mask = params.band_mask_override
+    if mask is not None:
+        out["band_mask"] = {**asdict(mask.band), "mode": mask.mode, "scale": mask.scale}
+    return out
 
 
 def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
-    """``(params, sharing echo, step)`` of one sharing section at ``step``.
+    """``(params, step)`` of one sharing section at ``step``.
 
-    Runs the checks an evaluation makes of them (the ramp at ``step``, the
-    shifted positions on ``grid`` and the band mask), so that no config
-    echoes what a run rejects.
+    Runs the checks an evaluation makes of them (the chunk scales at
+    ``step``, the shifted positions on ``grid`` and the band mask), so that
+    no config echoes what a run rejects.
     """
     step = None if step is None else _int(step, f"{context}.step")
-    sharing, params = _sharing(section, config)
+    params = _sharing(section)
     if params.mode == "frequency_aware":
         _effective_schedule(params, config, step)
     if params.mode == "shifted":
@@ -213,7 +216,7 @@ def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
         shift_positions(corners, params.offset)
     if params.band_mask_override is not None:
         params.band_mask_override.factor(config)
-    return params, sharing, step
+    return params, step
 
 
 _TOP_KEYS = (
@@ -307,7 +310,7 @@ class ExperimentConfig:
         # echo (and the top-level step), not the raw section.
         section = _require(d, "sharing", "config")
         base = _entry(section, norm["step"], config, norm["grid"], "config")
-        norm["sharing"] = base[1]
+        norm["sharing"] = _sharing_json(base[0])
         runs = [base] if sweep is None else []
         for i, item in enumerate(sweep or []):
             merged = {**norm["sharing"], **item}
@@ -315,11 +318,11 @@ class ExperimentConfig:
             runs.append(_entry(merged, step, config, norm["grid"], f"sweep[{i}]"))
         # AdaIN takes per-channel statistics over the reference's cells.
         cells = norm["grid"]["width"] * norm["grid"]["height"]
-        if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, *_ in [base, *runs]):
+        if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, _ in [base, *runs]):
             raise ConfigurationError("sharing.adain needs a grid of at least 2 cells")
         # One logits row (8 bytes a key) must fit in an evaluation block. With
         # more than one head a block holds two such rows, up to 8 MiB at the bound.
-        keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, *_ in runs)
+        keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, _ in runs)
         if keys > _BLOCK_BYTES // 8:
             raise ConfigurationError(
                 f"an entry has {keys} keys, past the {_BLOCK_BYTES // 8} whose logits fill a block"
@@ -330,7 +333,7 @@ class ExperimentConfig:
         return cfg
 
     def iter_entries(self):
-        """Yield (label, params, sharing echo, step) for the base run or each sweep item."""
+        """Yield (label, params, step) for the base run or each sweep item."""
         yield from self.entries
 
 
@@ -385,7 +388,7 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
 
     entries = []
     key_layout = None
-    for i, (label, params, sharing, step) in enumerate(cfg.iter_entries()):
+    for i, (label, params, step) in enumerate(cfg.iter_entries()):
         qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
         path = stage(matrices[i]) if matrices else None
         with nullcontext() if path is None else path.open("wb") as out:
@@ -405,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
         entries.append(
             {
                 "label": label,
-                "sharing": sharing,
+                "sharing": _sharing_json(params),
                 "step": step,
                 "alignment": evaluation.alignment.as_dict(),
                 "notes": list(qkv.notes),
@@ -568,7 +571,7 @@ def cmd_decay_curve(args) -> int:
 
 def cmd_schedule(args) -> int:
     config = build_rotary(args.dim, 10000.0, args.partition)
-    schedule = ModulationSchedule.for_config(config, args.s_hf, args.s_lf, args.beta)
+    scales = chunk_scales(config, args.s_hf, args.s_lf, args.beta)
     lines = ["axis,d,s_d"]
     for axis, chunks in (
         ("x", config.x_chunks),
@@ -576,7 +579,7 @@ def cmd_schedule(args) -> int:
         ("temporal", config.temporal_chunks),
     ):
         for d in chunks:
-            lines.append(f"{axis},{d},{format(schedule.per_chunk_scales[d], '.17g')}")
+            lines.append(f"{axis},{d},{format(scales[d], '.17g')}")
     _write(args.out, "\n".join(lines) + "\n")
     _info(args, f"wrote {Path(args.out)}")
     return 0

@@ -19,6 +19,10 @@ from .errors import ConfigurationError
 
 __all__ = ["PlantedScene", "make_grid", "make_text", "plant_scene"]
 
+# The largest noise_level. A noisy row's sum of squares is about
+# noise_level**2, so near 1.3e154 it overflows to inf and the row normalizes to 0.
+NOISE_LEVEL_MAX = 1e150
+
 
 def _check_scene(
     width: int, height: int, dim: int, style_strength: float = 0.0,
@@ -29,8 +33,8 @@ def _check_scene(
         raise ConfigurationError(f"grid dimensions must be positive, got {width}x{height}, dim={dim}")
     if not 0.0 <= style_strength < 1.0:
         raise ConfigurationError(f"style_strength must lie in [0, 1), got {style_strength}")
-    if noise_level < 0:
-        raise ConfigurationError(f"noise_level must be nonnegative, got {noise_level}")
+    if not 0 <= noise_level <= NOISE_LEVEL_MAX:
+        raise ConfigurationError(f"noise_level must lie in [0, {NOISE_LEVEL_MAX:g}], got {noise_level}")
     if kind not in ("identity", "shuffle", "shift"):
         raise ConfigurationError(f"kind must be identity, shuffle or shift, got {kind!r}")
     n = width * height
@@ -130,7 +134,7 @@ def plant_scene(
     ``noise_level`` (per-component std ``noise_level/sqrt(dim)``) is added
     before renormalization, so matched pairs keep cosine similarity around
     ``1/sqrt(1 + noise_level**2)``. With zero noise the permuted features are
-    copied bit-exactly.
+    copied bit-exactly. ``noise_level`` may be at most ``NOISE_LEVEL_MAX``.
     """
     if base.modality != "image" or base.grid_shape is None:
         raise ConfigurationError("plant_scene needs an image token set with a grid shape")

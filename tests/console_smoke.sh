@@ -38,6 +38,12 @@ $ROPEFREQ shared-attn "$demo" --quiet > report.json
 $ROPEFREQ shared-attn "$demo" --emit-config once.json --quiet
 $ROPEFREQ shared-attn once.json --emit-config twice.json --quiet
 cmp once.json twice.json
+# So does one that sets every sharing key, in every mode, with a ramp,
+# band masks and per-entry steps.
+$ROPEFREQ shared-attn "$root/tests/fixtures/emit_config/every_sharing_key.config.json" \
+  --emit-config every_once.json --quiet
+$ROPEFREQ shared-attn every_once.json --emit-config every_twice.json --quiet
+cmp every_once.json every_twice.json
 # --seed is a shared-attn flag; anywhere else it is a usage error.
 rc=0; $ROPEFREQ decay-curve --seed 1 --out x.csv || rc=$?
 test "$rc" -eq 2; test ! -e x.csv

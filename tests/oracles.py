@@ -298,15 +298,12 @@ def build_demo_fixture(seed: int, noise: float, style: float, zero_stop: int) ->
 
 def library_metrics(kind, seed, noise, style, mode_kwargs):
     """Fast path used for scanning; mirrors the CLI experiment assembly."""
-    from ropefreq import ModulationSchedule, SharingParams, build_shared_qkv, evaluate_shared
+    from ropefreq import SharingParams, build_shared_qkv, evaluate_shared
 
     config = interleaved_config()
     scene, text = _scene(kind, noise, style, seed, seed + 1, seed + 2)
     if mode_kwargs["mode"] == "frequency_aware":
-        params = SharingParams(
-            mode="frequency_aware",
-            schedule=ModulationSchedule.for_config(config, **FREQ_AWARE),
-        )
+        params = SharingParams(mode="frequency_aware", **FREQ_AWARE)
     else:
         params = SharingParams(**mode_kwargs)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)

@@ -17,7 +17,6 @@ from dense_reference import dense_attribution, dense_band_logits, evaluate_with_
 from ropefreq import (
     Band,
     BandMaskSpec,
-    ModulationSchedule,
     RotaryConfig,
     SharingParams,
     TimestepRamp,
@@ -174,10 +173,9 @@ def test_criterion_4_schedule_exactness():
     base = make_grid(4, 4, 32, seed=1)
     scene = plant_scene(base, kind="shuffle", noise_level=0.3, seed=2)
     text = make_text(3, 32, seed=3)
-    constant = ModulationSchedule.for_config(cfg, 0.8, 0.8, 2.0)
     fa = build_shared_qkv(
         scene.target, text, scene.reference,
-        SharingParams(mode="frequency_aware", schedule=constant), cfg,
+        SharingParams(mode="frequency_aware", s_hf=0.8, s_lf=0.8, beta=2.0), cfg,
     )
     plain = build_shared_qkv(
         scene.target, text, scene.reference, SharingParams(mode="plain", s=0.8), cfg
@@ -215,9 +213,7 @@ def test_criterion_6_copying_mitigation():
     plain_eval, _, _, plain_tied = evaluate(scene, text, SharingParams(mode="plain", s=1.0), cfg)
     fa_eval, _, _, fa_tied = evaluate(
         scene, text,
-        SharingParams(
-            mode="frequency_aware", schedule=ModulationSchedule.for_config(cfg, **fa_args)
-        ),
+        SharingParams(mode="frequency_aware", **fa_args),
         cfg,
     )
     plain, fa = plain_eval.alignment, fa_eval.alignment

@@ -18,7 +18,6 @@ from ropefreq import (
     Band,
     BandMaskSpec,
     ConfigurationError,
-    ModulationSchedule,
     RotaryConfig,
     ShapeError,
     SharingParams,
@@ -28,6 +27,7 @@ from ropefreq import (
     apply_rope_batch,
     build_shared_qkv,
     chunk_decomposition,
+    chunk_scales,
     evaluate_shared,
     grid_positions,
     make_even_partition,
@@ -295,28 +295,30 @@ class TestModulationScales:
         with pytest.raises(ConfigurationError):
             modulation_scales(s_hf, s_lf, beta, 4)
         with pytest.raises(ConfigurationError):
-            ModulationSchedule(s_hf, s_lf, beta, np.ones(4))
+            SharingParams(mode="frequency_aware", s_hf=s_hf, s_lf=s_lf, beta=beta)
+        # A partition with no spatial chunk interpolates nothing, and still rejects them.
+        for cfg in (RotaryConfig(dim=8), RotaryConfig(dim=8, temporal_chunks=(0, 1, 2, 3))):
+            with pytest.raises(ConfigurationError):
+                chunk_scales(cfg, s_hf, s_lf, beta)
 
 
 class TestSchedule:
     def test_per_axis_layout(self):
         cfg = RotaryConfig(dim=16)
-        sched = ModulationSchedule.for_config(cfg, 0.3, 1.5, 2.0)
+        scales = chunk_scales(cfg, 0.3, 1.5, 2.0)
         expected_axis = modulation_scales(0.3, 1.5, 2.0, 4)
-        np.testing.assert_array_equal(sched.per_chunk_scales[:4], expected_axis)
-        np.testing.assert_array_equal(sched.per_chunk_scales[4:], expected_axis)
+        np.testing.assert_array_equal(scales[:4], expected_axis)
+        np.testing.assert_array_equal(scales[4:], expected_axis)
 
     def test_temporal_chunks_get_s_lf(self):
         cfg = RotaryConfig.flux_like(128)
-        sched = ModulationSchedule.for_config(cfg, 0.3, 1.2, 2.0)
-        np.testing.assert_array_equal(
-            sched.per_chunk_scales[list(cfg.temporal_chunks)], np.full(8, 1.2)
-        )
+        scales = chunk_scales(cfg, 0.3, 1.2, 2.0)
+        np.testing.assert_array_equal(scales[list(cfg.temporal_chunks)], np.full(8, 1.2))
 
     def test_matches_oracle(self):
-        sched = ModulationSchedule.for_config(RotaryConfig(dim=64), 0.4, 1.3, 2.0)
+        scales = chunk_scales(RotaryConfig(dim=64), 0.4, 1.3, 2.0)
         exp = oracles.o_modulation_scales(0.4, 1.3, 2.0, 16)
-        np.testing.assert_allclose(sched.per_chunk_scales[:16], exp, atol=1e-15)
+        np.testing.assert_allclose(scales[:16], exp, atol=1e-15)
 
 
 class TestRamp:
@@ -405,10 +407,9 @@ class TestBuildSharedQKV:
 
     def test_constant_schedule_equals_plain(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")
-        sched = ModulationSchedule.for_config(CFG, 0.7, 0.7, 2.0)
         fa = build_shared_qkv(
             scene.target, text, scene.reference,
-            SharingParams(mode="frequency_aware", schedule=sched), CFG,
+            SharingParams(mode="frequency_aware", s_hf=0.7, s_lf=0.7, beta=2.0), CFG,
         )
         plain = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=0.7), CFG
@@ -418,10 +419,12 @@ class TestBuildSharedQKV:
     def test_middle_chunk_scale_per_axis(self):
         cfg = RotaryConfig(dim=256)  # 64 chunks per axis
         scene, text = scene_and_text(dim=256)
-        sched = ModulationSchedule.for_config(cfg, 0.3, 1.5, 2.0)
         qkv = build_shared_qkv(
             scene.target, text, scene.reference,
-            SharingParams(mode="frequency_aware", schedule=sched, adain_enabled=False), cfg,
+            SharingParams(
+                mode="frequency_aware", s_hf=0.3, s_lf=1.5, beta=2.0, adain_enabled=False
+            ),
+            cfg,
         )
         ref_rot = apply_rope_batch(scene.reference.features, scene.reference.positions, cfg)
         expected_mid = 0.3 + (1.5 - 0.3) * (32 / 63) ** 2
@@ -434,12 +437,14 @@ class TestBuildSharedQKV:
 
     def test_modulation_commutes_with_rotation(self):
         scene, text = scene_and_text(noise=0.05, kind="shuffle")
-        sched = ModulationSchedule.for_config(CFG, 0.3, 1.2, 2.0)
         qkv = build_shared_qkv(
             scene.target, text, scene.reference,
-            SharingParams(mode="frequency_aware", schedule=sched, adain_enabled=False), CFG,
+            SharingParams(
+                mode="frequency_aware", s_hf=0.3, s_lf=1.2, beta=2.0, adain_enabled=False
+            ),
+            CFG,
         )
-        pre_modulated = scene.reference.features * np.repeat(sched.per_chunk_scales, 2)
+        pre_modulated = scene.reference.features * np.repeat(chunk_scales(CFG, 0.3, 1.2, 2.0), 2)
         alt = apply_rope_batch(pre_modulated, scene.reference.positions, CFG)
         n_target = scene.target.n_tokens + text.n_tokens
         np.testing.assert_allclose(qkv.k[n_target:], alt, atol=1e-12)
@@ -460,10 +465,12 @@ class TestBuildSharedQKV:
 
     def test_modulated_logit_matches_chunk_decomposition(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle", seed=5)
-        sched = ModulationSchedule.for_config(CFG, 0.3, 1.2, 2.0)
         qkv = build_shared_qkv(
             scene.target, text, scene.reference,
-            SharingParams(mode="frequency_aware", schedule=sched, adain_enabled=False), CFG,
+            SharingParams(
+                mode="frequency_aware", s_hf=0.3, s_lf=1.2, beta=2.0, adain_enabled=False
+            ),
+            CFG,
         )
         n_target = scene.target.n_tokens + text.n_tokens
         i, j = 3, 7  # query token i, reference key j
@@ -472,7 +479,7 @@ class TestBuildSharedQKV:
         terms = chunk_decomposition(
             scene.target.features[i], scene.reference.features[j], delta, CFG
         )
-        expected = sum(s * t.value for s, t in zip(sched.per_chunk_scales, terms))
+        expected = sum(s * t.value for s, t in zip(chunk_scales(CFG, 0.3, 1.2, 2.0), terms))
         assert logit == pytest.approx(expected, abs=1e-9)
 
     def test_adain_applied_before_rotation(self):
@@ -542,13 +549,11 @@ class TestBuildSharedQKV:
     def test_ramp_reinterpolates_schedule(self):
         scene, text = scene_and_text()
         ramp = TimestepRamp(0.2, 0.6, 1.0, 1.4, total_steps=5)
-        sched = ModulationSchedule.for_config(CFG, 0.99, 1.01, 2.0)
-        params = SharingParams(mode="frequency_aware", schedule=sched, ramp=ramp)
+        params = SharingParams(mode="frequency_aware", s_hf=0.99, s_lf=1.01, beta=2.0, ramp=ramp)
         qkv_mid = build_shared_qkv(scene.target, text, scene.reference, params, CFG, step=2)
-        expected_sched = ModulationSchedule.for_config(CFG, 0.4, 1.2, 2.0)
         direct = build_shared_qkv(
             scene.target, text, scene.reference,
-            SharingParams(mode="frequency_aware", schedule=expected_sched), CFG,
+            SharingParams(mode="frequency_aware", s_hf=0.4, s_lf=1.2, beta=2.0), CFG,
         )
         np.testing.assert_allclose(qkv_mid.k, direct.k, atol=1e-12)
 
@@ -557,6 +562,10 @@ class TestBuildSharedQKV:
             SharingParams(mode="plain", s=0.0)
         with pytest.raises(ConfigurationError):
             SharingParams(mode="frequency_aware")
+        with pytest.raises(ConfigurationError):
+            SharingParams(mode="frequency_aware", s_hf=0.3, s_lf=1.2)
+        with pytest.raises(ConfigurationError):
+            SharingParams(mode="plain", s_hf=0.3)
         with pytest.raises(ConfigurationError):
             SharingParams(mode="shifted", s=1.0)
         with pytest.raises(ConfigurationError):
@@ -606,3 +615,11 @@ class TestPositionValidation:
         ts = TokenSet(np.ones((1, 32)), np.array([[2.0, -3.0]]), "image")
         assert ts.positions.dtype == np.int64
         np.testing.assert_array_equal(ts.positions, [[2, -3]])
+        ts = TokenSet(np.ones((1, 32)), np.array([[-(2.0**63), 2.0**63 - 1024]]), "image")
+        assert ts.positions.tolist() == [[-(2**63), 2**63 - 1024]]
+
+    # The cast to int64 would wrap each of these to -2**63.
+    @pytest.mark.parametrize("x", [2.0**63, 1e300, -(2.0**64), math.inf, -math.inf, math.nan])
+    def test_floats_outside_int64_rejected(self, x):
+        with pytest.raises(ConfigurationError):
+            TokenSet(np.ones((2, 4)), [[x, 0.0], [2.0**62, 1.0]], "image")

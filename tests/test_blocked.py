@@ -22,7 +22,6 @@ from ropefreq import (
     Band,
     BandMaskSpec,
     ConfigurationError,
-    ModulationSchedule,
     RotaryConfig,
     SharingParams,
     TimestepRamp,
@@ -50,13 +49,11 @@ SHARINGS = {
     # Every reference key off the grid, at negative x: no query has an aligned key.
     "shifted_off_grid": (SharingParams(mode="shifted", s=1.0, offset=(-7, 9)), None),
     "frequency_aware": (
-        SharingParams(mode="frequency_aware",
-                      schedule=ModulationSchedule.for_config(CFG, 0.3, 1.2, 2.0)),
+        SharingParams(mode="frequency_aware", s_hf=0.3, s_lf=1.2, beta=2.0),
         None,
     ),
     "frequency_aware_ramp": (
-        SharingParams(mode="frequency_aware", ramp=RAMP,
-                      schedule=ModulationSchedule.for_config(CFG, 0.3, 1.2, 1.5)),
+        SharingParams(mode="frequency_aware", s_hf=0.3, s_lf=1.2, beta=1.5, ramp=RAMP),
         4,
     ),
     "mask_zero": (

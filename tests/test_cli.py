@@ -444,6 +444,14 @@ class TestSchedule:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("partition", cli.PARTITION_NAMES)
+    def test_bytes_match_frozen_csv(self, tmp_path, partition):
+        """Every preset's CSV, flux's temporal chunks included; never regenerate the files to pass."""
+        out = tmp_path / "s.csv"
+        argv = ["--dim", "32", "--s-hf", "0.3", "--s-lf", "1.2", "--beta", "2", "--partition", partition]
+        assert main(["schedule", *argv, "--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == (FIXTURES / "schedule" / f"{partition}.csv").read_bytes()
+
 
 class TestBands:
     def test_dim4_single_band_theta_range(self, tmp_path):
@@ -623,6 +631,8 @@ class TestSharedAttn:
             (PLAIN, {"grid": {"width": 0, "height": DEMO["grid"]}}),
             (PLAIN, {"scene": {**SCENE, "kind": "bogus"}}),
             (PLAIN, {"scene": {**SCENE, "noise_level": -1}}),
+            # Rows this noisy would overflow their sum of squares and normalize to 0.
+            (PLAIN, {"scene": {**SCENE, "noise_level": 1e155}}),
             (PLAIN, {"scene": {**SCENE, "style_strength": 1.0}}),
             (PLAIN, {"scene": {**SCENE, "kind": "shift", "shift": DEMO["grid"] ** 2}}),
             (PLAIN, {"grid": {"width": 1, "height": 1}}),

@@ -84,7 +84,7 @@ def configs(draw):
         else {"width": 10**6, "height": 10**6},
         "scene": {
             "kind": draw(st.sampled_from(["identity", "shuffle", "shift"])),
-            "noise_level": draw(st.floats(0.0, 1.0)),
+            "noise_level": draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e150, 1e155]))),
             "shift": draw(st.integers(-9, 9)),
             "style_strength": draw(st.floats(0.0, 0.95)),
         },
@@ -125,8 +125,14 @@ def test_emit_config_accepts_exactly_what_runs(raw, attention):
             assert main(["shared-attn", str(config), "--quiet"]) == 3
             assert sorted(tmp.iterdir()) == [config]
             return
-        emitted_dict = json.loads(emitted.read_text())
+        # The echo is a fixed point: the emitted config emits itself.
+        emitted_text = emitted.read_text()
+        twice = tmp / "twice.json"
+        assert main(["shared-attn", str(emitted), "--emit-config", str(twice), "--quiet"]) == 0
+        assert twice.read_text() == emitted_text
         emitted.unlink()
+        twice.unlink()
+        emitted_dict = json.loads(emitted_text)
         assert main(["shared-attn", str(config), "--quiet"]) == 0
         report = json.loads((tmp / "report.json").read_text())
         assert report["config"] == emitted_dict

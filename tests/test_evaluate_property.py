@@ -19,7 +19,6 @@ from dense_reference import dense_alignment, dense_attribution, dense_softmax, s
 from ropefreq import (
     Band,
     BandMaskSpec,
-    ModulationSchedule,
     RotaryConfig,
     SharingParams,
     TimestepRamp,
@@ -45,8 +44,7 @@ def sharings(draw, config: RotaryConfig, cells: int):
     if mode == "shifted":
         kwargs["offset"] = tuple(draw(st.lists(st.integers(-5, 5), min_size=2, max_size=2)))
     if mode == "frequency_aware":
-        s_hf, s_lf, beta = draw(SCALES), draw(SCALES), draw(st.floats(0.5, 3.0))
-        kwargs["schedule"] = ModulationSchedule.for_config(config, s_hf, s_lf, beta)
+        kwargs.update(s_hf=draw(SCALES), s_lf=draw(SCALES), beta=draw(st.floats(0.5, 3.0)))
         if draw(st.booleans()):
             kwargs["ramp"] = TimestepRamp(*(draw(SCALES) for _ in range(4)), total_steps=3)
             step = draw(st.integers(0, 2))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import ropefreq.synthetic
 from ropefreq import ConfigurationError, grid_positions, make_grid, make_text, plant_scene
+from ropefreq.synthetic import NOISE_LEVEL_MAX
 
 
 class TestMakeGrid:
@@ -128,6 +131,16 @@ class TestPlantScene:
         base = make_grid(2, 2, 8, seed=1)
         with pytest.raises(ConfigurationError):
             plant_scene(base, noise_level=-0.1, seed=0)
+
+    @pytest.mark.parametrize("dim", [2, 128])
+    def test_rows_at_the_noise_bound_are_unit_norm(self, dim):
+        base = make_grid(4, 4, dim, seed=1)
+        scene = plant_scene(base, noise_level=NOISE_LEVEL_MAX, seed=0)
+        norms = np.linalg.norm(scene.reference.features, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+        for past in (1e155, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                plant_scene(base, noise_level=past, seed=0)
 
 
 class TestPlantedSceneValidation:
