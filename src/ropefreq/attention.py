@@ -55,6 +55,15 @@ ADAIN_STD_FLOOR = 1e-8
 _ROWS_BYTES = 2**20  # bytes of f64 rows AdaIN's statistics and the scene builders take at a time
 
 
+def _out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """``out``, checked to be a C-contiguous f64 array of ``shape``; a new one when it is ``None``."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"expected a C-contiguous f64 out of shape {shape}, got {out.dtype} {out.shape}")
+    return out
+
+
 def grid_positions(width: int, height: int) -> np.ndarray:
     """Row-major (x, y) coordinates of a width-by-height grid."""
     xs, ys = np.meshgrid(np.arange(width), np.arange(height))
@@ -78,9 +87,11 @@ class TokenSet:
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
         pos_in = np.asarray(self.positions)
-        # Float positions outside int64 would wrap in the cast below, inf and NaN too.
-        if pos_in.dtype.kind == "f" and pos_in.size and not np.all(
-            (pos_in == np.round(pos_in)) & (pos_in >= -(2.0**63)) & (pos_in < 2.0**63)
+        # Float and unsigned positions outside int64 would wrap in the cast below, inf and NaN too.
+        if pos_in.size and (
+            pos_in.dtype.kind == "f"
+            and not np.all((pos_in == np.round(pos_in)) & (pos_in >= -(2.0**63)) & (pos_in < 2.0**63))
+            or pos_in.dtype.kind == "u" and pos_in.max() > np.iinfo(np.int64).max
         ):
             raise ConfigurationError("positions must be integer grid coordinates in the int64 range")
         pos = pos_in.astype(np.int64)
@@ -476,6 +487,7 @@ def build_shared_qkv(
     params: SharingParams,
     config: RotaryConfig,
     step: int | None = None,
+    out: np.ndarray | None = None,
 ) -> SharedQKV:
     """Assemble rotated queries and keys for shared attention.
 
@@ -484,6 +496,9 @@ def build_shared_qkv(
     positions. Keys are the same rows followed by the reference image keys,
     rotated at the target's grid coordinates (plus the offset in shifted
     mode) and then scaled per the sharing mode.
+    ``k`` is new, or the leading rows of ``out``, a C-contiguous f64 array with
+    a row per target, text and reference token; each set's features may be its
+    own rows there (each run is then assembled in place).
     """
     if target.modality != "image" or reference.modality != "image":
         raise ConfigurationError("target and reference must be image token sets")
@@ -508,7 +523,8 @@ def build_shared_qkv(
     layout = Layout(tuple(parts))
 
     # Each run is rotated into its own rows of one preallocated stack.
-    k = np.empty((len(layout), config.dim))
+    n_rows = target.n_tokens + target_text.n_tokens + reference.n_tokens
+    k = np.empty((len(layout), config.dim)) if out is None else _out(out, (n_rows, config.dim))[: len(layout)]
     img = k[layout.rows("target-image")]
     img_feats = target.features
     if params.adain_enabled and params.mode != "none":

@@ -376,20 +376,25 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
     """
     norm, config = cfg.normalized, cfg.rotary
     grid, sc, seed = norm["grid"], norm["scene"], norm["seed"]
-    base = make_grid(
-        grid["width"], grid["height"], config.dim, seed=seed, style_strength=sc["style_strength"]
-    )
     scene_seed = sc["seed"] if sc["seed"] is not None else seed + 1
-    scene = plant_scene(
-        base, kind=sc["kind"], noise_level=sc["noise_level"], seed=scene_seed, shift=sc["shift"]
-    )
-    text = make_text(norm["text_tokens"], config.dim, seed=seed + 2)
+    n, t = grid["width"] * grid["height"], norm["text_tokens"]
     matrices = _matrix_paths(cfg)
+    # One key stack for every entry: each entry draws its scene and text
+    # straight into their rows of k, which build_shared_qkv then turns into
+    # keys in place, so no feature array exists apart from k.
+    k = np.empty((2 * n + t, config.dim))
 
     entries = []
     key_layout = None
     for i, (label, params, step) in enumerate(cfg.iter_entries()):
-        qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
+        base = make_grid(grid["width"], grid["height"], config.dim, seed, sc["style_strength"], out=k[:n])
+        scene = plant_scene(
+            base, sc["kind"], sc["noise_level"], scene_seed, sc["shift"], out=k[n + t :]
+        )
+        text = make_text(t, config.dim, seed=seed + 2, out=k[n : n + t])
+        qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step, out=k)
+        # The scene's feature views now hold rotated keys: evaluate_shared
+        # reads only its correspondence and target.n_tokens.
         path = stage(matrices[i]) if matrices else None
         with nullcontext() if path is None else path.open("wb") as out:
             evaluation = evaluate_shared(
@@ -418,13 +423,13 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
             }
         )
         # Let go of this entry before building the next, so one is held at a time.
-        del qkv, evaluation, attribution
+        del qkv, evaluation, attribution, scene, base, text
 
     result: dict = {"config": norm, "entries": entries, "key_layout": key_layout}
     if len(entries) > 1:
         keys = entries[0]["alignment"].keys()
         result["mean_alignment"] = {
-            k: float(np.mean([e["alignment"][k] for e in entries])) for k in keys
+            key: float(np.mean([e["alignment"][key] for e in entries])) for key in keys
         }
     return result
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROWS_BYTES, TokenSet, grid_positions
+from .attention import _ROWS_BYTES, TokenSet, _out, grid_positions
 from .errors import ConfigurationError
 
 __all__ = ["PlantedScene", "make_grid", "make_text", "plant_scene"]
@@ -52,7 +52,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def make_grid(
-    width: int, height: int, dim: int, seed: int, style_strength: float = 0.0
+    width: int, height: int, dim: int, seed: int, style_strength: float = 0.0, out: np.ndarray | None = None
 ) -> TokenSet:
     """Image token set over a width-by-height grid with unit-norm features.
 
@@ -62,14 +62,15 @@ def make_grid(
     before renormalization), so distinct tokens have expected cosine
     similarity about ``style_strength**2``. That models the globally
     correlated statistics of real feature maps, which is the regime where
-    positionally aligned keys can outcompete semantic matches.
+    positionally aligned keys can outcompete semantic matches. The features
+    are drawn into ``out``, a C-contiguous f64 array, when it is given.
     """
     _check_scene(width, height, dim, style_strength)
     rng = np.random.default_rng(seed)
     if style_strength > 0.0:
         style = rng.standard_normal(dim)
         style /= np.linalg.norm(style)
-    feats = _normalize_rows(rng.standard_normal((width * height, dim)))
+    feats = _normalize_rows(rng.standard_normal(out=_out(out, (width * height, dim))))
     if style_strength > 0.0:
         feats *= np.sqrt(1.0 - style_strength**2)
         feats += style_strength * style
@@ -82,13 +83,12 @@ def make_grid(
     )
 
 
-def make_text(n_tokens: int, dim: int, seed: int) -> TokenSet:
-    """Text token set: unit-norm features, every position (0, 0)."""
+def make_text(n_tokens: int, dim: int, seed: int, out: np.ndarray | None = None) -> TokenSet:
+    """Text token set: unit-norm features, drawn into ``out`` when given; every position (0, 0)."""
     if n_tokens < 0 or dim <= 0:
         raise ConfigurationError(f"invalid text set size {n_tokens}, dim={dim}")
     rng = np.random.default_rng(seed)
-    feats = rng.standard_normal((n_tokens, dim))
-    _normalize_rows(feats)
+    feats = _normalize_rows(rng.standard_normal(out=_out(out, (n_tokens, dim))))
     return TokenSet(
         features=feats,
         positions=np.zeros((n_tokens, 2), dtype=np.int64),
@@ -125,6 +125,7 @@ def plant_scene(
     noise_level: float = 0.1,
     seed: int = 0,
     shift: int = 0,
+    out: np.ndarray | None = None,
 ) -> PlantedScene:
     """Build a reference grid by permuting ``base``'s features.
 
@@ -135,6 +136,7 @@ def plant_scene(
     before renormalization, so matched pairs keep cosine similarity around
     ``1/sqrt(1 + noise_level**2)``. With zero noise the permuted features are
     copied bit-exactly. ``noise_level`` may be at most ``NOISE_LEVEL_MAX``.
+    The reference features are written to ``out`` as by :func:`make_grid`.
     """
     if base.modality != "image" or base.grid_shape is None:
         raise ConfigurationError("plant_scene needs an image token set with a grid shape")
@@ -148,7 +150,7 @@ def plant_scene(
     else:
         corr = (np.arange(n, dtype=np.int64) + shift) % n
 
-    ref_feats = np.empty_like(base.features)
+    ref_feats = _out(out, base.features.shape)
     if noise_level == 0:
         ref_feats[corr] = base.features
     else:

@@ -44,6 +44,15 @@ $ROPEFREQ shared-attn "$root/tests/fixtures/emit_config/every_sharing_key.config
   --emit-config every_once.json --quiet
 $ROPEFREQ shared-attn every_once.json --emit-config every_twice.json --quiet
 cmp every_once.json every_twice.json
+# Run with output.attention, its report, <f4 matrices and sidecars are
+# byte for byte the frozen ones in tests/fixtures/shared_attn.
+python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["output"]["attention"] = "attn.f4"; json.dump(c, open("every_attn.json", "w"))' \
+  "$root/tests/fixtures/emit_config/every_sharing_key.config.json"
+mkdir every && cd every
+$ROPEFREQ shared-attn ../every_attn.json --out every_sharing_key.report.json --quiet
+test "$(ls | wc -l)" -eq 11
+for f in "$root"/tests/fixtures/shared_attn/*; do cmp "$f" "$(basename "$f")"; done
+cd ..
 # --seed is a shared-attn flag; anywhere else it is a usage error.
 rc=0; $ROPEFREQ decay-curve --seed 1 --out x.csv || rc=$?
 test "$rc" -eq 2; test ! -e x.csv

@@ -618,6 +618,19 @@ class TestPositionValidation:
         ts = TokenSet(np.ones((1, 32)), np.array([[-(2.0**63), 2.0**63 - 1024]]), "image")
         assert ts.positions.tolist() == [[-(2**63), 2**63 - 1024]]
 
+    # The cast to int64 would wrap these to negative numbers.
+    @pytest.mark.parametrize("x", [2**63, 2**64 - 1])
+    def test_unsigned_past_int64_rejected(self, x):
+        with pytest.raises(ConfigurationError):
+            TokenSet(np.ones((2, 4)), np.array([[x, 0], [1, 1]], dtype=np.uint64), "image")
+
+    def test_unsigned_within_int64_accepted(self):
+        positions = np.array([[2**63 - 1, 0], [7, 2]], dtype=np.uint64)
+        ts = TokenSet(np.ones((2, 4)), positions, "image")
+        assert ts.positions.tolist() == [[2**63 - 1, 0], [7, 2]]
+        ts = TokenSet(np.ones((1, 4)), np.array([[255, 3]], dtype=np.uint8), "image")
+        assert ts.positions.dtype == np.int64 and ts.positions.tolist() == [[255, 3]]
+
     # The cast to int64 would wrap each of these to -2**63.
     @pytest.mark.parametrize("x", [2.0**63, 1e300, -(2.0**64), math.inf, -math.inf, math.nan])
     def test_floats_outside_int64_rejected(self, x):

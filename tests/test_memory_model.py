@@ -1,12 +1,13 @@
 """A ``shared-attn`` run's traced peak against a model of what it holds.
 
-The model counts what a run must hold at its peak: the scene arrays, one
-key stack ``k``, the logits block the kernel computes in and, when
-matrices are streamed, one ``<f4`` write chunk. Everything else (the
-scene builders' and AdaIN's 1 MiB blocks of rows and the rotation's four
-budgets, which are held before the block exists, the folds' per-query
-arrays and the report) must fit in 1 MiB beside them. Band attribution adds no term: its panels are
-computed in the logits block.
+The model counts what a run must hold at its peak: the scene's positions
+and correspondence, one key stack ``k`` (the scene's and the text's
+features are drawn straight into its rows), the logits block the kernel
+computes in and, when matrices are streamed, one ``<f4`` write chunk.
+Everything else (the scene builders' and AdaIN's 1 MiB blocks of rows and
+the rotation's four budgets, which are held before the block exists, the
+folds' per-query arrays and the report) must fit in 1 MiB beside them.
+Band attribution adds no term: its panels are computed in the logits block.
 """
 
 import json
@@ -40,13 +41,13 @@ def warm(tmp_path_factory):
 def model(grid: int, dim: int, text: int, heads: int, streamed: bool) -> tuple[int, int]:
     """``(held, bound)`` in bytes for a run whose entries all share reference keys.
 
-    ``held`` is the scene and ``k``, which a run holds at its peak; ``bound``
-    adds the block, the write chunk when ``streamed`` and 1 MiB.
+    ``held`` is the scene's positions and ``k``, which a run holds at its
+    peak; ``bound`` adds the block, the write chunk when ``streamed`` and 1 MiB.
     """
     n = grid * grid
-    # Target and reference features and positions, the correspondence, and
-    # the text features and positions.
-    scene = 8 * (2 * n * (dim + 2) + n + text * (dim + 2))
+    # Target and reference positions, the correspondence and the text
+    # positions; the features are rows of k.
+    scene = 8 * (2 * n * 2 + n + text * 2)
     n_queries, n_keys = n + text, 2 * n + text
     k = 8 * n_keys * dim
     block = 8 * min(heads, 2) * min(_block_rows(n_keys, heads), n_queries) * n_keys
