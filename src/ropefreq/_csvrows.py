@@ -8,8 +8,10 @@ rest. The digits come from Dekker's exact product of the value with a power
 of ten (Dekker 1971), rounded half to even, and a table of the 10**4
 four-digit ASCII words.
 
-:func:`ropefreq.bands.decay_curve_to_csv` imports this module on its first
-call, so runs that write no CSV neither compile it nor build its tables.
+:func:`ropefreq.bands.decay_curve_to_csv`, the one decay-curve CSV writer,
+writes :data:`HEADER` and then :func:`write_rows` of each streamed chunk of
+the curve. It imports this module on its first call, so runs that write no
+CSV neither compile it nor build its tables.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ modulates rotated keys.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -87,11 +88,14 @@ class TokenSet:
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
         pos_in = np.asarray(self.positions)
-        # Float and unsigned positions outside int64 would wrap in the cast below, inf and NaN too.
+        # The cast below would wrap float and unsigned positions outside int64, inf and NaN
+        # too, truncate objects that are not integers and overflow on Python ints past int64.
         if pos_in.size and (
             pos_in.dtype.kind == "f"
             and not np.all((pos_in == np.round(pos_in)) & (pos_in >= -(2.0**63)) & (pos_in < 2.0**63))
             or pos_in.dtype.kind == "u" and pos_in.max() > np.iinfo(np.int64).max
+            or pos_in.dtype.kind == "O"
+            and not all(isinstance(v, numbers.Integral) and -(2**63) <= v < 2**63 for v in pos_in.flat)
         ):
             raise ConfigurationError("positions must be integer grid coordinates in the int64 range")
         pos = pos_in.astype(np.int64)

@@ -9,6 +9,7 @@ drop steeply with small shifts, high indices (low frequency) barely move.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,9 @@ def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> 
 
 # Bytes one block of deltas may hold: f64 cosines in :func:`decay_curve`
 # (chosen from a 32 KiB to 4 MiB sweep for the lowest peak RSS), row text
-# and its keep mask in :func:`decay_curve_to_csv`. A block's height is this
-# budget over the bytes of one delta, so memory stays flat however many
-# deltas.
+# and its keep mask in ``_csvrows.write_rows``, and a streamed chunk's
+# curve in :func:`decay_curve_to_csv`. A block's height is this budget over
+# the bytes of one delta, so memory stays flat however many deltas.
 _BLOCK_BYTES = 2**18
 
 
@@ -193,18 +194,53 @@ def decay_curve(
     return DecayCurve(deltas, series)
 
 
-def decay_curve_to_csv(curve: DecayCurve, out) -> None:
-    """Write a curve to the open text file ``out`` as ``delta,band,mean_similarity`` rows.
+# Deltas per streamed chunk of :func:`decay_curve_to_csv`: a block's budget
+# at 16 bytes a delta, 16,384. At 10**5 deltas on 2 cores, 2**13 to 2**15
+# were fastest of 2**11 to 2**16: shorter chunks start more threads, longer
+# ones leave the first chunk's cosines and the last one's rows unoverlapped
+# for longer. Two chunks of 3 bands and "full" hold 1.3 MB.
+_CHUNK_DELTAS = _block_deltas(16)
 
-    Rows are sorted by (delta, band order); floats carry 17 significant
-    digits so parsing the file back reproduces the exact doubles. Each row
-    is byte for byte ``"%d,%s,%.17g\\n" % (delta, band, value)``. Deltas are
-    rendered and written a block at a time (see :mod:`ropefreq._csvrows`).
+
+def decay_curve_to_csv(
+    delta_values, partition: BandPartition, config: RotaryConfig, out, include_full: bool = False
+) -> None:
+    """Write the CSV of :func:`decay_curve` over ``delta_values`` to the open text file ``out``.
+
+    ``delta_values`` needs ``len`` and slicing; a ``range`` is never
+    materialized. Each ``delta,band,mean_similarity`` row is byte for byte
+    ``"%d,%s,%.17g\\n"`` (see :mod:`ropefreq._csvrows`), in (delta, band)
+    order. Each chunk of deltas is one ``decay_curve`` call, so the curve is
+    never held whole; while one chunk's rows are written, a worker thread
+    takes the next chunk's cosines, which release the GIL. The worker has
+    ended before this returns or raises, and its exception is raised here.
     """
     # Imported on first use: every run that writes no CSV would otherwise
     # compile the renderer at start-up.
     from ._csvrows import HEADER, write_rows
 
+    def chunk(lo: int) -> DecayCurve:
+        return decay_curve(
+            delta_values[lo : lo + _CHUNK_DELTAS], partition, config, include_full=include_full
+        )
+
+    def compute(lo: int, result: list) -> None:
+        try:
+            result.append(chunk(lo))
+        except BaseException as exc:  # raised again in the calling thread
+            result.append(exc)
+
     out.write(HEADER)
-    if curve.series:
-        write_rows(curve, out)
+    curve = chunk(0)
+    for lo in range(_CHUNK_DELTAS, len(delta_values), _CHUNK_DELTAS):
+        result: list = []
+        worker = threading.Thread(target=compute, args=(lo, result))
+        worker.start()
+        try:
+            write_rows(curve, out)
+        finally:
+            worker.join()
+        [curve] = result
+        if isinstance(curve, BaseException):
+            raise curve
+    write_rows(curve, out)

@@ -21,7 +21,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -40,7 +39,7 @@ from .attention import (
     chunk_scales,
     shift_positions,
 )
-from .bands import Band, BandPartition, _block_deltas, decay_curve, make_even_partition
+from .bands import Band, BandPartition, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, sidecar_path, write_attention_matrix
@@ -509,51 +508,6 @@ def _info(args, message: str) -> None:
 # and never held whole, so this caps the size of the CSV, not memory.
 _CURVE_BYTES = 2**28
 
-# Deltas per streamed chunk of a decay curve: a block's budget at 16 bytes a
-# delta, 16,384. At 10**5 deltas on 2 cores, 2**13 to 2**15 were fastest of
-# 2**11 to 2**16: shorter chunks start more threads, longer ones leave the
-# first chunk's cosines and the last one's rows unoverlapped for longer.
-# Two chunks of 3 bands and "full" hold 1.3 MB.
-_CHUNK_DELTAS = _block_deltas(16)
-
-
-def _write_decay_curve(deltas: range, out, partition, config, include_full: bool) -> None:
-    """Write the CSV of the curve over ``deltas`` to ``out``, a chunk at a time.
-
-    Each chunk is ``decay_curve`` over its slice of ``deltas``; every value
-    is a mean over one delta's row, so the rows are those of the whole
-    curve. While this chunk's rows are written, a worker thread takes the
-    next chunk's cosines, which release the GIL. The worker has ended
-    before this returns or raises, and its exception is raised here.
-    """
-    from ._csvrows import HEADER, write_rows
-
-    def chunk(lo: int):
-        return decay_curve(
-            deltas[lo : lo + _CHUNK_DELTAS], partition, config, include_full=include_full
-        )
-
-    def compute(lo: int, result: list) -> None:
-        try:
-            result.append(chunk(lo))
-        except BaseException as exc:  # raised again in the main thread
-            result.append(exc)
-
-    out.write(HEADER)
-    curve = chunk(0)
-    for lo in range(_CHUNK_DELTAS, len(deltas), _CHUNK_DELTAS):
-        result: list = []
-        worker = threading.Thread(target=compute, args=(lo, result))
-        worker.start()
-        try:
-            write_rows(curve, out)
-        finally:
-            worker.join()
-        [curve] = result
-        if isinstance(curve, BaseException):
-            raise curve
-    write_rows(curve, out)
-
 
 def cmd_decay_curve(args) -> int:
     if args.delta_max < 0:
@@ -569,7 +523,7 @@ def cmd_decay_curve(args) -> int:
     # Opened first, so that a missing directory, or a directory at --out,
     # fails before any chunk.
     with _all_or_nothing() as stage, stage(args.out).open("w") as out:
-        _write_decay_curve(range(args.delta_max + 1), out, partition, config, args.include_full)
+        decay_curve_to_csv(range(args.delta_max + 1), partition, config, out, args.include_full)
     _info(args, f"wrote {Path(args.out)}")
     return 0
 

@@ -26,11 +26,30 @@ for line in lines[1:-1]:
     d, label, v = line.split(",")
     assert line == "%d,%s,%.17g" % (int(d), label, float(v)), line
 EOF
-# The entry point streams the curve in chunks, the next one computed
-# on a worker thread; its CSV is byte for byte the library's CSV of
-# the whole curve at once.
-python -c 'import sys; from ropefreq.bands import decay_curve, decay_curve_to_csv, make_even_partition; from ropefreq.rope import RotaryConfig; c = RotaryConfig.single_axis(128, 10000.0, "x"); decay_curve_to_csv(decay_curve(range(20001), make_even_partition(c, 3, "x"), c, include_full=True), sys.stdout)' > library.csv
+# The entry point streams the curve in chunks of 16,384 deltas, the
+# next one computed on a worker thread; its CSV is byte for byte the
+# whole curve rendered at once by ropefreq._csvrows. 20,001 deltas are
+# two chunks; 16,384, 16,385 and 32,768 are at a chunk's edges.
+whole() {
+  python - "$@" <<'EOF'
+import sys
+from ropefreq import _csvrows, bands
+from ropefreq.rope import RotaryConfig
+assert bands._CHUNK_DELTAS == 16384, bands._CHUNK_DELTAS
+c = RotaryConfig.single_axis(128, 10000.0, "x")
+p = bands.make_even_partition(c, 3, "x")
+curve = bands.decay_curve(range(int(sys.argv[1]) + 1), p, c, include_full=len(sys.argv) > 2)
+sys.stdout.write(_csvrows.HEADER)
+_csvrows.write_rows(curve, sys.stdout)
+EOF
+}
+whole 20000 --include-full > library.csv
 cmp full.csv library.csv
+for m in 16383 16384 32767; do
+  $ROPEFREQ decay-curve --delta-max $m --out edge$m.csv --quiet
+  whole $m > library$m.csv
+  cmp edge$m.csv library$m.csv
+done
 $ROPEFREQ schedule --s-hf 0.3 --s-lf 1.2 --out schedule.csv --quiet
 $ROPEFREQ bands --dim 8 --bands 2 --out bands.json --quiet
 $ROPEFREQ shared-attn "$demo" --quiet > report.json

@@ -631,6 +631,27 @@ class TestPositionValidation:
         ts = TokenSet(np.ones((1, 4)), np.array([[255, 3]], dtype=np.uint8), "image")
         assert ts.positions.dtype == np.int64 and ts.positions.tolist() == [[255, 3]]
 
+    # The cast to int64 would truncate the non-integers and raise OverflowError past int64.
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            np.array([[1.5, 2]], dtype=object),
+            np.array([[None, 2]], dtype=object),
+            [[2**64, 0]],
+            [[-(2**63) - 1, 0]],
+        ],
+        ids=["fraction", "none", "past-uint64", "below-int64"],
+    )
+    def test_object_positions_outside_int64_rejected(self, positions):
+        with pytest.raises(ConfigurationError):
+            TokenSet(np.ones((1, 4)), positions, "image")
+
+    def test_object_ints_within_int64_accepted(self):
+        positions = np.array([[2**63 - 1, -(2**63)], [np.int64(7), 2]], dtype=object)
+        ts = TokenSet(np.ones((2, 4)), positions, "image")
+        assert ts.positions.dtype == np.int64
+        assert ts.positions.tolist() == [[2**63 - 1, -(2**63)], [7, 2]]
+
     # The cast to int64 would wrap each of these to -2**63.
     @pytest.mark.parametrize("x", [2.0**63, 1e300, -(2.0**64), math.inf, -math.inf, math.nan])
     def test_floats_outside_int64_rejected(self, x):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import threading
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ropefreq._csvrows
 import ropefreq.bands
 from ropefreq import (
     Band,
@@ -52,6 +54,14 @@ def _percent_csv(curve: DecayCurve) -> str:
         for label, values in curve.series.items()
     ]
     return "delta,band,mean_similarity\n" + "".join(rows)
+
+
+def _whole_csv(curve: DecayCurve) -> str:
+    """The CSV of ``curve``: the header, then one ``write_rows`` call over the whole curve."""
+    out = io.StringIO()
+    out.write(ropefreq._csvrows.HEADER)
+    ropefreq._csvrows.write_rows(curve, out)
+    return out.getvalue()
 
 
 class _Discard:
@@ -216,7 +226,7 @@ class TestDecayCurve:
         part = make_even_partition(cfg, 3, "x")
         curve = decay_curve(range(5), part, cfg)
         out = io.StringIO()
-        decay_curve_to_csv(curve, out)
+        decay_curve_to_csv(range(5), part, cfg, out)
         text = out.getvalue()
         lines = text.strip().splitlines()
         assert lines[0] == "delta,band,mean_similarity"
@@ -236,23 +246,24 @@ class TestDecayCurve:
         part = make_even_partition(cfg, 3, "x")
         curve = decay_curve(list(range(-20, 30)) + [99_999], part, cfg, include_full=True)
         monkeypatch.setattr(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas)
-        out = io.StringIO()
-        decay_curve_to_csv(curve, out)
-        assert out.getvalue() == _per_row_csv(curve)
+        assert _whole_csv(curve) == _per_row_csv(curve)
 
     def test_workload_scale_csv_equals_per_row_rendering_in_a_few_blocks(self):
         # The benchmark's decay1e5 curve: 10^5 deltas, three bands and "full".
         cfg = RotaryConfig.single_axis(128)
-        curve = decay_curve(range(100_000), make_even_partition(cfg, 3, "x"), cfg, include_full=True)
+        part = make_even_partition(cfg, 3, "x")
+        curve = decay_curve(range(100_000), part, cfg, include_full=True)
+        assert _whole_csv(curve) == _per_row_csv(curve)
+        # Streamed in seven chunks, the library writer's CSV is the same.
         out = io.StringIO()
-        decay_curve_to_csv(curve, out)
+        decay_curve_to_csv(range(100_000), part, cfg, out, include_full=True)
         assert out.getvalue() == _per_row_csv(curve)
         # Written to a file that keeps nothing, the renderer holds a block's
         # text and keep mask, its work arrays and one block of output. The
         # whole-block ``%`` it replaces peaked at 3.4 MB here.
         tracemalloc.start()
         try:
-            decay_curve_to_csv(curve, _Discard())
+            ropefreq._csvrows.write_rows(curve, _Discard())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -293,17 +304,7 @@ class TestDecayCurve:
         deltas = np.arange(len(values))
         deltas[:6] = [-(2**63), 2**63 - 1, 10**8 - 1, 10**8, -1, 0]
         curve = DecayCurve(deltas, {"high": values, "full": values[::-1].copy()})
-        out = io.StringIO()
-        decay_curve_to_csv(curve, out)
-        assert out.getvalue() == _percent_csv(curve)
-
-    @pytest.mark.parametrize("deltas", [np.arange(3), np.arange(0)])
-    def test_curve_without_series_is_its_header(self, deltas):
-        # A curve with no series has no rows, as the per-row rendering writes.
-        curve = DecayCurve(deltas, {})
-        out = io.StringIO()
-        decay_curve_to_csv(curve, out)
-        assert out.getvalue() == _percent_csv(curve) == "delta,band,mean_similarity\n"
+        assert _whole_csv(curve) == _percent_csv(curve)
 
     def test_curve_holds_arrays_and_rejects_values_outside_unit_range(self):
         cfg = RotaryConfig.single_axis(32)
@@ -349,6 +350,79 @@ class TestDecayCurve:
         assert peak < arrays + 4 * ropefreq.bands._BLOCK_BYTES
 
 
+class TestStreamedCsv:
+    """``decay_curve_to_csv`` writes chunks of deltas, the next computed on a worker thread."""
+
+    CHUNK = 7
+    CFG = RotaryConfig.single_axis(32)
+    PART = make_even_partition(CFG, 3, "x")
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Each chunk's length and whether the main thread took it; the threads alive at each call."""
+        monkeypatch.setattr(ropefreq.bands, "_CHUNK_DELTAS", self.CHUNK)
+        real_curve, real_rows = ropefreq.bands.decay_curve, ropefreq._csvrows.write_rows
+        seen = {"chunks": [], "main": [], "alive": []}
+
+        def counted_curve(deltas, *args, **kwargs):
+            seen["chunks"].append(len(deltas))
+            seen["main"].append(threading.current_thread() is threading.main_thread())
+            seen["alive"].append(threading.active_count())
+            return real_curve(deltas, *args, **kwargs)
+
+        def counted_rows(curve, out):
+            seen["alive"].append(threading.active_count())
+            return real_rows(curve, out)
+
+        monkeypatch.setattr(ropefreq.bands, "decay_curve", counted_curve)
+        monkeypatch.setattr(ropefreq._csvrows, "write_rows", counted_rows)
+        return seen
+
+    @pytest.mark.parametrize("include_full", [False, True], ids=["bands", "full"])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_streamed_csv_is_the_whole_curve(self, seen, n, include_full):
+        threads = threading.active_count()
+        out = io.StringIO()
+        decay_curve_to_csv(range(n), self.PART, self.CFG, out, include_full=include_full)
+        chunks = [min(self.CHUNK, n - lo) for lo in range(0, n, self.CHUNK)]
+        assert seen["chunks"] == chunks
+        # The first chunk is taken in the calling thread, every later one in
+        # a worker, and no more than one worker is ever alive.
+        assert seen["main"] == [True] + [False] * (len(chunks) - 1)
+        assert max(seen["alive"]) <= threads + 1
+        assert threading.active_count() == threads
+        curve = decay_curve(range(n), self.PART, self.CFG, include_full=include_full)
+        assert out.getvalue() == _whole_csv(curve)
+
+    @pytest.mark.parametrize(
+        "deltas", [list(range(-9, 20)), np.arange(-9, 20)], ids=["list", "array"]
+    )
+    def test_deltas_are_any_sequence(self, seen, deltas):
+        out = io.StringIO()
+        decay_curve_to_csv(deltas, self.PART, self.CFG, out)
+        assert seen["chunks"] == [7, 7, 7, 7, 1]
+        assert out.getvalue() == _whole_csv(decay_curve(deltas, self.PART, self.CFG))
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 3], ids=["caller", "worker", "later-worker"])
+    @pytest.mark.parametrize("error", [ConfigurationError, OSError], ids=["config", "io"])
+    def test_chunk_error_is_raised_in_the_caller(self, monkeypatch, seen, error, failing_call):
+        threads = threading.active_count()
+        counted = ropefreq.bands.decay_curve
+
+        def fails(*args, **kwargs):
+            result = counted(*args, **kwargs)
+            if len(seen["chunks"]) == failing_call:
+                raise error("chunk fails")
+            return result
+
+        monkeypatch.setattr(ropefreq.bands, "decay_curve", fails)
+        with pytest.raises(error, match="chunk fails") as raised:
+            decay_curve_to_csv(range(4 * self.CHUNK), self.PART, self.CFG, io.StringIO())
+        assert type(raised.value) is error
+        assert seen["main"] == [True] + [False] * (failing_call - 1)
+        assert threading.active_count() == threads
+
+
 _UNIT = 1.0 + 1e-12  # DecayCurve's bound on a series value
 
 
@@ -366,10 +440,8 @@ _UNIT = 1.0 + 1e-12  # DecayCurve's bound on a series value
 def test_csv_rows_are_percent_rendering(rows, block_deltas):
     deltas, high, full = zip(*rows)
     curve = DecayCurve(np.array(deltas, dtype=np.int64), {"high": np.array(high), "full": np.array(full)})
-    out = io.StringIO()
     with mock.patch.object(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas):
-        decay_curve_to_csv(curve, out)
-    assert out.getvalue() == _percent_csv(curve)
+        assert _whole_csv(curve) == _percent_csv(curve)
 
 
 MASK_CFG = RotaryConfig(dim=16)

@@ -11,8 +11,8 @@ import pytest
 
 import oracles
 import ropefreq._csvrows
-from ropefreq import cli
-from ropefreq.bands import decay_curve, decay_curve_to_csv, make_even_partition
+from ropefreq import bands, cli
+from ropefreq.bands import decay_curve, make_even_partition
 from ropefreq.cli import ExperimentConfig, build_rotary, main
 from ropefreq.errors import ConfigurationError
 from ropefreq.rope import RotaryConfig
@@ -114,13 +114,13 @@ class TestDecayCurve:
         # The stub stands in for the curve and builds one delta, so no run
         # here allocates a long curve, whether or not the bound stops it.
         built = []
-        real = cli.decay_curve
+        real = bands.decay_curve
 
         def one_delta(deltas, *args, **kwargs):
             built.append(len(deltas))
             return real(range(1), *args, **kwargs)
 
-        monkeypatch.setattr(cli, "decay_curve", one_delta)
+        monkeypatch.setattr(bands, "decay_curve", one_delta)
 
         def run(delta_max, name):
             argv = ["decay-curve", "--delta-max", str(delta_max), "--out", str(tmp_path / name)]
@@ -131,7 +131,7 @@ class TestDecayCurve:
         assert run(largest + 1, "over.csv") == 3
         assert built == [] and not any(tmp_path.iterdir())
         assert run(largest, "edge.csv") == 0
-        assert sum(built) == largest + 1 and max(built) == cli._CHUNK_DELTAS
+        assert sum(built) == largest + 1 and max(built) == bands._CHUNK_DELTAS
 
 
 class TestDecayCurveChunks:
@@ -142,14 +142,14 @@ class TestDecayCurveChunks:
     @pytest.fixture
     def calls(self, monkeypatch):
         """The length of each ``decay_curve`` chunk, and the threads alive during it."""
-        monkeypatch.setattr(cli, "_CHUNK_DELTAS", self.CHUNK)
-        real, calls = cli.decay_curve, []
+        monkeypatch.setattr(bands, "_CHUNK_DELTAS", self.CHUNK)
+        real, calls = bands.decay_curve, []
 
         def counted(deltas, *args, **kwargs):
             calls.append((len(deltas), threading.active_count()))
             return real(deltas, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "decay_curve", counted)
+        monkeypatch.setattr(bands, "decay_curve", counted)
         return calls
 
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
@@ -169,7 +169,8 @@ class TestDecayCurveChunks:
         partition = make_even_partition(config, n_bands, axis)
         whole = io.StringIO()
         curve = decay_curve(range(n), partition, config, include_full="--include-full" in flags)
-        decay_curve_to_csv(curve, whole)
+        whole.write(ropefreq._csvrows.HEADER)
+        ropefreq._csvrows.write_rows(curve, whole)
         assert out.read_bytes() == whole.getvalue().encode()
         # Every chunk went through decay_curve, with at most one worker alive.
         assert [length for length, _ in calls] == [
@@ -183,10 +184,10 @@ class TestDecayCurveChunks:
     )
     def test_failing_chunk_exits_as_a_serial_failure(self, tmp_path, monkeypatch, error, code):
         threads = threading.active_count()
-        monkeypatch.setattr(cli, "_CHUNK_DELTAS", self.CHUNK)
+        monkeypatch.setattr(bands, "_CHUNK_DELTAS", self.CHUNK)
         out = tmp_path / "c.csv"
         out.write_bytes(b"old bytes\n")
-        real = cli.decay_curve
+        real = bands.decay_curve
 
         def run(failing_call):
             calls = []
@@ -197,7 +198,7 @@ class TestDecayCurveChunks:
                     raise error("chunk fails")
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(cli, "decay_curve", fails)
+            monkeypatch.setattr(bands, "decay_curve", fails)
             argv = ["decay-curve", "--delta-max", str(4 * self.CHUNK), "--out", str(out)]
             return main(argv + ["--quiet"]), calls
 
@@ -212,7 +213,7 @@ class TestDecayCurveChunks:
         threads = threading.active_count()
         out = tmp_path / "c.csv"
         events = []
-        counted, rmtree = cli.decay_curve, cli.shutil.rmtree
+        counted, rmtree = bands.decay_curve, cli.shutil.rmtree
 
         def slow_worker(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
@@ -227,7 +228,7 @@ class TestDecayCurveChunks:
             events.append("discarded")
             return rmtree(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "decay_curve", slow_worker)
+        monkeypatch.setattr(bands, "decay_curve", slow_worker)
         monkeypatch.setattr(ropefreq._csvrows, "write_rows", failing_write)
         monkeypatch.setattr(cli.shutil, "rmtree", discard)
         assert main(["decay-curve", "--delta-max", "20", "--out", str(out), "--quiet"]) == 4
@@ -238,13 +239,13 @@ class TestDecayCurveChunks:
 
     def test_missing_directory_fails_before_any_chunk(self, tmp_path, monkeypatch):
         # The stub builds one delta, so a run that computes first stays short.
-        real, calls = cli.decay_curve, []
+        real, calls = bands.decay_curve, []
 
         def one_delta(deltas, *args, **kwargs):
             calls.append(len(deltas))
             return real(range(1), *args, **kwargs)
 
-        monkeypatch.setattr(cli, "decay_curve", one_delta)
+        monkeypatch.setattr(bands, "decay_curve", one_delta)
         out = tmp_path / "missing" / "c.csv"
         argv = ["decay-curve", "--delta-max", "3000000", "--out", str(out), "--quiet"]
         assert main(argv) == 4
@@ -330,7 +331,7 @@ class TestDirectoryTarget:
 
     def test_decay_curve_computes_nothing(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "decay_curve", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(bands, "decay_curve", lambda *args, **kwargs: calls.append(args))
         argv = ["decay-curve", "--delta-max", "2000000", "--out", str(tmp_path), "--quiet"]
         assert main(argv) == 4
         assert calls == [] and not any(tmp_path.iterdir())
@@ -1002,8 +1003,8 @@ class TestIncludeFull:
             "decay-curve", "--delta-max", "3", "--include-full", "--out", str(out), "--quiet",
         ]) == 0
         _, rows = read_csv(out)
-        bands = [band for _, band, _ in rows[:4]]
-        assert bands == ["high", "mid", "low", "full"]
+        labels = [band for _, band, _ in rows[:4]]
+        assert labels == ["high", "mid", "low", "full"]
         assert len(rows) == 4 * 4
 
 

@@ -67,7 +67,7 @@ def model(grid: int, dim: int, text: int, heads: int, streamed: bool) -> tuple[i
 )
 def test_run_peak_is_within_the_memory_model(grid, heads, bands, streamed, tmp_path, warm):
     cfg = demo_config(grid, heads, bands, str(tmp_path / "a.f4") if streamed else None)
-    assert all(params.mode != "none" for _, params, _ in cfg.iter_entries())
+    assert all(params.mode != "none" for _, params, _ in cfg.entries)
     held, bound = model(grid, cfg.rotary.dim, cfg.normalized["text_tokens"], heads, streamed)
     tracemalloc.start()
     try:
