@@ -23,7 +23,6 @@ modulates rotated keys.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .bands import Band, BandPartition
 from .errors import ConfigurationError, ShapeError
-from .rope import RotaryConfig, _position, apply_rope_batch
+from .rope import RotaryConfig, _block_height, _position, _positions, apply_rope_batch
 
 __all__ = [
     "TokenSet",
@@ -53,7 +52,6 @@ MODALITIES = ("image", "text")
 SHARING_MODES = ("none", "plain", "frequency_aware", "shifted")
 
 ADAIN_STD_FLOOR = 1e-8
-_ROWS_BYTES = 2**20  # bytes of f64 rows AdaIN's statistics and the scene builders take at a time
 
 
 def _out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
@@ -87,24 +85,9 @@ class TokenSet:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        pos_in = np.asarray(self.positions)
-        # The cast below would wrap float and unsigned positions outside int64, inf and NaN
-        # too, truncate objects that are not integers and overflow on Python ints past int64.
-        if pos_in.size and (
-            pos_in.dtype.kind == "f"
-            and not np.all((pos_in == np.round(pos_in)) & (pos_in >= -(2.0**63)) & (pos_in < 2.0**63))
-            or pos_in.dtype.kind == "u" and pos_in.max() > np.iinfo(np.int64).max
-            or pos_in.dtype.kind == "O"
-            and not all(isinstance(v, numbers.Integral) and -(2**63) <= v < 2**63 for v in pos_in.flat)
-        ):
-            raise ConfigurationError("positions must be integer grid coordinates in the int64 range")
-        pos = pos_in.astype(np.int64)
         if feats.ndim != 2:
             raise ShapeError(f"features must be 2-D (n, dim), got shape {feats.shape}")
-        if pos.shape != (feats.shape[0], 2):
-            raise ShapeError(
-                f"positions must have shape ({feats.shape[0]}, 2), got {pos.shape}"
-            )
+        pos = _positions(self.positions, feats.shape[0])
         if feats.size and not np.all(np.isfinite(feats)):
             raise ConfigurationError("features must be finite")
         if self.modality not in MODALITIES:
@@ -213,27 +196,31 @@ def ramp_at(ramp: TimestepRamp, t: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BandMaskSpec:
-    """Optional band zero/scale applied to rotated reference keys."""
+    """Optional band zero/scale applied to rotated reference keys.
+
+    The mode is ``"zero"`` or ``"scale"``, which needs a finite ``scale``.
+    """
 
     band: Band
     mode: str
     scale: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("zero", "scale"):
+            raise ConfigurationError(f"mode must be 'zero' or 'scale', got {self.mode!r}")
+        if self.mode == "scale" and self.scale is None:
+            raise ConfigurationError("mode 'scale' requires a scale value")
+        if self.mode == "scale" and not math.isfinite(self.scale):
+            raise ConfigurationError(f"the scale of mode 'scale' must be finite, got {self.scale}")
+
     def factor(self, config: RotaryConfig) -> float:
         """The factor the band's coordinates of each reference key are multiplied by.
 
-        Raises :class:`ConfigurationError` if the band does not fit ``config``
-        or the mode (and scale) are not a valid mask.
+        Raises :class:`ConfigurationError` if the band does not fit ``config``.
         """
         if self.band.stop > config.n_chunks:
             raise ConfigurationError(f"band {self.band.label!r} extends past the last chunk")
-        if self.mode == "zero":
-            return 0.0
-        if self.mode == "scale":
-            if self.scale is None:
-                raise ConfigurationError("mode 'scale' requires a scale value")
-            return float(self.scale)
-        raise ConfigurationError(f"mode must be 'zero' or 'scale', got {self.mode!r}")
+        return 0.0 if self.mode == "zero" else float(self.scale)
 
 
 @dataclass(frozen=True)
@@ -309,8 +296,9 @@ class SharedQKV:
     """Assembled shared-attention keys, already rotated, and their layout.
 
     The keys stack the target image, the target text and (unless the mode
-    is "none") the reference image; the queries are the first two of
-    those runs, so ``q`` is a view of the leading rows of ``k``.
+    is "none") the reference image, always in that order, so the image
+    queries lead and the reference keys trail. The queries are the first
+    two runs: ``q`` is a view of the leading rows of ``k``.
     """
 
     k: np.ndarray
@@ -365,7 +353,7 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
         raise ShapeError("reference statistics need at least 2 rows")
     if out is not None and (out.shape != xm.shape or out.dtype != np.float64):
         raise ShapeError(f"expected an f64 out of shape {xm.shape}, got {out.dtype} {out.shape}")
-    rows = max(1, _ROWS_BYTES // (8 * xm.shape[1]))
+    rows = _block_height(8 * xm.shape[1])
     (mean_x, std_x), (mean_y, std_y) = _column_stats(xm, rows), _column_stats(ym, rows)
     degenerate = std_x < ADAIN_STD_FLOOR
     safe_std = np.where(degenerate, 1.0, std_x)
@@ -396,23 +384,26 @@ def _row_bytes(n_keys: int, heads: int) -> int:
 
 def _block_rows(n_keys: int, heads: int = 1) -> int:
     """Query rows per block for ``n_keys`` keys and ``heads`` heads."""
-    return max(1, _BLOCK_BYTES // _row_bytes(n_keys, heads))
+    return _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES)
 
 
-def _check_heads(heads: int, band_partition: BandPartition | None, config: RotaryConfig) -> None:
-    """Raise :class:`ConfigurationError` unless ``heads`` and the partition fit ``config``."""
+def _check_heads(heads: int, band_partition: BandPartition | None, dim: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``heads`` and the partition fit keys ``dim`` wide.
+
+    The partition must cover exactly the ``dim // 2`` chunks of the keys.
+    """
     if heads < 1:
         raise ConfigurationError(f"heads must be >= 1, got {heads}")
-    if config.dim % (2 * heads) != 0:
+    if dim % (2 * heads) != 0:
         raise ConfigurationError(
-            f"dim={config.dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
+            f"dim={dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
         )
     if band_partition is not None:
         if heads != 1:
             raise ConfigurationError("per-band logit decomposition requires heads=1")
-        if not band_partition.covers_all_chunks(config):
+        if not np.array_equal(band_partition.chunk_indices(), np.arange(dim // 2)):
             raise ConfigurationError(
-                "band decomposition needs a partition covering every chunk"
+                f"band decomposition needs a partition covering every chunk 0..{dim // 2 - 1}"
             )
 
 
@@ -559,9 +550,7 @@ def shift_positions(positions: np.ndarray, offset) -> np.ndarray:
     Raises :class:`ConfigurationError` if a shifted position would leave the
     int64 range, where NumPy's addition would wrap it silently.
     """
-    pos = np.asarray(positions)
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise ShapeError(f"expected positions of shape (n, 2), got {pos.shape}")
+    pos = _positions(positions)
     off = _position(offset)
     if pos.size:
         bounds = np.iinfo(np.int64)

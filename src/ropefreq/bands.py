@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .rope import RotaryConfig, frequencies
+from .rope import RotaryConfig, _block_height, frequencies
 
 __all__ = [
     "Band",
@@ -75,10 +75,6 @@ class BandPartition:
         """All chunk indices covered, in band order."""
         return np.concatenate([b.indices() for b in self.bands])
 
-    def covers_all_chunks(self, config: RotaryConfig) -> bool:
-        covered = set(self.chunk_indices().tolist())
-        return covered == set(range(config.n_chunks))
-
 
 def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> BandPartition:
     """Split an axis's chunk indices into ``n_bands`` near-equal bands.
@@ -127,7 +123,7 @@ _BLOCK_BYTES = 2**18
 
 def _block_deltas(delta_bytes: int) -> int:
     """Deltas per block when each delta holds ``delta_bytes`` bytes."""
-    return max(1, _BLOCK_BYTES // delta_bytes)
+    return _block_height(delta_bytes, _BLOCK_BYTES)
 
 
 @dataclass(frozen=True)

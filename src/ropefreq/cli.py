@@ -298,7 +298,7 @@ class ExperimentConfig:
         config = build_rotary(**norm["rotary"])
         bands = norm["attribution_bands"]
         partition = None if bands is None else make_even_partition(config, bands, "all")
-        _check_heads(norm["heads"], partition, config)
+        _check_heads(norm["heads"], partition, config.dim)
         scene = norm["scene"]
         _check_scene(
             norm["grid"]["width"], norm["grid"]["height"], config.dim, scene["style_strength"],
@@ -399,7 +399,6 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
             evaluation = evaluate_shared(
                 qkv,
                 scene,
-                config,
                 heads=norm["heads"],
                 band_partition=cfg.partition,
                 attention_out=out,

@@ -23,7 +23,7 @@ import numpy as np
 from .attention import SharedQKV, _blocks, _check_heads, _logit_scale
 from .bands import BandPartition
 from .errors import ShapeError
-from .rope import RotaryConfig
+from .rope import _block_height
 from .synthetic import PlantedScene
 
 __all__ = [
@@ -63,16 +63,6 @@ def _row_order_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def _span(rows: slice, start: int, stop: int) -> tuple[int, int, slice]:
-    """``(lo, hi, local)``: rows ``lo:hi`` of the run ``rows`` lie in ``start:stop``.
-
-    ``local`` is where they sit in the block that starts at ``start``.
-    """
-    first = max(rows.start, start)
-    last = max(first, min(rows.stop, stop))
-    return first - rows.start, last - rows.start, slice(first - start, last - start)
-
-
 def _aligned_columns(query_pos: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
     """The reference column at each query's grid position, or -1 where there is none.
 
@@ -95,28 +85,28 @@ def _aligned_columns(query_pos: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
 class _AlignmentFold:
     """Alignment terms of each image query, filled one block of rows at a time.
 
-    Built from the query and key layouts and the scene; feed it every block
-    of softmax rows with :meth:`add`, then read :meth:`result`. A reference
-    key is positionally aligned with a query at exactly the same grid
-    coordinates.
+    Built from the assembled keys and the scene; feed it every block of
+    softmax rows with :meth:`add`, then read :meth:`result`. The image
+    queries are the first ``n`` rows (:class:`~ropefreq.attention.SharedQKV`).
+    A reference key is positionally aligned with a query at exactly the same
+    grid coordinates.
     """
 
-    def __init__(self, query_layout, key_layout, scene: PlantedScene) -> None:
-        self.q_rows = query_layout.rows("target-image")
-        self.ref_cols = key_layout.rows("reference-image")
+    def __init__(self, qkv: SharedQKV, scene: PlantedScene) -> None:
+        (_, query_pos), *_, (_, ref_pos) = qkv.key_layout.parts
+        self.ref_cols = qkv.key_layout.rows("reference-image")
         n = self.n = scene.target.n_tokens
-        n_rows = self.q_rows.stop - self.q_rows.start
-        if n_rows != n:
-            raise ShapeError(f"the queries hold {n_rows} image rows but the scene has {n} tokens")
+        if len(query_pos) != n:
+            raise ShapeError(
+                f"the queries hold {len(query_pos)} image rows but the scene has {n} tokens"
+            )
         n_ref = self.ref_cols.stop - self.ref_cols.start
         self.has_reference = n_ref > 0
         if not self.has_reference:
             return
         if n_ref != n:
             raise ShapeError(f"the keys hold {n_ref} reference rows but the scene has {n} tokens")
-        self.aligned = _aligned_columns(
-            query_layout.positions[self.q_rows], key_layout.positions[self.ref_cols]
-        )
+        self.aligned = _aligned_columns(query_pos, ref_pos)
         self.semantic = np.asarray(scene.correspondence, dtype=np.intp)
         self.ref_mass = np.zeros(n)
         self.pos_mass = np.zeros(n)
@@ -126,25 +116,23 @@ class _AlignmentFold:
 
     def add(self, start: int, attention: np.ndarray) -> None:
         """Fold softmax rows ``start:start + len(attention)`` over all keys."""
-        if not self.has_reference:
+        stop = min(start + attention.shape[0], self.n)
+        if not self.has_reference or start >= stop:
             return
-        lo, hi, local = _span(self.q_rows, start, start + attention.shape[0])
-        if lo == hi:
-            return
-        ref = attention[local][:, self.ref_cols]
-        rows = np.arange(hi - lo)
-        aligned = self.aligned[lo:hi]
-        semantic = self.semantic[lo:hi]
+        ref = attention[: stop - start, self.ref_cols]
+        rows = np.arange(stop - start)
+        aligned = self.aligned[start:stop]
+        semantic = self.semantic[start:stop]
         # The first maximum, as argmax takes it; argmax of the strided view
         # itself would copy it whole. Rows are finite (the softmax guard).
         winner = (ref == ref.max(axis=1, keepdims=True)).argmax(axis=1)
-        self.ref_mass[lo:hi] = ref.sum(axis=1)
+        self.ref_mass[start:stop] = ref.sum(axis=1)
         # A query's one aligned weight is the sum over its aligned keys: the
         # other terms of that sum are zeros, which add nothing.
-        self.pos_mass[lo:hi] = np.where(aligned >= 0, ref[rows, aligned], 0.0)
-        self.sem_mass[lo:hi] = ref[rows, semantic]
-        self.pos_hit[lo:hi] = winner == aligned
-        self.sem_hit[lo:hi] = winner == semantic
+        self.pos_mass[start:stop] = np.where(aligned >= 0, ref[rows, aligned], 0.0)
+        self.sem_mass[start:stop] = ref[rows, semantic]
+        self.pos_hit[start:stop] = winner == aligned
+        self.sem_hit[start:stop] = winner == semantic
 
     def result(self) -> AlignmentMetrics:
         if not self.has_reference:
@@ -186,26 +174,27 @@ def _band_panels(qb: np.ndarray, ref_k: np.ndarray, partition: BandPartition, pa
 class _AttributionFold:
     """Per-band |logit| sums over image queries x reference keys, one block at a time.
 
-    Built from the partition, the assembled keys and the scene; feed :meth:`add` each
-    block's query rows and its used softmax rows, whose buffer holds each band's
-    ``(rows, N_ref)`` panel as a C-contiguous view, then read :meth:`result`.
+    Built from the partition, the assembled keys and ``n``, the number of
+    image queries (the first rows); feed :meth:`add` each block's query rows
+    and its used softmax rows, whose buffer holds each band's ``(rows, N_ref)``
+    panel as a C-contiguous view, then read :meth:`result`.
     """
 
-    def __init__(self, partition: BandPartition, qkv: SharedQKV, scene: PlantedScene) -> None:
+    def __init__(self, partition: BandPartition, qkv: SharedQKV, n: int) -> None:
         self.partition = partition
-        self.q_rows = qkv.query_layout.rows("target-image")
+        self.n = n
         self.ref_k = qkv.k[qkv.key_layout.rows("reference-image")]
-        self.n_pairs = (self.q_rows.stop - self.q_rows.start) * scene.target.n_tokens
+        self.n_pairs = n * len(self.ref_k)
         self.totals = np.zeros(len(partition.bands))
 
     def add(self, start: int, qb: np.ndarray, attention: np.ndarray) -> None:
         """Fold the band logits of query rows ``qb`` (from ``start``), computed in ``attention``."""
-        lo, hi, local = _span(self.q_rows, start, start + qb.shape[0])
-        if lo == hi:
+        rows = min(len(qb), self.n - start)
+        if rows <= 0:
             return
         panel = attention.reshape(-1)[: len(qb) * len(self.ref_k)].reshape(len(qb), -1)
         for i, panel in enumerate(_band_panels(qb, self.ref_k, self.partition, panel)):
-            self.totals[i] += np.abs(panel[local], out=panel[local]).sum()
+            self.totals[i] += np.abs(panel[:rows], out=panel[:rows]).sum()
 
     def result(self) -> BandAttribution:
         labels = self.partition.labels
@@ -232,7 +221,6 @@ class SharedEvaluation:
 def evaluate_shared(
     qkv: SharedQKV,
     scene: PlantedScene,
-    config: RotaryConfig,
     heads: int = 1,
     band_partition: BandPartition | None = None,
     attention_out=None,
@@ -246,14 +234,15 @@ def evaluate_shared(
     are taken against the reference keys only, in the block's buffer once its
     rows are folded and written. Positional alignment is exact grid equality
     of a query and a reference key; without reference keys all alignment is 0.
+    ``heads`` and ``band_partition`` are checked against the width of the keys.
     """
-    align = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
-    _check_heads(heads, band_partition, config)
+    align = _AlignmentFold(qkv, scene)
+    _check_heads(heads, band_partition, qkv.k.shape[1])
     attribution = None
     if band_partition is not None and align.has_reference:
-        attribution = _AttributionFold(band_partition, qkv, scene)
+        attribution = _AttributionFold(band_partition, qkv, align.n)
     q = qkv.q
-    chunk = max(1, _WRITE_BYTES // (4 * qkv.k.shape[0]))
+    chunk = _block_height(4 * qkv.k.shape[0], _WRITE_BYTES)
     for start, attention in _blocks(q, qkv.k, heads):
         align.add(start, attention)
         if attention_out is not None:

@@ -24,6 +24,7 @@ re-interleaved before use with this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,14 +138,32 @@ def frequencies(config: RotaryConfig) -> np.ndarray:
     return (1.0 / config.rope_base) ** (2.0 * d / config.dim)
 
 
+def _positions(values, rows: int | None = None) -> np.ndarray:
+    """``values`` as an ``(n, 2)`` int64 position array (``n`` is ``rows`` if given); not a copy of one.
+
+    Raises :class:`ShapeError` for another shape and :class:`ConfigurationError` for a value
+    that is not an integer in the int64 range, which the cast would truncate, wrap or overflow.
+    """
+    pos = np.asarray(values)
+    if pos.ndim != 2 or pos.shape[1] != 2 or rows is not None and pos.shape[0] != rows:
+        expected = "n" if rows is None else rows
+        raise ShapeError(f"expected positions of shape ({expected}, 2), got {pos.shape}")
+    kind = pos.dtype.kind
+    if pos.size and (
+        kind not in "biufO"
+        or kind == "f"
+        and not np.all((pos == np.round(pos)) & (pos >= -(2.0**63)) & (pos < 2.0**63))
+        or kind == "u" and pos.max() > np.iinfo(np.int64).max
+        or kind == "O"
+        and not all(isinstance(v, numbers.Integral) and -(2**63) <= v < 2**63 for v in pos.flat)
+    ):
+        raise ConfigurationError("positions must be integer grid coordinates in the int64 range")
+    return pos.astype(np.int64, copy=False)
+
+
 def _position(pos) -> np.ndarray:
     """An ``(x, y)`` pair as a ``(1, 2)`` int64 row, the form of a position array's rows."""
-    xy = [int(v) for v in np.asarray(pos).reshape(-1).tolist()]
-    if len(xy) != 2:
-        raise ShapeError(f"expected a 2-D position, got {pos!r}")
-    if not all(-(2**63) <= v < 2**63 for v in xy):
-        raise ConfigurationError(f"position {tuple(xy)} is out of the int64 range")
-    return np.array([xy], dtype=np.int64)
+    return _positions(np.reshape(pos, (1, -1)), 1)
 
 
 def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
@@ -162,9 +181,15 @@ def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
     return angles
 
 
-# Bytes of f64 rotation angles one block of rows may hold. A block holds four
-# arrays of this size (_rotate_pairs), however many rows the stack has.
-_ROTATE_BYTES = 2**20
+# Bytes one block of rows may hold in the loops that take a fixed budget of
+# f64 rows at a time: rotation angles (a block holds four arrays of this size,
+# _rotate_pairs), AdaIN's statistics and the scene builders.
+_ROWS_BYTES = 2**20
+
+
+def _block_height(row_bytes: int, budget: int | None = None) -> int:
+    """Rows of ``row_bytes`` bytes each that fit in ``budget`` (``_ROWS_BYTES`` if None), at least 1."""
+    return max(1, (_ROWS_BYTES if budget is None else budget) // row_bytes)
 
 
 def _rotate_pairs(values: np.ndarray, angles: np.ndarray, out: np.ndarray) -> None:
@@ -190,23 +215,21 @@ def apply_rope_batch(
     """Rotary encoding of a stack of tokens, each at its own grid position.
 
     ``features`` is ``(n, dim)``; ``positions`` is ``(n, 2)`` integer grid
-    coordinates, column order (x, y). The rotated rows are written to
+    coordinates (x, y) in the int64 range. The rotated rows are written to
     ``out`` (a new array when it is ``None``), an f64 array of the features'
     shape which may be ``features`` itself, and ``out`` is returned. Rows
     are rotated a block at a time, so the temporaries stay within a fixed
     budget however many rows there are.
     """
     feats = np.asarray(features, dtype=np.float64)
-    pos = np.asarray(positions)
     if feats.ndim != 2 or feats.shape[1] != config.dim:
         raise ShapeError(f"expected features of shape (n, {config.dim}), got {feats.shape}")
-    if pos.shape != (feats.shape[0], 2):
-        raise ShapeError(f"expected positions of shape ({feats.shape[0]}, 2), got {pos.shape}")
+    pos = _positions(positions, feats.shape[0])
     if out is None:
         out = np.empty_like(feats)
     elif out.shape != feats.shape or out.dtype != np.float64:
         raise ShapeError(f"expected an f64 out of shape {feats.shape}, got {out.dtype} {out.shape}")
-    step = max(1, _ROTATE_BYTES // (8 * config.n_chunks))
+    step = _block_height(8 * config.n_chunks)
     for start in range(0, feats.shape[0], step):
         rows = slice(start, start + step)
         _rotate_pairs(feats[rows], _angles(pos[rows], config), out[rows])

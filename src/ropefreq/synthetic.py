@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _ROWS_BYTES, TokenSet, _out, grid_positions
+from .attention import TokenSet, _out, grid_positions
 from .errors import ConfigurationError
+from .rope import _block_height
 
 __all__ = ["PlantedScene", "make_grid", "make_text", "plant_scene"]
 
@@ -44,7 +45,7 @@ def _check_scene(
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """``x /= np.linalg.norm(x, axis=1, keepdims=True)`` bit for bit, a block of rows at a time."""
-    step = max(1, _ROWS_BYTES // (8 * x.shape[1]))
+    step = _block_height(8 * x.shape[1])
     for lo in range(0, len(x), step):
         block = x[lo : lo + step]
         block /= np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
@@ -155,7 +156,7 @@ def plant_scene(
         ref_feats[corr] = base.features
     else:
         # A block of noisy rows at a time: the generator draws the same values in blocks.
-        sigma, step = noise_level / np.sqrt(base.dim), max(1, _ROWS_BYTES // (8 * base.dim))
+        sigma, step = noise_level / np.sqrt(base.dim), _block_height(8 * base.dim)
         for lo in range(0, n, step):
             noisy = rng.standard_normal((min(step, n - lo), base.dim))
             noisy *= sigma

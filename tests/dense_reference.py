@@ -89,22 +89,22 @@ def dense_attribution(qkv, partition):
     }
 
 
-def streamed_evaluation(qkv, scene, config, heads=1, band_partition=None):
+def streamed_evaluation(qkv, scene, heads=1, band_partition=None):
     """``(evaluate_shared's result, the <f4 bytes it streamed)`` for ``qkv``."""
     out = io.BytesIO()
     evaluation = evaluate_shared(
-        qkv, scene, config, heads=heads, band_partition=band_partition, attention_out=out
+        qkv, scene, heads=heads, band_partition=band_partition, attention_out=out
     )
     return evaluation, out.getvalue()
 
 
-def evaluate_with_reference(qkv, scene, config, heads=1, band_partition=None):
+def evaluate_with_reference(qkv, scene, heads=1, band_partition=None):
     """``(evaluate_shared's result, dense softmax, tied)`` for ``qkv``.
 
     ``tied`` is whether the matrix the evaluation streamed is the dense
     softmax cast to ``<f4``, byte for byte.
     """
-    evaluation, streamed = streamed_evaluation(qkv, scene, config, heads, band_partition)
+    evaluation, streamed = streamed_evaluation(qkv, scene, heads, band_partition)
     attention = dense_softmax(qkv.q, qkv.k, heads)
     tied = streamed == attention.astype("<f4").tobytes()
     return evaluation, attention, tied

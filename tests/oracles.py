@@ -307,7 +307,7 @@ def library_metrics(kind, seed, noise, style, mode_kwargs):
     else:
         params = SharingParams(**mode_kwargs)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
-    return evaluate_shared(qkv, scene, config).alignment, scene
+    return evaluate_shared(qkv, scene).alignment, scene
 
 
 def search_copying_seed(seeds, noises, styles, verbose=True):
@@ -359,7 +359,7 @@ def search_demo(seeds, noises, styles, zero_stop=22, verbose=True):
                     band_mask_override=BandMaskSpec(Band("high", 0, zero_stop), "zero"),
                 )
                 qkv = build_shared_qkv(scene.target, text, scene.reference, masked_params, config)
-                m = evaluate_shared(qkv, scene, config).alignment
+                m = evaluate_shared(qkv, scene).alignment
                 ok = (
                     p.argmax_positional_rate >= 0.9
                     and f.argmax_positional_rate <= p.argmax_positional_rate - 2 / 64

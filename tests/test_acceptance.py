@@ -68,7 +68,7 @@ def evaluate(scene, text, params, cfg, band_partition=None):
     """``(evaluation, qkv, dense softmax, kept matrix == softmax as <f4)`` of one setup."""
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, cfg)
     evaluation, attention, tied = evaluate_with_reference(
-        qkv, scene, cfg, band_partition=band_partition
+        qkv, scene, band_partition=band_partition
     )
     return evaluation, qkv, attention, tied
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-import ropefreq.attention
+import ropefreq.rope
 from dense_reference import (
     dense_attribution,
     dense_band_logits,
@@ -36,6 +36,7 @@ from ropefreq import (
     modulation_scales,
     plant_scene,
     ramp_at,
+    relative_inner_product,
     shift_positions,
 )
 from ropefreq.attention import _blocks, _column_stats
@@ -116,7 +117,7 @@ class TestAdain:
 
     def test_blocked_statistics_keep_the_bits_of_whole_matrix_statistics(self, monkeypatch):
         # Three rows at a time: x's 11 rows and y's 13 take several ragged blocks.
-        monkeypatch.setattr(ropefreq.attention, "_ROWS_BYTES", 3 * 8 * 6)
+        monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", 3 * 8 * 6)
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal((11, 6)) * 3.0 + 1e4, rng.standard_normal((13, 6)) - 2.0
         x[:, 4] = -7.25  # a degenerate channel takes the reference mean
@@ -240,7 +241,7 @@ class TestAttend:
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
         with pytest.raises(ConfigurationError, match="divisible"):
-            evaluate_shared(qkv, scene, CFG, heads=3)
+            evaluate_shared(qkv, scene, heads=3)
 
 
 class TestAttendBandDecomposition:
@@ -396,13 +397,13 @@ class TestBuildSharedQKV:
     def test_mode_none_reduces_to_attend_on_target(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
-        _, attention, tied = evaluate_with_reference(qkv, scene, CFG)
+        _, attention, tied = evaluate_with_reference(qkv, scene)
         assert tied
         features = np.vstack([scene.target.features, text.features])
         positions = np.vstack([scene.target.positions, text.positions])
         base = kernel(features, positions, features, positions)
         np.testing.assert_allclose(attention, base, atol=1e-15)
-        _, streamed = streamed_evaluation(qkv, scene, CFG)
+        _, streamed = streamed_evaluation(qkv, scene)
         assert streamed == base.astype("<f4").tobytes()
 
     def test_constant_schedule_equals_plain(self):
@@ -455,7 +456,7 @@ class TestBuildSharedQKV:
             scene.target, text, scene.reference,
             SharingParams(mode="plain", s=1.0, adain_enabled=False), CFG,
         )
-        _, attention, tied = evaluate_with_reference(qkv, scene, CFG)
+        _, attention, tied = evaluate_with_reference(qkv, scene)
         assert tied
         n_img, n_txt = scene.target.n_tokens, text.n_tokens
         ref_cols = slice(n_img + n_txt, n_img + n_txt + n_img)
@@ -577,7 +578,7 @@ class TestBuildSharedQKV:
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
-        evaluation, _, tied = evaluate_with_reference(qkv, scene, CFG, band_partition=part)
+        evaluation, _, tied = evaluate_with_reference(qkv, scene, band_partition=part)
         assert tied
         logits = qkv.q @ qkv.k.T / math.sqrt(32)
         np.testing.assert_allclose(
@@ -594,7 +595,7 @@ class TestBuildSharedQKV:
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
         with pytest.raises(ConfigurationError):
-            evaluate_shared(qkv, scene, CFG, heads=2, band_partition=part)
+            evaluate_shared(qkv, scene, heads=2, band_partition=part)
 
     def test_band_partition_must_cover_all_chunks(self):
         scene, text = scene_and_text()
@@ -603,13 +604,57 @@ class TestBuildSharedQKV:
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
         with pytest.raises(ConfigurationError):
-            evaluate_shared(qkv, scene, CFG, band_partition=part)
+            evaluate_shared(qkv, scene, band_partition=part)
 
 
 class TestPositionValidation:
     def test_fractional_positions_rejected(self):
         with pytest.raises(ConfigurationError):
             TokenSet(np.ones((1, 32)), np.array([[0.5, 0.0]]), "image")
+
+    # Each of these used to truncate toward zero: an offset of (1.7, -0.2)
+    # became (1, 0), a shift by 2.9 shifted by 2, a delta of 0.5 was delta 0,
+    # and apply_rope_batch rotated by fractional angles.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SharingParams(mode="shifted", offset=(1.7, -0.2)),
+            lambda: shift_positions(grid_positions(2, 2), (2.9, 0)),
+            lambda: relative_inner_product(np.ones(32), np.ones(32), (0.5, 0), CFG),
+            lambda: chunk_decomposition(np.ones(32), np.ones(32), (0, -0.5), CFG),
+            lambda: apply_rope_batch(np.ones((2, 32)), [[0.5, 0.0], [1.0, 0.0]], CFG),
+            lambda: shift_positions([[0.25, 0.0]], (1, 0)),
+        ],
+        ids=["offset", "shift-offset", "delta", "decomposition", "rotation", "shift-positions"],
+    )
+    def test_fractional_positions_rejected_everywhere(self, call):
+        with pytest.raises(ConfigurationError, match="integer grid coordinates"):
+            call()
+
+    def test_one_rule_for_every_position(self):
+        # TokenSet's rules hold for offsets, deltas and rotated positions alike.
+        for offset in [(2**63, 0), (np.uint64(2**63), 0), (10**30, 0), (None, 0), (math.nan, 0)]:
+            with pytest.raises(ConfigurationError):
+                SharingParams(mode="shifted", offset=offset)
+        params = SharingParams(mode="shifted", offset=(np.uint8(3), 2.0))
+        assert params.offset == (3, 2) and all(type(v) is int for v in params.offset)
+        positions = np.array([[2.0, -1.0], [np.uint8(7), 0]], dtype=object)
+        with pytest.raises(ConfigurationError):
+            apply_rope_batch(np.ones((2, 32)), positions, CFG)
+        rotated = apply_rope_batch(np.ones((2, 32)), np.array([[2.0, -1.0], [7.0, 0.0]]), CFG)
+        assert rotated.tobytes() == apply_rope_batch(np.ones((2, 32)), [[2, -1], [7, 0]], CFG).tobytes()
+        # The casts would drop an imaginary part or parse a string.
+        for positions in (np.array([[1 + 0.5j, 0], [2, 0]]), np.array([["1", "0"], ["2", "0"]])):
+            with pytest.raises(ConfigurationError):
+                apply_rope_batch(np.ones((2, 32)), positions, CFG)
+        with pytest.raises(ShapeError):
+            apply_rope_batch(np.ones((2, 32)), [[0, 0]], CFG)
+        with pytest.raises(ShapeError):
+            relative_inner_product(np.ones(32), np.ones(32), (1, 2, 3), CFG)
+
+    def test_int64_positions_are_not_copied(self):
+        positions = grid_positions(2, 3)
+        assert TokenSet(np.ones((6, 4)), positions, "image", grid_shape=(2, 3)).positions is positions
 
     def test_whole_valued_floats_accepted(self):
         ts = TokenSet(np.ones((1, 32)), np.array([[2.0, -3.0]]), "image")

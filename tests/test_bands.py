@@ -518,15 +518,25 @@ class TestBandMask:
             build_shared_qkv(scene.target, text, scene.reference, params, MASK_CFG)
 
     def test_mode_validation(self):
-        for spec in (
-            BandMaskSpec(Band("b", 0, 2), "clip"),
-            BandMaskSpec(Band("b", 0, 2), "scale"),
-            BandMaskSpec(Band("b", 0, MASK_CFG.n_chunks + 1), "zero"),
-        ):
+        # A mask is checked when built: an unknown mode, a "scale" mask without a
+        # finite scale. Whether its band fits is a question for each config.
+        for mode, scale in (("clip", None), ("bogus", 1.0), ("scale", None), ("scale", math.nan),
+                            ("scale", math.inf), ("scale", -math.inf)):
             with pytest.raises(ConfigurationError):
-                spec.factor(MASK_CFG)
-            with pytest.raises(ConfigurationError):
-                masked_keys(spec)
+                BandMaskSpec(Band("b", 0, 2), mode, scale)
+        spec = BandMaskSpec(Band("b", 0, MASK_CFG.n_chunks + 1), "zero")
+        with pytest.raises(ConfigurationError):
+            spec.factor(MASK_CFG)
+        with pytest.raises(ConfigurationError):
+            masked_keys(spec)
+
+    def test_sharing_params_cannot_hold_an_invalid_mask(self):
+        # Held, either would first fail in build_shared_qkv, a NaN scale only
+        # as a softmax that is not finite.
+        with pytest.raises(ConfigurationError, match="'zero' or 'scale'"):
+            SharingParams(mode="plain", band_mask_override=BandMaskSpec(Band("b", 0, 4), "bogus"))
+        with pytest.raises(ConfigurationError, match="finite"):
+            SharingParams(mode="plain", band_mask_override=BandMaskSpec(Band("b", 0, 4), "scale", math.nan))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 999), st.floats(-4, 4, allow_nan=False))

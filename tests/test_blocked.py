@@ -107,7 +107,7 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     partition = make_even_partition(CFG, 3, "all") if heads == 1 else None
 
     attention = dense_softmax(qkv.q, qkv.k, heads)
-    evaluation, streamed = streamed_evaluation(qkv, scene, CFG, heads, partition)
+    evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
     # The very softmax blocks that evaluate_shared folds.
     blocks = stacked_blocks(qkv.q, qkv.k, heads)
     # BLAS may round a product differently depending on how many rows it
@@ -138,7 +138,7 @@ def test_non_finite_logits_raise_without_a_numpy_warning():
     params = SharingParams(mode="plain", s=math.inf)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
     with pytest.raises(ConfigurationError, match="not finite"):
-        evaluate_shared(qkv, scene, CFG)
+        evaluate_shared(qkv, scene)
 
 
 def test_run_experiment_allocates_no_dense_matrix():
@@ -218,7 +218,7 @@ def test_shared_qkv_assembly_holds_one_stack():
     scene, text, config = demo_scene(80)
     params = SharingParams(mode="plain", s=1.0)
     qkv, peak = traced_growth(build_shared_qkv, scene.target, text, scene.reference, params, config)
-    assert peak < qkv.k.nbytes + 4 * ropefreq.rope._ROTATE_BYTES + 2**19
+    assert peak < qkv.k.nbytes + 4 * ropefreq.rope._ROWS_BYTES + 2**19
 
 
 def test_evaluation_holds_one_block():
@@ -234,7 +234,7 @@ def test_evaluation_holds_one_block():
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     partition = make_even_partition(config, 3, "all")
-    _, peak = traced_growth(evaluate_shared, qkv, scene, config, band_partition=partition)
+    _, peak = traced_growth(evaluate_shared, qkv, scene, band_partition=partition)
     block = 8 * ropefreq.attention._block_rows(len(qkv.k)) * len(qkv.k)
     assert peak < block + 2**20
 
@@ -253,7 +253,7 @@ def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
-    _, peak = traced_growth(evaluate_shared, qkv, scene, config, attention_out=_Discard())
+    _, peak = traced_growth(evaluate_shared, qkv, scene, attention_out=_Discard())
     block = 8 * ropefreq.attention._block_rows(len(qkv.k)) * len(qkv.k)
     assert peak < block + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
@@ -267,7 +267,7 @@ def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
-    _, peak = traced_growth(evaluate_shared, qkv, scene, config, heads=heads, attention_out=_Discard())
+    _, peak = traced_growth(evaluate_shared, qkv, scene, heads=heads, attention_out=_Discard())
     assert peak < ropefreq.attention._BLOCK_BYTES + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
 
@@ -311,7 +311,7 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, step, chunk):
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
     partition = make_even_partition(config, 3, "all")
     out = _Chunks()
-    evaluation = evaluate_shared(qkv, scene, config, band_partition=partition, attention_out=out)
+    evaluation = evaluate_shared(qkv, scene, band_partition=partition, attention_out=out)
 
     ref = qkv.k[qkv.key_layout.rows("reference-image")]
     scale = 1.0 / math.sqrt(config.dim)

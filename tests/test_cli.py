@@ -965,11 +965,11 @@ class TestReportIO:
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), config
         )
-        _, attention, tied = evaluate_with_reference(qkv, scene, config)
+        _, attention, tied = evaluate_with_reference(qkv, scene)
         assert tied
         path = tmp_path / "attn.f32"
         with path.open("wb") as out:
-            evaluate_shared(qkv, scene, config, attention_out=out)
+            evaluate_shared(qkv, scene, attention_out=out)
         sidecar = write_attention_matrix(path, qkv)
         assert sidecar.name == "attn.f32.json"
         matrix, meta = read_attention_matrix(path)

@@ -18,6 +18,8 @@ def test_console_smoke(tmp_path):
     # The script's own checks run `python`: make it this interpreter.
     env["PATH"] = os.pathsep.join([str(Path(sys.executable).parent), env.get("PATH", "")])
     env["ROPEFREQ"] = "python -m ropefreq"
+    # Every warning is an error in the script's processes, as pytest makes them in process.
+    env["PYTHONWARNINGS"] = "error"
     env["TMPDIR"] = str(tmp_path)
     result = subprocess.run(
         ["bash", str(SCRIPT)], cwd=tmp_path, env=env, capture_output=True, text=True

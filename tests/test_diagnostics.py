@@ -13,6 +13,7 @@ from dense_reference import dense_attribution, dense_band_logits, evaluate_with_
 from ropefreq import (
     Band,
     BandMaskSpec,
+    ConfigurationError,
     PlantedScene,
     RotaryConfig,
     ShapeError,
@@ -36,7 +37,7 @@ def run(scene, text, params, heads=1, bands=None, config=CFG):
     """``(evaluation, partition, qkv)`` of one shared setup."""
     part = make_even_partition(config, bands, "all") if bands else None
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
-    evaluation = evaluate_shared(qkv, scene, config, heads=heads, band_partition=part)
+    evaluation = evaluate_shared(qkv, scene, heads=heads, band_partition=part)
     return evaluation, part, qkv
 
 
@@ -67,7 +68,7 @@ class TestComputeAlignment:
         scene, text = basic_scene(kind="identity")
         params = SharingParams(mode="plain")
         qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
-        fold = _AlignmentFold(qkv.query_layout, qkv.key_layout, scene)
+        fold = _AlignmentFold(qkv, scene)
         np.testing.assert_array_equal(fold.aligned, np.arange(scene.target.n_tokens))
         attention = np.full((len(qkv.query_layout), len(qkv.key_layout)), 0.01)
         ref = attention[:, fold.ref_cols]
@@ -89,7 +90,7 @@ class TestComputeAlignment:
         *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
         n_img = scene.target.n_tokens
         n_txt = text.n_tokens
-        _, attn, tied = evaluate_with_reference(qkv, scene, CFG)
+        _, attn, tied = evaluate_with_reference(qkv, scene)
         assert tied
         tgt = attn[:n_img, :n_img].sum(axis=1)
         txt = attn[:n_img, n_img : n_img + n_txt].sum(axis=1)
@@ -109,7 +110,7 @@ class TestComputeAlignment:
         other = plant_scene(other_base, kind="identity", seed=51)
         *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
         with pytest.raises(ShapeError):
-            evaluate_shared(qkv, other, CFG)
+            evaluate_shared(qkv, other)
 
     def test_repeated_reference_position_raises(self):
         scene, text = basic_scene()
@@ -120,7 +121,7 @@ class TestComputeAlignment:
         layout = replace(qkv.key_layout, parts=(*parts, (source, positions)))
         repeated = replace(qkv, key_layout=layout)
         with pytest.raises(ShapeError, match="repeat a grid position"):
-            evaluate_shared(repeated, scene, CFG)
+            evaluate_shared(repeated, scene)
 
     def test_monotone_reference_mass_on_positive_logit_fixture(self):
         # 1x2 grid of nonnegative features: x offsets are zero and y chunks
@@ -144,7 +145,7 @@ class TestComputeAlignment:
             qkv = build_shared_qkv(
                 target, text, target, SharingParams(mode="plain", s=s, adain_enabled=False), cfg
             )
-            evaluation, attention, tied = evaluate_with_reference(qkv, scene, cfg)
+            evaluation, attention, tied = evaluate_with_reference(qkv, scene)
             assert tied
             n = target.n_tokens
             logits_ref = (attention[:n, n:] > 0).all()
@@ -199,6 +200,40 @@ class TestBandAttribution:
         )
         masked_m = run(scene, text, masked, config=cfg)[0].alignment
         assert masked_m.positional_mass < plain_m.positional_mass
+
+
+class TestChecksAgainstTheKeys:
+    """Heads and the band partition are checked against the width of the keys evaluated."""
+
+    def keys(self):
+        scene, text = basic_scene(dim=64)
+        params = SharingParams(mode="plain", s=1.0)
+        return build_shared_qkv(scene.target, text, scene.reference, params, RotaryConfig(dim=64)), scene
+
+    @pytest.mark.parametrize("dim", [128, 32])
+    def test_partition_for_another_width_raises(self, dim):
+        # Checked against a config of that width, a dim-128 partition used to
+        # pass and read its slow bands from columns the keys do not have.
+        qkv, scene = self.keys()
+        part = make_even_partition(RotaryConfig(dim=dim), 3, "all")
+        with pytest.raises(ConfigurationError, match="covering every chunk"):
+            evaluate_shared(qkv, scene, band_partition=part)
+
+    def test_heads_that_split_a_chunk_raise(self):
+        # 64 columns make no whole-chunk heads of three; a dim-6 config used to
+        # pass and split them into 21-wide heads.
+        qkv, scene = self.keys()
+        with pytest.raises(ConfigurationError, match="divisible"):
+            evaluate_shared(qkv, scene, heads=3)
+
+    def test_partition_of_the_keys_width_runs(self):
+        qkv, scene = self.keys()
+        part = make_even_partition(RotaryConfig(dim=64), 3, "all")
+        evaluation = evaluate_shared(qkv, scene, heads=1, band_partition=part)
+        assert evaluation.attribution.mean_abs_logit == pytest.approx(
+            dense_attribution(qkv, part), abs=1e-12, rel=0
+        )
+        assert evaluation.attribution.n_pairs == scene.target.n_tokens**2
 
 
 @pytest.mark.parametrize("mode, frozen", [("plain", "plain"), ("frequency_aware", "freq_aware")])

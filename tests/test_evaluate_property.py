@@ -88,7 +88,7 @@ def test_blocked_evaluation_equals_dense_reference(setup):
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
     budget = rows_per_block * ropefreq.attention._row_bytes(qkv.k.shape[0], heads)
     with mock.patch.object(ropefreq.attention, "_BLOCK_BYTES", budget):
-        evaluation, streamed = streamed_evaluation(qkv, scene, config, heads, partition)
+        evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
         # Each block is copied as it comes: the next one overwrites its buffer.
         blocks = [
             (start, attention.copy())

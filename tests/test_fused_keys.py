@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ropefreq.attention
-import ropefreq.synthetic
+import ropefreq.rope
 from ropefreq import ShapeError, cli
 from ropefreq.attention import SharingParams, build_shared_qkv
 from ropefreq.cli import ExperimentConfig, _all_or_nothing, main, run_experiment
@@ -71,8 +70,7 @@ def separate_keys(cfg: ExperimentConfig, params: SharingParams, step) -> bytes:
 @pytest.mark.parametrize("kind, noise_level", [("shuffle", 0.5), ("shift", 0.0)])
 def test_run_keys_equal_keys_of_a_separate_scene(monkeypatch, rows_bytes, kind, noise_level):
     if rows_bytes is not None:
-        monkeypatch.setattr(ropefreq.attention, "_ROWS_BYTES", rows_bytes)
-        monkeypatch.setattr(ropefreq.synthetic, "_ROWS_BYTES", rows_bytes)
+        monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", rows_bytes)
     built = []
 
     def recording(*args, **kwargs):

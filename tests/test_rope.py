@@ -234,7 +234,7 @@ class TestApplyRopeOut:
     @pytest.mark.parametrize("in_place", [False, True])
     def test_several_blocks(self, monkeypatch, in_place):
         # Three rows of angles per block: 11 rows make blocks of 3, 3, 3 and 2.
-        monkeypatch.setattr(ropefreq.rope, "_ROTATE_BYTES", 3 * 8 * self.CFG.n_chunks)
+        monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", 3 * 8 * self.CFG.n_chunks)
         feats, pos = self.rows(11, 32)
         work = feats.copy()
         got = apply_rope_batch(work, pos, self.CFG, out=work if in_place else None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import ropefreq.synthetic
+import ropefreq.rope
 from ropefreq import ConfigurationError, grid_positions, make_grid, make_text, plant_scene
 from ropefreq.synthetic import NOISE_LEVEL_MAX
 
@@ -185,7 +185,7 @@ def test_blocked_scene_keeps_the_bits_of_whole_matrix_expressions(monkeypatch, r
     # The builders normalize and perturb a block of rows at a time; the
     # generator draws the same values in blocks, and each row's norm is its
     # own sum, so every byte matches. 7x5 cells leave a ragged last block.
-    monkeypatch.setattr(ropefreq.synthetic, "_ROWS_BYTES", rows_bytes)
+    monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", rows_bytes)
     args = 7, 5, 16, 21, 0.9
     feats, text, ref = whole_matrix_scene(*args, kind, 0.8, 4, shift)
     base = make_grid(*args)
