@@ -37,7 +37,6 @@ __all__ = [
     "TimestepRamp",
     "BandMaskSpec",
     "SharingParams",
-    "Layout",
     "SharedQKV",
     "adain",
     "build_shared_qkv",
@@ -117,9 +116,9 @@ class TokenSet:
         return self.features.shape[1]
 
 
-def _check_scales(s_hf: float, s_lf: float, beta: float) -> None:
-    """Raise :class:`ConfigurationError` unless all three are given, finite and positive."""
-    for name, value in (("s_hf", s_hf), ("s_lf", s_lf), ("beta", beta)):
+def _check_scales(**scales: float | None) -> None:
+    """Raise :class:`ConfigurationError` unless every one of ``scales`` is given, finite and positive."""
+    for name, value in scales.items():
         if value is None or not (math.isfinite(value) and value > 0):
             raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
@@ -132,7 +131,7 @@ def modulation_scales(s_hf: float, s_lf: float, beta: float, n_chunks_axis: int)
     to ``s_hf`` and ``s_lf`` exactly. Monotone whenever ``s_lf >= s_hf``.
     All three must be finite and positive.
     """
-    _check_scales(s_hf, s_lf, beta)
+    _check_scales(s_hf=s_hf, s_lf=s_lf, beta=beta)
     if n_chunks_axis < 2:
         raise ConfigurationError(f"an axis schedule needs at least 2 chunks, got {n_chunks_axis}")
     d_norm = np.arange(n_chunks_axis, dtype=np.float64) / (n_chunks_axis - 1)
@@ -150,7 +149,7 @@ def chunk_scales(config: RotaryConfig, s_hf: float, s_lf: float, beta: float) ->
     temporal chunks always get ``s_lf`` since they carry no positional
     sensitivity.
     """
-    _check_scales(s_hf, s_lf, beta)
+    _check_scales(s_hf=s_hf, s_lf=s_lf, beta=beta)
     scales = np.empty(config.n_chunks, dtype=np.float64)
     for axis_chunks in (config.x_chunks, config.y_chunks):
         if axis_chunks:
@@ -162,7 +161,10 @@ def chunk_scales(config: RotaryConfig, s_hf: float, s_lf: float, beta: float) ->
 
 @dataclass(frozen=True)
 class TimestepRamp:
-    """Linear schedules for ``s_hf`` and ``s_lf`` across denoising steps."""
+    """Linear schedules for ``s_hf`` and ``s_lf`` across denoising steps.
+
+    The four scales must be finite and positive, and ``total_steps`` at least 1.
+    """
 
     s_hf_start: float
     s_hf_end: float
@@ -171,6 +173,12 @@ class TimestepRamp:
     total_steps: int
 
     def __post_init__(self) -> None:
+        _check_scales(
+            s_hf_start=self.s_hf_start,
+            s_hf_end=self.s_hf_end,
+            s_lf_start=self.s_lf_start,
+            s_lf_end=self.s_lf_end,
+        )
         if self.total_steps < 1:
             raise ConfigurationError(f"total_steps must be >= 1, got {self.total_steps}")
 
@@ -247,12 +255,11 @@ class SharingParams:
     def __post_init__(self) -> None:
         if self.mode not in SHARING_MODES:
             raise ConfigurationError(f"mode must be one of {SHARING_MODES}, got {self.mode!r}")
-        if self.mode in ("plain", "shifted") and not self.s > 0:
-            raise ConfigurationError(f"scalar s must be positive, got {self.s}")
-        scales = (self.s_hf, self.s_lf, self.beta)
+        if self.mode in ("plain", "shifted"):
+            _check_scales(s=self.s)
         if self.mode == "frequency_aware":
-            _check_scales(*scales)
-        elif scales != (None, None, None) or self.ramp is not None:
+            _check_scales(s_hf=self.s_hf, s_lf=self.s_lf, beta=self.beta)
+        elif (self.s_hf, self.s_lf, self.beta) != (None, None, None) or self.ramp is not None:
             raise ConfigurationError("s_hf/s_lf/beta/ramp only apply to frequency_aware mode")
         if self.mode == "shifted":
             if self.offset is None:
@@ -262,56 +269,34 @@ class SharingParams:
             raise ConfigurationError("offset only applies to shifted mode")
 
 
-@dataclass(frozen=True, eq=False)
-class Layout:
-    """A stack of token rows as runs, one ``(source, positions)`` part per source.
-
-    Each part's rows follow the previous part's, in order; ``positions`` are
-    the part's grid coordinates (``(n, 2)``), row ``i`` of the part being
-    row ``i`` of its source.
-    """
-
-    parts: tuple[tuple[str, np.ndarray], ...]
-
-    def __len__(self) -> int:
-        return sum(len(pos) for _, pos in self.parts)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """The grid position of every row, ``(len(self), 2)``."""
-        return np.concatenate([pos for _, pos in self.parts])
-
-    def rows(self, source: str) -> slice:
-        """The rows of ``source``; an empty slice at the end when there are none."""
-        start = 0
-        for src, pos in self.parts:
-            if src == source:
-                return slice(start, start + len(pos))
-            start += len(pos)
-        return slice(start, start)
-
-
 @dataclass(frozen=True)
 class SharedQKV:
-    """Assembled shared-attention keys, already rotated, and their layout.
+    """Assembled shared-attention keys, already rotated, and the runs they stack.
 
-    The keys stack the target image, the target text and (unless the mode
-    is "none") the reference image, always in that order, so the image
-    queries lead and the reference keys trail. The queries are the first
-    two runs: ``q`` is a view of the leading rows of ``k``.
+    ``parts`` holds one ``(source, positions)`` run per source, in row order:
+    the target image, the target text and (unless the mode is "none") the
+    reference image; ``positions`` are the ``(n, 2)`` grid coordinates of the
+    run's ``n`` rows. So the image queries lead and the reference keys trail:
+    the queries are the first two runs (``query_parts``), ``q`` is a view of
+    the leading rows of ``k`` and ``ref`` of the rows after them.
     """
 
     k: np.ndarray
-    key_layout: Layout
+    parts: tuple[tuple[str, np.ndarray], ...]
     notes: tuple[str, ...] = ()
 
     @property
-    def query_layout(self) -> Layout:
-        return Layout(self.key_layout.parts[:2])
+    def query_parts(self) -> tuple[tuple[str, np.ndarray], ...]:
+        return self.parts[:2]
 
     @property
     def q(self) -> np.ndarray:
-        return self.k[: len(self.query_layout)]
+        return self.k[: sum(len(pos) for _, pos in self.query_parts)]
+
+    @property
+    def ref(self) -> np.ndarray:
+        """The reference keys; no rows in mode "none"."""
+        return self.k[len(self.q) :]
 
 
 def _column_stats(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,21 +500,18 @@ def build_shared_qkv(
                 notes.append("shifted mode with zero offset degenerates to plain")
             ref_positions = shift_positions(ref_positions, params.offset)
         parts.append(("reference-image", ref_positions))
-    layout = Layout(tuple(parts))
 
     # Each run is rotated into its own rows of one preallocated stack.
-    n_rows = target.n_tokens + target_text.n_tokens + reference.n_tokens
-    k = np.empty((len(layout), config.dim)) if out is None else _out(out, (n_rows, config.dim))[: len(layout)]
-    img = k[layout.rows("target-image")]
+    n, t, n_ref = target.n_tokens, target_text.n_tokens, reference.n_tokens
+    n_rows = n + t + (n_ref if params.mode != "none" else 0)
+    k = np.empty((n_rows, config.dim)) if out is None else _out(out, (n + t + n_ref, config.dim))[:n_rows]
     img_feats = target.features
     if params.adain_enabled and params.mode != "none":
-        img_feats = adain(img_feats, reference.features, out=img)
-    apply_rope_batch(img_feats, target.positions, config, out=img)
-    apply_rope_batch(
-        target_text.features, target_text.positions, config, out=k[layout.rows("target-text")]
-    )
+        img_feats = adain(img_feats, reference.features, out=k[:n])
+    apply_rope_batch(img_feats, target.positions, config, out=k[:n])
+    apply_rope_batch(target_text.features, target_text.positions, config, out=k[n : n + t])
     if params.mode != "none":
-        ref = k[layout.rows("reference-image")]
+        ref = k[n + t :]
         apply_rope_batch(reference.features, ref_positions, config, out=ref)
         if params.mode in ("plain", "shifted"):
             ref *= params.s
@@ -541,7 +523,7 @@ def build_shared_qkv(
             spec = params.band_mask_override
             ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= spec.factor(config)
 
-    return SharedQKV(k=k, key_layout=layout, notes=tuple(notes))
+    return SharedQKV(k=k, parts=tuple(parts), notes=tuple(notes))
 
 
 def shift_positions(positions: np.ndarray, offset) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .rope import RotaryConfig, _block_height, frequencies
+from .rope import RotaryConfig, _block_height, _int64, frequencies
 
 __all__ = [
     "Band",
@@ -161,9 +161,16 @@ def decay_curve(
     series). Deltas are evaluated in blocks of a fixed byte budget; each
     block takes ``cos`` once over every band's chunks, and each band's mean
     is over its slice of that block. Purely deterministic in its inputs.
+    The deltas (any iterable) follow the position rule of
+    :class:`~ropefreq.attention.TokenSet`: a value that is not an integer in
+    the int64 range raises :class:`ConfigurationError` rather than being
+    truncated or wrapped.
     """
-    count = len(delta_values) if hasattr(delta_values, "__len__") else -1
-    deltas = np.fromiter(map(int, delta_values), dtype=np.int64, count=count)
+    if not hasattr(delta_values, "__len__"):
+        delta_values = list(delta_values)
+    deltas = _int64(np.asarray(delta_values), "delta_values must be integers")
+    if deltas.ndim != 1:
+        raise ShapeError(f"delta_values must be 1-D, got shape {deltas.shape}")
     if not deltas.size:
         raise ConfigurationError("delta_values must be non-empty")
     if partition.bands[-1].stop > config.n_chunks:

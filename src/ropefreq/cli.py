@@ -366,8 +366,8 @@ def _output_paths(cfg: ExperimentConfig, report) -> list[Path]:
 def run_experiment(cfg: ExperimentConfig, stage) -> dict:
     """Evaluate every entry; returns the report dict.
 
-    Its ``key_layout`` is the first entry's :class:`~ropefreq.attention.Layout`,
-    which :func:`_report_json` renders.
+    Its ``key_layout`` is the first entry's ``SharedQKV.parts``, which
+    :func:`_report_json` renders.
 
     When the config asks for attention output, each entry's ``<f4`` matrix
     is streamed to ``stage(path)`` block by block and its sidecar written as
@@ -384,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
     k = np.empty((2 * n + t, config.dim))
 
     entries = []
-    key_layout = None
+    key_parts = None
     for i, (label, params, step) in enumerate(cfg.iter_entries()):
         base = make_grid(grid["width"], grid["height"], config.dim, seed, sc["style_strength"], out=k[:n])
         scene = plant_scene(
@@ -405,8 +405,8 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
             )
         if path is not None:
             write_attention_matrix(path, qkv)
-        if key_layout is None:
-            key_layout = qkv.key_layout
+        if key_parts is None:
+            key_parts = qkv.parts
         attribution = evaluation.attribution
         entries.append(
             {
@@ -415,15 +415,15 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
                 "step": step,
                 "alignment": evaluation.alignment.as_dict(),
                 "notes": list(qkv.notes),
-                "n_queries": len(qkv.query_layout),
-                "n_keys": len(qkv.key_layout),
+                "n_queries": len(qkv.q),
+                "n_keys": len(qkv.k),
                 "band_attribution": None if attribution is None else attribution.mean_abs_logit,
             }
         )
         # Let go of this entry before building the next, so one is held at a time.
         del qkv, evaluation, attribution, scene, base, text
 
-    result: dict = {"config": norm, "entries": entries, "key_layout": key_layout}
+    result: dict = {"config": norm, "entries": entries, "key_layout": key_parts}
     if len(entries) > 1:
         keys = entries[0]["alignment"].keys()
         result["mean_alignment"] = {

@@ -93,14 +93,14 @@ class _AlignmentFold:
     """
 
     def __init__(self, qkv: SharedQKV, scene: PlantedScene) -> None:
-        (_, query_pos), *_, (_, ref_pos) = qkv.key_layout.parts
-        self.ref_cols = qkv.key_layout.rows("reference-image")
+        (_, query_pos), *_, (_, ref_pos) = qkv.parts
+        self.ref_cols = slice(len(qkv.q), len(qkv.k))
         n = self.n = scene.target.n_tokens
         if len(query_pos) != n:
             raise ShapeError(
                 f"the queries hold {len(query_pos)} image rows but the scene has {n} tokens"
             )
-        n_ref = self.ref_cols.stop - self.ref_cols.start
+        n_ref = len(qkv.ref)
         self.has_reference = n_ref > 0
         if not self.has_reference:
             return
@@ -149,9 +149,8 @@ class _AlignmentFold:
 
 @dataclass(frozen=True)
 class BandAttribution:
-    """Mean absolute per-band logit contribution over image-query/reference pairs."""
+    """Mean absolute per-band logit contribution over image-query/reference pairs, by band label."""
 
-    labels: tuple[str, ...]
     mean_abs_logit: dict[str, float]
     n_pairs: int
 
@@ -183,7 +182,7 @@ class _AttributionFold:
     def __init__(self, partition: BandPartition, qkv: SharedQKV, n: int) -> None:
         self.partition = partition
         self.n = n
-        self.ref_k = qkv.k[qkv.key_layout.rows("reference-image")]
+        self.ref_k = qkv.ref
         self.n_pairs = n * len(self.ref_k)
         self.totals = np.zeros(len(partition.bands))
 
@@ -197,11 +196,9 @@ class _AttributionFold:
             self.totals[i] += np.abs(panel[:rows], out=panel[:rows]).sum()
 
     def result(self) -> BandAttribution:
-        labels = self.partition.labels
         means = self.totals / self.n_pairs
         return BandAttribution(
-            labels=labels,
-            mean_abs_logit={lab: float(m) for lab, m in zip(labels, means)},
+            mean_abs_logit={lab: float(m) for lab, m in zip(self.partition.labels, means)},
             n_pairs=self.n_pairs,
         )
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import Layout, SharedQKV
+from .attention import SharedQKV
 from .errors import ShapeError
 
 __all__ = ["layout_to_json", "sidecar_path", "write_attention_matrix", "read_attention_matrix"]
@@ -29,15 +29,15 @@ _ROW = (
 )
 
 
-def layout_to_json(layout: Layout) -> str:
-    """The text ``json.dumps(rows, indent=2, sort_keys=True)`` writes for ``layout``.
+def layout_to_json(parts: tuple[tuple[str, np.ndarray], ...]) -> str:
+    """The text ``json.dumps(rows, indent=2, sort_keys=True)`` writes for the runs ``parts``.
 
-    ``rows`` holds one ``{"source", "index", "position"}`` object per row, in
-    order. Each part is rendered with one ``%`` over its row template
-    repeated once per row. Nest the text one level deeper with
-    ``.replace("\\n", "\\n  ")``.
+    ``rows`` holds one ``{"source", "index", "position"}`` object per row of
+    each ``(source, positions)`` run, in order. Each run is rendered with one
+    ``%`` over its row template repeated once per row. Nest the text one
+    level deeper with ``.replace("\\n", "\\n  ")``.
     """
-    return _json_array(_json_rows(layout.parts))
+    return _json_array(_json_rows(parts))
 
 
 def _json_rows(parts: tuple[tuple[str, np.ndarray], ...]) -> str:
@@ -75,17 +75,16 @@ def write_attention_matrix(path: str | Path, qkv: SharedQKV) -> Path:
     (``attention_out``); its shape is one row per query and one column per key.
     """
     sidecar = sidecar_path(path)
-    keys, queries = qkv.key_layout, qkv.query_layout
-    # The queries are the keys' leading parts: render their rows once.
-    query_rows = _json_rows(queries.parts)
-    key_rows = query_rows + _json_rows(keys.parts[len(queries.parts) :])
+    # The queries are the keys' leading runs: render their rows once.
+    query_rows = _json_rows(qkv.query_parts)
+    key_rows = query_rows + _json_rows(qkv.parts[len(qkv.query_parts) :])
     sidecar.write_text(
         _SIDECAR
         % (
             _json_array(key_rows).replace("\n", "\n  "),
             _json_array(query_rows).replace("\n", "\n  "),
-            len(queries),
-            len(keys),
+            len(qkv.q),
+            len(qkv.k),
         )
     )
     return sidecar

@@ -148,17 +148,26 @@ def _positions(values, rows: int | None = None) -> np.ndarray:
     if pos.ndim != 2 or pos.shape[1] != 2 or rows is not None and pos.shape[0] != rows:
         expected = "n" if rows is None else rows
         raise ShapeError(f"expected positions of shape ({expected}, 2), got {pos.shape}")
-    kind = pos.dtype.kind
-    if pos.size and (
+    return _int64(pos, "positions must be integer grid coordinates")
+
+
+def _int64(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` cast to int64; not a copy of an int64 array.
+
+    Raises :class:`ConfigurationError` (``what``, then "in the int64 range") for a value that
+    is not an integer in the int64 range, which the cast would truncate, wrap or overflow.
+    """
+    kind = values.dtype.kind
+    if values.size and (
         kind not in "biufO"
         or kind == "f"
-        and not np.all((pos == np.round(pos)) & (pos >= -(2.0**63)) & (pos < 2.0**63))
-        or kind == "u" and pos.max() > np.iinfo(np.int64).max
+        and not np.all((values == np.round(values)) & (values >= -(2.0**63)) & (values < 2.0**63))
+        or kind == "u" and values.max() > np.iinfo(np.int64).max
         or kind == "O"
-        and not all(isinstance(v, numbers.Integral) and -(2**63) <= v < 2**63 for v in pos.flat)
+        and not all(isinstance(v, numbers.Integral) and -(2**63) <= v < 2**63 for v in values.flat)
     ):
-        raise ConfigurationError("positions must be integer grid coordinates in the int64 range")
-    return pos.astype(np.int64, copy=False)
+        raise ConfigurationError(f"{what} in the int64 range")
+    return values.astype(np.int64, copy=False)
 
 
 def _position(pos) -> np.ndarray:

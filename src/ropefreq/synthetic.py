@@ -109,8 +109,6 @@ class PlantedScene:
     target: TokenSet
     reference: TokenSet
     correspondence: np.ndarray
-    noise_level: float
-    seed: int
 
     def __post_init__(self) -> None:
         corr = np.asarray(self.correspondence, dtype=np.int64)
@@ -168,10 +166,4 @@ def plant_scene(
         modality="image",
         grid_shape=base.grid_shape,
     )
-    return PlantedScene(
-        target=base,
-        reference=reference,
-        correspondence=corr,
-        noise_level=noise_level,
-        seed=seed,
-    )
+    return PlantedScene(target=base, reference=reference, correspondence=corr)

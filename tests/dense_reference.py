@@ -34,10 +34,10 @@ def dense_band_logits(q, k, partition):
     ])
 
 
-def rows_of(layout, source):
-    """Row numbers of ``source``, counted along the layout's parts."""
+def rows_of(parts, source):
+    """Row numbers of ``source``, counted along the ``(source, positions)`` runs ``parts``."""
     rows, start = [], 0
-    for src, positions in layout.parts:
+    for src, positions in parts:
         if src == source:
             rows += range(start, start + len(positions))
         start += len(positions)
@@ -45,16 +45,16 @@ def rows_of(layout, source):
 
 
 def dense_alignment(attention, qkv, scene):
-    """The alignment metrics of softmax rows ``attention`` over ``qkv``'s layouts."""
-    q_rows = rows_of(qkv.query_layout, "target-image")
-    ref_cols = rows_of(qkv.key_layout, "reference-image")
+    """The alignment metrics of softmax rows ``attention`` over ``qkv``'s runs."""
+    q_rows = rows_of(qkv.query_parts, "target-image")
+    ref_cols = rows_of(qkv.parts, "reference-image")
     if not ref_cols:
         return dict.fromkeys(
             ("positional_mass", "semantic_mass", "argmax_positional_rate",
              "argmax_semantic_rate", "reference_mass"), 0.0)
-    key_index = [i for _, positions in qkv.key_layout.parts for i in range(len(positions))]
-    key_pos = qkv.key_layout.positions.tolist()
-    query_pos = qkv.query_layout.positions.tolist()
+    key_index = [i for _, positions in qkv.parts for i in range(len(positions))]
+    key_pos = [xy for _, positions in qkv.parts for xy in positions.tolist()]
+    query_pos = [xy for _, positions in qkv.query_parts for xy in positions.tolist()]
     col_of_index = {key_index[c]: c for c in ref_cols}
     pos_mass = sem_mass = ref_mass = 0.0
     pos_hits = sem_hits = 0
@@ -80,8 +80,8 @@ def dense_alignment(attention, qkv, scene):
 
 def dense_attribution(qkv, partition):
     """Mean |per-band logit| over image queries x reference keys, by band label."""
-    q_rows = rows_of(qkv.query_layout, "target-image")
-    ref_cols = rows_of(qkv.key_layout, "reference-image")
+    q_rows = rows_of(qkv.query_parts, "target-image")
+    ref_cols = rows_of(qkv.parts, "reference-image")
     per_band = dense_band_logits(qkv.q, qkv.k, partition)
     return {
         band.label: float(np.abs(logits[np.ix_(q_rows, ref_cols)]).mean())

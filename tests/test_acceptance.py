@@ -301,8 +301,7 @@ def test_criterion_8_shifted_mode_sanity():
     )
     metrics = evaluation.alignment
     target_positions = {tuple(p) for p in scene.target.positions}
-    layout = qkv.key_layout
-    ref_positions = {tuple(p) for p in layout.positions[layout.rows("reference-image")].tolist()}
+    ref_positions = {tuple(p) for p in dict(qkv.parts)["reference-image"].tolist()}
     disjoint = not (target_positions & ref_positions)
     row_err = float(np.max(np.abs(attention.sum(axis=1) - 1.0)))
     ok = disjoint and metrics.positional_mass == 0.0 and row_err < 1e-9 and tied

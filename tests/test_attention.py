@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +346,13 @@ class TestRamp:
         with pytest.raises(ConfigurationError):
             ramp_at(self.RAMP, t)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("field", ["s_hf_start", "s_hf_end", "s_lf_start", "s_lf_end"])
+    def test_scales_must_be_finite_and_positive_when_built(self, field, bad):
+        # A ramp is checked when built, not first when a step reads it.
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite and positive"):
+            replace(self.RAMP, **{field: bad})
+
 
 class TestShiftPositions:
     def test_zero_offset(self):
@@ -391,7 +399,7 @@ class TestBuildSharedQKV:
     def test_mode_none_has_no_reference_rows(self):
         scene, text = scene_and_text()
         qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="none"), CFG)
-        assert qkv.k[qkv.key_layout.rows("reference-image")].size == 0
+        assert qkv.ref.size == 0
         assert qkv.k.shape[0] == scene.target.n_tokens + text.n_tokens
 
     def test_mode_none_reduces_to_attend_on_target(self):
@@ -498,8 +506,7 @@ class TestBuildSharedQKV:
             scene.target, text, scene.reference,
             SharingParams(mode="shifted", offset=(4, 0), s=1.0), CFG,
         )
-        layout = qkv.key_layout
-        ref_positions = layout.positions[layout.rows("reference-image")].tolist()
+        ref_positions = dict(qkv.parts)["reference-image"].tolist()
         target_positions = {tuple(p) for p in scene.target.positions.tolist()}
         assert all(tuple(p) not in target_positions for p in ref_positions)
 
@@ -520,8 +527,42 @@ class TestBuildSharedQKV:
         queries = rows("target-image", scene.target.positions) + rows("target-text", text.positions)
         keys = queries + rows("reference-image", scene.reference.positions, *offset)
         # The layout's JSON text parses back to exactly these rows, in order.
-        assert json.loads(layout_to_json(qkv.query_layout)) == queries
-        assert json.loads(layout_to_json(qkv.key_layout)) == keys
+        assert json.loads(layout_to_json(qkv.query_parts)) == queries
+        assert json.loads(layout_to_json(qkv.parts)) == keys
+
+    @pytest.mark.parametrize("text_tokens", [0, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SharingParams(mode="none"),
+            SharingParams(mode="plain", s=0.8),
+            SharingParams(mode="frequency_aware", s_hf=0.4, s_lf=1.2, beta=2.0),
+            SharingParams(mode="shifted", offset=(2, -1), s=1.0),
+        ],
+        ids=lambda params: params.mode,
+    )
+    def test_parts_are_the_runs_of_k_in_row_order(self, params, text_tokens):
+        base = make_grid(4, 4, 32, seed=0)
+        scene = plant_scene(base, kind="shuffle", noise_level=0.1, seed=1)
+        text = make_text(text_tokens, 32, seed=2)
+        qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
+        n, t = scene.target.n_tokens, text_tokens
+        runs = [("target-image", scene.target.positions), ("target-text", text.positions)]
+        if params.mode != "none":
+            shifted = scene.reference.positions + (params.offset or (0, 0))
+            runs.append(("reference-image", shifted))
+        assert [source for source, _ in qkv.parts] == [source for source, _ in runs]
+        for (_, got), (_, want) in zip(qkv.parts, runs):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert qkv.query_parts == qkv.parts[:2]
+        assert len(qkv.k) == n + t + (0 if params.mode == "none" else n)
+        # q and ref are views of the rows of k before and after the queries.
+        for view, rows in ((qkv.q, qkv.k[: n + t]), (qkv.ref, qkv.k[n + t :])):
+            assert view.base is qkv.k and view.shape == rows.shape
+            assert view.tobytes() == rows.tobytes()
+        assert (len(qkv.ref) == 0) == (params.mode == "none")
+        keys = json.loads(layout_to_json(qkv.parts))
+        assert json.loads(layout_to_json(qkv.query_parts)) == keys[: n + t]
 
     def test_shifted_zero_offset_notes_degeneration(self):
         scene, text = scene_and_text()
@@ -571,6 +612,14 @@ class TestBuildSharedQKV:
             SharingParams(mode="shifted", s=1.0)
         with pytest.raises(ConfigurationError):
             SharingParams(mode="plain", offset=(1, 0))
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("mode", ["plain", "shifted"])
+    def test_scalar_s_must_be_finite_and_positive(self, mode, s):
+        # A non-finite s would build non-finite keys that only the evaluator catches.
+        offset = (1, 0) if mode == "shifted" else None
+        with pytest.raises(ConfigurationError, match="s must be finite and positive"):
+            SharingParams(mode=mode, s=s, offset=offset)
 
     def test_per_band_logits_sum_to_logits(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")

@@ -319,18 +319,30 @@ class TestDecayCurve:
             DecayCurve(deltas, {"b": np.zeros(2)})
 
     def test_deltas_are_read_with_int(self):
+        # Deltas follow the one integer rule of positions: integers in the
+        # int64 range, from any iterable, are cast; a fraction, a string or an
+        # integer past int64 raises instead of being truncated or overflowing.
         cfg = RotaryConfig.single_axis(32)
         part = make_even_partition(cfg, 2, "x")
         want = decay_curve([1, 3, 5], part, cfg)
-        for deltas in (iter([1, 3, 5]), [1.9, "3", np.int8(5)], np.array([1, 3, 5])):
+        accepted = (
+            iter([1, 3, 5]), range(1, 6, 2), [1.0, 3.0, 5.0], [1, np.uint64(3), np.int8(5)],
+            np.array([1, 3, 5], dtype=object),
+        )
+        for deltas in accepted:
             got = decay_curve(deltas, part, cfg)
-            assert got.delta_values.tolist() == [1, 3, 5]
+            assert got.delta_values.dtype == np.int64 and got.delta_values.tolist() == [1, 3, 5]
             for label, values in want.series.items():
                 assert got.series[label].tobytes() == values.tobytes()
-        with pytest.raises(ValueError):
-            decay_curve(["one"], part, cfg)
-        with pytest.raises(OverflowError):
-            decay_curve([2**63], part, cfg)
+        rejected = (
+            [0.5, 1.7], ["3"], [1.9, "3", np.int8(5)], ["one"], [math.nan], [math.inf],
+            [2**63], [2**64], [-(2**63) - 1], np.array([1, 2**63], dtype=np.uint64),
+        )
+        for deltas in rejected:
+            with pytest.raises(ConfigurationError, match="int64 range"):
+                decay_curve(deltas, part, cfg)
+        with pytest.raises(ShapeError):
+            decay_curve([[1, 3]], part, cfg)
 
     def test_curve_peak_is_its_arrays_and_a_few_blocks(self):
         # The deltas go straight into their int64 array and the cosines are

@@ -134,9 +134,11 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
 def test_non_finite_logits_raise_without_a_numpy_warning():
     # pyproject.toml turns RuntimeWarning into an error, so a warning from the
     # overflowing matmul or softmax would fail this test before the guard.
+    # SharingParams rejects an infinite s, so one reference key is made infinite by hand.
     scene, text = scene_and_text()
-    params = SharingParams(mode="plain", s=math.inf)
+    params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
+    qkv.k[-1, 0] = math.inf
     with pytest.raises(ConfigurationError, match="not finite"):
         evaluate_shared(qkv, scene)
 
@@ -313,7 +315,7 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, step, chunk):
     out = _Chunks()
     evaluation = evaluate_shared(qkv, scene, band_partition=partition, attention_out=out)
 
-    ref = qkv.k[qkv.key_layout.rows("reference-image")]
+    ref = qkv.k[n_queries:]
     scale = 1.0 / math.sqrt(config.dim)
     totals = np.zeros(len(partition.bands))
     for start in range(0, n_queries, step):

@@ -655,6 +655,15 @@ class TestSharedAttn:
             (PLAIN, {"rotary": {"dim": DEMO["dim"], "rope_base": -(10**400)}}),
             ({**PLAIN, "band_mask": {"start": 0, "stop": 4, "mode": "scale", "scale": 10**400}}, {}),
             ({**PLAIN, "band_mask": {"start": 0, "stop": 4, "mode": "scale", "scale": -(10**400)}}, {}),
+            # A ramp's scales are checked when it is read, with or without a step.
+            (
+                {"mode": "frequency_aware", **DEMO["frequency_aware"], "ramp": {**RAMP2, "s_hf_start": -1}},
+                {},
+            ),
+            (
+                {"mode": "frequency_aware", **DEMO["frequency_aware"], "ramp": {**RAMP2, "s_lf_end": 0}},
+                {"step": 1},
+            ),
         ],
     )
     def test_emit_config_rejects_what_the_run_rejects(self, tmp_path, sharing, overrides):
@@ -974,7 +983,7 @@ class TestReportIO:
         assert sidecar.name == "attn.f32.json"
         matrix, meta = read_attention_matrix(path)
         assert meta["order"] == "row-major" and meta["dtype"] == "<f4"
-        assert meta["shape"] == [len(qkv.query_layout), len(qkv.key_layout)]
+        assert meta["shape"] == [len(qkv.q), len(qkv.k)]
         assert matrix.tobytes() == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
         np.testing.assert_allclose(matrix, attention, atol=1e-6)
         assert [lab["source"] for lab in meta["key_layout"][:2]] == ["target-image", "target-image"]

@@ -70,7 +70,7 @@ class TestComputeAlignment:
         qkv = build_shared_qkv(scene.target, text, scene.reference, params, CFG)
         fold = _AlignmentFold(qkv, scene)
         np.testing.assert_array_equal(fold.aligned, np.arange(scene.target.n_tokens))
-        attention = np.full((len(qkv.query_layout), len(qkv.key_layout)), 0.01)
+        attention = np.full((len(qkv.q), len(qkv.k)), 0.01)
         ref = attention[:, fold.ref_cols]
         ref[0, [0, 5]] = 0.3  # row 0 aligns with reference 0, the lower of the tie
         ref[1, [0, 1]] = 0.3  # row 1 aligns with reference 1, the higher of the tie
@@ -115,11 +115,10 @@ class TestComputeAlignment:
     def test_repeated_reference_position_raises(self):
         scene, text = basic_scene()
         *_, qkv = run(scene, text, SharingParams(mode="plain", s=1.0))
-        *parts, (source, positions) = qkv.key_layout.parts
+        *parts, (source, positions) = qkv.parts
         positions = positions.copy()
         positions[-1] = positions[-2]
-        layout = replace(qkv.key_layout, parts=(*parts, (source, positions)))
-        repeated = replace(qkv, key_layout=layout)
+        repeated = replace(qkv, parts=(*parts, (source, positions)))
         with pytest.raises(ShapeError, match="repeat a grid position"):
             evaluate_shared(repeated, scene)
 
@@ -136,8 +135,6 @@ class TestComputeAlignment:
             target=target,
             reference=target,
             correspondence=np.arange(2),
-            noise_level=0.0,
-            seed=0,
         )
         text = make_text(0, 16, seed=0)
         masses = []

@@ -153,8 +153,6 @@ class TestPlantedSceneValidation:
                 target=base,
                 reference=base,
                 correspondence=np.array([0, 0, 1, 2]),
-                noise_level=0.0,
-                seed=0,
             )
 
 
