@@ -30,7 +30,7 @@ import numpy as np
 
 from .bands import Band, BandPartition
 from .errors import ConfigurationError, ShapeError
-from .rope import RotaryConfig, _block_height, _position, _positions, apply_rope_batch
+from .rope import RotaryConfig, _block_height, _out, _position, _positions, apply_rope_batch
 
 __all__ = [
     "TokenSet",
@@ -47,19 +47,9 @@ __all__ = [
     "grid_positions",
 ]
 
-MODALITIES = ("image", "text")
 SHARING_MODES = ("none", "plain", "frequency_aware", "shifted")
 
 ADAIN_STD_FLOOR = 1e-8
-
-
-def _out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    """``out``, checked to be a C-contiguous f64 array of ``shape``; a new one when it is ``None``."""
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ShapeError(f"expected a C-contiguous f64 out of shape {shape}, got {out.dtype} {out.shape}")
-    return out
 
 
 def grid_positions(width: int, height: int) -> np.ndarray:
@@ -70,17 +60,16 @@ def grid_positions(width: int, height: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TokenSet:
-    """A batch of feature vectors with integer grid positions.
+    """A batch of finite feature vectors with integer grid positions.
 
-    Text tokens all sit at position (0, 0). An image set with a
-    ``grid_shape`` must enumerate the grid row-major; image sets without a
-    grid shape may use arbitrary positions (e.g. shifted layouts).
+    Both arrays are held uncopied when they are f64 features and int64
+    positions already. Where the tokens must sit is checked where the set is
+    used: :func:`build_shared_qkv` requires text at (0, 0) and a shared
+    reference at the target's positions.
     """
 
     features: np.ndarray
     positions: np.ndarray
-    modality: str
-    grid_shape: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -89,21 +78,6 @@ class TokenSet:
         pos = _positions(self.positions, feats.shape[0])
         if feats.size and not np.all(np.isfinite(feats)):
             raise ConfigurationError("features must be finite")
-        if self.modality not in MODALITIES:
-            raise ConfigurationError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.modality == "text":
-            if np.any(pos != 0):
-                raise ConfigurationError("text tokens must sit at position (0, 0)")
-            if self.grid_shape is not None:
-                raise ConfigurationError("text tokens carry no grid shape")
-        elif self.grid_shape is not None:
-            w, h = self.grid_shape
-            if w <= 0 or h <= 0:
-                raise ConfigurationError(f"grid_shape must be positive, got {self.grid_shape}")
-            if feats.shape[0] != w * h or not np.array_equal(pos, grid_positions(w, h)):
-                raise ConfigurationError(
-                    "image positions must enumerate grid_shape row-major"
-                )
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "positions", pos)
 
@@ -326,9 +300,9 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
     Uses population statistics. Channels of ``x`` with std below 1e-8 cannot
     be normalized; they pass through as the constant ``mean(y)`` (zero scale).
-    The result is written to ``out`` (a new array when it is ``None``), an
-    f64 array of ``x``'s shape which may be ``x`` itself, and ``out`` is
-    returned. Besides ``out`` it holds one block of rows (:func:`_column_stats`).
+    The result is written to ``out`` (a new array when it is ``None``), a
+    C-contiguous f64 array of ``x``'s shape which may be ``x`` itself, and
+    ``out`` is returned. Besides ``out`` it holds one block of rows (:func:`_column_stats`).
     """
     xm = np.asarray(x, dtype=np.float64)
     ym = np.asarray(y, dtype=np.float64)
@@ -336,8 +310,7 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
         raise ShapeError(f"adain needs two (n, dim) matrices of equal width, got {xm.shape} and {ym.shape}")
     if ym.shape[0] < 2:
         raise ShapeError("reference statistics need at least 2 rows")
-    if out is not None and (out.shape != xm.shape or out.dtype != np.float64):
-        raise ShapeError(f"expected an f64 out of shape {xm.shape}, got {out.dtype} {out.shape}")
+    out = _out(out, xm.shape)
     rows = _block_height(8 * xm.shape[1])
     (mean_x, std_x), (mean_y, std_y) = _column_stats(xm, rows), _column_stats(ym, rows)
     degenerate = std_x < ADAIN_STD_FLOOR
@@ -479,16 +452,19 @@ def build_shared_qkv(
     ``k`` is new, or the leading rows of ``out``, a C-contiguous f64 array with
     a row per target, text and reference token; each set's features may be its
     own rows there (each run is then assembled in place).
+
+    Text tokens must all sit at (0, 0) (else :class:`ConfigurationError`), and
+    unless the mode is "none" the reference at the target's positions (else
+    :class:`ShapeError`). Scaled reference keys that would overflow raise
+    :class:`ConfigurationError`.
     """
-    if target.modality != "image" or reference.modality != "image":
-        raise ConfigurationError("target and reference must be image token sets")
-    if target_text.modality != "text":
-        raise ConfigurationError("target_text must be a text token set")
     if target.dim != config.dim or reference.dim != config.dim or target_text.dim != config.dim:
         raise ShapeError(f"all feature widths must equal {config.dim}")
-    if params.mode != "none" and target.grid_shape != reference.grid_shape:
+    if np.any(target_text.positions != 0):
+        raise ConfigurationError("text tokens must sit at position (0, 0)")
+    if params.mode != "none" and not np.array_equal(target.positions, reference.positions):
         raise ShapeError(
-            f"target and reference grids differ: {target.grid_shape} vs {reference.grid_shape}"
+            f"the reference's {reference.n_tokens} positions differ from the target's {target.n_tokens}"
         )
 
     notes: list[str] = []
@@ -513,15 +489,19 @@ def build_shared_qkv(
     if params.mode != "none":
         ref = k[n + t :]
         apply_rope_batch(reference.features, ref_positions, config, out=ref)
-        if params.mode in ("plain", "shifted"):
-            ref *= params.s
-        else:
+        scale = params.s
+        if params.mode == "frequency_aware":
             scales, sched_notes = _effective_schedule(params, config, step)
             notes.extend(sched_notes)
-            ref *= np.repeat(scales, 2)
-        if params.band_mask_override is not None:
-            spec = params.band_mask_override
-            ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= spec.factor(config)
+            scale = np.repeat(scales, 2)
+        spec = params.band_mask_override
+        try:
+            with np.errstate(over="raise"):
+                ref *= scale
+                if spec is not None:
+                    ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= spec.factor(config)
+        except FloatingPointError as exc:
+            raise ConfigurationError("the scaled reference keys overflow a float") from exc
 
     return SharedQKV(k=k, parts=tuple(parts), notes=tuple(notes))
 

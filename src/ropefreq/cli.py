@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import shutil
 import sys
@@ -208,13 +209,18 @@ def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
     """
     step = None if step is None else _int(step, f"{context}.step")
     params = _sharing(section)
+    largest = params.s
     if params.mode == "frequency_aware":
-        _effective_schedule(params, config, step)
+        largest = float(_effective_schedule(params, config, step)[0].max())
     if params.mode == "shifted":
         corners = np.array([[0, 0], [grid["width"] - 1, grid["height"] - 1]])
         shift_positions(corners, params.offset)
-    if params.band_mask_override is not None:
-        params.band_mask_override.factor(config)
+    mask = params.band_mask_override
+    # Reference features are unit rows, so no key scaled by a finite product overflows.
+    if mask is not None and not math.isfinite(mask.factor(config) * largest):
+        raise ConfigurationError(
+            f"{context}: band_mask.scale {mask.scale} times the reference scale {largest} overflows a float"
+        )
     return params, step
 
 

@@ -201,6 +201,15 @@ def _block_height(row_bytes: int, budget: int | None = None) -> int:
     return max(1, (_ROWS_BYTES if budget is None else budget) // row_bytes)
 
 
+def _out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """``out``, checked to be a C-contiguous f64 array of ``shape``; a new one when it is ``None``."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"expected a C-contiguous f64 out of shape {shape}, got {out.dtype} {out.shape}")
+    return out
+
+
 def _rotate_pairs(values: np.ndarray, angles: np.ndarray, out: np.ndarray) -> None:
     """Rotate consecutive pairs of the last axis of ``values`` by per-chunk angles into ``out``.
 
@@ -225,8 +234,8 @@ def apply_rope_batch(
 
     ``features`` is ``(n, dim)``; ``positions`` is ``(n, 2)`` integer grid
     coordinates (x, y) in the int64 range. The rotated rows are written to
-    ``out`` (a new array when it is ``None``), an f64 array of the features'
-    shape which may be ``features`` itself, and ``out`` is returned. Rows
+    ``out`` (a new array when it is ``None``), a C-contiguous f64 array of the
+    features' shape which may be ``features`` itself, and ``out`` is returned. Rows
     are rotated a block at a time, so the temporaries stay within a fixed
     budget however many rows there are.
     """
@@ -234,10 +243,7 @@ def apply_rope_batch(
     if feats.ndim != 2 or feats.shape[1] != config.dim:
         raise ShapeError(f"expected features of shape (n, {config.dim}), got {feats.shape}")
     pos = _positions(positions, feats.shape[0])
-    if out is None:
-        out = np.empty_like(feats)
-    elif out.shape != feats.shape or out.dtype != np.float64:
-        raise ShapeError(f"expected an f64 out of shape {feats.shape}, got {out.dtype} {out.shape}")
+    out = _out(out, feats.shape)
     step = _block_height(8 * config.n_chunks)
     for start in range(0, feats.shape[0], step):
         rows = slice(start, start + step)

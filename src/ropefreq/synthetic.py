@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import TokenSet, _out, grid_positions
+from .attention import TokenSet, grid_positions
 from .errors import ConfigurationError
-from .rope import _block_height
+from .rope import _block_height, _out
 
 __all__ = ["PlantedScene", "make_grid", "make_text", "plant_scene"]
 
@@ -76,12 +76,7 @@ def make_grid(
         feats *= np.sqrt(1.0 - style_strength**2)
         feats += style_strength * style
         _normalize_rows(feats)
-    return TokenSet(
-        features=feats,
-        positions=grid_positions(width, height),
-        modality="image",
-        grid_shape=(width, height),
-    )
+    return TokenSet(feats, grid_positions(width, height))
 
 
 def make_text(n_tokens: int, dim: int, seed: int, out: np.ndarray | None = None) -> TokenSet:
@@ -90,11 +85,7 @@ def make_text(n_tokens: int, dim: int, seed: int, out: np.ndarray | None = None)
         raise ConfigurationError(f"invalid text set size {n_tokens}, dim={dim}")
     rng = np.random.default_rng(seed)
     feats = _normalize_rows(rng.standard_normal(out=_out(out, (n_tokens, dim))))
-    return TokenSet(
-        features=feats,
-        positions=np.zeros((n_tokens, 2), dtype=np.int64),
-        modality="text",
-    )
+    return TokenSet(feats, np.zeros((n_tokens, 2), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,7 @@ def plant_scene(
     shift: int = 0,
     out: np.ndarray | None = None,
 ) -> PlantedScene:
-    """Build a reference grid by permuting ``base``'s features.
+    """Build a reference set at ``base``'s positions by permuting its features.
 
     ``kind`` selects the correspondence: "identity", "shuffle" (seeded random
     permutation), or "shift" (``correspondence[i] = (i + shift) mod n``, with
@@ -137,9 +128,8 @@ def plant_scene(
     copied bit-exactly. ``noise_level`` may be at most ``NOISE_LEVEL_MAX``.
     The reference features are written to ``out`` as by :func:`make_grid`.
     """
-    if base.modality != "image" or base.grid_shape is None:
-        raise ConfigurationError("plant_scene needs an image token set with a grid shape")
-    _check_scene(*base.grid_shape, base.dim, kind=kind, noise_level=noise_level, shift=shift)
+    # The n tokens are checked as an n-by-1 grid: only their count matters.
+    _check_scene(base.n_tokens, 1, base.dim, kind=kind, noise_level=noise_level, shift=shift)
     n = base.n_tokens
     rng = np.random.default_rng(seed)
     if kind == "identity":
@@ -160,10 +150,5 @@ def plant_scene(
             noisy *= sigma
             noisy += base.features[lo : lo + step]
             ref_feats[corr[lo : lo + step]] = _normalize_rows(noisy)
-    reference = TokenSet(
-        features=ref_feats,
-        positions=base.positions.copy(),
-        modality="image",
-        grid_shape=base.grid_shape,
-    )
+    reference = TokenSet(ref_feats, base.positions.copy())
     return PlantedScene(target=base, reference=reference, correspondence=corr)

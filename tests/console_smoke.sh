@@ -146,6 +146,24 @@ for c in huge_grid huge_s; do
   rc=0; $ROPEFREQ shared-attn "$c.json" --emit-config "$c.emitted.json" --quiet || rc=$?
   test "$rc" -eq 3; test ! -e "$c.emitted.json"
 done
+# A band mask whose finite scale times the finite sharing scale overflows
+# a float: --emit-config and the run each exit 3, print one error: line
+# and no traceback, and write nothing.
+python - "$demo" <<'EOF'
+import json, pathlib, sys
+demo = json.loads(pathlib.Path(sys.argv[1]).read_text())
+mask = {"start": 0, "stop": 4, "mode": "scale", "scale": 1e200}
+sharing = {"mode": "plain", "s": 1e200, "band_mask": mask}
+config = {**demo, "grid": {"width": 4, "height": 4}, "sharing": sharing, "sweep": None}
+pathlib.Path("overflow.json").write_text(json.dumps(config))
+EOF
+mkdir overflow && cd overflow
+for flags in "--emit-config emitted.json" "--out report.json"; do
+  rc=0; $ROPEFREQ shared-attn ../overflow.json $flags --quiet 2> ../overflow.err || rc=$?
+  test "$rc" -eq 3; test "$(wc -l < ../overflow.err)" -eq 1; grep -q '^error: ' ../overflow.err
+  test -z "$(ls -A)"
+done
+cd ..
 # An empty --out (or --emit-config) is a usage error that writes nothing.
 mkdir empty && cd empty
 for argv in "decay-curve --out" "schedule --s-hf 0.3 --s-lf 1.2 --out" "bands --out" \

@@ -53,22 +53,31 @@ def image_set(n_cols, n_rows, dim, seed):
 
 class TestTokenSet:
     def test_text_positions_must_be_zero(self):
-        with pytest.raises(ConfigurationError):
-            TokenSet(np.ones((2, 4)), np.array([[0, 0], [1, 0]]), "text")
+        scene, _ = scene_and_text()
+        text = TokenSet(np.ones((2, 32)), np.array([[0, 0], [1, 0]]))
+        for mode in (SharingParams(mode="none"), SharingParams(mode="plain")):
+            with pytest.raises(ConfigurationError, match=r"text tokens must sit at position \(0, 0\)"):
+                build_shared_qkv(scene.target, text, scene.reference, mode, CFG)
 
-    def test_grid_positions_must_be_row_major(self):
-        pos = grid_positions(2, 2)[::-1]
-        with pytest.raises(ConfigurationError):
-            TokenSet(np.ones((4, 4)), pos, "image", grid_shape=(2, 2))
+    def test_text_positions_written_after_the_set_is_built_raise(self):
+        # The set holds its positions uncopied: the rule is checked where they are used.
+        scene, _ = scene_and_text()
+        positions = np.zeros((2, 2), dtype=np.int64)
+        text = TokenSet(np.ones((2, 32)), positions)
+        build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="plain"), CFG)
+        positions[0] = (5, 7)
+        assert text.positions.tolist() == [[5, 7], [0, 0]]
+        with pytest.raises(ConfigurationError, match=r"\(0, 0\)"):
+            build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="plain"), CFG)
 
     def test_rejects_nonfinite(self):
         feats = np.ones((1, 4))
         feats[0, 0] = np.nan
         with pytest.raises(ConfigurationError):
-            TokenSet(feats, np.zeros((1, 2)), "image")
+            TokenSet(feats, np.zeros((1, 2)))
 
     def test_free_positions_without_grid_shape(self):
-        ts = TokenSet(np.ones((2, 4)), np.array([[5, -3], [0, 9]]), "image")
+        ts = TokenSet(np.ones((2, 4)), np.array([[5, -3], [0, 9]]))
         assert ts.positions.dtype == np.int64
         assert ts.positions.tolist() == [[5, -3], [0, 9]]
 
@@ -113,8 +122,9 @@ class TestAdain:
         np.testing.assert_array_equal(stack[[0, 9]], 7.0)
         assert adain(x, y, out=x) is x
         np.testing.assert_array_equal(x, expected)
-        with pytest.raises(ShapeError):
-            adain(x, y, out=np.empty((9, 5)))
+        for wrong in (np.empty((9, 5)), np.empty((8, 10))[:, ::2]):
+            with pytest.raises(ShapeError):
+                adain(x, y, out=wrong)
 
     def test_blocked_statistics_keep_the_bits_of_whole_matrix_statistics(self, monkeypatch):
         # Three rows at a time: x's 11 rows and y's 13 take several ragged blocks.
@@ -588,6 +598,42 @@ class TestBuildSharedQKV:
         with pytest.raises(ShapeError):
             build_shared_qkv(scene.target, text, other, SharingParams(mode="plain", s=1.0), CFG)
 
+    def test_reference_at_other_positions_raises(self):
+        scene, text = scene_and_text()
+        target = TokenSet(scene.target.features, scene.target.positions)
+        moved = TokenSet(scene.reference.features, shift_positions(scene.reference.positions, (1, 0)))
+        # A 4x4 target against an 8x2 reference: as many tokens, other positions.
+        wide = make_grid(8, 2, 32, seed=2)
+        for reference in (moved, wide):
+            for params in (SharingParams(mode="plain"), SharingParams(mode="shifted", offset=(1, 0))):
+                with pytest.raises(ShapeError, match="positions differ"):
+                    build_shared_qkv(target, text, reference, params, CFG)
+            # Without sharing the reference is not used.
+            build_shared_qkv(target, text, reference, SharingParams(mode="none"), CFG)
+
+    # Unit reference rows overflow under a product past the float range; rows
+    # 1e10 long under a finite scale that unit rows would survive.
+    @pytest.mark.parametrize(
+        "params, gain",
+        [
+            (
+                SharingParams(
+                    mode="plain", s=1e200, band_mask_override=BandMaskSpec(Band("b", 0, 4), "scale", 1e200)
+                ),
+                1.0,
+            ),
+            (SharingParams(mode="shifted", s=1e300, offset=(1, 0)), 1e10),
+            (SharingParams(mode="frequency_aware", s_hf=1e300, s_lf=1.0, beta=1.0), 1e10),
+        ],
+        ids=["band-mask", "shifted", "frequency-aware"],
+    )
+    def test_overflowing_reference_scale_raises_without_a_numpy_warning(self, params, gain):
+        # Every NumPy warning is an error here, so an escaping one fails the match.
+        scene, text = scene_and_text()
+        reference = TokenSet(scene.reference.features * gain, scene.reference.positions)
+        with pytest.raises(ConfigurationError, match="overflow"):
+            build_shared_qkv(scene.target, text, reference, params, CFG)
+
     def test_ramp_reinterpolates_schedule(self):
         scene, text = scene_and_text()
         ramp = TimestepRamp(0.2, 0.6, 1.0, 1.4, total_steps=5)
@@ -659,7 +705,7 @@ class TestBuildSharedQKV:
 class TestPositionValidation:
     def test_fractional_positions_rejected(self):
         with pytest.raises(ConfigurationError):
-            TokenSet(np.ones((1, 32)), np.array([[0.5, 0.0]]), "image")
+            TokenSet(np.ones((1, 32)), np.array([[0.5, 0.0]]))
 
     # Each of these used to truncate toward zero: an offset of (1.7, -0.2)
     # became (1, 0), a shift by 2.9 shifted by 2, a delta of 0.5 was delta 0,
@@ -703,26 +749,26 @@ class TestPositionValidation:
 
     def test_int64_positions_are_not_copied(self):
         positions = grid_positions(2, 3)
-        assert TokenSet(np.ones((6, 4)), positions, "image", grid_shape=(2, 3)).positions is positions
+        assert TokenSet(np.ones((6, 4)), positions).positions is positions
 
     def test_whole_valued_floats_accepted(self):
-        ts = TokenSet(np.ones((1, 32)), np.array([[2.0, -3.0]]), "image")
+        ts = TokenSet(np.ones((1, 32)), np.array([[2.0, -3.0]]))
         assert ts.positions.dtype == np.int64
         np.testing.assert_array_equal(ts.positions, [[2, -3]])
-        ts = TokenSet(np.ones((1, 32)), np.array([[-(2.0**63), 2.0**63 - 1024]]), "image")
+        ts = TokenSet(np.ones((1, 32)), np.array([[-(2.0**63), 2.0**63 - 1024]]))
         assert ts.positions.tolist() == [[-(2**63), 2**63 - 1024]]
 
     # The cast to int64 would wrap these to negative numbers.
     @pytest.mark.parametrize("x", [2**63, 2**64 - 1])
     def test_unsigned_past_int64_rejected(self, x):
         with pytest.raises(ConfigurationError):
-            TokenSet(np.ones((2, 4)), np.array([[x, 0], [1, 1]], dtype=np.uint64), "image")
+            TokenSet(np.ones((2, 4)), np.array([[x, 0], [1, 1]], dtype=np.uint64))
 
     def test_unsigned_within_int64_accepted(self):
         positions = np.array([[2**63 - 1, 0], [7, 2]], dtype=np.uint64)
-        ts = TokenSet(np.ones((2, 4)), positions, "image")
+        ts = TokenSet(np.ones((2, 4)), positions)
         assert ts.positions.tolist() == [[2**63 - 1, 0], [7, 2]]
-        ts = TokenSet(np.ones((1, 4)), np.array([[255, 3]], dtype=np.uint8), "image")
+        ts = TokenSet(np.ones((1, 4)), np.array([[255, 3]], dtype=np.uint8))
         assert ts.positions.dtype == np.int64 and ts.positions.tolist() == [[255, 3]]
 
     # The cast to int64 would truncate the non-integers and raise OverflowError past int64.
@@ -738,11 +784,11 @@ class TestPositionValidation:
     )
     def test_object_positions_outside_int64_rejected(self, positions):
         with pytest.raises(ConfigurationError):
-            TokenSet(np.ones((1, 4)), positions, "image")
+            TokenSet(np.ones((1, 4)), positions)
 
     def test_object_ints_within_int64_accepted(self):
         positions = np.array([[2**63 - 1, -(2**63)], [np.int64(7), 2]], dtype=object)
-        ts = TokenSet(np.ones((2, 4)), positions, "image")
+        ts = TokenSet(np.ones((2, 4)), positions)
         assert ts.positions.dtype == np.int64
         assert ts.positions.tolist() == [[2**63 - 1, -(2**63)], [7, 2]]
 
@@ -750,4 +796,4 @@ class TestPositionValidation:
     @pytest.mark.parametrize("x", [2.0**63, 1e300, -(2.0**64), math.inf, -math.inf, math.nan])
     def test_floats_outside_int64_rejected(self, x):
         with pytest.raises(ConfigurationError):
-            TokenSet(np.ones((2, 4)), [[x, 0.0], [2.0**62, 1.0]], "image")
+            TokenSet(np.ones((2, 4)), [[x, 0.0], [2.0**62, 1.0]])

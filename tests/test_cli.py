@@ -594,6 +594,31 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 3
         assert not emitted.exists()
 
+    # Finite scales whose product overflows the reference keys.
+    @pytest.mark.parametrize(
+        "sharing",
+        [
+            {"mode": "plain", "s": 1e200, "band_mask": {"start": 0, "stop": 4, "mode": "scale", "scale": 1e200}},
+            {
+                "mode": "shifted", "s": 1e300, "offset": [1, 0],
+                "band_mask": {"start": 0, "stop": 1, "mode": "scale", "scale": -1e10},
+            },
+            {
+                "mode": "frequency_aware", "s_hf": 1e300, "s_lf": 1e300,
+                "band_mask": {"start": 2, "stop": 3, "mode": "scale", "scale": 1e9},
+            },
+        ],
+        ids=["plain", "shifted", "frequency_aware"],
+    )
+    def test_overflowing_band_mask_exits_3_without_outputs_or_warning(self, tmp_path, capsys, sharing):
+        # Every warning is an error here: one escaping NumPy would not exit 3.
+        cfg_path, _ = demo_config(tmp_path, sharing)
+        for flags in (["--emit-config", str(tmp_path / "normalized.json")], []):
+            assert main(["shared-attn", str(cfg_path), *flags, "--quiet"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "overflows a float" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

@@ -2,10 +2,10 @@
 
 Generated configs cover small grids, every partition preset, every sharing
 mode, ramps, band masks and sweeps with ``step``, with values on both sides
-of each check, numbers too large for a float, and now and then a grid or a
-text count past the key bound. Whatever ``--emit-config`` decides, the run
-decides the same: exit 0 with the emitted config echoed in the report, or
-exit 3 and no files.
+of each check, numbers too large for a float or whose product is, and now
+and then a grid or a text count past the key bound. Whatever
+``--emit-config`` decides, the run decides the same: exit 0 with the
+emitted config echoed in the report, or exit 3 and no files.
 """
 
 import json
@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 
 from ropefreq.cli import PARTITION_NAMES, main
 
-# Numbers on both sides of each check, and integers too large for a float.
-SCALES = st.one_of(st.sampled_from([0, 1, 2, 3, 10**400, -(10**400)]), st.floats(-0.25, 3.0))
+# Numbers on both sides of each check, integers too large for a float, and
+# floats whose products (a band mask's scale times a sharing scale) overflow one.
+SCALES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 10**400, -(10**400), 1e155, -1e155, 1e300]), st.floats(-0.25, 3.0)
+)
 STEPS = st.integers(-1, 4)
 # Small shifts, and shifts that take a grid position up to or past an int64 bound.
 OFFSETS = st.one_of(
@@ -102,14 +105,38 @@ def configs(draw):
     return cfg
 
 
-@settings(
-    max_examples=150,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(raw=configs(), attention=st.booleans())
-def test_emit_config_accepts_exactly_what_runs(raw, attention):
+@st.composite
+def band_mask_products(draw):
+    """A small config whose band mask scales reference keys by up to 10**300
+    on top of a sharing scale of up to 10**300, so their product often
+    overflows a float."""
+    magnitudes = st.integers(0, 300).map(lambda e: 10.0**e)
+    mode = draw(st.sampled_from(["plain", "shifted", "frequency_aware"]))
+    sharing = {"mode": mode, "adain": draw(st.booleans())}
+    if mode == "frequency_aware":
+        sharing["s_hf"], sharing["s_lf"] = draw(magnitudes), draw(magnitudes)
+    else:
+        sharing["s"] = draw(magnitudes)
+    if mode == "shifted":
+        sharing["offset"] = [1, -1]
+    start = draw(st.integers(0, 3))
+    sharing["band_mask"] = {
+        "start": start,
+        "stop": draw(st.integers(start + 1, 4)),
+        "mode": "scale",
+        "scale": draw(st.sampled_from([1.0, -1.0])) * draw(magnitudes),
+    }
+    return {
+        "rotary": {"dim": 8},
+        "grid": {"width": 2, "height": 2},
+        "scene": {},
+        "text_tokens": 1,
+        "sharing": sharing,
+        "seed": draw(st.integers(0, 100)),
+    }
+
+
+def check_emit_config_accepts_exactly_what_runs(raw, attention):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         raw["output"] = {
@@ -136,3 +163,20 @@ def test_emit_config_accepts_exactly_what_runs(raw, attention):
         assert main(["shared-attn", str(config), "--quiet"]) == 0
         report = json.loads((tmp / "report.json").read_text())
         assert report["config"] == emitted_dict
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(raw=configs(), attention=st.booleans())
+def test_emit_config_accepts_exactly_what_runs(raw, attention):
+    check_emit_config_accepts_exactly_what_runs(raw, attention)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(raw=band_mask_products())
+def test_band_mask_products_are_accepted_exactly_when_they_run(raw):
+    check_emit_config_accepts_exactly_what_runs(raw, attention=False)

@@ -130,7 +130,7 @@ class TestComputeAlignment:
         feats = np.abs(rng.standard_normal((2, 16)))
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         cfg = RotaryConfig(dim=16)
-        target = TokenSet(feats, grid_positions(1, 2), "image", grid_shape=(1, 2))
+        target = TokenSet(feats, grid_positions(1, 2))
         scene = PlantedScene(
             target=target,
             reference=target,

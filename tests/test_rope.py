@@ -242,7 +242,9 @@ class TestApplyRopeOut:
         np.testing.assert_array_equal(got, one_shot_rotation(feats, pos, self.CFG))
         self.check_oracle(got, feats, pos)
 
-    @pytest.mark.parametrize("out", [np.empty((3, 16)), np.empty((2, 16), dtype=np.float32)])
+    @pytest.mark.parametrize(
+        "out", [np.empty((3, 16)), np.empty((2, 16), dtype=np.float32), np.empty((2, 32))[:, ::2]]
+    )
     def test_rejects_out_of_another_shape_or_dtype(self, out):
         feats, pos = self.rows(2, 33)
         with pytest.raises(ShapeError):

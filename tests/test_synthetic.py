@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ropefreq.rope
-from ropefreq import ConfigurationError, grid_positions, make_grid, make_text, plant_scene
+from ropefreq import ConfigurationError, TokenSet, grid_positions, make_grid, make_text, plant_scene
 from ropefreq.synthetic import NOISE_LEVEL_MAX
 
 
@@ -52,7 +52,6 @@ class TestMakeGrid:
 class TestMakeText:
     def test_positions_all_zero(self):
         ts = make_text(5, 16, seed=0)
-        assert ts.modality == "text"
         np.testing.assert_array_equal(ts.positions, np.zeros((5, 2)))
 
     def test_empty_text_set(self):
@@ -126,6 +125,17 @@ class TestPlantScene:
         base = make_grid(5, 2, 8, seed=17)
         scene = plant_scene(base, kind="shuffle", seed=18)
         np.testing.assert_array_equal(scene.reference.positions, grid_positions(5, 2))
+
+    def test_any_token_set_is_planted_at_its_own_positions(self):
+        # Positions off any grid: the scene keeps them, and kind and shift
+        # are checked against the token count alone.
+        positions = np.array([[5, -3], [0, 9], [2, 2]])
+        base = TokenSet(make_grid(3, 1, 8, seed=17).features, positions)
+        scene = plant_scene(base, kind="shift", noise_level=0.0, seed=18, shift=-2)
+        np.testing.assert_array_equal(scene.reference.positions, positions)
+        np.testing.assert_array_equal(scene.correspondence, [1, 2, 0])
+        with pytest.raises(ConfigurationError, match=r"\|shift\| < 3"):
+            plant_scene(base, kind="shift", seed=18, shift=3)
 
     def test_negative_noise_rejected(self):
         base = make_grid(2, 2, 8, seed=1)
