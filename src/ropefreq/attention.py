@@ -38,10 +38,12 @@ __all__ = [
     "BandMaskSpec",
     "SharingParams",
     "SharedQKV",
+    "SharedPlan",
     "adain",
     "build_shared_qkv",
     "chunk_scales",
     "modulation_scales",
+    "plan_shared",
     "ramp_at",
     "shift_positions",
     "grid_positions",
@@ -420,17 +422,59 @@ def _blocks(q_rot: np.ndarray, k_rot: np.ndarray, heads: int) -> Iterator[tuple[
         yield start, attention
 
 
-def _effective_schedule(
-    params: SharingParams, config: RotaryConfig, step: int | None
-) -> tuple[np.ndarray, list[str]]:
-    """The frequency-aware chunk scales of ``params`` at ``step``, and notes on them."""
+@dataclass(frozen=True)
+class SharedPlan:
+    """A sharing entry checked before any feature is read, as :func:`plan_shared` returns it.
+
+    ``parts`` and ``notes`` are the :class:`SharedQKV`'s. The reference keys are multiplied by
+    ``scale`` (``s``, or one per column in mode "frequency_aware"), then, with a band mask, the
+    ``columns`` of ``mask = (columns, factor)`` by its factor.
+    """
+
+    parts: tuple[tuple[str, np.ndarray], ...]
+    scale: float | np.ndarray
+    mask: tuple[slice, float] | None
+    notes: tuple[str, ...]
+
+
+def plan_shared(
+    params: SharingParams, config: RotaryConfig, step: int | None, target_positions: np.ndarray, n_text: int
+) -> SharedPlan:
+    """Plan ``params`` at ``step`` for a target at ``target_positions`` and ``n_text`` text tokens.
+
+    Makes every check of the entry that needs no feature value, each raising
+    :class:`ConfigurationError`: the ramp's ``step``, the shifted positions
+    within the int64 range, the band mask within ``config``'s chunks, the
+    largest reference scale times the mask's factor finite (so unit reference
+    rows cannot overflow), and at least 2 reference rows for AdaIN.
+    """
+    positions = _positions(target_positions)
     notes: list[str] = []
-    s_hf, s_lf = params.s_hf, params.s_lf
-    if params.ramp is not None and step is not None:
-        s_hf, s_lf = ramp_at(params.ramp, step)
-    elif step is not None:
-        notes.append("step given without a ramp; using the base schedule")
-    return chunk_scales(config, s_hf, s_lf, params.beta), notes
+    ref_positions, scale = positions, params.s
+    if params.mode == "shifted":
+        if params.offset == (0, 0):
+            notes.append("shifted mode with zero offset degenerates to plain")
+        ref_positions = shift_positions(positions, params.offset)
+    elif params.mode == "frequency_aware":
+        s_hf, s_lf = params.s_hf, params.s_lf
+        if params.ramp is not None and step is not None:
+            s_hf, s_lf = ramp_at(params.ramp, step)
+        elif step is not None:
+            notes.append("step given without a ramp; using the base schedule")
+        scale = np.repeat(chunk_scales(config, s_hf, s_lf, params.beta), 2)
+    mask, spec = None, params.band_mask_override
+    if spec is not None:
+        mask = (slice(2 * spec.band.start, 2 * spec.band.stop), spec.factor(config))
+        if not math.isfinite(float(np.max(scale)) * mask[1]):
+            raise ConfigurationError(
+                f"the band mask's scale {spec.scale} times the reference scale {np.max(scale)} overflows a float"
+            )
+    parts = [("target-image", positions), ("target-text", np.zeros((n_text, 2), dtype=np.int64))]
+    if params.mode != "none":
+        if params.adain_enabled and len(positions) < 2:
+            raise ConfigurationError(f"AdaIN needs at least 2 reference rows, got {len(positions)}")
+        parts.append(("reference-image", ref_positions))
+    return SharedPlan(tuple(parts), scale, mask, tuple(notes))
 
 
 def build_shared_qkv(
@@ -442,21 +486,17 @@ def build_shared_qkv(
     step: int | None = None,
     out: np.ndarray | None = None,
 ) -> SharedQKV:
-    """Assemble rotated queries and keys for shared attention.
+    """Assemble rotated queries and keys for shared attention: :func:`plan_shared`, then the fill.
 
-    Queries are the target image tokens (AdaIN-normalized to the reference
-    when enabled) followed by the target text tokens, rotated at their own
-    positions. Keys are the same rows followed by the reference image keys,
-    rotated at the target's grid coordinates (plus the offset in shifted
-    mode) and then scaled per the sharing mode.
-    ``k`` is new, or the leading rows of ``out``, a C-contiguous f64 array with
-    a row per target, text and reference token; each set's features may be its
-    own rows there (each run is then assembled in place).
+    Queries are the target image tokens (AdaIN-normalized to the reference when enabled) then
+    the text tokens, rotated at their own positions; keys are the same rows then the reference
+    keys, rotated at the plan's positions and scaled by its factors. ``k`` is new, or the leading
+    rows of ``out``, a C-contiguous f64 array with a row per target, text and reference token;
+    each set's features may be its own rows there (each run is then assembled in place).
 
-    Text tokens must all sit at (0, 0) (else :class:`ConfigurationError`), and
-    unless the mode is "none" the reference at the target's positions (else
-    :class:`ShapeError`). Scaled reference keys that would overflow raise
-    :class:`ConfigurationError`.
+    Besides the plan's checks, text tokens must sit at (0, 0) (else :class:`ConfigurationError`),
+    the reference at the target's positions unless the mode is "none" (else :class:`ShapeError`),
+    and reference keys that overflow when scaled raise :class:`ConfigurationError`.
     """
     if target.dim != config.dim or reference.dim != config.dim or target_text.dim != config.dim:
         raise ShapeError(f"all feature widths must equal {config.dim}")
@@ -466,16 +506,7 @@ def build_shared_qkv(
         raise ShapeError(
             f"the reference's {reference.n_tokens} positions differ from the target's {target.n_tokens}"
         )
-
-    notes: list[str] = []
-    parts = [("target-image", target.positions), ("target-text", target_text.positions)]
-    if params.mode != "none":
-        ref_positions = reference.positions
-        if params.mode == "shifted":
-            if params.offset == (0, 0):
-                notes.append("shifted mode with zero offset degenerates to plain")
-            ref_positions = shift_positions(ref_positions, params.offset)
-        parts.append(("reference-image", ref_positions))
+    plan = plan_shared(params, config, step, target.positions, target_text.n_tokens)
 
     # Each run is rotated into its own rows of one preallocated stack.
     n, t, n_ref = target.n_tokens, target_text.n_tokens, reference.n_tokens
@@ -488,22 +519,18 @@ def build_shared_qkv(
     apply_rope_batch(target_text.features, target_text.positions, config, out=k[n : n + t])
     if params.mode != "none":
         ref = k[n + t :]
-        apply_rope_batch(reference.features, ref_positions, config, out=ref)
-        scale = params.s
-        if params.mode == "frequency_aware":
-            scales, sched_notes = _effective_schedule(params, config, step)
-            notes.extend(sched_notes)
-            scale = np.repeat(scales, 2)
-        spec = params.band_mask_override
+        apply_rope_batch(reference.features, plan.parts[2][1], config, out=ref)
+        # Two multiplies, as (x * s) * f is not x * (s * f); the plan's bound
+        # holds for unit rows only, and a caller's features need not be.
         try:
             with np.errstate(over="raise"):
-                ref *= scale
-                if spec is not None:
-                    ref[:, 2 * spec.band.start : 2 * spec.band.stop] *= spec.factor(config)
+                ref *= plan.scale
+                if plan.mask is not None:
+                    ref[:, plan.mask[0]] *= plan.mask[1]
         except FloatingPointError as exc:
             raise ConfigurationError("the scaled reference keys overflow a float") from exc
 
-    return SharedQKV(k=k, parts=tuple(parts), notes=tuple(notes))
+    return SharedQKV(k=k, parts=plan.parts, notes=plan.notes)
 
 
 def shift_positions(positions: np.ndarray, offset) -> np.ndarray:

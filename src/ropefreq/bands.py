@@ -166,9 +166,23 @@ def decay_curve(
     the int64 range raises :class:`ConfigurationError` rather than being
     truncated or wrapped.
     """
-    if not hasattr(delta_values, "__len__"):
-        delta_values = list(delta_values)
-    deltas = _int64(np.asarray(delta_values), "delta_values must be integers")
+    if isinstance(delta_values, range) and delta_values:
+        # Only the ends become Python ints. Between two ends in the int64 range
+        # every delta is in it, and int64 arithmetic wraps modulo 2**64, so
+        # first + i * step comes out exact; np.arange counts its values in
+        # floating point and drops some past 2**53.
+        first, last = delta_values[0], delta_values[-1]
+        _int64(np.array([first, last], dtype=object), "delta_values must be integers")
+        try:
+            deltas = np.arange(len(delta_values), dtype=np.int64)
+        except OverflowError as exc:  # more deltas than len() can count
+            raise ConfigurationError("delta_values is a range too long to hold") from exc
+        deltas *= (delta_values.step + 2**63) % 2**64 - 2**63  # the step modulo 2**64, as an int64
+        deltas += first
+    else:
+        if not hasattr(delta_values, "__len__"):
+            delta_values = list(delta_values)
+        deltas = _int64(np.asarray(delta_values), "delta_values must be integers")
     if deltas.ndim != 1:
         raise ShapeError(f"delta_values must be 1-D, got shape {deltas.shape}")
     if not deltas.size:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import shutil
 import sys
@@ -29,16 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from .attention import (
-    SHARING_MODES,
     BandMaskSpec,
     SharingParams,
     TimestepRamp,
     _BLOCK_BYTES,
     _check_heads,
-    _effective_schedule,
     build_shared_qkv,
     chunk_scales,
-    shift_positions,
+    grid_positions,
+    plan_shared,
 )
 from .bands import Band, BandPartition, decay_curve_to_csv, make_even_partition
 from .diagnostics import evaluate_shared
@@ -135,8 +133,6 @@ def _sharing(raw: dict) -> SharingParams:
     adain = raw.get("adain", True)
     if not isinstance(adain, bool):
         raise ConfigurationError(f"sharing.adain must be true or false, got {adain!r}")
-    if mode not in SHARING_MODES:
-        raise ConfigurationError(f"unknown sharing mode {mode!r}")
     kwargs: dict = {"mode": mode, "adain_enabled": adain}
     if mode in ("plain", "shifted"):
         kwargs["s"] = _number(raw.get("s", 1.0), "sharing.s")
@@ -198,30 +194,6 @@ def _sharing_json(params: SharingParams) -> dict:
     if mask is not None:
         out["band_mask"] = {**asdict(mask.band), "mode": mask.mode, "scale": mask.scale}
     return out
-
-
-def _entry(section: dict, step, config: RotaryConfig, grid: dict, context: str):
-    """``(params, step)`` of one sharing section at ``step``.
-
-    Runs the checks an evaluation makes of them (the chunk scales at
-    ``step``, the shifted positions on ``grid`` and the band mask), so that
-    no config echoes what a run rejects.
-    """
-    step = None if step is None else _int(step, f"{context}.step")
-    params = _sharing(section)
-    largest = params.s
-    if params.mode == "frequency_aware":
-        largest = float(_effective_schedule(params, config, step)[0].max())
-    if params.mode == "shifted":
-        corners = np.array([[0, 0], [grid["width"] - 1, grid["height"] - 1]])
-        shift_positions(corners, params.offset)
-    mask = params.band_mask_override
-    # Reference features are unit rows, so no key scaled by a finite product overflows.
-    if mask is not None and not math.isfinite(mask.factor(config) * largest):
-        raise ConfigurationError(
-            f"{context}: band_mask.scale {mask.scale} times the reference scale {largest} overflows a float"
-        )
-    return params, step
 
 
 _TOP_KEYS = (
@@ -310,28 +282,28 @@ class ExperimentConfig:
             norm["grid"]["width"], norm["grid"]["height"], config.dim, scene["style_strength"],
             scene["kind"], scene["noise_level"], scene["shift"],
         )
-        # The base section is checked like an entry even when a sweep
-        # replaces it, since the report echoes it. Sweep items override its
-        # echo (and the top-level step), not the raw section.
-        section = _require(d, "sharing", "config")
-        base = _entry(section, norm["step"], config, norm["grid"], "config")
+        # Sweep items override the base section's echo and the top-level step, not the raw section.
+        base = (_sharing(_require(d, "sharing", "config")), norm["step"])
         norm["sharing"] = _sharing_json(base[0])
-        runs = [base] if sweep is None else []
+        swept = []
         for i, item in enumerate(sweep or []):
             merged = {**norm["sharing"], **item}
             step = merged.pop("step", norm["step"])
-            runs.append(_entry(merged, step, config, norm["grid"], f"sweep[{i}]"))
-        # AdaIN takes per-channel statistics over the reference's cells.
-        cells = norm["grid"]["width"] * norm["grid"]["height"]
-        if cells < 2 and any(p.adain_enabled and p.mode != "none" for p, _ in [base, *runs]):
-            raise ConfigurationError("sharing.adain needs a grid of at least 2 cells")
+            swept.append((_sharing(merged), None if step is None else _int(step, f"sweep[{i}].step")))
+        runs = swept or [base]
         # One logits row (8 bytes a key) must fit in an evaluation block. With
         # more than one head a block holds two such rows, up to 8 MiB at the bound.
+        cells = norm["grid"]["width"] * norm["grid"]["height"]
         keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, _ in runs)
         if keys > _BLOCK_BYTES // 8:
             raise ConfigurationError(
                 f"an entry has {keys} keys, past the {_BLOCK_BYTES // 8} whose logits fill a block"
             )
+        # Each entry is planned as its run plans it, and so is the base
+        # section a sweep replaces, since the report echoes it.
+        positions = grid_positions(**norm["grid"])
+        for params, step in [base, *swept]:
+            plan_shared(params, config, step, positions, norm["text_tokens"])
         entries = tuple((f"entry{i}", *run) for i, run in enumerate(runs))
         cfg = cls(normalized=norm, rotary=config, partition=partition, entries=entries)
         _output_paths(cfg, norm["output"]["report"])
@@ -467,6 +439,11 @@ def _all_or_nothing():
     it raises, so a run leaves either all of its outputs or none. A target
     that is an existing directory (not a link, which is replaced) raises
     when it is staged. Errors name the target, not its staged file.
+
+    Before the first rename, each existing target is moved into the hidden
+    directory; when a rename fails, every rename made is undone, last first,
+    which puts back what was there. Should an undo fail too, the hidden
+    directories are kept, with whatever they hold.
     """
     staging: dict[Path, Path] = {}
 
@@ -477,22 +454,37 @@ def _all_or_nothing():
         if path.parent not in staging:
             try:
                 staging[path.parent] = Path(tempfile.mkdtemp(prefix=".ropefreq-", dir=path.parent))
+                # New files and the targets they replace, apart so that no names clash.
+                (staging[path.parent] / "new").mkdir()
+                (staging[path.parent] / "old").mkdir()
             except OSError as exc:
                 # Name the path asked for, not the hidden directory.
                 raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        return staging[path.parent] / path.name
+        return staging[path.parent] / "new" / path.name
 
+    keep = False
     try:
         yield stage
+        aside, into_place = [], []  # (source, destination, the target an error names)
         for parent, tmp in staging.items():
-            for staged in tmp.iterdir():
+            for staged in (tmp / "new").iterdir():
                 target = parent / staged.name
-                try:
-                    staged.replace(target)
-                except OSError as exc:
-                    raise OSError(exc.errno, exc.strerror, str(target)) from exc
+                if target.is_symlink() or (target.exists() and not target.is_dir()):
+                    aside.append((target, tmp / "old" / staged.name, target))
+                into_place.append((staged, target, target))
+        renames = aside + into_place
+        for i, (source, destination, target) in enumerate(renames):
+            try:
+                source.replace(destination)
+            except OSError as exc:
+                for moved_from, moved_to, _ in reversed(renames[:i]):
+                    try:
+                        moved_to.replace(moved_from)
+                    except OSError:
+                        keep = True
+                raise OSError(exc.errno, exc.strerror, str(target)) from exc
     finally:
-        for tmp in staging.values():
+        for tmp in () if keep else staging.values():
             shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -576,12 +568,23 @@ def cmd_bands(args) -> int:
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice raises :class:`ConfigurationError`."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigurationError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def cmd_shared_attn(args) -> int:
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"invalid config {args.config}: not UTF-8 ({exc})") from exc
-    except ValueError as exc:  # not JSON, or an integer with more digits than int() takes
+    # Not JSON, an integer with more digits than int() takes, a repeated key, or nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"invalid config {args.config}: {exc}") from exc
     cfg = ExperimentConfig.from_json_dict(raw)
     if args.seed is not None:

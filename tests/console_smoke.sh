@@ -164,6 +164,25 @@ for flags in "--emit-config emitted.json" "--out report.json"; do
   test -z "$(ls -A)"
 done
 cd ..
+# A config file nested past the recursion limit, or with a key given
+# twice, exits 3 with one error: line, under --emit-config too, and
+# writes nothing.
+python -c 'print("[" * 100000)' > deep.json
+python - "$demo" <<'EOF'
+import pathlib, sys
+text = pathlib.Path(sys.argv[1]).read_text()
+assert text.count('"seed": 10') == 1
+pathlib.Path("repeated.json").write_text(text.replace('"seed": 10', '"seed": 10, "seed": 12'))
+EOF
+mkdir bad && cd bad
+for c in deep repeated; do
+  for flags in "--emit-config emitted.json" "--out report.json"; do
+    rc=0; $ROPEFREQ shared-attn "../$c.json" $flags --quiet 2> ../bad.err || rc=$?
+    test "$rc" -eq 3; test "$(wc -l < ../bad.err)" -eq 1; grep -q '^error: ' ../bad.err
+    test -z "$(ls -A)"
+  done
+done
+cd ..
 # An empty --out (or --emit-config) is a usage error that writes nothing.
 mkdir empty && cd empty
 for argv in "decay-curve --out" "schedule --s-hf 0.3 --s-lf 1.2 --out" "bands --out" \

@@ -344,6 +344,63 @@ class TestDecayCurve:
         with pytest.raises(ShapeError):
             decay_curve([[1, 3]], part, cfg)
 
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            range(5, -1, -2),
+            range(10, 0, -3),
+            # Ends in int64, a stop past it.
+            range(2**63 - 3, 2**63 + 100, 200),
+            range(0, -(2**63) - 2, -(2**62)),
+            # Steps of 2**61 and more, where a count taken in floating point drops a delta.
+            range(0, 2**62 + 1, 2**61),
+            range(-(2**63), 2**63, 2**62),
+            range(2**63 - 1, -(2**63) - 1, -(2**64 - 1)),
+        ],
+    )
+    def test_a_range_gives_each_of_its_deltas(self, deltas):
+        cfg = RotaryConfig.single_axis(32)
+        part = make_even_partition(cfg, 2, "x")
+        got = decay_curve(deltas, part, cfg)
+        assert got.delta_values.dtype == np.int64 and got.delta_values.tolist() == list(deltas)
+        want = decay_curve(list(deltas), part, cfg)
+        for label, values in want.series.items():
+            assert got.series[label].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "deltas, match",
+        [
+            (range(0), "non-empty"),
+            (range(5, 5), "non-empty"),
+            (range(3, 7, -1), "non-empty"),
+            (range(2**63 - 2, 2**63 + 2), "int64 range"),
+            (range(-(2**63) + 1, -(2**63) - 2, -1), "int64 range"),
+            (range(2**64, 2**64 + 3), "int64 range"),
+            # Both ends in int64, and more deltas than len() counts.
+            (range(-(2**63), 2**63 - 1), "too long"),
+        ],
+    )
+    def test_an_empty_range_or_one_past_int64_raises(self, deltas, match):
+        cfg = RotaryConfig.single_axis(32)
+        with pytest.raises(ConfigurationError, match=match):
+            decay_curve(deltas, make_even_partition(cfg, 2, "x"), cfg)
+
+    def test_a_range_makes_no_python_int_per_delta(self):
+        # A range's deltas are computed into their int64 array, so the traced
+        # peak is the curve's two arrays and a few blocks. Read one by one, a
+        # range of 10**5 deltas would first become a list of Python ints of
+        # 3.6 MB.
+        cfg = RotaryConfig.single_axis(32)
+        part = make_even_partition(cfg, 1, "x")
+        tracemalloc.start()
+        try:
+            curve = decay_curve(range(100_000), part, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = curve.delta_values.nbytes + sum(v.nbytes for v in curve.series.values())
+        assert peak < arrays + 4 * ropefreq.bands._BLOCK_BYTES
+
     def test_curve_peak_is_its_arrays_and_a_few_blocks(self):
         # The deltas go straight into their int64 array and the cosines are
         # taken from it a block at a time, so the traced peak is the curve's

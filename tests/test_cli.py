@@ -770,6 +770,47 @@ class TestSharedAttn:
         assert not emitted.exists() and not report_path.exists()
         assert capsys.readouterr().err.startswith(f"error: invalid config {cfg_path}: Exceeds")
 
+    @pytest.mark.parametrize("flags", [["--emit-config", "emitted.json"], []], ids=["emit-config", "run"])
+    def test_deeply_nested_config_exits_3_with_one_error_line(self, tmp_path, monkeypatch, capsys, flags):
+        # Past the interpreter's recursion limit json.loads raises RecursionError.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["shared-attn", str(path), *flags, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config {path}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"seed": 10, "seed": 12}',
+            '{"sharing": {"mode": "plain", "s": 1.0, "s": 2.0}}',
+            '{"sweep": [{"mode": "plain"}, {"mode": "plain", "s": 1.0, "mode": "none"}]}',
+        ],
+        ids=["top-level", "sharing", "sweep-item"],
+    )
+    def test_repeated_key_exits_3_naming_it(self, tmp_path, capsys, text):
+        # The repeated key is rejected wherever it sits, before any other check.
+        cfg_path, report_path = demo_config(tmp_path, PLAIN)
+        cfg_path.write_text(text)
+        emitted = tmp_path / "normalized.json"
+        for flags in (["--emit-config", str(emitted)], []):
+            assert main(["shared-attn", str(cfg_path), *flags, "--quiet"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid config {cfg_path}: duplicate key ")
+            assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_repeated_key_in_the_demo_is_named(self, tmp_path, capsys):
+        # A whole config, otherwise valid, with the seed given twice.
+        text = SHIPPED_DEMO.read_text()
+        assert text.count('"seed": 10') == 1
+        path = tmp_path / "demo.json"
+        path.write_text(text.replace('"seed": 10', '"seed": 10, "seed": 12'))
+        assert main(["shared-attn", str(path), "--emit-config", str(tmp_path / "e.json"), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"error: invalid config {path}: duplicate key 'seed'\n"
+
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["shared-attn", str(tmp_path / "nope.json"), "--quiet"]) == 4
 
@@ -1077,3 +1118,76 @@ class TestFailedWriteKeepsOldFile:
         assert main(argv + [str(out), "--quiet"]) == 4
         assert out.read_bytes() == b"old bytes\n"
         assert sorted(tmp_path.iterdir()) == sorted([cfg_path, out])
+
+
+class TestCommitRollsBack:
+    """A rename failing anywhere in the commit leaves exactly the files that were there."""
+
+    NAMES = ("a.json", "a.entry0.f4", "a.entry0.f4.json", "a.entry1.f4", "a.entry1.f4.json")
+
+    @pytest.mark.parametrize("earlier", [(), NAMES, NAMES[1:3]], ids=["clean", "all-earlier", "some-earlier"])
+    def test_failing_each_rename_exits_4_and_keeps_the_earlier_files(
+        self, tmp_path, monkeypatch, capsys, earlier
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        output = {"report": str(out / "a.json"), "attention": str(out / "a.f4")}
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output=output, sweep=[PLAIN, PLAIN])
+        replace, calls, fail_at = Path.replace, [], [None]
+
+        def failing_replace(self, target):
+            calls.append(self)
+            if len(calls) == fail_at[0]:
+                raise PermissionError(13, "Permission denied (injected)", str(target))
+            return replace(self, target)
+
+        def put_back_earlier_files():
+            for path in out.iterdir():
+                path.unlink()
+            for name in earlier:
+                (out / name).write_bytes(b"old " + name.encode())
+
+        monkeypatch.setattr(Path, "replace", failing_replace)
+        put_back_earlier_files()
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NAMES)
+        n_renames = len(calls)
+        assert n_renames >= len(self.NAMES)
+        for i in range(1, n_renames + 1):
+            put_back_earlier_files()
+            calls.clear()
+            fail_at[0] = i
+            assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno 13] ") and err.count("\n") == 1, (i, err)
+            assert any(err.endswith(f": {str(out / name)!r}\n") for name in self.NAMES), (i, err)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+                name: b"old " + name.encode() for name in earlier
+            }, i
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, out])
+
+    def test_failed_undo_keeps_the_earlier_files_in_the_hidden_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Every rename after the earlier files were moved aside fails, the
+        # undos too: those files must survive, in the staging directory.
+        out = tmp_path / "out"
+        out.mkdir()
+        output = {"report": str(out / "a.json"), "attention": str(out / "a.f4")}
+        cfg_path, _ = demo_config(tmp_path, PLAIN, output=output, sweep=[PLAIN, PLAIN])
+        for name in self.NAMES:
+            (out / name).write_bytes(b"old " + name.encode())
+        replace = Path.replace
+
+        def failing_replace(self, target):
+            if self.parent != out:  # not a target moved aside
+                raise PermissionError(13, "Permission denied (injected)", str(target))
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing_replace)
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
+        assert capsys.readouterr().err.startswith("error: [Errno 13] ")
+        [staging] = out.iterdir()
+        assert staging.name.startswith(".ropefreq-")
+        for name in self.NAMES:
+            assert b"old " + name.encode() in [p.read_bytes() for p in staging.rglob(name)]
