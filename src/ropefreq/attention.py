@@ -1,8 +1,9 @@
-"""Scaled-dot-product attention with rotary positions and key sharing.
+"""Shared-attention inputs: rotary queries and keys with key sharing.
 
 Tokens carry their own features (no learned projections: a token's query
 and key are both its feature vector), so attention here isolates the
-positional mechanics.
+positional mechanics. This module assembles the keys;
+:mod:`ropefreq.diagnostics` evaluates attention over them.
 
 :func:`build_shared_qkv` assembles the one setting studied: a target image
 plus its text tokens attend over their own keys concatenated with keys from
@@ -10,10 +11,6 @@ a reference image. Reference keys can be scaled uniformly, per frequency
 chunk (interpolating from ``s_hf`` at the fastest chunk to ``s_lf`` at the
 slowest), or given shifted positions. AdaIN re-statistics the target image
 features against the reference before any rotation.
-
-Attention is evaluated one block of query rows at a time (:func:`_blocks`,
-which yields softmax rows only); :func:`ropefreq.diagnostics.evaluate_shared`
-folds each block into its metrics and keeps none of them.
 
 Per-chunk scaling commutes with rotation (both act chunk-diagonally), so
 modulating before or after the rotary encoding is equivalent; this module
@@ -23,12 +20,11 @@ modulates rotated keys.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import Band, BandPartition
+from .bands import Band
 from .errors import ConfigurationError, ShapeError
 from .rope import RotaryConfig, _block_height, _out, _position, _positions, apply_rope_batch
 
@@ -324,102 +320,6 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     if np.any(degenerate):
         out[:, degenerate] = mean_y[degenerate]
     return out
-
-
-# Bytes of f64 logits one block of query rows may hold, counting every
-# logits buffer of the block. A block's height is this budget over the bytes
-# those buffers take per query row, so the working set stays flat however
-# many keys and heads there are.
-_BLOCK_BYTES = 4 * 2**20
-
-
-def _row_bytes(n_keys: int, heads: int) -> int:
-    """Bytes of f64 logits a block holds per query row over ``n_keys`` keys.
-
-    One row per logits buffer: the first head's, which becomes the head
-    average, and with more heads one that each further head is computed in.
-    """
-    return 8 * max(n_keys, 1) * min(heads, 2)
-
-
-def _block_rows(n_keys: int, heads: int = 1) -> int:
-    """Query rows per block for ``n_keys`` keys and ``heads`` heads."""
-    return _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES)
-
-
-def _check_heads(heads: int, band_partition: BandPartition | None, dim: int) -> None:
-    """Raise :class:`ConfigurationError` unless ``heads`` and the partition fit keys ``dim`` wide.
-
-    The partition must cover exactly the ``dim // 2`` chunks of the keys.
-    """
-    if heads < 1:
-        raise ConfigurationError(f"heads must be >= 1, got {heads}")
-    if dim % (2 * heads) != 0:
-        raise ConfigurationError(
-            f"dim={dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
-        )
-    if band_partition is not None:
-        if heads != 1:
-            raise ConfigurationError("per-band logit decomposition requires heads=1")
-        if not np.array_equal(band_partition.chunk_indices(), np.arange(dim // 2)):
-            raise ConfigurationError(
-                f"band decomposition needs a partition covering every chunk 0..{dim // 2 - 1}"
-            )
-
-
-def _logit_scale(head_dim: int) -> float:
-    """The factor a head's logits are scaled by: 1/sqrt of its width."""
-    return 1.0 / math.sqrt(head_dim)
-
-
-def _blocks(q_rot: np.ndarray, k_rot: np.ndarray, heads: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Evaluate attention one block of query rows at a time.
-
-    Yields ``(start, attention)``: the head-averaged softmax rows of query
-    rows ``start:start + len(attention)`` over every key, so each row is
-    exact. ``attention`` is a C-contiguous view of a buffer the next block
-    overwrites (the caller may compute in it): copy what must outlive it. A
-    block is :func:`_block_rows` high, so its logits buffers (two with more
-    than one head) together hold at most
-    ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
-
-    ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
-    a softmax row that is not finite (overflowing or NaN logits) raises
-    :class:`ConfigurationError` in its block.
-    """
-    head_dim = q_rot.shape[1] // heads
-    scale = _logit_scale(head_dim)
-    step = _block_rows(k_rot.shape[0], heads)
-    # Every block is computed into the same buffers, so one block is held
-    # however many there are, and no block's memory goes back to the
-    # allocator only to be asked for again.
-    logits = np.empty((min(heads, 2), min(step, q_rot.shape[0]), k_rot.shape[0]))
-    for start in range(0, q_rot.shape[0], step):
-        qb = q_rot[start : start + step]
-        attention = logits[0, : qb.shape[0]]
-        # Overflowing or NaN logits are caught by the finiteness guard below,
-        # so NumPy's own warnings about them would only be noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for h in range(heads):
-                sl = slice(h * head_dim, (h + 1) * head_dim)
-                a = logits[min(h, 1), : qb.shape[0]]
-                np.matmul(qb[:, sl], k_rot[:, sl].T, out=a)
-                a *= scale
-                a -= a.max(axis=1, keepdims=True)
-                np.exp(a, out=a)
-                total = a.sum(axis=1, keepdims=True)
-                # Each row holds exp(0) = 1, so a finite total means every
-                # entry is finite; NaN or overflow anywhere makes it non-finite.
-                if not np.isfinite(total).all():
-                    raise ConfigurationError(
-                        "attention softmax is not finite: the logits overflow or contain NaN"
-                    )
-                a /= total
-                if h > 0:
-                    attention += a
-        if heads > 1:
-            attention /= heads
-        yield start, attention
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,13 @@ from .attention import (
     BandMaskSpec,
     SharingParams,
     TimestepRamp,
-    _BLOCK_BYTES,
-    _check_heads,
     build_shared_qkv,
     chunk_scales,
     grid_positions,
     plan_shared,
 )
 from .bands import Band, BandPartition, decay_curve_to_csv, make_even_partition
-from .diagnostics import evaluate_shared
+from .diagnostics import _BLOCK_BYTES, _check_heads, evaluate_shared
 from .errors import ConfigurationError, RopeFreqError
 from .reportio import layout_to_json, sidecar_path, write_attention_matrix
 from .rope import RotaryConfig, frequencies
@@ -392,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig, stage) -> dict:
                 "sharing": _sharing_json(params),
                 "step": step,
                 "alignment": evaluation.alignment.as_dict(),
-                "notes": list(qkv.notes),
+                "notes": list(qkv.notes + evaluation.notes),
                 "n_queries": len(qkv.q),
                 "n_keys": len(qkv.k),
                 "band_attribution": None if attribution is None else attribution.mean_abs_logit,
@@ -437,8 +435,9 @@ def _all_or_nothing():
     Staged files sit in a hidden directory beside their targets. They are
     renamed into place only when the block completes, and are removed when
     it raises, so a run leaves either all of its outputs or none. A target
-    that is an existing directory (not a link, which is replaced) raises
-    when it is staged. Errors name the target, not its staged file.
+    that exists as neither a regular file nor a link (which is replaced),
+    such as a directory, a FIFO or a device, raises when it is staged.
+    Errors name the target, not its staged file.
 
     Before the first rename, each existing target is moved into the hidden
     directory; when a rename fails, every rename made is undone, last first,
@@ -451,6 +450,9 @@ def _all_or_nothing():
         path = Path(path)
         if path.is_dir() and not path.is_symlink():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if path.exists() and not (path.is_file() or path.is_symlink()):
+            # Renaming a file over it would replace the FIFO or device node itself.
+            raise OSError(f"not a regular file: {str(path)!r}")
         if path.parent not in staging:
             try:
                 staging[path.parent] = Path(tempfile.mkdtemp(prefix=".ropefreq-", dir=path.parent))
@@ -509,8 +511,8 @@ _CURVE_BYTES = 2**28
 def cmd_decay_curve(args) -> int:
     if args.delta_max < 0:
         raise ConfigurationError(f"--delta-max must be >= 0, got {args.delta_max}")
-    config = RotaryConfig.single_axis(args.dim, args.rope_base, args.axis)
-    partition = make_even_partition(config, args.bands, args.axis)
+    config = RotaryConfig.single_axis(args.dim, args.rope_base)
+    partition = make_even_partition(config, args.bands, "all")
     n_series = len(partition.bands) + args.include_full
     largest = _CURVE_BYTES // (8 * (1 + n_series)) - 1
     if args.delta_max > largest:
@@ -641,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta-max", type=int, default=64,
         help="largest shift; at most 8,388,607 for 3 bands, a cap on the CSV's size",
     )
-    p.add_argument("--axis", choices=["x", "y"], default="x")
     p.add_argument("--include-full", action="store_true", help="add a series over all chunks")
     p.set_defaults(func=cmd_decay_curve)
 

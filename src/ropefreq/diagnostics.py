@@ -10,19 +10,23 @@ no information about the reference competition.
 
 :func:`evaluate_shared` is the one evaluator: it reduces each block of query
 rows as it is computed, so no dense matrix is ever held. The attention
-kernel yields softmax rows only; the attribution fold takes each band's
-logits of a block's query rows itself, in the kernel's buffer.
+kernel, :func:`_blocks`, owns the block budget and the one logits buffer
+each block is computed in; it yields softmax rows only, and the folds that
+read them (alignment) or overwrite them with each band's logits
+(attribution) sit beside it.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import SharedQKV, _blocks, _check_heads, _logit_scale
+from .attention import SharedQKV
 from .bands import BandPartition
-from .errors import ShapeError
+from .errors import ConfigurationError, ShapeError
 from .rope import _block_height
 from .synthetic import PlantedScene
 
@@ -32,6 +36,118 @@ __all__ = [
     "SharedEvaluation",
     "evaluate_shared",
 ]
+
+# Bytes of f64 logits one block of query rows may hold, counting every
+# logits buffer of the block. A block's height is this budget over the bytes
+# those buffers take per query row, so the working set stays flat however
+# many keys and heads there are.
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _row_bytes(n_keys: int, heads: int) -> int:
+    """Bytes of f64 logits a block holds per query row over ``n_keys`` keys.
+
+    One row per logits buffer: the first head's, which becomes the head
+    average, and with more heads one that each further head is computed in.
+    """
+    return 8 * max(n_keys, 1) * min(heads, 2)
+
+
+def _block_rows(n_keys: int, heads: int = 1) -> int:
+    """Query rows per block for ``n_keys`` keys and ``heads`` heads."""
+    return _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES)
+
+
+def _check_heads(heads: int, band_partition: BandPartition | None, dim: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``heads`` and the partition fit keys ``dim`` wide.
+
+    The partition must cover exactly the ``dim // 2`` chunks of the keys.
+    """
+    if heads < 1:
+        raise ConfigurationError(f"heads must be >= 1, got {heads}")
+    if dim % (2 * heads) != 0:
+        raise ConfigurationError(
+            f"dim={dim} must be divisible by 2*heads={2 * heads} so heads own whole chunks"
+        )
+    if band_partition is not None:
+        if heads != 1:
+            raise ConfigurationError("per-band logit decomposition requires heads=1")
+        if not np.array_equal(band_partition.chunk_indices(), np.arange(dim // 2)):
+            raise ConfigurationError(
+                f"band decomposition needs a partition covering every chunk 0..{dim // 2 - 1}"
+            )
+
+
+# A head's softmax row is saturated when one key takes more than this share
+# of its weight; an entry is noted when over half of its image-query rows
+# and heads are.
+_SATURATED_WEIGHT = 0.99
+_SATURATED_NOTE = (
+    "softmax saturated: in over half of the image-query rows and heads,"
+    " one key takes over 0.99 of the weight"
+)
+
+
+def _logit_scale(head_dim: int) -> float:
+    """The factor a head's logits are scaled by: 1/sqrt of its width."""
+    return 1.0 / math.sqrt(head_dim)
+
+
+def _blocks(
+    q_rot: np.ndarray, k_rot: np.ndarray, heads: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Evaluate attention one block of query rows at a time.
+
+    Yields ``(start, attention, saturated)``: the head-averaged softmax rows
+    of query rows ``start:start + len(attention)`` over every key, so each
+    row is exact, and for each row the number of heads whose top weight
+    passes :data:`_SATURATED_WEIGHT`. ``attention`` is a C-contiguous view of
+    a buffer the next block overwrites (the caller may compute in it): copy
+    what must outlive it. A block is :func:`_block_rows` high, so its logits
+    buffers (two with more than one head) together hold at most
+    ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
+
+    ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
+    a softmax row that is not finite (overflowing or NaN logits) raises
+    :class:`ConfigurationError` in its block.
+    """
+    head_dim = q_rot.shape[1] // heads
+    scale = _logit_scale(head_dim)
+    step = _block_rows(k_rot.shape[0], heads)
+    # Every block is computed into the same buffers, so one block is held
+    # however many there are, and no block's memory goes back to the
+    # allocator only to be asked for again.
+    logits = np.empty((min(heads, 2), min(step, q_rot.shape[0]), k_rot.shape[0]))
+    for start in range(0, q_rot.shape[0], step):
+        qb = q_rot[start : start + step]
+        attention = logits[0, : qb.shape[0]]
+        saturated = np.zeros(qb.shape[0], dtype=np.intp)
+        # Overflowing or NaN logits are caught by the finiteness guard below,
+        # so NumPy's own warnings about them would only be noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in range(heads):
+                sl = slice(h * head_dim, (h + 1) * head_dim)
+                a = logits[min(h, 1), : qb.shape[0]]
+                np.matmul(qb[:, sl], k_rot[:, sl].T, out=a)
+                a *= scale
+                a -= a.max(axis=1, keepdims=True)
+                np.exp(a, out=a)
+                total = a.sum(axis=1, keepdims=True)
+                # Each row holds exp(0) = 1, so a finite total means every
+                # entry is finite; NaN or overflow anywhere makes it non-finite.
+                if not np.isfinite(total).all():
+                    raise ConfigurationError(
+                        "attention softmax is not finite: the logits overflow or contain NaN"
+                    )
+                a /= total
+                # A row's top weight is exp(0) / total: no pass over the row.
+                saturated += 1 / total[:, 0] > _SATURATED_WEIGHT
+                if h > 0:
+                    attention += a
+        if heads > 1:
+            attention /= heads
+        yield start, attention, saturated
+
 
 # Bytes of <f4 rows cast and written at a time when a matrix is streamed.
 _WRITE_BYTES = 256 * 2**10
@@ -208,11 +324,13 @@ class SharedEvaluation:
     """One shared-attention evaluation, reduced block by block.
 
     ``attribution`` is ``None`` without a band partition or without
-    reference keys.
+    reference keys. ``notes`` holds one fixed note when more than half of
+    the (image-query row, head) pairs are saturated (:func:`_blocks`).
     """
 
     alignment: AlignmentMetrics
     attribution: BandAttribution | None
+    notes: tuple[str, ...]
 
 
 def evaluate_shared(
@@ -240,8 +358,10 @@ def evaluate_shared(
         attribution = _AttributionFold(band_partition, qkv, align.n)
     q = qkv.q
     chunk = _block_height(4 * qkv.k.shape[0], _WRITE_BYTES)
-    for start, attention in _blocks(q, qkv.k, heads):
+    saturated = 0  # (image-query row, head) pairs
+    for start, attention, block_saturated in _blocks(q, qkv.k, heads):
         align.add(start, attention)
+        saturated += int(block_saturated[: max(align.n - start, 0)].sum())
         if attention_out is not None:
             for row in range(0, attention.shape[0], chunk):
                 attention_out.write(attention[row : row + chunk].astype("<f4"))
@@ -250,4 +370,5 @@ def evaluate_shared(
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),
+        notes=(_SATURATED_NOTE,) if 2 * saturated > align.n * heads else (),
     )

@@ -190,3 +190,30 @@ for argv in "decay-curve --out" "schedule --s-hf 0.3 --s-lf 1.2 --out" "bands --
   rc=0; $ROPEFREQ $argv "" || rc=$?
   test "$rc" -eq 2; test -z "$(ls -A)"
 done
+cd ..
+# An output that is a FIFO exits 4 with one error: line, is still a FIFO,
+# and nothing is written beside it.
+mkdir fifo && cd fifo
+mkfifo out
+for argv in "decay-curve --delta-max 3 --out" "schedule --s-hf 0.3 --s-lf 1.2 --out" \
+    "bands --out" "shared-attn $demo --out" "shared-attn $demo --emit-config"; do
+  rc=0; $ROPEFREQ $argv out --quiet 2> ../fifo.err || rc=$?
+  test "$rc" -eq 4; test "$(wc -l < ../fifo.err)" -eq 1; grep -q '^error: ' ../fifo.err
+  test -p out; test "$(ls -A)" = out
+done
+cd ..
+# The demo with a third, saturated sweep entry exits 0, and only that
+# entry's notes hold the saturation note.
+python - "$demo" <<'EOF'
+import json, sys
+demo = json.load(open(sys.argv[1]))
+demo["sweep"].append({"mode": "plain", "s": 1e200})
+json.dump(demo, open("saturated.json", "w"))
+EOF
+$ROPEFREQ shared-attn saturated.json --out saturated_report.json --quiet
+python - <<'EOF'
+import json
+notes = [entry["notes"] for entry in json.load(open("saturated_report.json"))["entries"]]
+assert len(notes) == 3 and notes[:2] == [[], []], notes
+assert len(notes[2]) == 1 and notes[2][0].startswith("softmax saturated: "), notes
+EOF

@@ -25,6 +25,18 @@ def dense_softmax(q, k, heads=1):
     return attention / heads
 
 
+def dense_saturated(q, k, heads=1):
+    """Per query row, the heads whose softmax row gives one key over 0.99 of its weight."""
+    head_dim = q.shape[1] // heads
+    counts = np.zeros(q.shape[0], dtype=int)
+    for h in range(heads):
+        sl = slice(h * head_dim, (h + 1) * head_dim)
+        logits = (q[:, sl] @ k[:, sl].T) * (1.0 / math.sqrt(head_dim))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        counts += (e / e.sum(axis=1, keepdims=True)).max(axis=1) > 0.99
+    return counts
+
+
 def dense_band_logits(q, k, partition):
     """Each band's share of the scaled single-head logits, shaped (bands, nq, nk)."""
     scale = 1.0 / math.sqrt(q.shape[1])

@@ -40,8 +40,8 @@ from ropefreq import (
     relative_inner_product,
     shift_positions,
 )
-from ropefreq.attention import _blocks, _column_stats
-from ropefreq.diagnostics import _band_panels
+from ropefreq.attention import _column_stats
+from ropefreq.diagnostics import _band_panels, _blocks
 from ropefreq.reportio import layout_to_json
 
 CFG = RotaryConfig(dim=32)
@@ -184,7 +184,7 @@ def kernel(qf, qpos, kf, kpos, heads=1):
     """
     q_rot = apply_rope_batch(qf, qpos, CFG)
     k_rot = apply_rope_batch(kf, kpos, CFG)
-    ((start, attention),) = _blocks(q_rot, k_rot, heads)
+    ((start, attention, _),) = _blocks(q_rot, k_rot, heads)
     assert start == 0
     return attention
 

@@ -14,10 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ropefreq.attention
 import ropefreq.diagnostics
 import ropefreq.rope
-from dense_reference import dense_alignment, dense_attribution, dense_softmax, streamed_evaluation
+from dense_reference import (
+    dense_alignment,
+    dense_attribution,
+    dense_saturated,
+    dense_softmax,
+    streamed_evaluation,
+)
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -74,17 +79,19 @@ def ragged_blocks(monkeypatch):
     """Shrink the block budget so each evaluation takes several ragged blocks."""
 
     def for_keys(n_keys, heads):
-        budget = ROWS_PER_BLOCK * ropefreq.attention._row_bytes(n_keys, heads)
-        monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", budget)
+        budget = ROWS_PER_BLOCK * ropefreq.diagnostics._row_bytes(n_keys, heads)
+        monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
 
     return for_keys
 
 
 def stacked_blocks(q, k, heads, rows=ROWS_PER_BLOCK):
     """The softmax blocks of the kernel over ``q`` and ``k``, stacked in query order."""
-    assert ropefreq.attention._block_rows(k.shape[0], heads) == rows
+    assert ropefreq.diagnostics._block_rows(k.shape[0], heads) == rows
     # Each block is copied as it comes: the next one overwrites its buffer.
-    blocks = [(start, attention.copy()) for start, attention in ropefreq.attention._blocks(q, k, heads)]
+    blocks = [
+        (start, attention.copy()) for start, attention, _ in ropefreq.diagnostics._blocks(q, k, heads)
+    ]
     assert len(blocks) > 1 and [start for start, _ in blocks] == list(range(0, q.shape[0], rows))
     return np.vstack([attention for _, attention in blocks])
 
@@ -129,6 +136,19 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     got = evaluation.attribution
     assert got.n_pairs == GRID**4
     assert got.mean_abs_logit == pytest.approx(dense_attribution(qkv, partition), abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("s", [1.0, 100.0, 1e200])
+def test_saturated_counts_are_each_rows_saturated_heads(s, heads, ragged_blocks):
+    # At s = 100 some rows saturate and some do not, in one head or both.
+    scene, text = scene_and_text()
+    qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="plain", s=s), CFG)
+    ragged_blocks(len(qkv.k), heads)
+    counts = np.concatenate(
+        [saturated.copy() for _, _, saturated in ropefreq.diagnostics._blocks(qkv.q, qkv.k, heads)]
+    )
+    np.testing.assert_array_equal(counts, dense_saturated(qkv.q, qkv.k, heads))
 
 
 def test_non_finite_logits_raise_without_a_numpy_warning():
@@ -237,7 +257,7 @@ def test_evaluation_holds_one_block():
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     partition = make_even_partition(config, 3, "all")
     _, peak = traced_growth(evaluate_shared, qkv, scene, band_partition=partition)
-    block = 8 * ropefreq.attention._block_rows(len(qkv.k)) * len(qkv.k)
+    block = 8 * ropefreq.diagnostics._block_rows(len(qkv.k)) * len(qkv.k)
     assert peak < block + 2**20
 
 
@@ -256,7 +276,7 @@ def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     _, peak = traced_growth(evaluate_shared, qkv, scene, attention_out=_Discard())
-    block = 8 * ropefreq.attention._block_rows(len(qkv.k)) * len(qkv.k)
+    block = 8 * ropefreq.diagnostics._block_rows(len(qkv.k)) * len(qkv.k)
     assert peak < block + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
 
@@ -270,7 +290,7 @@ def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     _, peak = traced_growth(evaluate_shared, qkv, scene, heads=heads, attention_out=_Discard())
-    assert peak < ropefreq.attention._BLOCK_BYTES + ropefreq.diagnostics._WRITE_BYTES + 2**20
+    assert peak < ropefreq.diagnostics._BLOCK_BYTES + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
 
 class _Chunks:
@@ -308,8 +328,8 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, step, chunk):
     assert n_queries == n + text_tokens and n_keys == n_queries + n
     # With text tokens and blocks of more than one row, the last block holds both kinds of row.
     assert text_tokens == 0 or step == 1 or (n - 1) // step == (n_queries - 1) // step
-    budget = step * ropefreq.attention._row_bytes(n_keys, 1)
-    monkeypatch.setattr(ropefreq.attention, "_BLOCK_BYTES", budget)
+    budget = step * ropefreq.diagnostics._row_bytes(n_keys, 1)
+    monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
     partition = make_even_partition(config, 3, "all")
     out = _Chunks()

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import stat
 import threading
 import time
 import tracemalloc
@@ -155,18 +157,17 @@ class TestDecayCurveChunks:
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     @pytest.mark.parametrize(
         "flags",
-        [["--include-full"], ["--axis", "y"], ["--bands", "1"], ["--bands", "5"]],
-        ids=["include-full", "axis-y", "bands-1", "bands-5"],
+        [["--include-full"], ["--bands", "1"], ["--bands", "5"]],
+        ids=["include-full", "bands-1", "bands-5"],
     )
     def test_chunked_csv_is_the_whole_curve(self, tmp_path, calls, n, flags):
         threads = threading.active_count()
         out = tmp_path / "c.csv"
         argv = ["decay-curve", "--delta-max", str(n - 1), "--out", str(out), "--quiet"]
         assert main(argv + flags) == 0
-        axis = "y" if "y" in flags else "x"
         n_bands = int(flags[1]) if flags[0] == "--bands" else 3
-        config = RotaryConfig.single_axis(128, 10000.0, axis)
-        partition = make_even_partition(config, n_bands, axis)
+        config = RotaryConfig.single_axis(128, 10000.0)
+        partition = make_even_partition(config, n_bands, "all")
         whole = io.StringIO()
         curve = decay_curve(range(n), partition, config, include_full="--include-full" in flags)
         whole.write(ropefreq._csvrows.HEADER)
@@ -354,6 +355,50 @@ class TestDirectoryTarget:
         assert list(tmp_path.iterdir()) == [target]
 
 
+class TestFifoTarget:
+    """An output target that exists as neither a regular file nor a link is refused as it stands."""
+
+    def assert_refused(self, capsys, fifo):
+        assert capsys.readouterr().err == f"error: not a regular file: {str(fifo)!r}\n"
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay-curve", "--delta-max", "3", "--out"],
+            ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--out"],
+            ["bands", "--out"],
+            ["shared-attn", "CONFIG", "--out"],
+            ["shared-attn", "CONFIG", "--emit-config"],
+        ],
+        ids=["decay-curve", "schedule", "bands", "shared-attn", "emit-config"],
+    )
+    def test_every_writing_subcommand_exits_4_and_writes_nothing(self, tmp_path, capsys, argv):
+        cfg_path, _ = demo_config(tmp_path, PLAIN)
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        argv = [str(cfg_path) if a == "CONFIG" else a for a in argv]
+        assert main(argv + [str(fifo), "--quiet"]) == 4
+        self.assert_refused(capsys, fifo)
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, fifo])
+
+    @pytest.mark.parametrize("target", ["report.json", "attn.entry1.f4", "attn.entry1.f4.json"])
+    def test_shared_attn_evaluates_nothing(self, tmp_path, monkeypatch, capsys, target):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg_path, _ = demo_config(
+            tmp_path, PLAIN, sweep=[PLAIN, PLAIN],
+            output={"report": str(out / "report.json"), "attention": str(out / "attn.f4")},
+        )
+        os.mkfifo(out / target)
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_shared", lambda *args, **kwargs: calls.append(args))
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 4
+        assert calls == []
+        self.assert_refused(capsys, out / target)
+        assert list(out.iterdir()) == [out / target]
+
+
 class TestSubcommandFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -362,8 +407,12 @@ class TestSubcommandFlags:
             ["schedule", "--s-hf", "0.5", "--s-lf", "1.0", "--seed", "1", "--out", "x.csv"],
             ["bands", "--seed", "1"],
             ["schedule", "--s-hf", "0.5", "--s-lf", "1.0"],
+            ["decay-curve", "--axis", "x", "--out", "x.csv"],
         ],
-        ids=["decay-curve-seed", "schedule-seed", "bands-seed", "schedule-without-out"],
+        ids=[
+            "decay-curve-seed", "schedule-seed", "bands-seed", "schedule-without-out",
+            "decay-curve-axis",
+        ],
     )
     def test_misplaced_or_missing_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -1001,6 +1050,18 @@ class TestShippedDemoConfig:
             fa["alignment"]["argmax_positional_rate"]
             < plain["alignment"]["argmax_positional_rate"]
         )
+
+    def test_a_saturated_entry_is_noted_alone(self, tmp_path):
+        cfg = json.loads(SHIPPED_DEMO.read_text())
+        cfg["sweep"].append({"mode": "plain", "s": 1e200})
+        (tmp_path / "sat.json").write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert main(["shared-attn", str(tmp_path / "sat.json"), "--out", str(out), "--quiet"]) == 0
+        notes = [entry["notes"] for entry in json.loads(out.read_text())["entries"]]
+        assert notes == [[], [], [
+            "softmax saturated: in over half of the image-query rows and heads,"
+            " one key takes over 0.99 of the weight"
+        ]]
 
 
 class TestBuildRotary:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dense_reference import dense_attribution, dense_band_logits, evaluate_with_reference
+from dense_reference import dense_attribution, dense_band_logits, dense_saturated, evaluate_with_reference
 from ropefreq import (
     Band,
     BandMaskSpec,
@@ -197,6 +197,43 @@ class TestBandAttribution:
         )
         masked_m = run(scene, text, masked, config=cfg)[0].alignment
         assert masked_m.positional_mass < plain_m.positional_mass
+
+
+SATURATED = (
+    "softmax saturated: in over half of the image-query rows and heads,"
+    " one key takes over 0.99 of the weight"
+)
+
+
+class TestSaturationNote:
+    """The note fires when over half of the (image-query row, head) pairs give one key > 0.99."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("s", [1.0, 50.0, 60.0, 90.0, 100.0, 1e200])
+    def test_note_follows_the_dense_count_of_image_rows(self, s, heads):
+        # At s = 90 with two heads exactly half of the pairs saturate: no note.
+        scene, text = basic_scene()
+        evaluation, _, qkv = run(scene, text, SharingParams(mode="plain", s=s), heads=heads)
+        n = scene.target.n_tokens
+        pairs = int(dense_saturated(qkv.q, qkv.k, heads)[:n].sum())
+        assert evaluation.notes == ((SATURATED,) if 2 * pairs > n * heads else ())
+
+    def test_saturated_text_rows_are_not_counted(self):
+        # Image features in the first 16 columns and text features in the
+        # last 16 stay orthogonal under rotation, which turns column pairs.
+        # Each text row's own key then takes all its weight; no image row's does.
+        n, t = 4, 12
+        image = np.zeros((n, 32))
+        image[:, :16] = np.random.default_rng(0).standard_normal((n, 16)) / 4
+        text = np.zeros((t, 32))
+        text[:, 16 : 16 + t] = 100 * np.eye(t)
+        target = TokenSet(image, grid_positions(2, 2))
+        scene = PlantedScene(target, target, np.arange(n))
+        text_set = TokenSet(text, np.zeros((t, 2), dtype=np.int64))
+        qkv = build_shared_qkv(target, text_set, target, SharingParams(mode="none"), CFG)
+        saturated = dense_saturated(qkv.q, qkv.k)
+        assert saturated[n:].all() and not saturated[:n].any()
+        assert evaluate_shared(qkv, scene).notes == ()
 
 
 class TestChecksAgainstTheKeys:

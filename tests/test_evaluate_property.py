@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import ropefreq.attention
+import ropefreq.diagnostics
 from dense_reference import dense_alignment, dense_attribution, dense_softmax, streamed_evaluation
 from ropefreq import (
     Band,
@@ -86,13 +86,13 @@ def setups(draw):
 def test_blocked_evaluation_equals_dense_reference(setup):
     config, scene, text, params, step, heads, partition, rows_per_block = setup
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
-    budget = rows_per_block * ropefreq.attention._row_bytes(qkv.k.shape[0], heads)
-    with mock.patch.object(ropefreq.attention, "_BLOCK_BYTES", budget):
+    budget = rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
+    with mock.patch.object(ropefreq.diagnostics, "_BLOCK_BYTES", budget):
         evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
         # Each block is copied as it comes: the next one overwrites its buffer.
         blocks = [
             (start, attention.copy())
-            for start, attention in ropefreq.attention._blocks(qkv.q, qkv.k, heads)
+            for start, attention, _ in ropefreq.diagnostics._blocks(qkv.q, qkv.k, heads)
         ]
     assert [start for start, _ in blocks] == list(range(0, qkv.q.shape[0], rows_per_block))
     stacked = np.vstack([attention for _, attention in blocks])

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ropefreq.attention import _block_rows
 from ropefreq.cli import ExperimentConfig, _all_or_nothing, run_experiment
-from ropefreq.diagnostics import _WRITE_BYTES
+from ropefreq.diagnostics import _WRITE_BYTES, _block_rows
 
 
 def demo_config(grid: int, heads: int, bands, attention) -> ExperimentConfig:
