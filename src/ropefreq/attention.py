@@ -48,6 +48,10 @@ __all__ = [
 SHARING_MODES = ("none", "plain", "frequency_aware", "shifted")
 
 ADAIN_STD_FLOOR = 1e-8
+# The note an entry gets when AdaIN passes target channels through as the reference mean.
+_ADAIN_FALLBACK_NOTE = (
+    "AdaIN fallback: {} target channels have std below 1e-8 and pass through as the reference mean"
+)
 
 
 def grid_positions(width: int, height: int) -> np.ndarray:
@@ -302,6 +306,11 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     C-contiguous f64 array of ``x``'s shape which may be ``x`` itself, and
     ``out`` is returned. Besides ``out`` it holds one block of rows (:func:`_column_stats`).
     """
+    return _adain(x, y, out)[0]
+
+
+def _adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """:func:`adain`'s result, and how many channels of ``x`` passed through as ``mean(y)``."""
     xm = np.asarray(x, dtype=np.float64)
     ym = np.asarray(y, dtype=np.float64)
     if xm.ndim != 2 or ym.ndim != 2 or xm.shape[1] != ym.shape[1]:
@@ -317,9 +326,10 @@ def adain(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     out /= safe_std
     out *= std_y
     out += mean_y
-    if np.any(degenerate):
+    n_degenerate = int(np.count_nonzero(degenerate))
+    if n_degenerate:
         out[:, degenerate] = mean_y[degenerate]
-    return out
+    return out, n_degenerate
 
 
 @dataclass(frozen=True)
@@ -396,7 +406,8 @@ def build_shared_qkv(
 
     Besides the plan's checks, text tokens must sit at (0, 0) (else :class:`ConfigurationError`),
     the reference at the target's positions unless the mode is "none" (else :class:`ShapeError`),
-    and reference keys that overflow when scaled raise :class:`ConfigurationError`.
+    and reference keys that overflow when scaled raise :class:`ConfigurationError`. The notes are
+    the plan's, and one more when AdaIN passes target channels through as the reference mean.
     """
     if target.dim != config.dim or reference.dim != config.dim or target_text.dim != config.dim:
         raise ShapeError(f"all feature widths must equal {config.dim}")
@@ -412,9 +423,11 @@ def build_shared_qkv(
     n, t, n_ref = target.n_tokens, target_text.n_tokens, reference.n_tokens
     n_rows = n + t + (n_ref if params.mode != "none" else 0)
     k = np.empty((n_rows, config.dim)) if out is None else _out(out, (n + t + n_ref, config.dim))[:n_rows]
-    img_feats = target.features
+    img_feats, notes = target.features, plan.notes
     if params.adain_enabled and params.mode != "none":
-        img_feats = adain(img_feats, reference.features, out=k[:n])
+        img_feats, n_degenerate = _adain(img_feats, reference.features, out=k[:n])
+        if n_degenerate:
+            notes += (_ADAIN_FALLBACK_NOTE.format(n_degenerate),)
     apply_rope_batch(img_feats, target.positions, config, out=k[:n])
     apply_rope_batch(target_text.features, target_text.positions, config, out=k[n : n + t])
     if params.mode != "none":
@@ -430,7 +443,7 @@ def build_shared_qkv(
         except FloatingPointError as exc:
             raise ConfigurationError("the scaled reference keys overflow a float") from exc
 
-    return SharedQKV(k=k, parts=plan.parts, notes=plan.notes)
+    return SharedQKV(k=k, parts=plan.parts, notes=notes)
 
 
 def shift_positions(positions: np.ndarray, offset) -> np.ndarray:

@@ -10,10 +10,11 @@ no information about the reference competition.
 
 :func:`evaluate_shared` is the one evaluator: it reduces each block of query
 rows as it is computed, so no dense matrix is ever held. The attention
-kernel, :func:`_blocks`, owns the block budget and the one logits buffer
-each block is computed in; it yields softmax rows only, and the folds that
-read them (alignment) or overwrite them with each band's logits
-(attribution) sit beside it.
+kernel, :func:`_blocks`, yields softmax rows a block at a time, and the
+alignment fold reads them as they come. Band attribution is a pass of its
+own after the kernel, over fixed groups of image-query rows, so its sums
+do not depend on how high a logits block is. Both run in one work buffer
+that :func:`evaluate_shared` allocates once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ __all__ = [
 # many keys and heads there are.
 _BLOCK_BYTES = 4 * 2**20
 
+# The most query rows a logits block holds, so that a block over few keys
+# holds no more than it needs: at 32x32 with two heads, 64 rows take 2 MiB
+# where the budget's 127 took 4 MiB. From 64x64 up the budget stops a block first.
+_MAX_BLOCK_ROWS = 64
+
 
 def _row_bytes(n_keys: int, heads: int) -> int:
     """Bytes of f64 logits a block holds per query row over ``n_keys`` keys.
@@ -54,8 +60,8 @@ def _row_bytes(n_keys: int, heads: int) -> int:
 
 
 def _block_rows(n_keys: int, heads: int = 1) -> int:
-    """Query rows per block for ``n_keys`` keys and ``heads`` heads."""
-    return _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES)
+    """Query rows per logits block for ``n_keys`` keys and ``heads`` heads."""
+    return min(_MAX_BLOCK_ROWS, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES))
 
 
 def _check_heads(heads: int, band_partition: BandPartition | None, dim: int) -> None:
@@ -93,8 +99,13 @@ def _logit_scale(head_dim: int) -> float:
     return 1.0 / math.sqrt(head_dim)
 
 
+def _logits_shape(n_queries: int, n_keys: int, heads: int) -> tuple[int, int, int]:
+    """The shape of the logits buffers of one block (:func:`_blocks`)."""
+    return min(heads, 2), min(_block_rows(n_keys, heads), n_queries), n_keys
+
+
 def _blocks(
-    q_rot: np.ndarray, k_rot: np.ndarray, heads: int
+    q_rot: np.ndarray, k_rot: np.ndarray, heads: int, work: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Evaluate attention one block of query rows at a time.
 
@@ -105,7 +116,9 @@ def _blocks(
     a buffer the next block overwrites (the caller may compute in it): copy
     what must outlive it. A block is :func:`_block_rows` high, so its logits
     buffers (two with more than one head) together hold at most
-    ``_BLOCK_BYTES``, or one row of each when a row alone passes it.
+    ``_BLOCK_BYTES``, or one row of each when a row alone passes it. They are
+    the leading elements of ``work``, a flat f64 array of at least as many
+    elements as :func:`_logits_shape` (a new one when it is ``None``).
 
     ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
     a softmax row that is not finite (overflowing or NaN logits) raises
@@ -117,7 +130,8 @@ def _blocks(
     # Every block is computed into the same buffers, so one block is held
     # however many there are, and no block's memory goes back to the
     # allocator only to be asked for again.
-    logits = np.empty((min(heads, 2), min(step, q_rot.shape[0]), k_rot.shape[0]))
+    shape = _logits_shape(q_rot.shape[0], k_rot.shape[0], heads)
+    logits = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
     for start in range(0, q_rot.shape[0], step):
         qb = q_rot[start : start + step]
         attention = logits[0, : qb.shape[0]]
@@ -287,12 +301,17 @@ def _band_panels(qb: np.ndarray, ref_k: np.ndarray, partition: BandPartition, pa
 
 
 class _AttributionFold:
-    """Per-band |logit| sums over image queries x reference keys, one block at a time.
+    """Per-band |logit| sums over image queries x reference keys, one group of rows at a time.
 
     Built from the partition, the assembled keys and ``n``, the number of
-    image queries (the first rows); feed :meth:`add` each block's query rows
-    and its used softmax rows, whose buffer holds each band's ``(rows, N_ref)``
-    panel as a C-contiguous view, then read :meth:`result`.
+    image queries (the first rows); feed :meth:`add` the query rows of each
+    group in order, then read :meth:`result`. A group is :attr:`rows` high,
+    the one-head f64 logits rows that fit in ``_BLOCK_BYTES``, whatever
+    height the logits blocks are: fixed row groups keep the sums' rounding
+    reproducible (Demmel & Nguyen, ARITH 2013). The last group's product
+    takes the text rows after it too, up to that height, and sums only its
+    image rows, since BLAS may round a product otherwise when it multiplies
+    fewer rows at once (one row goes by gemv).
     """
 
     def __init__(self, partition: BandPartition, qkv: SharedQKV, n: int) -> None:
@@ -301,13 +320,17 @@ class _AttributionFold:
         self.ref_k = qkv.ref
         self.n_pairs = n * len(self.ref_k)
         self.totals = np.zeros(len(partition.bands))
+        self.rows = _block_height(_row_bytes(len(qkv.k), 1), _BLOCK_BYTES)
+        # Elements of one group's band panel, which add computes in.
+        self.panel_size = min(self.rows, len(qkv.q)) * len(self.ref_k)
 
-    def add(self, start: int, qb: np.ndarray, attention: np.ndarray) -> None:
-        """Fold the band logits of query rows ``qb`` (from ``start``), computed in ``attention``."""
+    def add(self, start: int, qb: np.ndarray, work: np.ndarray) -> None:
+        """Fold the band logits of the image rows among query rows ``qb`` (from ``start``).
+
+        They are computed in ``work``, a flat f64 array of at least :attr:`panel_size` elements.
+        """
         rows = min(len(qb), self.n - start)
-        if rows <= 0:
-            return
-        panel = attention.reshape(-1)[: len(qb) * len(self.ref_k)].reshape(len(qb), -1)
+        panel = work[: len(qb) * len(self.ref_k)].reshape(len(qb), -1)
         for i, panel in enumerate(_band_panels(qb, self.ref_k, self.partition, panel)):
             self.totals[i] += np.abs(panel[:rows], out=panel[:rows]).sum()
 
@@ -346,27 +369,40 @@ def evaluate_shared(
     running sums, written to the open binary file ``attention_out`` (when
     given) as head-averaged ``<f4`` rows, and dropped, so the file ends up
     holding the ``(n_queries, n_keys)`` matrix row-major. Per-band logits
-    are taken against the reference keys only, in the block's buffer once its
-    rows are folded and written. Positional alignment is exact grid equality
-    of a query and a reference key; without reference keys all alignment is 0.
-    ``heads`` and ``band_partition`` are checked against the width of the keys.
+    are taken against the reference keys only, after the last block, over
+    fixed groups of image-query rows (:class:`_AttributionFold`), so their
+    sums do not depend on the height of a block. The blocks and the band
+    panels are computed in one work buffer. Positional alignment is exact
+    grid equality of a query and a reference key; without reference keys
+    all alignment is 0. ``heads`` and ``band_partition`` are checked against
+    the width of the keys.
     """
     align = _AlignmentFold(qkv, scene)
     _check_heads(heads, band_partition, qkv.k.shape[1])
+    q, n_keys = qkv.q, qkv.k.shape[0]
+    shape = _logits_shape(len(q), n_keys, heads)
+    size = math.prod(shape)
     attribution = None
     if band_partition is not None and align.has_reference:
         attribution = _AttributionFold(band_partition, qkv, align.n)
-    q = qkv.q
-    chunk = _block_height(4 * qkv.k.shape[0], _WRITE_BYTES)
+        size = max(size, attribution.panel_size)
+    work = np.empty(size)
+    if attention_out is not None:
+        chunk = _block_height(4 * n_keys, _WRITE_BYTES)
+        # Rows are cast into this one buffer and written from it.
+        f4 = np.empty((min(chunk, shape[1]), n_keys), dtype="<f4")
     saturated = 0  # (image-query row, head) pairs
-    for start, attention, block_saturated in _blocks(q, qkv.k, heads):
+    for start, attention, block_saturated in _blocks(q, qkv.k, heads, work):
         align.add(start, attention)
         saturated += int(block_saturated[: max(align.n - start, 0)].sum())
         if attention_out is not None:
             for row in range(0, attention.shape[0], chunk):
-                attention_out.write(attention[row : row + chunk].astype("<f4"))
-        if attribution is not None:
-            attribution.add(start, q[start : start + attention.shape[0]], attention)
+                rows = attention[row : row + chunk]
+                np.copyto(f4[: len(rows)], rows)
+                attention_out.write(f4[: len(rows)])
+    if attribution is not None:
+        for start in range(0, align.n, attribution.rows):
+            attribution.add(start, q[start : start + attribution.rows], work)
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),

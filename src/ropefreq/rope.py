@@ -192,8 +192,10 @@ def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
 
 # Bytes one block of rows may hold in the loops that take a fixed budget of
 # f64 rows at a time: rotation angles (a block holds four arrays of this size,
-# _rotate_pairs), AdaIN's statistics and the scene builders.
-_ROWS_BYTES = 2**20
+# _rotate_pairs), AdaIN's statistics and the scene builders. The four
+# rotation arrays (1 MiB) stay below a one-head logits block of 64 rows
+# from 32x32 up, so assembly does not set a run's peak there.
+_ROWS_BYTES = 256 * 2**10
 
 
 def _block_height(row_bytes: int, budget: int | None = None) -> int:

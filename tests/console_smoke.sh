@@ -8,18 +8,41 @@
 # `python` must import the same ropefreq. Outputs go to a new directory
 # under $TMPDIR. Each check is its own command: under bash -e a failure
 # before the last command of an && list does not stop the script.
+#
+# The steps' stderr goes to stderr.log there, shown when the script ends.
+# A step that prints "Exception ignored" (a ResourceWarning from a file
+# left to the garbage collector, under PYTHONWARNINGS=error) fails the
+# script, though the step itself exits 0.
 set -e
 trap 'echo "console_smoke.sh: line $LINENO failed" >&2' ERR
 ROPEFREQ=${ROPEFREQ:-ropefreq}
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 demo="$root/configs/copying_demo.json"
 cd "$(mktemp -d)"
+exec 3>&2 2> stderr.log
+trap 'rc=$?; cat stderr.log >&3
+if grep -q "Exception ignored" stderr.log; then
+  echo "console_smoke.sh: a step printed \"Exception ignored\"" >&3; rc=1
+fi
+exit $rc' EXIT
+# Writes config $1 to $2 with output.attention set to $3, after merging
+# in the JSON object $4 when it is given.
+with_attention() {
+  python - "$@" <<'EOF'
+import json, pathlib, sys
+config = json.loads(pathlib.Path(sys.argv[1]).read_text())
+config.update(json.loads(sys.argv[4]) if len(sys.argv) > 4 else {})
+config["output"]["attention"] = sys.argv[3]
+pathlib.Path(sys.argv[2]).write_text(json.dumps(config))
+EOF
+}
 $ROPEFREQ decay-curve --delta-max 8 --out curve.csv --quiet
 # Every row of a longer curve, laid out by array arithmetic or
 # written by %, is "%d,%s,%.17g" of its own parsed fields.
 $ROPEFREQ decay-curve --delta-max 20000 --include-full --out full.csv --quiet
 python - <<'EOF'
-lines = open("full.csv").read().split("\n")
+import pathlib
+lines = pathlib.Path("full.csv").read_text().split("\n")
 assert lines[0] == "delta,band,mean_similarity" and lines[-1] == ""
 assert len(lines) == 2 + 4 * 20001, len(lines)
 for line in lines[1:-1]:
@@ -65,8 +88,7 @@ $ROPEFREQ shared-attn every_once.json --emit-config every_twice.json --quiet
 cmp every_once.json every_twice.json
 # Run with output.attention, its report, <f4 matrices and sidecars are
 # byte for byte the frozen ones in tests/fixtures/shared_attn.
-python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["output"]["attention"] = "attn.f4"; json.dump(c, open("every_attn.json", "w"))' \
-  "$root/tests/fixtures/emit_config/every_sharing_key.config.json"
+with_attention "$root/tests/fixtures/emit_config/every_sharing_key.config.json" every_attn.json attn.f4
 mkdir every && cd every
 $ROPEFREQ shared-attn ../every_attn.json --out every_sharing_key.report.json --quiet
 test "$(ls | wc -l)" -eq 11
@@ -81,10 +103,10 @@ rc=0; $ROPEFREQ decay-curve --delta-max 1000000000000 --out big.csv --quiet || r
 test "$rc" -eq 3; test ! -e big.csv
 # The demo with output.attention: each streamed matrix holds
 # exactly 4*rows*cols bytes, the shape taken from its sidecar.
-python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["output"]["attention"] = "attn.f4"; json.dump(c, open("attn_demo.json", "w"))' "$demo"
+with_attention "$demo" attn_demo.json attn.f4
 $ROPEFREQ shared-attn attn_demo.json --out attn_report.json --quiet
 for m in attn.entry0.f4 attn.entry1.f4; do
-  python -c 'import json, os, sys; r, c = json.load(open(sys.argv[1] + ".json"))["shape"]; sys.exit(os.path.getsize(sys.argv[1]) != 4 * r * c)' "$m"
+  python -c 'import json, os, pathlib, sys; r, c = json.loads(pathlib.Path(sys.argv[1] + ".json").read_text())["shape"]; sys.exit(os.path.getsize(sys.argv[1]) != 4 * r * c)' "$m"
 done
 # Rows are streamed a chunk at a time. Read as <f4, every row is a
 # softmax row summing to 1 within 1e-5, and its largest weight is on
@@ -93,9 +115,9 @@ done
 # byte count is right.
 for m in attn.entry0.f4 attn.entry1.f4; do
   python - "$m" <<'EOF'
-import json, sys
+import json, pathlib, sys
 import numpy as np
-rows, cols = json.load(open(sys.argv[1] + ".json"))["shape"]
+rows, cols = json.loads(pathlib.Path(sys.argv[1] + ".json").read_text())["shape"]
 matrix = np.fromfile(sys.argv[1], dtype="<f4").reshape(rows, cols)
 assert np.abs(matrix.sum(axis=1, dtype=np.float64) - 1).max() <= 1e-5, sys.argv[1]
 assert (matrix.argmax(axis=1) == np.arange(rows)).all(), sys.argv[1]
@@ -105,29 +127,31 @@ done
 # layouts' lengths and its report entry's [n_queries, n_keys], and
 # entry0's key layout is the one the report lists.
 python - <<'EOF'
-import json
-report = json.load(open("attn_report.json"))
+import json, pathlib
+def load(path):
+    return json.loads(pathlib.Path(path).read_text())
+report = load("attn_report.json")
 for i, entry in enumerate(report["entries"]):
-    meta = json.load(open(f"attn.entry{i}.f4.json"))
+    meta = load(f"attn.entry{i}.f4.json")
     layouts = [len(meta["query_layout"]), len(meta["key_layout"])]
     assert meta["shape"] == layouts == [entry["n_queries"], entry["n_keys"]], entry["label"]
-assert json.load(open("attn.entry0.f4.json"))["key_layout"] == report["key_layout"]
+assert load("attn.entry0.f4.json")["key_layout"] == report["key_layout"]
 # The layouts are rendered from row templates: the report and each
 # sidecar must be byte for byte the encoder's own text, which a
 # comparison of parsed values would not see.
 for path in ["attn_report.json"] + [f"attn.entry{i}.f4.json" for i in range(len(report["entries"]))]:
-    text = open(path).read()
+    text = pathlib.Path(path).read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
 EOF
 # Two heads and no attribution bands: each streamed matrix holds exactly
 # 4*rows*cols bytes, and read as <f4 every row sums to 1 within 1e-5.
-python -c 'import json, sys; c = json.load(open(sys.argv[1])); c.update(heads=2, attribution_bands=None); c["output"]["attention"] = "heads2.f4"; json.dump(c, open("heads2_demo.json", "w"))' "$demo"
+with_attention "$demo" heads2_demo.json heads2.f4 '{"heads": 2, "attribution_bands": null}'
 $ROPEFREQ shared-attn heads2_demo.json --out heads2_report.json --quiet
 for m in heads2.entry0.f4 heads2.entry1.f4; do
   python - "$m" <<'EOF'
-import json, os, sys
+import json, os, pathlib, sys
 import numpy as np
-rows, cols = json.load(open(sys.argv[1] + ".json"))["shape"]
+rows, cols = json.loads(pathlib.Path(sys.argv[1] + ".json").read_text())["shape"]
 assert os.path.getsize(sys.argv[1]) == 4 * rows * cols, sys.argv[1]
 matrix = np.fromfile(sys.argv[1], dtype="<f4").reshape(rows, cols)
 assert np.abs(matrix.sum(axis=1, dtype=np.float64) - 1).max() <= 1e-5, sys.argv[1]
@@ -137,10 +161,10 @@ done
 # more keys than one evaluation block holds a logits row of, and a
 # scale too large for a float.
 python - "$demo" <<'EOF'
-import json, sys
-demo = json.load(open(sys.argv[1]))
-json.dump({**demo, "grid": {"width": 3000000, "height": 3000000}}, open("huge_grid.json", "w"))
-json.dump({**demo, "sharing": {"mode": "plain", "s": 10**400}}, open("huge_s.json", "w"))
+import json, pathlib, sys
+demo = json.loads(pathlib.Path(sys.argv[1]).read_text())
+pathlib.Path("huge_grid.json").write_text(json.dumps({**demo, "grid": {"width": 3000000, "height": 3000000}}))
+pathlib.Path("huge_s.json").write_text(json.dumps({**demo, "sharing": {"mode": "plain", "s": 10**400}}))
 EOF
 for c in huge_grid huge_s; do
   rc=0; $ROPEFREQ shared-attn "$c.json" --emit-config "$c.emitted.json" --quiet || rc=$?
@@ -205,15 +229,16 @@ cd ..
 # The demo with a third, saturated sweep entry exits 0, and only that
 # entry's notes hold the saturation note.
 python - "$demo" <<'EOF'
-import json, sys
-demo = json.load(open(sys.argv[1]))
+import json, pathlib, sys
+demo = json.loads(pathlib.Path(sys.argv[1]).read_text())
 demo["sweep"].append({"mode": "plain", "s": 1e200})
-json.dump(demo, open("saturated.json", "w"))
+pathlib.Path("saturated.json").write_text(json.dumps(demo))
 EOF
 $ROPEFREQ shared-attn saturated.json --out saturated_report.json --quiet
 python - <<'EOF'
-import json
-notes = [entry["notes"] for entry in json.load(open("saturated_report.json"))["entries"]]
+import json, pathlib
+report = json.loads(pathlib.Path("saturated_report.json").read_text())
+notes = [entry["notes"] for entry in report["entries"]]
 assert len(notes) == 3 and notes[:2] == [[], []], notes
 assert len(notes[2]) == 1 and notes[2][0].startswith("softmax saturated: "), notes
 EOF

@@ -582,6 +582,27 @@ class TestBuildSharedQKV:
         )
         assert any("zero offset" in note for note in qkv.notes)
 
+    def test_adain_fallback_notes_its_constant_channels(self):
+        scene, text = scene_and_text(noise=0.3, kind="shuffle")
+        features = scene.target.features.copy()
+        features[:, [2, 5]] = 0.75  # two constant target channels
+        target = TokenSet(features, scene.target.positions)
+        plain = SharingParams(mode="plain", s=1.0)
+        qkv = build_shared_qkv(target, text, scene.reference, plain, CFG)
+        assert qkv.notes == (
+            "AdaIN fallback: 2 target channels have std below 1e-8"
+            " and pass through as the reference mean",
+        )
+        # The noted channels are those adain passes through.
+        normed = adain(features, scene.reference.features)
+        assert np.ptp(normed, axis=0).tolist().count(0.0) == 2
+        want = apply_rope_batch(normed, target.positions, CFG)
+        np.testing.assert_array_equal(qkv.q[: target.n_tokens], want)
+        # Without AdaIN, or without a constant channel, nothing is noted.
+        no_adain = SharingParams(mode="plain", s=1.0, adain_enabled=False)
+        for tokens, params in ((target, no_adain), (scene.target, plain)):
+            assert build_shared_qkv(tokens, text, scene.reference, params, CFG).notes == ()
+
     def test_band_mask_override_zeroes_reference_chunk_columns(self):
         scene, text = scene_and_text()
         params = SharingParams(

@@ -2,22 +2,27 @@
 
 The model counts what a run must hold at its peak: the scene's positions
 and correspondence, one key stack ``k`` (the scene's and the text's
-features are drawn straight into its rows), the logits block the kernel
-computes in and, when matrices are streamed, one ``<f4`` write chunk.
-Everything else (the scene builders' and AdaIN's 1 MiB blocks of rows and
-the rotation's four budgets, which are held before the block exists, the
-folds' per-query arrays and the report) must fit in 1 MiB beside them.
-Band attribution adds no term: its panels are computed in the logits block.
+features are drawn straight into its rows), the work buffer the evaluation
+computes in and, when matrices are streamed, one ``<f4`` write chunk. The
+work buffer is the larger of one logits block and, with attribution bands,
+one band panel: the bands are summed in a pass of their own after the
+logits blocks, over groups of image-query rows, in the same buffer.
+Everything else must fit in 1 MiB beside them: the folds' per-query
+arrays and the report and, held before the work buffer exists and in its
+place, the scene builders' and AdaIN's 256 KiB blocks of rows and the
+rotation's four 256 KiB budgets.
 """
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ropefreq.cli import ExperimentConfig, _all_or_nothing, run_experiment
-from ropefreq.diagnostics import _WRITE_BYTES, _block_rows
+from ropefreq.diagnostics import _BLOCK_BYTES, _WRITE_BYTES, _logits_shape, _row_bytes
+from ropefreq.rope import _block_height
 
 
 def demo_config(grid: int, heads: int, bands, attention) -> ExperimentConfig:
@@ -37,11 +42,11 @@ def warm(tmp_path_factory):
         run_experiment(demo_config(8, 1, 3, str(out / "a.f4")), stage)
 
 
-def model(grid: int, dim: int, text: int, heads: int, streamed: bool) -> tuple[int, int]:
+def model(grid: int, dim: int, text: int, heads: int, bands: bool, streamed: bool) -> tuple[int, int]:
     """``(held, bound)`` in bytes for a run whose entries all share reference keys.
 
-    ``held`` is the scene's positions and ``k``, which a run holds at its
-    peak; ``bound`` adds the block, the write chunk when ``streamed`` and 1 MiB.
+    ``held`` is the scene's positions and ``k``, which a run holds at its peak;
+    ``bound`` adds the work buffer, the write chunk when ``streamed`` and 1 MiB.
     """
     n = grid * grid
     # Target and reference positions, the correspondence and the text
@@ -49,9 +54,14 @@ def model(grid: int, dim: int, text: int, heads: int, streamed: bool) -> tuple[i
     scene = 8 * (2 * n * 2 + n + text * 2)
     n_queries, n_keys = n + text, 2 * n + text
     k = 8 * n_keys * dim
-    block = 8 * min(heads, 2) * min(_block_rows(n_keys, heads), n_queries) * n_keys
+    work = math.prod(_logits_shape(n_queries, n_keys, heads))
+    if bands:
+        # A group's panel against the n reference keys; the last group's
+        # product takes the text rows too.
+        panel_rows = min(_block_height(_row_bytes(n_keys, 1), _BLOCK_BYTES), n_queries)
+        work = max(work, panel_rows * n)
     held = scene + k
-    return held, held + block + (_WRITE_BYTES if streamed else 0) + 2**20
+    return held, held + 8 * work + (_WRITE_BYTES if streamed else 0) + 2**20
 
 
 # Matrices are streamed at 16x16 and 48x48 only: a 64x64 run writes two
@@ -67,7 +77,9 @@ def model(grid: int, dim: int, text: int, heads: int, streamed: bool) -> tuple[i
 def test_run_peak_is_within_the_memory_model(grid, heads, bands, streamed, tmp_path, warm):
     cfg = demo_config(grid, heads, bands, str(tmp_path / "a.f4") if streamed else None)
     assert all(params.mode != "none" for _, params, _ in cfg.entries)
-    held, bound = model(grid, cfg.rotary.dim, cfg.normalized["text_tokens"], heads, streamed)
+    held, bound = model(
+        grid, cfg.rotary.dim, cfg.normalized["text_tokens"], heads, bands is not None, streamed
+    )
     tracemalloc.start()
     try:
         with _all_or_nothing() as stage:
