@@ -15,12 +15,29 @@ alignment fold reads them as they come. Band attribution is a pass of its
 own after the kernel, over fixed groups of image-query rows, so its sums
 do not depend on how high a logits block is. Both run in one work buffer
 that :func:`evaluate_shared` allocates once.
+
+Blocks, and band groups when two band panels fit that buffer, are computed
+two at a time (:func:`_pairs`): the calling thread computes the first and
+folds it while one worker thread computes the second. Two blocks share the
+one 4 MiB budget, so each is half as high as one block was (31 rows at
+64x64). While they run, NumPy's OpenBLAS is pinned to one thread
+(:func:`_blas_pinned`): left at two, its second thread spun through every
+NumPy pass between the products, and the process used about 1.9 CPU
+seconds per wall second. Without OpenBLAS's entry points or a second CPU
+the same loop runs in the calling thread alone. On a 2-vCPU VM the
+``copy64_attr`` benchmark's CPU time fell by a fifth and its wall time by
+a tenth; 128x128 runs, whose blocks fall from 15 rows to 7, got slower
+(see the README's "Memory and scale").
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,16 +55,23 @@ __all__ = [
     "evaluate_shared",
 ]
 
-# Bytes of f64 logits one block of query rows may hold, counting every
-# logits buffer of the block. A block's height is this budget over the bytes
-# those buffers take per query row, so the working set stays flat however
-# many keys and heads there are.
+# Bytes of f64 logits the two blocks of query rows in flight may hold
+# together, counting every logits buffer of both. A block's height is half
+# the rows this budget holds, over the bytes those buffers take per query
+# row, so the working set stays flat however many keys and heads there are.
 _BLOCK_BYTES = 4 * 2**20
 
-# The most query rows a logits block holds, so that a block over few keys
-# holds no more than it needs: at 32x32 with two heads, 64 rows take 2 MiB
-# where the budget's 127 took 4 MiB. From 64x64 up the budget stops a block first.
-_MAX_BLOCK_ROWS = 64
+# The most query rows the budget gives the two blocks in flight, so that
+# blocks over few keys hold no more than they need: at 32x32 with two heads,
+# 64 rows take 2 MiB where the budget's 127 took 4 MiB. From 64x64 up the
+# budget stops them first.
+_MAX_BUDGET_ROWS = 64
+
+# The fewest query rows a logits or band product multiplies. NumPy multiplies
+# one row by BLAS gemv, whose sums round otherwise than gemm's, so a shorter
+# block or group takes the rows before it into its product and keeps only
+# its own.
+_MIN_PRODUCT_ROWS = 3
 
 
 def _row_bytes(n_keys: int, heads: int) -> int:
@@ -59,9 +83,23 @@ def _row_bytes(n_keys: int, heads: int) -> int:
     return 8 * max(n_keys, 1) * min(heads, 2)
 
 
+def _budget_rows(n_keys: int, heads: int) -> int:
+    """Query rows of logits over ``n_keys`` keys that ``_BLOCK_BYTES`` holds, at most 64."""
+    return min(_MAX_BUDGET_ROWS, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES))
+
+
 def _block_rows(n_keys: int, heads: int = 1) -> int:
-    """Query rows per logits block for ``n_keys`` keys and ``heads`` heads."""
-    return min(_MAX_BLOCK_ROWS, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES))
+    """Query rows per logits block for ``n_keys`` keys and ``heads`` heads.
+
+    Two blocks are in flight, so each is half the budget's rows (at most
+    32), and at least ``_MIN_PRODUCT_ROWS``.
+    """
+    return max(_MIN_PRODUCT_ROWS, _budget_rows(n_keys, heads) // 2)
+
+
+def _product_start(start: int, stop: int) -> int:
+    """The first row of the product for rows ``start:stop``, ``_MIN_PRODUCT_ROWS`` or more back from ``stop``."""
+    return max(0, min(start, stop - _MIN_PRODUCT_ROWS))
 
 
 def _check_heads(heads: int, band_partition: BandPartition | None, dim: int) -> None:
@@ -100,12 +138,76 @@ def _logit_scale(head_dim: int) -> float:
 
 
 def _logits_shape(n_queries: int, n_keys: int, heads: int) -> tuple[int, int, int]:
-    """The shape of the logits buffers of one block (:func:`_blocks`)."""
-    return min(heads, 2), min(_block_rows(n_keys, heads), n_queries), n_keys
+    """The shape of the logits buffers the two blocks in flight share (:func:`_blocks`).
+
+    They hold the budget's rows, or two blocks' products where those take
+    more, so each block's product fits in half of them.
+    """
+    product = min(max(_block_rows(n_keys, heads), _MIN_PRODUCT_ROWS), n_queries)
+    rows = max(min(_budget_rows(n_keys, heads), n_queries), 2 * product)
+    return min(heads, 2), rows, n_keys
+
+
+def _pairs(
+    compute: Callable[[int, int], object], items: Sequence[int], worker: bool
+) -> Iterator[object]:
+    """Yield ``compute(item, slot)`` for each of ``items`` in order, two at a time.
+
+    Of each pair, the first is computed in the calling thread with ``slot``
+    0, and the second with ``slot`` 1: with ``worker``, by one worker thread
+    while the caller computes the first and handles it; without, in the
+    caller once it has handled the first. A slot is computed in again only
+    once the caller has handled its last result, so a result must stay
+    valid only while the other slot's is computed. The worker's exception
+    is raised in the caller after the first of its pair is handled, and the
+    worker has ended before the generator finishes or is closed.
+    """
+    free = threading.Semaphore(1)  # slot 1 may be computed in
+    ready = threading.Semaphore(0)  # the worker's next result is in results
+    results: list = []
+    closed = False
+
+    def work() -> None:
+        for item in items[1::2]:
+            free.acquire()
+            if closed:
+                return
+            try:
+                results.append(compute(item, 1))
+            except BaseException as exc:  # raised again in the calling thread
+                results.append(exc)
+            ready.release()
+
+    thread = threading.Thread(target=work) if worker and len(items) > 1 else None
+    if thread is not None:
+        thread.start()
+    try:
+        for i in range(0, len(items), 2):
+            yield compute(items[i], 0)
+            if i + 1 == len(items):
+                break
+            if thread is None:
+                value = compute(items[i + 1], 1)
+            else:
+                ready.acquire()
+                value = results.pop()
+                if isinstance(value, BaseException):
+                    raise value
+            yield value
+            free.release()
+    finally:
+        if thread is not None:
+            closed = True
+            free.release()
+            thread.join()
 
 
 def _blocks(
-    q_rot: np.ndarray, k_rot: np.ndarray, heads: int, work: np.ndarray | None = None
+    q_rot: np.ndarray,
+    k_rot: np.ndarray,
+    heads: int,
+    work: np.ndarray | None = None,
+    worker: bool = False,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Evaluate attention one block of query rows at a time.
 
@@ -113,12 +215,16 @@ def _blocks(
     of query rows ``start:start + len(attention)`` over every key, so each
     row is exact, and for each row the number of heads whose top weight
     passes :data:`_SATURATED_WEIGHT`. ``attention`` is a C-contiguous view of
-    a buffer the next block overwrites (the caller may compute in it): copy
-    what must outlive it. A block is :func:`_block_rows` high, so its logits
-    buffers (two with more than one head) together hold at most
-    ``_BLOCK_BYTES``, or one row of each when a row alone passes it. They are
-    the leading elements of ``work``, a flat f64 array of at least as many
-    elements as :func:`_logits_shape` (a new one when it is ``None``).
+    a buffer the block after next overwrites (the caller may compute in
+    it): copy what must outlive it. Blocks are computed two at a time
+    (:func:`_pairs`), the second on a worker thread when ``worker`` is true,
+    and yielded in order. A block is :func:`_block_rows` high, so the logits
+    buffers of the two (two per block with more than one head) together hold
+    at most ``_BLOCK_BYTES``, or three rows of each when a row alone passes
+    half of it. A block of fewer than three rows multiplies the rows before
+    it too. The buffers are the leading elements of ``work``, a flat f64
+    array of at least as many elements as :func:`_logits_shape` (a new one
+    when it is ``None``).
 
     ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
     a softmax row that is not finite (overflowing or NaN logits) raises
@@ -126,23 +232,31 @@ def _blocks(
     """
     head_dim = q_rot.shape[1] // heads
     scale = _logit_scale(head_dim)
+    n_queries = q_rot.shape[0]
     step = _block_rows(k_rot.shape[0], heads)
-    # Every block is computed into the same buffers, so one block is held
-    # however many there are, and no block's memory goes back to the
-    # allocator only to be asked for again.
-    shape = _logits_shape(q_rot.shape[0], k_rot.shape[0], heads)
+    # Every pair of blocks is computed into the same buffers, each block in
+    # its half of their rows, so two blocks are held however many there
+    # are, and no block's memory goes back to the allocator only to be
+    # asked for again.
+    shape = _logits_shape(n_queries, k_rot.shape[0], heads)
     logits = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
-    for start in range(0, q_rot.shape[0], step):
-        qb = q_rot[start : start + step]
-        attention = logits[0, : qb.shape[0]]
-        saturated = np.zeros(qb.shape[0], dtype=np.intp)
+    rows = shape[1] // 2
+
+    def block(start: int, slot: int) -> tuple[int, np.ndarray, np.ndarray]:
+        stop = min(start + step, n_queries)
+        lo = _product_start(start, stop)
+        products = logits[:, slot * rows : slot * rows + stop - lo]
+        own = slice(start - lo, stop - lo)
+        attention = products[0, own]
+        saturated = np.zeros(stop - start, dtype=np.intp)
         # Overflowing or NaN logits are caught by the finiteness guard below,
         # so NumPy's own warnings about them would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
             for h in range(heads):
                 sl = slice(h * head_dim, (h + 1) * head_dim)
-                a = logits[min(h, 1), : qb.shape[0]]
-                np.matmul(qb[:, sl], k_rot[:, sl].T, out=a)
+                product = products[min(h, 1)]
+                np.matmul(q_rot[lo:stop, sl], k_rot[:, sl].T, out=product)
+                a = product[own]
                 a *= scale
                 a -= a.max(axis=1, keepdims=True)
                 np.exp(a, out=a)
@@ -160,7 +274,9 @@ def _blocks(
                     attention += a
         if heads > 1:
             attention /= heads
-        yield start, attention, saturated
+        return start, attention, saturated
+
+    yield from _pairs(block, range(0, n_queries, step), worker)
 
 
 # Bytes of <f4 rows cast and written at a time when a matrix is streamed.
@@ -304,42 +420,123 @@ class _AttributionFold:
     """Per-band |logit| sums over image queries x reference keys, one group of rows at a time.
 
     Built from the partition, the assembled keys and ``n``, the number of
-    image queries (the first rows); feed :meth:`add` the query rows of each
-    group in order, then read :meth:`result`. A group is :attr:`rows` high,
-    the one-head f64 logits rows that fit in ``_BLOCK_BYTES``, whatever
-    height the logits blocks are: fixed row groups keep the sums' rounding
-    reproducible (Demmel & Nguyen, ARITH 2013). The last group's product
-    takes the text rows after it too, up to that height, and sums only its
-    image rows, since BLAS may round a product otherwise when it multiplies
-    fewer rows at once (one row goes by gemv).
+    image queries (the first rows); call :meth:`add` once for each group,
+    in any order and from any thread, then read :meth:`result`. A group is
+    :attr:`rows` high, the one-head f64 logits rows that fit in
+    ``_BLOCK_BYTES`` (at least three), whatever height the logits blocks
+    are: fixed row groups keep the sums' rounding reproducible (Demmel &
+    Nguyen, ARITH 2013), and :meth:`result` adds the groups' sums in group
+    order. BLAS may round a product otherwise when it multiplies fewer rows
+    at once (one row goes by gemv), so the last group's product takes the
+    text rows after it too, up to that height, and then the rows before it
+    up to three rows, and sums only its own image rows.
     """
 
     def __init__(self, partition: BandPartition, qkv: SharedQKV, n: int) -> None:
         self.partition = partition
         self.n = n
+        self.q = qkv.q
         self.ref_k = qkv.ref
         self.n_pairs = n * len(self.ref_k)
-        self.totals = np.zeros(len(partition.bands))
-        self.rows = _block_height(_row_bytes(len(qkv.k), 1), _BLOCK_BYTES)
+        self.rows = max(_MIN_PRODUCT_ROWS, _block_height(_row_bytes(len(qkv.k), 1), _BLOCK_BYTES))
+        self.starts = range(0, n, self.rows)
+        self.sums = np.zeros((len(self.starts), len(partition.bands)))
         # Elements of one group's band panel, which add computes in.
-        self.panel_size = min(self.rows, len(qkv.q)) * len(self.ref_k)
+        self.panel_size = min(self.rows, len(self.q)) * len(self.ref_k)
 
-    def add(self, start: int, qb: np.ndarray, work: np.ndarray) -> None:
-        """Fold the band logits of the image rows among query rows ``qb`` (from ``start``).
+    def add(self, start: int, work: np.ndarray) -> None:
+        """Fold the band logits of the group of image rows from query row ``start``.
 
         They are computed in ``work``, a flat f64 array of at least :attr:`panel_size` elements.
         """
-        rows = min(len(qb), self.n - start)
-        panel = work[: len(qb) * len(self.ref_k)].reshape(len(qb), -1)
-        for i, panel in enumerate(_band_panels(qb, self.ref_k, self.partition, panel)):
-            self.totals[i] += np.abs(panel[:rows], out=panel[:rows]).sum()
+        stop = min(start + self.rows, len(self.q))
+        lo = _product_start(start, stop)
+        own = slice(start - lo, min(start + self.rows, self.n) - lo)
+        panel = work[: (stop - lo) * len(self.ref_k)].reshape(stop - lo, -1)
+        sums = self.sums[start // self.rows]
+        for i, panel in enumerate(_band_panels(self.q[lo:stop], self.ref_k, self.partition, panel)):
+            sums[i] = np.abs(panel[own], out=panel[own]).sum()
 
     def result(self) -> BandAttribution:
-        means = self.totals / self.n_pairs
+        totals = np.zeros(len(self.partition.bands))
+        for sums in self.sums:
+            totals += sums
+        means = totals / self.n_pairs
         return BandAttribution(
             mean_abs_logit={lab: float(m) for lab, m in zip(self.partition.labels, means)},
             n_pairs=self.n_pairs,
         )
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS NumPy runs on, or ``None``.
+
+    The library is found among the files this process maps (Linux's
+    ``/proc/self/maps``) and looked up on first use, not at import. The
+    names are those of NumPy 2's wheels (scipy-openblas64), of NumPy 1's
+    (64-bit integers) and of a plain OpenBLAS. The thread count is the
+    process's: even ``openblas_set_num_threads_local`` in a worker thread
+    set the count the main thread reads.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            try:
+                return getattr(lib, name.format("set")), getattr(lib, name.format("get"))
+            except AttributeError:
+                continue
+    return None
+
+
+# The pinned blocks running in this process, and the BLAS thread count
+# before the first of them, which the last restores.
+_PIN_LOCK = threading.Lock()
+_pinned = 0
+_unpinned_threads = 0
+
+
+@contextmanager
+def _blas_pinned() -> Iterator[bool]:
+    """Pin OpenBLAS to one thread for the block, when a worker thread can use a second CPU.
+
+    Yields whether it did: then the caller and one worker compute at once,
+    each with one BLAS thread, where otherwise BLAS's second thread would
+    spin through every NumPy pass between the products. Without OpenBLAS's
+    entry points or a second CPU, BLAS is left alone and no worker runs.
+    The count is the process's, so blocks that overlap, in one thread or
+    several, share the pin, and the last to end restores the count the
+    first found, however it ends.
+    """
+    global _pinned, _unpinned_threads
+    blas = _openblas()
+    if blas is None or len(os.sched_getaffinity(0)) < 2:
+        yield False
+        return
+    set_threads, get_threads = blas
+    with _PIN_LOCK:
+        if _pinned == 0:
+            _unpinned_threads = get_threads()
+            set_threads(1)
+        _pinned += 1
+    try:
+        yield True
+    finally:
+        with _PIN_LOCK:
+            _pinned -= 1
+            if _pinned == 0:
+                set_threads(_unpinned_threads)
 
 
 @dataclass(frozen=True)
@@ -372,7 +569,10 @@ def evaluate_shared(
     are taken against the reference keys only, after the last block, over
     fixed groups of image-query rows (:class:`_AttributionFold`), so their
     sums do not depend on the height of a block. The blocks and the band
-    panels are computed in one work buffer. Positional alignment is exact
+    panels are computed in one work buffer, two at a time where a second
+    CPU and NumPy's OpenBLAS allow (:func:`_blas_pinned`); the worker thread
+    has ended, and the BLAS thread count is restored, before this returns
+    or raises. Positional alignment is exact
     grid equality of a query and a reference key; without reference keys
     all alignment is 0. ``heads`` and ``band_partition`` are checked against
     the width of the keys.
@@ -380,29 +580,38 @@ def evaluate_shared(
     align = _AlignmentFold(qkv, scene)
     _check_heads(heads, band_partition, qkv.k.shape[1])
     q, n_keys = qkv.q, qkv.k.shape[0]
-    shape = _logits_shape(len(q), n_keys, heads)
-    size = math.prod(shape)
+    size = math.prod(_logits_shape(len(q), n_keys, heads))
     attribution = None
     if band_partition is not None and align.has_reference:
         attribution = _AttributionFold(band_partition, qkv, align.n)
-        size = max(size, attribution.panel_size)
+        panel = attribution.panel_size
+        # Two groups are in flight only when their panels fit where the blocks were.
+        two_groups = 2 * panel <= size
+        size = max(size, panel)
     work = np.empty(size)
     if attention_out is not None:
         chunk = _block_height(4 * n_keys, _WRITE_BYTES)
         # Rows are cast into this one buffer and written from it.
-        f4 = np.empty((min(chunk, shape[1]), n_keys), dtype="<f4")
+        f4 = np.empty((min(chunk, _block_rows(n_keys, heads), len(q)), n_keys), dtype="<f4")
     saturated = 0  # (image-query row, head) pairs
-    for start, attention, block_saturated in _blocks(q, qkv.k, heads, work):
-        align.add(start, attention)
-        saturated += int(block_saturated[: max(align.n - start, 0)].sum())
-        if attention_out is not None:
-            for row in range(0, attention.shape[0], chunk):
-                rows = attention[row : row + chunk]
-                np.copyto(f4[: len(rows)], rows)
-                attention_out.write(f4[: len(rows)])
-    if attribution is not None:
-        for start in range(0, align.n, attribution.rows):
-            attribution.add(start, q[start : start + attribution.rows], work)
+    with _blas_pinned() as worker:
+        with closing(_blocks(q, qkv.k, heads, work, worker)) as blocks:
+            for start, attention, block_saturated in blocks:
+                align.add(start, attention)
+                saturated += int(block_saturated[: max(align.n - start, 0)].sum())
+                if attention_out is not None:
+                    for row in range(0, attention.shape[0], chunk):
+                        rows = attention[row : row + chunk]
+                        np.copyto(f4[: len(rows)], rows)
+                        attention_out.write(f4[: len(rows)])
+        if attribution is not None:
+            panels = (work[:panel], work[panel : 2 * panel] if two_groups else work[:panel])
+            for _ in _pairs(
+                lambda start, slot: attribution.add(start, panels[slot]),
+                attribution.starts,
+                worker and two_groups,
+            ):
+                pass
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),

@@ -143,6 +143,16 @@ for path in ["attn_report.json"] + [f"attn.entry{i}.f4.json" for i in range(len(
     text = pathlib.Path(path).read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
 EOF
+# The evaluator pins OpenBLAS to one thread while its two block workers
+# run, so the thread count BLAS starts with moves no byte of the report,
+# the matrices or the sidecars.
+for t in 1 2; do
+  mkdir blas$t && cd blas$t
+  OPENBLAS_NUM_THREADS=$t $ROPEFREQ shared-attn ../attn_demo.json --out report.json --quiet
+  cd ..
+done
+test "$(ls blas1 | wc -l)" -eq 5
+for f in blas1/*; do cmp "$f" "blas2/$(basename "$f")"; done
 # Two heads and no attribution bands: each streamed matrix holds exactly
 # 4*rows*cols bytes, and read as <f4 every row sums to 1 within 1e-5.
 with_attention "$demo" heads2_demo.json heads2.f4 '{"heads": 2, "attribution_bands": null}'

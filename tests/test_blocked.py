@@ -78,10 +78,13 @@ SHARINGS = {
 
 @pytest.fixture
 def ragged_blocks(monkeypatch):
-    """Shrink the block budget so each evaluation takes several ragged blocks."""
+    """Shrink the block budget so each evaluation takes several ragged blocks.
+
+    Two blocks are in flight, so the budget holds two blocks' rows.
+    """
 
     def for_keys(n_keys, heads):
-        budget = ROWS_PER_BLOCK * ropefreq.diagnostics._row_bytes(n_keys, heads)
+        budget = 2 * ROWS_PER_BLOCK * ropefreq.diagnostics._row_bytes(n_keys, heads)
         monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
 
     return for_keys
@@ -153,12 +156,14 @@ def test_saturated_counts_are_each_rows_saturated_heads(s, heads, ragged_blocks)
     np.testing.assert_array_equal(counts, dense_saturated(qkv.q, qkv.k, heads))
 
 
-def test_a_block_stops_at_64_rows_below_the_budget():
-    # Below 64 rows the 4 MiB budget decides: 63 rows over 64x64's 8,196
-    # keys, 15 over 128x128's 32,772, and one at the 524,288-key bound.
+def test_a_block_stops_at_32_rows_below_half_the_budget():
+    # Two blocks in flight share the 4 MiB budget, so below 32 rows half of
+    # it decides: 31 rows over 64x64's 8,196 keys and 7 over 128x128's
+    # 32,772. No block is under three rows, not even at the 524,288-key
+    # bound, where one row of logits fills the whole budget.
     cases = [(100, 1), (2052, 2), (8196, 1), (32772, 1), (524288, 1), (524288, 2)]
     rows = [ropefreq.diagnostics._block_rows(n_keys, heads) for n_keys, heads in cases]
-    assert rows == [64, 64, 63, 15, 1, 1]
+    assert rows == [32, 32, 31, 7, 3, 3]
 
 
 def test_non_finite_logits_raise_without_a_numpy_warning():
@@ -254,21 +259,23 @@ def test_shared_qkv_assembly_holds_one_stack():
 
 
 def test_evaluation_holds_one_block():
-    # One block's logits are held, in a buffer every block reuses; after
-    # the last block, each band's logits of each group of image-query rows
-    # against the reference keys are computed in that buffer. Besides it
-    # only small transients: the alignment fold's boolean mask of the
-    # block's row maxima (one byte per reference column) and its per-query
-    # arrays. A band panel of its own (2 MiB here) does not fit, nor do all
-    # three bands' panels at once, nor an f64 copy of the block's reference
-    # columns, nor the previous block held while the next is computed.
+    # The two blocks in flight hold the rows of logits the budget holds (63
+    # here), in one buffer every pair of blocks reuses; after the last
+    # block, each band's logits of two groups of image-query rows against
+    # the reference keys are computed in that buffer, one band panel of
+    # each group at a time. Besides it only small transients: the
+    # alignment fold's boolean mask of the block's row maxima (one byte per
+    # reference column), its per-query arrays and the groups' band sums.
+    # A band panel of its own (2 MiB here) does not fit, nor do all three
+    # bands' panels of a group at once, nor an f64 copy of the block's
+    # reference columns, nor a third block.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     partition = make_even_partition(config, 3, "all")
     _, peak = traced_growth(evaluate_shared, qkv, scene, band_partition=partition)
-    block = 8 * ropefreq.diagnostics._block_rows(len(qkv.k)) * len(qkv.k)
-    assert peak < block + 2**20
+    blocks = 8 * ropefreq.diagnostics._budget_rows(len(qkv.k), 1) * len(qkv.k)
+    assert peak < blocks + 2**20
 
 
 class _Discard:
@@ -280,22 +287,22 @@ class _Discard:
 
 def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
     # Each block's rows are cast to <f4 and written a chunk at a time, so a
-    # streamed matrix adds one chunk to the block, not a <f4 copy of the
-    # whole block (2 MiB here).
+    # streamed matrix adds one chunk to the two blocks in flight, not a <f4
+    # copy of a whole block (1 MiB here).
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     _, peak = traced_growth(evaluate_shared, qkv, scene, attention_out=_Discard())
-    block = 8 * ropefreq.diagnostics._block_rows(len(qkv.k)) * len(qkv.k)
-    assert peak < block + ropefreq.diagnostics._WRITE_BYTES + 2**20
+    blocks = 8 * ropefreq.diagnostics._budget_rows(len(qkv.k), 1) * len(qkv.k)
+    assert peak < blocks + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
 
 @pytest.mark.parametrize("heads", [2, 4])
 def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
     # With more than one head a block holds two logits buffers, the head
-    # average and the head being computed; the block is only as high as lets
-    # both fit the one budget, so the peak is that of one head. Two buffers of
-    # the one-head height (8 MiB here) do not fit.
+    # average and the head being computed; the two blocks in flight are only
+    # as high as lets all four fit the one budget, so the peak is that of one
+    # head. Two buffers of the one-head height (8 MiB here) do not fit.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
@@ -320,28 +327,37 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     # band panel at a time in the work buffer, and each must add the same
     # bits as summing the stacked panels of a group of rows over (rows,
     # keys) and adding the groups in order. The budget sets the group
-    # height and, below 64 rows, the block height too. The streamed rows go
-    # out 7 at a time. With 4 text tokens and blocks of 48 query rows there
-    # are five full blocks and a sixth of 20 (16 image rows and the 4 text
-    # rows), so every block ends in a short chunk. Without text tokens a
-    # panel over the 256 reference keys fills exactly half of a block's 512
-    # columns. With one-row blocks each query row is a block, a panel and a chunk.
-    for text_tokens, step in ((4, 48), (0, 48), (4, 1)):
+    # height and, halved and below 32 rows, the block height too. The
+    # streamed rows go out 7 at a time. With 4 text tokens, groups of 48
+    # query rows and blocks of 24 there are five full groups and a sixth of
+    # 20 (16 image rows and the 4 text rows), and ten full blocks and an
+    # eleventh of 20, so every block ends in a short chunk. Without text
+    # tokens a panel over the 256 reference keys fills exactly half of a
+    # block's 512 columns. With the smallest budget, blocks and groups are
+    # three rows high: with text tokens the last block is two rows, and
+    # without them the last block and the last group are one, and each
+    # multiplies the rows before it too.
+    for text_tokens, group in ((4, 48), (0, 48), (4, 1), (0, 1)):
         with monkeypatch.context() as patch:
-            check_bytes_across_panels_and_chunks(patch, text_tokens, step, chunk=7)
+            check_bytes_across_panels_and_chunks(patch, text_tokens, group, chunk=7)
 
 
-def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, step, chunk):
+def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, group, chunk):
     scene, text, config = demo_scene(16, text_tokens)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     n_queries, n_keys, n = len(qkv.q), len(qkv.k), scene.target.n_tokens
     assert n_queries == n + text_tokens and n_keys == n_queries + n
-    # With text tokens and blocks of more than one row, the last block holds both kinds of row.
-    assert text_tokens == 0 or step == 1 or (n - 1) // step == (n_queries - 1) // step
-    budget = step * ropefreq.diagnostics._row_bytes(n_keys, 1)
+    budget = group * ropefreq.diagnostics._row_bytes(n_keys, 1)
     monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
+    group, block = max(group, 3), max(group // 2, 3)
+    if group > 3:
+        # With text tokens, the last group holds both kinds of row.
+        assert text_tokens == 0 or (n - 1) // group == (n_queries - 1) // group
+    else:
+        # The last block is two rows or one, and so is the last group without text tokens.
+        assert n_queries % 3 == (2 if text_tokens else 1) and n % 3 == 1
     partition = make_even_partition(config, 3, "all")
     out = _Chunks()
     evaluation = evaluate_shared(qkv, scene, band_partition=partition, attention_out=out)
@@ -349,40 +365,34 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, step, chunk):
     ref = qkv.k[n_queries:]
     scale = 1.0 / math.sqrt(config.dim)
     totals = np.zeros(len(partition.bands))
-    for start in range(0, n_queries, step):
-        qb = qkv.q[start : start + step]
+    for start in range(0, n, group):
+        # A product of fewer than three rows takes the rows before it too.
+        stop = min(start + group, n_queries)
+        lo = max(0, min(start, stop - 3))
+        qb = qkv.q[lo:stop]
         stacked = np.stack([
             np.matmul(qb[:, 2 * band.start : 2 * band.stop], ref[:, 2 * band.start : 2 * band.stop].T)
             for band in partition.bands
         ])
         stacked *= scale
-        totals += np.abs(stacked[:, : max(0, n - start)]).sum(axis=(1, 2))
+        totals += np.abs(stacked[:, start - lo : min(stop, n) - lo]).sum(axis=(1, 2))
     got = evaluation.attribution
     assert got.n_pairs == n * n
     assert got.mean_abs_logit == {
         band.label: float(total / (n * n)) for band, total in zip(partition.bands, totals)
     }
 
-    rows = [min(step, n_queries - start) for start in range(0, n_queries, step)]
+    rows = [min(block, n_queries - start) for start in range(0, n_queries, block)]
     sizes = [4 * n_keys * min(chunk, r - c) for r in rows for c in range(0, r, chunk)]
     assert [len(c) for c in out.chunks] == sizes and sizes[-1] < 4 * n_keys * chunk
     streamed = b"".join(out.chunks)
-    assert streamed == stacked_blocks(qkv.q, qkv.k, 1, rows=step).astype("<f4").tobytes()
+    assert streamed == stacked_blocks(qkv.q, qkv.k, 1, rows=block).astype("<f4").tobytes()
     assert streamed == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
-
-
-# NumPy multiplies a one-row block by BLAS gemv, whose sums round otherwise
-# than gemm's; at s = 1000 that reaches the last bit of positional_mass.
-ONE_ROW_GEMV = pytest.mark.xfail(reason="a one-row block's logits round otherwise (gemv)")
 
 
 @pytest.mark.parametrize(
     "s, rows",
-    [
-        *[(1.0, rows) for rows in (1, 7, 64, sys.maxsize)],
-        pytest.param(1000.0, 1, marks=ONE_ROW_GEMV),
-        *[(1000.0, rows) for rows in (7, 64, sys.maxsize)],
-    ],
+    [(s, rows) for s in (1.0, 1000.0) for rows in (1, 7, 64, sys.maxsize)],
     ids=lambda v: "unlimited" if v == sys.maxsize else str(v),
 )
 @pytest.mark.parametrize("streamed", [False, True], ids=["report", "streamed"])
@@ -391,8 +401,12 @@ ONE_ROW_GEMV = pytest.mark.xfail(reason="a one-row block's logits round otherwis
 def test_block_height_decides_no_output(heads, bands, text_tokens, streamed, s, rows, monkeypatch):
     # Compared with ==: the band sums are taken over fixed groups of
     # image-query rows, not over the logits blocks, and every other output
-    # is row by row or summed in row order. At s = 1000 most one-head rows
-    # saturate and some do not, so the notes are not empty.
+    # is row by row or summed in row order. A block of fewer than three rows
+    # multiplies the rows before it too, so no logits go by BLAS gemv, which
+    # rounds otherwise than gemm: at s = 1000 that moved the last bit of
+    # positional_mass while one-row blocks were multiplied alone. At
+    # s = 1000 most one-head rows saturate and some do not, so the notes
+    # are not empty.
     scene, text, config = demo_scene(16, text_tokens)
     params = SharingParams(mode="plain", s=s)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)

@@ -86,7 +86,8 @@ def setups(draw):
 def test_blocked_evaluation_equals_dense_reference(setup):
     config, scene, text, params, step, heads, partition, rows_per_block = setup
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
-    budget = rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
+    # Two blocks are in flight, each half the budget's rows and at least three.
+    budget = 2 * rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
     with mock.patch.object(ropefreq.diagnostics, "_BLOCK_BYTES", budget):
         evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
         # Each block is copied as it comes: the next one overwrites its buffer.
@@ -94,7 +95,7 @@ def test_blocked_evaluation_equals_dense_reference(setup):
             (start, attention.copy())
             for start, attention, _ in ropefreq.diagnostics._blocks(qkv.q, qkv.k, heads)
         ]
-    assert [start for start, _ in blocks] == list(range(0, qkv.q.shape[0], rows_per_block))
+    assert [start for start, _ in blocks] == list(range(0, qkv.q.shape[0], max(rows_per_block, 3)))
     stacked = np.vstack([attention for _, attention in blocks])
 
     attention = dense_softmax(qkv.q, qkv.k, heads)

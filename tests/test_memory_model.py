@@ -4,9 +4,11 @@ The model counts what a run must hold at its peak: the scene's positions
 and correspondence, one key stack ``k`` (the scene's and the text's
 features are drawn straight into its rows), the work buffer the evaluation
 computes in and, when matrices are streamed, one ``<f4`` write chunk. The
-work buffer is the larger of one logits block and, with attribution bands,
-one band panel: the bands are summed in a pass of their own after the
-logits blocks, over groups of image-query rows, in the same buffer.
+work buffer holds the two logits blocks in flight, which share the rows of
+logits one budget holds, or, with attribution bands, a band panel (two
+when two fit where the blocks were) if that is larger: the bands are
+summed in a pass of their own after the logits blocks, over groups of
+image-query rows, in the same buffer.
 Everything else must fit in 1 MiB beside them: the folds' per-query
 arrays and the report and, held before the work buffer exists and in its
 place, the scene builders' and AdaIN's 256 KiB blocks of rows and the
@@ -14,14 +16,13 @@ rotation's four 256 KiB budgets.
 """
 
 import json
-import math
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ropefreq.cli import ExperimentConfig, _all_or_nothing, run_experiment
-from ropefreq.diagnostics import _BLOCK_BYTES, _WRITE_BYTES, _logits_shape, _row_bytes
+from ropefreq.diagnostics import _BLOCK_BYTES, _WRITE_BYTES, _row_bytes
 from ropefreq.rope import _block_height
 
 
@@ -54,12 +55,16 @@ def model(grid: int, dim: int, text: int, heads: int, bands: bool, streamed: boo
     scene = 8 * (2 * n * 2 + n + text * 2)
     n_queries, n_keys = n + text, 2 * n + text
     k = 8 * n_keys * dim
-    work = math.prod(_logits_shape(n_queries, n_keys, heads))
+    # The two blocks in flight share the rows of logits the budget holds, at
+    # most 64: of one buffer with one head, of two with more.
+    budget_rows = min(64, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES), n_queries)
+    work = min(heads, 2) * budget_rows * n_keys
     if bands:
         # A group's panel against the n reference keys; the last group's
-        # product takes the text rows too.
-        panel_rows = min(_block_height(_row_bytes(n_keys, 1), _BLOCK_BYTES), n_queries)
-        work = max(work, panel_rows * n)
+        # product takes the text rows too. Two groups are in flight when
+        # their panels fit where the blocks were.
+        panel = min(_block_height(_row_bytes(n_keys, 1), _BLOCK_BYTES), n_queries) * n
+        work = max(work, panel)
     held = scene + k
     return held, held + 8 * work + (_WRITE_BYTES if streamed else 0) + 2**20
 
