@@ -289,8 +289,9 @@ class ExperimentConfig:
             step = merged.pop("step", norm["step"])
             swept.append((_sharing(merged), None if step is None else _int(step, f"sweep[{i}].step")))
         runs = swept or [base]
-        # One logits row (8 bytes a key) must fit in an evaluation block. With
-        # more than one head a block holds two such rows, up to 8 MiB at the bound.
+        # One logits row (8 bytes a key) must fit in the evaluation's budget.
+        # A block multiplies at least three rows, so at the bound its logits
+        # take 12 MiB, and 24 MiB with more than one head (two buffers).
         cells = norm["grid"]["width"] * norm["grid"]["height"]
         keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, _ in runs)
         if keys > _BLOCK_BYTES // 8:

@@ -16,18 +16,20 @@ own after the kernel, over fixed groups of image-query rows, so its sums
 do not depend on how high a logits block is. Both run in one work buffer
 that :func:`evaluate_shared` allocates once.
 
-Blocks, and band groups when two band panels fit that buffer, are computed
-two at a time (:func:`_pairs`): the calling thread computes the first and
-folds it while one worker thread computes the second. Two blocks share the
-one 4 MiB budget, so each is half as high as one block was (31 rows at
-64x64). While they run, NumPy's OpenBLAS is pinned to one thread
+Blocks and band groups of ``_MIN_PAIRED_ROWS`` or more rows, groups only
+when two band panels fit that buffer, are computed two at a time
+(:func:`_pairs`): the calling thread computes the first and folds it while
+one worker thread computes the second. Two paired blocks share the one
+4 MiB budget, so each is half as high as one block (31 rows at 64x64);
+where half the budget is fewer rows (past 72x72 with one head), a block
+takes all of it alone, as no pair pays for the shorter products. While a
+worker runs, NumPy's OpenBLAS is pinned to one thread
 (:func:`_blas_pinned`): left at two, its second thread spun through every
 NumPy pass between the products, and the process used about 1.9 CPU
-seconds per wall second. Without OpenBLAS's entry points or a second CPU
-the same loop runs in the calling thread alone. On a 2-vCPU VM the
-``copy64_attr`` benchmark's CPU time fell by a fifth and its wall time by
-a tenth; 128x128 runs, whose blocks fall from 15 rows to 7, got slower
-(see the README's "Memory and scale").
+seconds per wall second. Passes that are not paired, and every pass
+without OpenBLAS's entry points or a second CPU, run in the calling thread
+with BLAS left alone. On a 2-vCPU VM the ``copy64_attr`` benchmark's CPU
+time fell by a fifth (see the README's "Memory and scale").
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,13 +57,14 @@ __all__ = [
     "evaluate_shared",
 ]
 
-# Bytes of f64 logits the two blocks of query rows in flight may hold
-# together, counting every logits buffer of both. A block's height is half
-# the rows this budget holds, over the bytes those buffers take per query
-# row, so the working set stays flat however many keys and heads there are.
+# Bytes of f64 logits the blocks of query rows in flight may hold together,
+# counting every logits buffer of each. A block's height is the rows this
+# budget holds, over the bytes those buffers take per query row, halved when
+# two blocks are in flight, so the working set stays flat however many keys
+# and heads there are.
 _BLOCK_BYTES = 4 * 2**20
 
-# The most query rows the budget gives the two blocks in flight, so that
+# The most query rows the budget gives the blocks in flight, so that
 # blocks over few keys hold no more than they need: at 32x32 with two heads,
 # 64 rows take 2 MiB where the budget's 127 took 4 MiB. From 64x64 up the
 # budget stops them first.
@@ -72,6 +75,19 @@ _MAX_BUDGET_ROWS = 64
 # block or group takes the rows before it into its product and keeps only
 # its own.
 _MIN_PRODUCT_ROWS = 3
+
+# The fewest rows a block or band group of a pair has. OpenBLAS packs all
+# the keys for every product, so a product costs more per row the fewer rows
+# it multiplies, and two products of half as many rows on one BLAS thread
+# each can cost more than one product on two. Timed on a 2-vCPU VM, paired
+# logits blocks of 31 rows (64x64) and 25 (72x72) took 5-7% less CPU and
+# 4-10% more wall time than unpaired blocks of twice the rows; at 16 rows
+# (88x88) 7% more CPU and 12% more wall, at 7 (128x128) 37% and 45% more.
+# Paired band groups of 28 to 63 rows took 18-32% less CPU and 10-27% less
+# wall, and of 15 rows (128x128) 8% more wall. Shorter blocks or groups go
+# one at a time, blocks then taking all of the budget's rows, and no worker
+# runs.
+_MIN_PAIRED_ROWS = 24
 
 
 def _row_bytes(n_keys: int, heads: int) -> int:
@@ -88,13 +104,19 @@ def _budget_rows(n_keys: int, heads: int) -> int:
     return min(_MAX_BUDGET_ROWS, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES))
 
 
+def _paired_blocks(n_keys: int, heads: int) -> bool:
+    """Whether logits blocks go two at a time: half the budget holds ``_MIN_PAIRED_ROWS`` rows."""
+    return _budget_rows(n_keys, heads) // 2 >= _MIN_PAIRED_ROWS
+
+
 def _block_rows(n_keys: int, heads: int = 1) -> int:
     """Query rows per logits block for ``n_keys`` keys and ``heads`` heads.
 
-    Two blocks are in flight, so each is half the budget's rows (at most
-    32), and at least ``_MIN_PRODUCT_ROWS``.
+    Half the budget's rows (at most 32) when blocks go two at a time, or
+    else all of them, and at least ``_MIN_PRODUCT_ROWS``.
     """
-    return max(_MIN_PRODUCT_ROWS, _budget_rows(n_keys, heads) // 2)
+    rows = _budget_rows(n_keys, heads)
+    return max(_MIN_PRODUCT_ROWS, rows // 2 if _paired_blocks(n_keys, heads) else rows)
 
 
 def _product_start(start: int, stop: int) -> int:
@@ -138,68 +160,47 @@ def _logit_scale(head_dim: int) -> float:
 
 
 def _logits_shape(n_queries: int, n_keys: int, heads: int) -> tuple[int, int, int]:
-    """The shape of the logits buffers the two blocks in flight share (:func:`_blocks`).
+    """The shape of the logits buffers of the blocks in flight (:func:`_blocks`).
 
-    They hold the budget's rows, or two blocks' products where those take
-    more, so each block's product fits in half of them.
+    They hold the budget's rows, or the blocks' products where those take
+    more, so each block of a pair computes in its half of them.
     """
-    product = min(max(_block_rows(n_keys, heads), _MIN_PRODUCT_ROWS), n_queries)
-    rows = max(min(_budget_rows(n_keys, heads), n_queries), 2 * product)
+    product = min(_block_rows(n_keys, heads), n_queries)
+    slots = 2 if _paired_blocks(n_keys, heads) else 1
+    rows = max(min(_budget_rows(n_keys, heads), n_queries), slots * product)
     return min(heads, 2), rows, n_keys
 
 
 def _pairs(
-    compute: Callable[[int, int], object], items: Sequence[int], worker: bool
+    compute: Callable[[int, int], object], items: Sequence[int], paired: bool
 ) -> Iterator[object]:
-    """Yield ``compute(item, slot)`` for each of ``items`` in order, two at a time.
+    """Yield ``compute(item, slot)`` for each of ``items`` in order.
 
-    Of each pair, the first is computed in the calling thread with ``slot``
-    0, and the second with ``slot`` 1: with ``worker``, by one worker thread
-    while the caller computes the first and handles it; without, in the
-    caller once it has handled the first. A slot is computed in again only
-    once the caller has handled its last result, so a result must stay
-    valid only while the other slot's is computed. The worker's exception
-    is raised in the caller after the first of its pair is handled, and the
-    worker has ended before the generator finishes or is closed.
+    Without ``paired``, each is computed in the calling thread with ``slot``
+    0. With it, items go two at a time: the first of each pair with ``slot``
+    0 in the calling thread, and the second with ``slot`` 1, by one worker
+    thread while the caller computes the first and handles it, when
+    :func:`_blas_pinned` pins BLAS, or else in the caller once it has handled
+    the first. A slot is computed in again only once the caller has handled
+    its last result, so a result must stay valid only while the other
+    slot's is computed. The worker's exception is raised in the caller after
+    the first of its pair is handled. Before the generator finishes or is
+    closed, the worker has ended and BLAS's thread count is restored.
     """
-    free = threading.Semaphore(1)  # slot 1 may be computed in
-    ready = threading.Semaphore(0)  # the worker's next result is in results
-    results: list = []
-    closed = False
+    if not paired or len(items) < 2:
+        for item in items:
+            yield compute(item, 0)
+        return
+    # Imported here, like ctypes in _openblas, so importing the package does not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work() -> None:
-        for item in items[1::2]:
-            free.acquire()
-            if closed:
-                return
-            try:
-                results.append(compute(item, 1))
-            except BaseException as exc:  # raised again in the calling thread
-                results.append(exc)
-            ready.release()
-
-    thread = threading.Thread(target=work) if worker and len(items) > 1 else None
-    if thread is not None:
-        thread.start()
-    try:
+    with _blas_pinned() as worker, (ThreadPoolExecutor(1) if worker else nullcontext()) as pool:
         for i in range(0, len(items), 2):
+            second = items[i + 1] if i + 1 < len(items) else None
+            ahead = pool.submit(compute, second, 1) if worker and second is not None else None
             yield compute(items[i], 0)
-            if i + 1 == len(items):
-                break
-            if thread is None:
-                value = compute(items[i + 1], 1)
-            else:
-                ready.acquire()
-                value = results.pop()
-                if isinstance(value, BaseException):
-                    raise value
-            yield value
-            free.release()
-    finally:
-        if thread is not None:
-            closed = True
-            free.release()
-            thread.join()
+            if second is not None:
+                yield compute(second, 1) if ahead is None else ahead.result()
 
 
 def _blocks(
@@ -207,7 +208,6 @@ def _blocks(
     k_rot: np.ndarray,
     heads: int,
     work: np.ndarray | None = None,
-    worker: bool = False,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Evaluate attention one block of query rows at a time.
 
@@ -216,15 +216,15 @@ def _blocks(
     row is exact, and for each row the number of heads whose top weight
     passes :data:`_SATURATED_WEIGHT`. ``attention`` is a C-contiguous view of
     a buffer the block after next overwrites (the caller may compute in
-    it): copy what must outlive it. Blocks are computed two at a time
-    (:func:`_pairs`), the second on a worker thread when ``worker`` is true,
-    and yielded in order. A block is :func:`_block_rows` high, so the logits
-    buffers of the two (two per block with more than one head) together hold
-    at most ``_BLOCK_BYTES``, or three rows of each when a row alone passes
-    half of it. A block of fewer than three rows multiplies the rows before
-    it too. The buffers are the leading elements of ``work``, a flat f64
-    array of at least as many elements as :func:`_logits_shape` (a new one
-    when it is ``None``).
+    it): copy what must outlive it. A block is :func:`_block_rows` high, so
+    the logits buffers of the blocks in flight (two per block with more than
+    one head) together hold at most ``_BLOCK_BYTES``, or three rows of each
+    when the budget holds fewer. Blocks of ``_MIN_PAIRED_ROWS`` or more are
+    computed two at a time, the second on a worker thread where one can run
+    (:func:`_pairs`), and all are yielded in order. A block of fewer than
+    three rows multiplies the rows before it too. The buffers are the
+    leading elements of ``work``, a flat f64 array of at least as many
+    elements as :func:`_logits_shape` (a new one when it is ``None``).
 
     ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
     a softmax row that is not finite (overflowing or NaN logits) raises
@@ -276,7 +276,7 @@ def _blocks(
             attention /= heads
         return start, attention, saturated
 
-    yield from _pairs(block, range(0, n_queries, step), worker)
+    yield from _pairs(block, range(0, n_queries, step), _paired_blocks(k_rot.shape[0], heads))
 
 
 # Bytes of <f4 rows cast and written at a time when a matrix is streamed.
@@ -472,21 +472,26 @@ class _AttributionFold:
 def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
     """``(set_num_threads, get_num_threads)`` of the OpenBLAS NumPy runs on, or ``None``.
 
-    The library is found among the files this process maps (Linux's
-    ``/proc/self/maps``) and looked up on first use, not at import. The
-    names are those of NumPy 2's wheels (scipy-openblas64), of NumPy 1's
-    (64-bit integers) and of a plain OpenBLAS. The thread count is the
-    process's: even ``openblas_set_num_threads_local`` in a worker thread
-    set the count the main thread reads.
+    Only a library mapped (Linux's ``/proc/self/maps``) from NumPy's own
+    install is taken: the ``numpy.libs`` directory its wheels bundle
+    OpenBLAS in, or the package itself, not another OpenBLAS that some
+    other extension loaded. It is looked up on first use, not at import.
+    The names are those of NumPy 2's wheels (scipy-openblas64), of NumPy 1's
+    (64-bit integers) and of a plain OpenBLAS, and they are taken only when
+    setting one thread reads back one. The thread count is the process's:
+    even ``openblas_set_num_threads_local`` in a worker thread set the count
+    the main thread reads.
     """
     import ctypes
 
+    package = os.path.dirname(os.path.realpath(np.__file__))
+    homes = (package + os.sep, package + ".libs" + os.sep)
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
     except OSError:
         return None
-    for path in sorted(paths):
+    for path in sorted(p for p in paths if os.path.realpath(p).startswith(homes)):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -494,14 +499,20 @@ def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                      "openblas_{}_num_threads"):
             try:
-                return getattr(lib, name.format("set")), getattr(lib, name.format("get"))
+                set_threads = getattr(lib, name.format("set"))
+                get_threads = getattr(lib, name.format("get"))
             except AttributeError:
                 continue
+            threads = get_threads()
+            set_threads(1)
+            pinned = get_threads() == 1
+            set_threads(threads)
+            return (set_threads, get_threads) if pinned else None
     return None
 
 
-# The pinned blocks running in this process, and the BLAS thread count
-# before the first of them, which the last restores.
+# The pins held in this process, and the BLAS thread count before the first
+# of them, which the last restores.
 _PIN_LOCK = threading.Lock()
 _pinned = 0
 _unpinned_threads = 0
@@ -515,28 +526,29 @@ def _blas_pinned() -> Iterator[bool]:
     each with one BLAS thread, where otherwise BLAS's second thread would
     spin through every NumPy pass between the products. Without OpenBLAS's
     entry points or a second CPU, BLAS is left alone and no worker runs.
-    The count is the process's, so blocks that overlap, in one thread or
-    several, share the pin, and the last to end restores the count the
-    first found, however it ends.
+    The count is the process's, so pins that overlap, in one thread or
+    several, share it, and the last to end restores the count the first
+    found, however it ends. The lookup runs under the pin's lock, so its
+    check of the entry points cannot undo a pin taken meanwhile.
     """
     global _pinned, _unpinned_threads
-    blas = _openblas()
-    if blas is None or len(os.sched_getaffinity(0)) < 2:
+    with _PIN_LOCK:
+        blas = _openblas() if len(os.sched_getaffinity(0)) > 1 else None
+        if blas is not None:
+            if _pinned == 0:
+                _unpinned_threads = blas[1]()
+                blas[0](1)
+            _pinned += 1
+    if blas is None:
         yield False
         return
-    set_threads, get_threads = blas
-    with _PIN_LOCK:
-        if _pinned == 0:
-            _unpinned_threads = get_threads()
-            set_threads(1)
-        _pinned += 1
     try:
         yield True
     finally:
         with _PIN_LOCK:
             _pinned -= 1
             if _pinned == 0:
-                set_threads(_unpinned_threads)
+                blas[0](_unpinned_threads)
 
 
 @dataclass(frozen=True)
@@ -569,11 +581,11 @@ def evaluate_shared(
     are taken against the reference keys only, after the last block, over
     fixed groups of image-query rows (:class:`_AttributionFold`), so their
     sums do not depend on the height of a block. The blocks and the band
-    panels are computed in one work buffer, two at a time where a second
-    CPU and NumPy's OpenBLAS allow (:func:`_blas_pinned`); the worker thread
-    has ended, and the BLAS thread count is restored, before this returns
-    or raises. Positional alignment is exact
-    grid equality of a query and a reference key; without reference keys
+    panels are computed in one work buffer, two at a time where they are
+    high enough and a second CPU and NumPy's OpenBLAS allow (:func:`_pairs`);
+    the worker thread has ended, and the BLAS thread count is restored,
+    before this returns or raises. Positional alignment is exact grid
+    equality of a query and a reference key; without reference keys
     all alignment is 0. ``heads`` and ``band_partition`` are checked against
     the width of the keys.
     """
@@ -586,7 +598,7 @@ def evaluate_shared(
         attribution = _AttributionFold(band_partition, qkv, align.n)
         panel = attribution.panel_size
         # Two groups are in flight only when their panels fit where the blocks were.
-        two_groups = 2 * panel <= size
+        two_groups = attribution.rows >= _MIN_PAIRED_ROWS and 2 * panel <= size
         size = max(size, panel)
     work = np.empty(size)
     if attention_out is not None:
@@ -594,24 +606,21 @@ def evaluate_shared(
         # Rows are cast into this one buffer and written from it.
         f4 = np.empty((min(chunk, _block_rows(n_keys, heads), len(q)), n_keys), dtype="<f4")
     saturated = 0  # (image-query row, head) pairs
-    with _blas_pinned() as worker:
-        with closing(_blocks(q, qkv.k, heads, work, worker)) as blocks:
-            for start, attention, block_saturated in blocks:
-                align.add(start, attention)
-                saturated += int(block_saturated[: max(align.n - start, 0)].sum())
-                if attention_out is not None:
-                    for row in range(0, attention.shape[0], chunk):
-                        rows = attention[row : row + chunk]
-                        np.copyto(f4[: len(rows)], rows)
-                        attention_out.write(f4[: len(rows)])
-        if attribution is not None:
-            panels = (work[:panel], work[panel : 2 * panel] if two_groups else work[:panel])
-            for _ in _pairs(
-                lambda start, slot: attribution.add(start, panels[slot]),
-                attribution.starts,
-                worker and two_groups,
-            ):
-                pass
+    with closing(_blocks(q, qkv.k, heads, work)) as blocks:
+        for start, attention, block_saturated in blocks:
+            align.add(start, attention)
+            saturated += int(block_saturated[: max(align.n - start, 0)].sum())
+            if attention_out is not None:
+                for row in range(0, attention.shape[0], chunk):
+                    rows = attention[row : row + chunk]
+                    np.copyto(f4[: len(rows)], rows)
+                    attention_out.write(f4[: len(rows)])
+    if attribution is not None:
+        panels = (work[:panel], work[panel : 2 * panel])
+        for _ in _pairs(
+            lambda start, slot: attribution.add(start, panels[slot]), attribution.starts, two_groups
+        ):
+            pass
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),

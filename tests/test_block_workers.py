@@ -1,13 +1,14 @@
 """``evaluate_shared`` on two block workers against the same loop on one.
 
-With numpy's OpenBLAS found and a second CPU, the evaluator computes its
-logits blocks two at a time, the second on a worker thread, and so the band
-groups when two band panels fit its work buffer, with OpenBLAS pinned to one
-thread. Without them it runs the same loop in the calling thread and leaves
-BLAS alone. Both must give the same outputs, compared with ``==``, at the
-same BLAS thread count: the count itself can move a logit's last bit (at
-16x16 with four heads, one of ``positional_mass``), so the tests pin BLAS
-to one thread for the runs without the worker too.
+With numpy's OpenBLAS found and a second CPU, the evaluator computes logits
+blocks of ``_MIN_PAIRED_ROWS`` rows or more two at a time, the second on a
+worker thread, and so the band groups when two band panels fit its work
+buffer, with OpenBLAS pinned to one thread while they run. Without them it
+runs the same loop in the calling thread and leaves BLAS alone. Both must
+give the same outputs, compared with ``==``, at the same BLAS thread count:
+the count itself can move a logit's last bit (at 16x16 with four heads, one
+of ``positional_mass``), so the tests pin BLAS to one thread around both
+runs.
 """
 
 import os
@@ -60,75 +61,118 @@ class _Chunks:
         self.chunks.append(bytes(data))
 
 
-def evaluate(monkeypatch, worker, qkv, scene, heads=1, partition=None, out=None):
-    """``(evaluation, threads)``, with the threads that computed a block or group.
+def evaluate(monkeypatch, worker, qkv, scene, heads=1, partition=None, out=None, pinned=True):
+    """``(evaluation, passes)``, with the threads that computed each pass's blocks or groups.
 
-    ``threads`` holds, for each computed block or group, whether the main
-    thread computed it and OpenBLAS's thread count while it did (``None``
-    without OpenBLAS). Without ``worker``, the evaluator does not find
-    OpenBLAS, which is pinned to one thread around it instead.
+    ``passes`` holds, for each pass over blocks or band groups, whether it
+    was paired, how many items it had, and the set of ``(main, threads)``
+    it computed them with: whether the main thread computed one and
+    OpenBLAS's thread count while it did (``None`` without OpenBLAS).
+    Without ``worker``, the evaluator does not find OpenBLAS. With
+    ``pinned``, OpenBLAS is pinned to one thread around the evaluation.
     """
-    threads = set()
+    passes = []
     pairs = diagnostics._pairs
     blas = diagnostics._openblas()
 
-    def recorded(compute, items, worker):
+    def recorded(compute, items, paired):
+        threads = set()
+        passes.append((paired, len(items), threads))
+
         def traced(item, slot):
             main = threading.current_thread() is threading.main_thread()
             threads.add((main, None if blas is None else blas[1]()))
             return compute(item, slot)
 
-        return pairs(traced, items, worker)
+        return pairs(traced, items, paired)
 
-    pinned = nullcontext() if worker else diagnostics._blas_pinned()
-    with pinned, monkeypatch.context() as patch:
+    with diagnostics._blas_pinned() if pinned else nullcontext(), monkeypatch.context() as patch:
         patch.setattr(diagnostics, "_pairs", recorded)
         if not worker:
             patch.setattr(diagnostics, "_openblas", lambda: None)
         evaluation = evaluate_shared(qkv, scene, heads, partition, attention_out=out)
-    return evaluation, threads
+    return evaluation, passes
 
 
-def test_the_openblas_this_process_maps_is_found():
-    # NumPy's wheels bundle OpenBLAS; its entry points must be found where
-    # the process maps it, and without it the evaluator leaves BLAS alone.
+def test_the_openblas_numpy_runs_on_is_found(monkeypatch):
+    # NumPy's wheels bundle OpenBLAS in numpy.libs; its entry points must be
+    # found where the process maps it from there, and set one thread when
+    # asked. An OpenBLAS mapped from anywhere else is not taken.
+    homes = tuple(
+        os.path.dirname(os.path.realpath(np.__file__)) + tail + os.sep for tail in ("", ".libs")
+    )
     mapped = False
     if os.path.exists("/proc/self/maps"):
         with open("/proc/self/maps") as maps:
-            mapped = "openblas" in maps.read()
-    assert (diagnostics._openblas() is not None) == mapped
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+        mapped = any(os.path.realpath(path).startswith(homes) for path in paths)
+    blas = diagnostics._openblas()
+    assert (blas is not None) == mapped
+    if blas is not None:
+        before = blas[1]()
+        blas[0](1)
+        assert blas[1]() == 1
+        blas[0](before)
+    monkeypatch.setattr(np, "__file__", "/nowhere/numpy/__init__.py")
+    assert diagnostics._openblas.__wrapped__() is None
 
 
-# Budgets in rows of logits: the default (blocks of 32 rows, one band
-# group at a time) and budgets for blocks of 7, 5 and 3 rows, with two band
-# groups of 14, 10 and 3 rows in flight. The last block is one row at 7
-# rows with 4 text tokens (260 query rows), at 5 rows without (256) and at
-# 3 rows without, and two rows at 3 rows with 4 text tokens; the last group
-# of 3 rows is one row without text tokens.
-@pytest.mark.parametrize("budget_rows", [None, 14, 10, 3], ids=["4MiB", "14", "10", "3"])
+# Budgets in rows of logits, with blocks paired from 3 rows: the default
+# (blocks of 32 rows, one band group at a time) and budgets for paired
+# blocks of 7, 5 and 3 rows, beside paired band groups of 14, 10 and 6 rows,
+# and for unpaired blocks of 3 rows beside paired groups of 3. The last
+# block is one row at 7 rows with 4 text tokens (260 query rows) and at 5
+# rows without (256), and at 3 rows it is one row without and two with; the
+# last group of 3 rows is one row without text tokens.
+@pytest.mark.parametrize("budget_rows", [None, 14, 10, 6, 3], ids=["4MiB", "14", "10", "6", "3"])
 @pytest.mark.parametrize("text_tokens", [0, 4])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_the_worker_moves_no_output(heads, text_tokens, budget_rows, monkeypatch, two_cpus):
     scene, qkv = shared_keys(text_tokens, s=100.0)
+    monkeypatch.setattr(diagnostics, "_MIN_PAIRED_ROWS", 3)
     if budget_rows is not None:
         budget = budget_rows * diagnostics._row_bytes(len(qkv.k), heads)
         monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", budget)
     partition = make_even_partition(CONFIG, 3, "all") if heads == 1 else None
+    blas = diagnostics._openblas()
     runs = {}
     for worker in (True, False):
         out = _Chunks()
-        evaluation, threads = evaluate(monkeypatch, worker, qkv, scene, heads, partition, out)
+        evaluation, passes = evaluate(monkeypatch, worker, qkv, scene, heads, partition, out)
         runs[worker] = evaluation, out.chunks
-        blas = diagnostics._openblas()
-        if worker and blas is not None:
-            # Both threads computed, each with one BLAS thread.
-            assert threads == {(True, 1), (False, 1)}
-        else:
-            assert {main for main, _ in threads} == {True}
+        # The blocks pair unless half the budget is under three rows.
+        assert passes[0][0] == (budget_rows != 3)
+        for paired, items, threads in passes:
+            if worker and blas is not None and paired and items > 1:
+                # Both threads computed, each with one BLAS thread.
+                assert threads == {(True, 1), (False, 1)}
+            else:
+                assert {main for main, _ in threads} == {True}
     assert runs[True] == runs[False]
     evaluation, chunks = runs[True]
     assert (evaluation.attribution is None) == (heads != 1)
     assert len(b"".join(chunks)) == 4 * len(qkv.q) * len(qkv.k)
+
+
+def test_blas_is_pinned_only_while_a_worker_runs(monkeypatch, two_cpus):
+    # At 16x16 the 32-row blocks pair, but two band groups' panels do not
+    # fit their buffer, so the band pass runs in the caller with BLAS's own
+    # thread count. Under a 20-row budget neither pass pairs.
+    blas = diagnostics._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS entry points in this process")
+    scene, qkv = shared_keys(4)
+    partition = make_even_partition(CONFIG, 3, "all")
+    before = blas[1]()
+    _, passes = evaluate(monkeypatch, True, qkv, scene, partition=partition, pinned=False)
+    assert [(paired, threads) for paired, _, threads in passes] == [
+        (True, {(True, 1), (False, 1)}),
+        (False, {(True, before)}),
+    ]
+    monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 20 * diagnostics._row_bytes(len(qkv.k), 1))
+    _, passes = evaluate(monkeypatch, True, qkv, scene, partition=partition, pinned=False)
+    assert [(paired, threads) for paired, _, threads in passes] == [(False, {(True, before)})] * 2
+    assert blas[1]() == before
 
 
 def counts():

@@ -80,12 +80,13 @@ SHARINGS = {
 def ragged_blocks(monkeypatch):
     """Shrink the block budget so each evaluation takes several ragged blocks.
 
-    Two blocks are in flight, so the budget holds two blocks' rows.
+    Blocks of that height are paired, so the budget holds two blocks' rows.
     """
 
     def for_keys(n_keys, heads):
         budget = 2 * ROWS_PER_BLOCK * ropefreq.diagnostics._row_bytes(n_keys, heads)
         monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(ropefreq.diagnostics, "_MIN_PAIRED_ROWS", ROWS_PER_BLOCK)
 
     return for_keys
 
@@ -156,14 +157,24 @@ def test_saturated_counts_are_each_rows_saturated_heads(s, heads, ragged_blocks)
     np.testing.assert_array_equal(counts, dense_saturated(qkv.q, qkv.k, heads))
 
 
-def test_a_block_stops_at_32_rows_below_half_the_budget():
-    # Two blocks in flight share the 4 MiB budget, so below 32 rows half of
-    # it decides: 31 rows over 64x64's 8,196 keys and 7 over 128x128's
-    # 32,772. No block is under three rows, not even at the 524,288-key
-    # bound, where one row of logits fills the whole budget.
-    cases = [(100, 1), (2052, 2), (8196, 1), (32772, 1), (524288, 1), (524288, 2)]
-    rows = [ropefreq.diagnostics._block_rows(n_keys, heads) for n_keys, heads in cases]
-    assert rows == [32, 32, 31, 7, 3, 3]
+def test_a_block_stops_at_32_rows_and_pairs_from_24():
+    # Two paired blocks share the 4 MiB budget, at most 64 rows, so each
+    # is 32 rows at most, and 31 over 64x64's 8,196 keys with one head.
+    # Where half the budget is under 24 rows, a block takes all of it
+    # alone: 31 rows with two heads there, and 15 over 128x128's 32,772
+    # keys. No block is under three rows, not even at the 524,288-key
+    # bound, where one row of logits fills the whole budget: there the
+    # logits buffers hold three rows, 12 MiB with one head and 24 MiB with
+    # two.
+    diagnostics = ropefreq.diagnostics
+    cases = [(100, 1), (2052, 2), (8196, 1), (8196, 2), (32772, 1), (524288, 1), (524288, 2)]
+    rows = [diagnostics._block_rows(n_keys, heads) for n_keys, heads in cases]
+    assert rows == [32, 32, 31, 31, 15, 3, 3]
+    paired = [diagnostics._paired_blocks(n_keys, heads) for n_keys, heads in cases]
+    assert paired == [True, True, True, False, False, False, False]
+    shapes = [diagnostics._logits_shape(4100, n_keys, heads) for n_keys, heads in cases]
+    assert [rows for _, rows, _ in shapes] == [64, 64, 63, 31, 15, 3, 3]
+    assert [8 * np.prod(shape) for shape in shapes[-2:]] == [12 * 2**20, 24 * 2**20]
 
 
 def test_non_finite_logits_raise_without_a_numpy_warning():
@@ -300,9 +311,10 @@ def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
 @pytest.mark.parametrize("heads", [2, 4])
 def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
     # With more than one head a block holds two logits buffers, the head
-    # average and the head being computed; the two blocks in flight are only
-    # as high as lets all four fit the one budget, so the peak is that of one
-    # head. Two buffers of the one-head height (8 MiB here) do not fit.
+    # average and the head being computed; the blocks in flight (one of 31
+    # rows here, since half of that would be under 24 rows) are only as high
+    # as lets both fit the one budget, so the peak is that of one head. Two
+    # buffers of the one-head height (8 MiB here) do not fit.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
@@ -327,7 +339,8 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     # band panel at a time in the work buffer, and each must add the same
     # bits as summing the stacked panels of a group of rows over (rows,
     # keys) and adding the groups in order. The budget sets the group
-    # height and, halved and below 32 rows, the block height too. The
+    # height and the block height too: half of it when that is 24 rows or
+    # more, so blocks pair, or all of it, at least three rows. The
     # streamed rows go out 7 at a time. With 4 text tokens, groups of 48
     # query rows and blocks of 24 there are five full groups and a sixth of
     # 20 (16 image rows and the 4 text rows), and ten full blocks and an
@@ -351,7 +364,7 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, group, chunk)
     budget = group * ropefreq.diagnostics._row_bytes(n_keys, 1)
     monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
-    group, block = max(group, 3), max(group // 2, 3)
+    group, block = max(group, 3), group // 2 if group // 2 >= 24 else max(group, 3)
     if group > 3:
         # With text tokens, the last group holds both kinds of row.
         assert text_tokens == 0 or (n - 1) // group == (n_queries - 1) // group

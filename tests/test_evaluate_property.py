@@ -7,6 +7,7 @@ attribution bands with one head. The block budget is shrunk to a few query
 rows, so most evaluations run in several blocks, the last one shorter.
 """
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -73,7 +74,7 @@ def setups(draw):
     if heads == 1:
         partition = make_even_partition(config, draw(st.integers(1, 3)), "all")
     rows_per_block = draw(st.integers(1, 4))
-    return config, scene, text, params, step, heads, partition, rows_per_block
+    return config, scene, text, params, step, heads, partition, rows_per_block, draw(st.booleans())
 
 
 @settings(
@@ -84,11 +85,15 @@ def setups(draw):
 )
 @given(setup=setups())
 def test_blocked_evaluation_equals_dense_reference(setup):
-    config, scene, text, params, step, heads, partition, rows_per_block = setup
+    config, scene, text, params, step, heads, partition, rows_per_block, paired = setup
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
-    # Two blocks are in flight, each half the budget's rows and at least three.
-    budget = 2 * rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
-    with mock.patch.object(ropefreq.diagnostics, "_BLOCK_BYTES", budget):
+    # Paired blocks are each half the budget's rows, unpaired ones all of
+    # them, and every block at least three.
+    budget = (1 + paired) * rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
+    with (
+        mock.patch.object(ropefreq.diagnostics, "_BLOCK_BYTES", budget),
+        mock.patch.object(ropefreq.diagnostics, "_MIN_PAIRED_ROWS", 1 if paired else sys.maxsize),
+    ):
         evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
         # Each block is copied as it comes: the next one overwrites its buffer.
         blocks = [
