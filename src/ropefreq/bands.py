@@ -9,11 +9,11 @@ drop steeply with small shifts, high indices (low frequency) barely move.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._worker import Worker
 from .errors import ConfigurationError, ShapeError
 from .rope import RotaryConfig, _block_height, _int64, frequencies
 
@@ -213,9 +213,9 @@ def decay_curve(
 
 # Deltas per streamed chunk of :func:`decay_curve_to_csv`: a block's budget
 # at 16 bytes a delta, 16,384. At 10**5 deltas on 2 cores, 2**13 to 2**15
-# were fastest of 2**11 to 2**16: shorter chunks start more threads, longer
-# ones leave the first chunk's cosines and the last one's rows unoverlapped
-# for longer. Two chunks of 3 bands and "full" hold 1.3 MB.
+# were fastest of 2**11 to 2**16: shorter chunks hand the worker more calls,
+# longer ones leave the first chunk's cosines and the last one's rows
+# unoverlapped for longer. Two chunks of 3 bands and "full" hold 1.3 MB.
 _CHUNK_DELTAS = _block_deltas(16)
 
 
@@ -229,8 +229,9 @@ def decay_curve_to_csv(
     ``"%d,%s,%.17g\\n"`` (see :mod:`ropefreq._csvrows`), in (delta, band)
     order. Each chunk of deltas is one ``decay_curve`` call, so the curve is
     never held whole; while one chunk's rows are written, a worker thread
-    takes the next chunk's cosines, which release the GIL. The worker has
-    ended before this returns or raises, and its exception is raised here.
+    (:class:`~ropefreq._worker.Worker`) takes the next chunk's cosines,
+    which release the GIL. The worker has ended before this returns or
+    raises, and its exception is raised here.
     """
     # Imported on first use: every run that writes no CSV would otherwise
     # compile the renderer at start-up.
@@ -241,23 +242,9 @@ def decay_curve_to_csv(
             delta_values[lo : lo + _CHUNK_DELTAS], partition, config, include_full=include_full
         )
 
-    def compute(lo: int, result: list) -> None:
-        try:
-            result.append(chunk(lo))
-        except BaseException as exc:  # raised again in the calling thread
-            result.append(exc)
-
     out.write(HEADER)
-    curve = chunk(0)
-    for lo in range(_CHUNK_DELTAS, len(delta_values), _CHUNK_DELTAS):
-        result: list = []
-        worker = threading.Thread(target=compute, args=(lo, result))
-        worker.start()
-        try:
-            write_rows(curve, out)
-        finally:
-            worker.join()
-        [curve] = result
-        if isinstance(curve, BaseException):
-            raise curve
+    with Worker(threaded=len(delta_values) > _CHUNK_DELTAS) as worker:
+        curve = chunk(0)
+        for lo in range(_CHUNK_DELTAS, len(delta_values), _CHUNK_DELTAS):
+            _, curve = worker.split(lambda: write_rows(curve, out), lambda: chunk(lo))
     write_rows(curve, out)

@@ -291,7 +291,7 @@ class ExperimentConfig:
         runs = swept or [base]
         # One logits row (8 bytes a key) must fit in the evaluation's budget.
         # A block multiplies at least three rows, so at the bound its logits
-        # take 12 MiB, and 24 MiB with more than one head (two buffers).
+        # take 12 MiB with one head, 24 MiB with two and 36 MiB with more.
         cells = norm["grid"]["width"] * norm["grid"]["height"]
         keys = cells + norm["text_tokens"] + cells * any(p.mode != "none" for p, _ in runs)
         if keys > _BLOCK_BYTES // 8:

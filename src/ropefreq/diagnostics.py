@@ -10,26 +10,16 @@ no information about the reference competition.
 
 :func:`evaluate_shared` is the one evaluator: it reduces each block of query
 rows as it is computed, so no dense matrix is ever held. The attention
-kernel, :func:`_blocks`, yields softmax rows a block at a time, and the
-alignment fold reads them as they come. Band attribution is a pass of its
-own after the kernel, over fixed groups of image-query rows, so its sums
-do not depend on how high a logits block is. Both run in one work buffer
-that :func:`evaluate_shared` allocates once.
-
-Blocks and band groups of ``_MIN_PAIRED_ROWS`` or more rows, groups only
-when two band panels fit that buffer, are computed two at a time
-(:func:`_pairs`): the calling thread computes the first and folds it while
-one worker thread computes the second. Two paired blocks share the one
-4 MiB budget, so each is half as high as one block (31 rows at 64x64);
-where half the budget is fewer rows (past 72x72 with one head), a block
-takes all of it alone, as no pair pays for the shorter products. While a
-worker runs, NumPy's OpenBLAS is pinned to one thread
-(:func:`_blas_pinned`): left at two, its second thread spun through every
-NumPy pass between the products, and the process used about 1.9 CPU
-seconds per wall second. Passes that are not paired, and every pass
-without OpenBLAS's entry points or a second CPU, run in the calling thread
-with BLAS left alone. On a 2-vCPU VM the ``copy64_attr`` benchmark's CPU
-time fell by a fifth (see the README's "Memory and scale").
+kernel, :func:`_blocks`, computes softmax rows a block at a time and folds
+them into the alignment terms as they come. Band attribution is a pass of
+its own after the kernel, over fixed groups of image-query rows, so its sums
+do not depend on how high a logits block is. Both run in one work buffer.
+NumPy's OpenBLAS, where its entry points are found, is pinned to one thread
+for the whole evaluation (:func:`_blas_pinned`), and with a second CPU one
+worker thread (:class:`~ropefreq._worker.Worker`) shares every block, band
+group or band product with the caller. With one CPU the caller computes
+both shares itself, so no output bit depends on the CPU count or on BLAS's
+own thread count. Timings are in the README's "Memory and scale".
 """
 
 from __future__ import annotations
@@ -38,12 +28,13 @@ import functools
 import math
 import os
 import threading
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import closing, contextmanager, nullcontext
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._worker import Worker
 from .attention import SharedQKV
 from .bands import BandPartition
 from .errors import ConfigurationError, ShapeError
@@ -57,17 +48,15 @@ __all__ = [
     "evaluate_shared",
 ]
 
-# Bytes of f64 logits the blocks of query rows in flight may hold together,
-# counting every logits buffer of each. A block's height is the rows this
-# budget holds, over the bytes those buffers take per query row, halved when
-# two blocks are in flight, so the working set stays flat however many keys
-# and heads there are.
+# Bytes of f64 logits a block of query rows may hold, counting every logits
+# buffer. A block's height is the rows this budget holds, over the bytes
+# those buffers take per query row, so the working set stays flat however
+# many keys and heads there are.
 _BLOCK_BYTES = 4 * 2**20
 
-# The most query rows the budget gives the blocks in flight, so that
-# blocks over few keys hold no more than they need: at 32x32 with two heads,
-# 64 rows take 2 MiB where the budget's 127 took 4 MiB. From 64x64 up the
-# budget stops them first.
+# The most query rows a block has, so that blocks over few keys hold no more
+# than they need: at 32x32 with two heads, 64 rows take 2 MiB where the
+# budget's 127 took 4 MiB. From 64x64 up the budget stops them first.
 _MAX_BUDGET_ROWS = 64
 
 # The fewest query rows a logits or band product multiplies. NumPy multiplies
@@ -76,47 +65,27 @@ _MAX_BUDGET_ROWS = 64
 # its own.
 _MIN_PRODUCT_ROWS = 3
 
-# The fewest rows a block or band group of a pair has. OpenBLAS packs all
-# the keys for every product, so a product costs more per row the fewer rows
-# it multiplies, and two products of half as many rows on one BLAS thread
-# each can cost more than one product on two. Timed on a 2-vCPU VM, paired
-# logits blocks of 31 rows (64x64) and 25 (72x72) took 5-7% less CPU and
-# 4-10% more wall time than unpaired blocks of twice the rows; at 16 rows
-# (88x88) 7% more CPU and 12% more wall, at 7 (128x128) 37% and 45% more.
-# Paired band groups of 28 to 63 rows took 18-32% less CPU and 10-27% less
-# wall, and of 15 rows (128x128) 8% more wall. Shorter blocks or groups go
-# one at a time, blocks then taking all of the budget's rows, and no worker
-# runs.
-_MIN_PAIRED_ROWS = 24
+# A product shared with the worker is cut at a key column that is a multiple
+# of this, near the middle, where its parts hold the bits of one GEMM.
+_SPLIT_KEYS = 64
+
+# A worker without a thread of its own: every split runs in the caller.
+_INLINE = Worker(threaded=False)
 
 
 def _row_bytes(n_keys: int, heads: int) -> int:
     """Bytes of f64 logits a block holds per query row over ``n_keys`` keys.
 
     One row per logits buffer: the first head's, which becomes the head
-    average, and with more heads one that each further head is computed in.
+    average, and one for the further heads of each of the two threads.
     """
-    return 8 * max(n_keys, 1) * min(heads, 2)
-
-
-def _budget_rows(n_keys: int, heads: int) -> int:
-    """Query rows of logits over ``n_keys`` keys that ``_BLOCK_BYTES`` holds, at most 64."""
-    return min(_MAX_BUDGET_ROWS, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES))
-
-
-def _paired_blocks(n_keys: int, heads: int) -> bool:
-    """Whether logits blocks go two at a time: half the budget holds ``_MIN_PAIRED_ROWS`` rows."""
-    return _budget_rows(n_keys, heads) // 2 >= _MIN_PAIRED_ROWS
+    return 8 * max(n_keys, 1) * min(heads, 3)
 
 
 def _block_rows(n_keys: int, heads: int = 1) -> int:
-    """Query rows per logits block for ``n_keys`` keys and ``heads`` heads.
-
-    Half the budget's rows (at most 32) when blocks go two at a time, or
-    else all of them, and at least ``_MIN_PRODUCT_ROWS``.
-    """
-    rows = _budget_rows(n_keys, heads)
-    return max(_MIN_PRODUCT_ROWS, rows // 2 if _paired_blocks(n_keys, heads) else rows)
+    """Query rows per logits block: those ``_BLOCK_BYTES`` holds, at most 64 and at least 3."""
+    rows = _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES)
+    return max(_MIN_PRODUCT_ROWS, min(_MAX_BUDGET_ROWS, rows))
 
 
 def _product_start(start: int, stop: int) -> int:
@@ -160,47 +129,44 @@ def _logit_scale(head_dim: int) -> float:
 
 
 def _logits_shape(n_queries: int, n_keys: int, heads: int) -> tuple[int, int, int]:
-    """The shape of the logits buffers of the blocks in flight (:func:`_blocks`).
+    """The shape of a block's logits buffers: its rows, or its product's where that takes more."""
+    rows = min(max(_block_rows(n_keys, heads), _MIN_PRODUCT_ROWS), n_queries)
+    return min(heads, 3), rows, n_keys
 
-    They hold the budget's rows, or the blocks' products where those take
-    more, so each block of a pair computes in its half of them.
+
+def _split_product(worker: Worker, a: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(a, keys.T, out=out)``, split at a key column between the caller and ``worker``."""
+    cut = _SPLIT_KEYS * (len(keys) // (2 * _SPLIT_KEYS))
+
+    def part(cols: slice) -> None:
+        # Overflow and NaN are left to the caller's checks, without NumPy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(a, keys[cols].T, out=out[:, cols])
+
+    worker.split(lambda: part(slice(cut)), lambda: part(slice(cut, None)))
+
+
+def _softmax(a: np.ndarray, scale: float) -> np.ndarray:
+    """Turn the logits rows ``a`` into softmax rows in place; return which top weights pass 0.99.
+
+    Rows that are not finite (overflowing or NaN logits) raise :class:`ConfigurationError`.
     """
-    product = min(_block_rows(n_keys, heads), n_queries)
-    slots = 2 if _paired_blocks(n_keys, heads) else 1
-    rows = max(min(_budget_rows(n_keys, heads), n_queries), slots * product)
-    return min(heads, 2), rows, n_keys
-
-
-def _pairs(
-    compute: Callable[[int, int], object], items: Sequence[int], paired: bool
-) -> Iterator[object]:
-    """Yield ``compute(item, slot)`` for each of ``items`` in order.
-
-    Without ``paired``, each is computed in the calling thread with ``slot``
-    0. With it, items go two at a time: the first of each pair with ``slot``
-    0 in the calling thread, and the second with ``slot`` 1, by one worker
-    thread while the caller computes the first and handles it, when
-    :func:`_blas_pinned` pins BLAS, or else in the caller once it has handled
-    the first. A slot is computed in again only once the caller has handled
-    its last result, so a result must stay valid only while the other
-    slot's is computed. The worker's exception is raised in the caller after
-    the first of its pair is handled. Before the generator finishes or is
-    closed, the worker has ended and BLAS's thread count is restored.
-    """
-    if not paired or len(items) < 2:
-        for item in items:
-            yield compute(item, 0)
-        return
-    # Imported here, like ctypes in _openblas, so importing the package does not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _blas_pinned() as worker, (ThreadPoolExecutor(1) if worker else nullcontext()) as pool:
-        for i in range(0, len(items), 2):
-            second = items[i + 1] if i + 1 < len(items) else None
-            ahead = pool.submit(compute, second, 1) if worker and second is not None else None
-            yield compute(items[i], 0)
-            if second is not None:
-                yield compute(second, 1) if ahead is None else ahead.result()
+    # Overflowing or NaN logits are caught by the finiteness guard below,
+    # so NumPy's own warnings about them would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a *= scale
+        a -= a.max(axis=1, keepdims=True)
+        np.exp(a, out=a)
+        total = a.sum(axis=1, keepdims=True)
+    # Each row holds exp(0) = 1, so a finite total means every entry is
+    # finite; NaN or overflow anywhere makes it non-finite.
+    if not np.isfinite(total).all():
+        raise ConfigurationError(
+            "attention softmax is not finite: the logits overflow or contain NaN"
+        )
+    a /= total
+    # A row's top weight is exp(0) / total: no pass over the row.
+    return 1 / total[:, 0] > _SATURATED_WEIGHT
 
 
 def _blocks(
@@ -208,75 +174,78 @@ def _blocks(
     k_rot: np.ndarray,
     heads: int,
     work: np.ndarray | None = None,
+    fold: Callable[[int, np.ndarray], None] = lambda start, rows: None,
+    worker: Worker = _INLINE,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Evaluate attention one block of query rows at a time.
 
     Yields ``(start, attention, saturated)``: the head-averaged softmax rows
     of query rows ``start:start + len(attention)`` over every key, so each
     row is exact, and for each row the number of heads whose top weight
-    passes :data:`_SATURATED_WEIGHT`. ``attention`` is a C-contiguous view of
-    a buffer the block after next overwrites (the caller may compute in
-    it): copy what must outlive it. A block is :func:`_block_rows` high, so
-    the logits buffers of the blocks in flight (two per block with more than
-    one head) together hold at most ``_BLOCK_BYTES``, or three rows of each
-    when the budget holds fewer. Blocks of ``_MIN_PAIRED_ROWS`` or more are
-    computed two at a time, the second on a worker thread where one can run
-    (:func:`_pairs`), and all are yielded in order. A block of fewer than
-    three rows multiplies the rows before it too. The buffers are the
-    leading elements of ``work``, a flat f64 array of at least as many
-    elements as :func:`_logits_shape` (a new one when it is ``None``).
+    passes :data:`_SATURATED_WEIGHT`, once ``fold(start, rows)`` has had the
+    rows, in parts that may come from ``worker``'s thread. ``attention`` is
+    a C-contiguous view of a buffer the next block overwrites. A block is
+    :func:`_block_rows` high, and one of fewer than three rows multiplies
+    the rows before it too. The buffers are the leading elements of
+    ``work``, a flat f64 array of at least as many elements as
+    :func:`_logits_shape` (a new one when it is ``None``).
 
-    ``heads`` must divide the width into whole chunks (:func:`_check_heads`);
-    a softmax row that is not finite (overflowing or NaN logits) raises
-    :class:`ConfigurationError` in its block.
+    With more than one head, the caller computes the even heads and
+    ``worker`` the odd ones, a pair at a time, and the caller adds them up
+    in head order. One head's product is split at a key column, and then its
+    softmax and fold at the middle row. ``heads`` must divide the width into
+    whole chunks (:func:`_check_heads`); a softmax row that is not finite
+    raises :class:`ConfigurationError`.
     """
     head_dim = q_rot.shape[1] // heads
     scale = _logit_scale(head_dim)
     n_queries = q_rot.shape[0]
     step = _block_rows(k_rot.shape[0], heads)
-    # Every pair of blocks is computed into the same buffers, each block in
-    # its half of their rows, so two blocks are held however many there
-    # are, and no block's memory goes back to the allocator only to be
-    # asked for again.
     shape = _logits_shape(n_queries, k_rot.shape[0], heads)
     logits = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
-    rows = shape[1] // 2
 
-    def block(start: int, slot: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def head(h: int, buffer: int, lo: int, stop: int, own: slice) -> np.ndarray:
+        """Head ``h``'s softmax rows ``own`` of the product of rows ``lo:stop``, in ``buffer``."""
+        sl = slice(h * head_dim, (h + 1) * head_dim)
+        product = logits[buffer, : stop - lo]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(q_rot[lo:stop, sl], k_rot[:, sl].T, out=product)
+        return _softmax(product[own], scale)
+
+    def rows(lo: int, start: int, stop: int, saturated: np.ndarray) -> None:
+        """Softmax and fold rows ``start:stop`` of the one head's product from row ``lo``."""
+        a = logits[0, start - lo : stop - lo]
+        saturated += _softmax(a, scale)
+        fold(start, a)
+
+    for start in range(0, n_queries, step):
         stop = min(start + step, n_queries)
         lo = _product_start(start, stop)
-        products = logits[:, slot * rows : slot * rows + stop - lo]
         own = slice(start - lo, stop - lo)
-        attention = products[0, own]
+        attention = logits[0, own]
         saturated = np.zeros(stop - start, dtype=np.intp)
-        # Overflowing or NaN logits are caught by the finiteness guard below,
-        # so NumPy's own warnings about them would only be noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for h in range(heads):
-                sl = slice(h * head_dim, (h + 1) * head_dim)
-                product = products[min(h, 1)]
-                np.matmul(q_rot[lo:stop, sl], k_rot[:, sl].T, out=product)
-                a = product[own]
-                a *= scale
-                a -= a.max(axis=1, keepdims=True)
-                np.exp(a, out=a)
-                total = a.sum(axis=1, keepdims=True)
-                # Each row holds exp(0) = 1, so a finite total means every
-                # entry is finite; NaN or overflow anywhere makes it non-finite.
-                if not np.isfinite(total).all():
-                    raise ConfigurationError(
-                        "attention softmax is not finite: the logits overflow or contain NaN"
-                    )
-                a /= total
-                # A row's top weight is exp(0) / total: no pass over the row.
-                saturated += 1 / total[:, 0] > _SATURATED_WEIGHT
+        if heads == 1:
+            _split_product(worker, q_rot[lo:stop], k_rot, logits[0, : stop - lo])
+            mid = (start + stop + 1) // 2
+            worker.split(
+                lambda: rows(lo, start, mid, saturated[: mid - start]),
+                lambda: rows(lo, mid, stop, saturated[mid - start :]),
+            )
+        else:
+            for h in range(0, heads, 2):
+                mine, theirs = worker.split(
+                    lambda: head(h, min(h, 2), lo, stop, own),
+                    (lambda: head(h + 1, 1, lo, stop, own)) if h + 1 < heads else None,
+                )
+                saturated += mine
                 if h > 0:
-                    attention += a
-        if heads > 1:
+                    attention += logits[2, own]
+                if theirs is not None:
+                    saturated += theirs
+                    attention += logits[1, own]
             attention /= heads
-        return start, attention, saturated
-
-    yield from _pairs(block, range(0, n_queries, step), _paired_blocks(k_rot.shape[0], heads))
+            fold(start, attention)
+        yield start, attention, saturated
 
 
 # Bytes of <f4 rows cast and written at a time when a matrix is streamed.
@@ -401,17 +370,18 @@ class BandAttribution:
     n_pairs: int
 
 
-def _band_panels(qb: np.ndarray, ref_k: np.ndarray, partition: BandPartition, panel: np.ndarray):
+def _band_panels(qb, ref_k, partition: BandPartition, panel: np.ndarray, worker: Worker = _INLINE):
     """Yield each band's logits of the rows ``qb`` against ``ref_k``, in ``panel``.
 
     A band's panel is its chunks' share of the scaled logits, so the panels
     sum to the full logits. Each band is computed into ``panel``, a
-    ``(len(qb), len(ref_k))`` buffer, when reached and overwritten by the next.
+    ``(len(qb), len(ref_k))`` buffer, when reached and overwritten by the
+    next; its product is split with ``worker`` (:func:`_split_product`).
     """
     scale = _logit_scale(qb.shape[1])
     for band in partition.bands:
         cols = slice(2 * band.start, 2 * band.stop)
-        np.matmul(qb[:, cols], ref_k[:, cols].T, out=panel)
+        _split_product(worker, qb[:, cols], ref_k[:, cols], panel)
         panel *= scale
         yield panel
 
@@ -425,11 +395,9 @@ class _AttributionFold:
     :attr:`rows` high, the one-head f64 logits rows that fit in
     ``_BLOCK_BYTES`` (at least three), whatever height the logits blocks
     are: fixed row groups keep the sums' rounding reproducible (Demmel &
-    Nguyen, ARITH 2013), and :meth:`result` adds the groups' sums in group
-    order. BLAS may round a product otherwise when it multiplies fewer rows
-    at once (one row goes by gemv), so the last group's product takes the
-    text rows after it too, up to that height, and then the rows before it
-    up to three rows, and sums only its own image rows.
+    Nguyen, ARITH 2013), and :meth:`result` adds them in group order. The
+    last group's product takes the text rows after it too, and then the rows
+    before it up to three rows (one row goes by gemv, which rounds otherwise).
     """
 
     def __init__(self, partition: BandPartition, qkv: SharedQKV, n: int) -> None:
@@ -444,17 +412,19 @@ class _AttributionFold:
         # Elements of one group's band panel, which add computes in.
         self.panel_size = min(self.rows, len(self.q)) * len(self.ref_k)
 
-    def add(self, start: int, work: np.ndarray) -> None:
+    def add(self, start: int, work: np.ndarray, worker: Worker = _INLINE) -> None:
         """Fold the band logits of the group of image rows from query row ``start``.
 
-        They are computed in ``work``, a flat f64 array of at least :attr:`panel_size` elements.
+        They are computed in ``work``, a flat f64 array of at least
+        :attr:`panel_size` elements, each band's product split with ``worker``.
         """
         stop = min(start + self.rows, len(self.q))
         lo = _product_start(start, stop)
         own = slice(start - lo, min(start + self.rows, self.n) - lo)
         panel = work[: (stop - lo) * len(self.ref_k)].reshape(stop - lo, -1)
         sums = self.sums[start // self.rows]
-        for i, panel in enumerate(_band_panels(self.q[lo:stop], self.ref_k, self.partition, panel)):
+        panels = _band_panels(self.q[lo:stop], self.ref_k, self.partition, panel, worker)
+        for i, panel in enumerate(panels):
             sums[i] = np.abs(panel[own], out=panel[own]).sum()
 
     def result(self) -> BandAttribution:
@@ -473,14 +443,11 @@ def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
     """``(set_num_threads, get_num_threads)`` of the OpenBLAS NumPy runs on, or ``None``.
 
     Only a library mapped (Linux's ``/proc/self/maps``) from NumPy's own
-    install is taken: the ``numpy.libs`` directory its wheels bundle
-    OpenBLAS in, or the package itself, not another OpenBLAS that some
-    other extension loaded. It is looked up on first use, not at import.
-    The names are those of NumPy 2's wheels (scipy-openblas64), of NumPy 1's
-    (64-bit integers) and of a plain OpenBLAS, and they are taken only when
-    setting one thread reads back one. The thread count is the process's:
-    even ``openblas_set_num_threads_local`` in a worker thread set the count
-    the main thread reads.
+    install (``numpy.libs``, where its wheels bundle OpenBLAS, or the
+    package) is taken, on first use. The names are those of NumPy 2's wheels
+    (scipy-openblas64), of NumPy 1's (64-bit integers) and of a plain
+    OpenBLAS, taken only when setting one thread reads back one. The count
+    is the process's, even as set by ``openblas_set_num_threads_local``.
     """
     import ctypes
 
@@ -511,8 +478,7 @@ def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
     return None
 
 
-# The pins held in this process, and the BLAS thread count before the first
-# of them, which the last restores.
+# The pins held in this process, and BLAS's thread count before the first, which the last restores.
 _PIN_LOCK = threading.Lock()
 _pinned = 0
 _unpinned_threads = 0
@@ -520,34 +486,27 @@ _unpinned_threads = 0
 
 @contextmanager
 def _blas_pinned() -> Iterator[bool]:
-    """Pin OpenBLAS to one thread for the block, when a worker thread can use a second CPU.
+    """Pin OpenBLAS to one thread for the block, wherever its entry points are found; yield whether it did.
 
-    Yields whether it did: then the caller and one worker compute at once,
-    each with one BLAS thread, where otherwise BLAS's second thread would
-    spin through every NumPy pass between the products. Without OpenBLAS's
-    entry points or a second CPU, BLAS is left alone and no worker runs.
-    The count is the process's, so pins that overlap, in one thread or
-    several, share it, and the last to end restores the count the first
-    found, however it ends. The lookup runs under the pin's lock, so its
-    check of the entry points cannot undo a pin taken meanwhile.
+    Every product is then a one-thread GEMM, and no BLAS thread spins beside
+    a worker thread. The count is the process's, so pins that overlap, in
+    one thread or several, share it, and the last to end restores the count
+    the first found, however it ends. The lookup runs under the pin's lock,
+    so its check of the entry points cannot undo a pin taken meanwhile.
     """
     global _pinned, _unpinned_threads
     with _PIN_LOCK:
-        blas = _openblas() if len(os.sched_getaffinity(0)) > 1 else None
-        if blas is not None:
-            if _pinned == 0:
-                _unpinned_threads = blas[1]()
-                blas[0](1)
-            _pinned += 1
-    if blas is None:
-        yield False
-        return
+        blas = _openblas()
+        if blas is not None and _pinned == 0:
+            _unpinned_threads = blas[1]()
+            blas[0](1)
+        _pinned += blas is not None
     try:
-        yield True
+        yield blas is not None
     finally:
         with _PIN_LOCK:
-            _pinned -= 1
-            if _pinned == 0:
+            _pinned -= blas is not None
+            if blas is not None and _pinned == 0:
                 blas[0](_unpinned_threads)
 
 
@@ -579,15 +538,12 @@ def evaluate_shared(
     given) as head-averaged ``<f4`` rows, and dropped, so the file ends up
     holding the ``(n_queries, n_keys)`` matrix row-major. Per-band logits
     are taken against the reference keys only, after the last block, over
-    fixed groups of image-query rows (:class:`_AttributionFold`), so their
-    sums do not depend on the height of a block. The blocks and the band
-    panels are computed in one work buffer, two at a time where they are
-    high enough and a second CPU and NumPy's OpenBLAS allow (:func:`_pairs`);
-    the worker thread has ended, and the BLAS thread count is restored,
-    before this returns or raises. Positional alignment is exact grid
-    equality of a query and a reference key; without reference keys
-    all alignment is 0. ``heads`` and ``band_partition`` are checked against
-    the width of the keys.
+    fixed groups of image-query rows (:class:`_AttributionFold`). OpenBLAS is
+    pinned, and a worker thread shares the work where a second CPU allows
+    (see the module docstring); both end before this returns or raises.
+    Positional alignment is exact grid equality of a query and a reference
+    key; without reference keys all alignment is 0. ``heads`` and
+    ``band_partition`` are checked against the keys' width.
     """
     align = _AlignmentFold(qkv, scene)
     _check_heads(heads, band_partition, qkv.k.shape[1])
@@ -596,31 +552,31 @@ def evaluate_shared(
     attribution = None
     if band_partition is not None and align.has_reference:
         attribution = _AttributionFold(band_partition, qkv, align.n)
-        panel = attribution.panel_size
-        # Two groups are in flight only when their panels fit where the blocks were.
-        two_groups = attribution.rows >= _MIN_PAIRED_ROWS and 2 * panel <= size
-        size = max(size, panel)
+        size = max(size, attribution.panel_size)
     work = np.empty(size)
     if attention_out is not None:
         chunk = _block_height(4 * n_keys, _WRITE_BYTES)
         # Rows are cast into this one buffer and written from it.
         f4 = np.empty((min(chunk, _block_rows(n_keys, heads), len(q)), n_keys), dtype="<f4")
     saturated = 0  # (image-query row, head) pairs
-    with closing(_blocks(q, qkv.k, heads, work)) as blocks:
-        for start, attention, block_saturated in blocks:
-            align.add(start, attention)
+    with _blas_pinned() as pinned, Worker(pinned and len(os.sched_getaffinity(0)) > 1) as worker:
+        for start, attention, block_saturated in _blocks(q, qkv.k, heads, work, align.add, worker):
             saturated += int(block_saturated[: max(align.n - start, 0)].sum())
             if attention_out is not None:
                 for row in range(0, attention.shape[0], chunk):
                     rows = attention[row : row + chunk]
                     np.copyto(f4[: len(rows)], rows)
                     attention_out.write(f4[: len(rows)])
-    if attribution is not None:
-        panels = (work[:panel], work[panel : 2 * panel])
-        for _ in _pairs(
-            lambda start, slot: attribution.add(start, panels[slot]), attribution.starts, two_groups
-        ):
-            pass
+        if attribution is not None:
+            starts, panel = attribution.starts, attribution.panel_size
+            # Two groups at once where both panels fit, or else one at a time, each product shared.
+            paired = 2 * panel <= size
+            for i in range(0, len(starts), 1 + paired):
+                second = starts[i + 1] if paired and i + 1 < len(starts) else None
+                worker.split(
+                    lambda: attribution.add(starts[i], work, _INLINE if paired else worker),
+                    None if second is None else lambda: attribution.add(second, work[panel:]),
+                )
     return SharedEvaluation(
         alignment=align.result(),
         attribution=None if attribution is None else attribution.result(),

@@ -143,9 +143,9 @@ for path in ["attn_report.json"] + [f"attn.entry{i}.f4.json" for i in range(len(
     text = pathlib.Path(path).read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
 EOF
-# The evaluator pins OpenBLAS to one thread while its two block workers
-# run, so the thread count BLAS starts with moves no byte of the report,
-# the matrices or the sidecars.
+# The evaluator pins OpenBLAS to one thread for its whole span, so the
+# thread count BLAS starts with moves no byte of the report, the matrices
+# or the sidecars.
 for t in 1 2; do
   mkdir blas$t && cd blas$t
   OPENBLAS_NUM_THREADS=$t $ROPEFREQ shared-attn ../attn_demo.json --out report.json --quiet
@@ -153,6 +153,31 @@ for t in 1 2; do
 done
 test "$(ls blas1 | wc -l)" -eq 5
 for f in blas1/*; do cmp "$f" "blas2/$(basename "$f")"; done
+# Nor do the CPU count and BLAS's thread count together: on one CPU the
+# evaluator makes the same one-thread products that it shares with a
+# worker thread on two. At 16x16 with four heads and plain sharing at
+# s = 100, positional_mass moved in its last bit between one and two BLAS
+# threads while BLAS kept its own count. Each run's affinity is set by a
+# wrapper on its own process, which then becomes the command; without
+# OpenBLAS's entry points BLAS is not pinned, and the case is skipped.
+if python -c 'import sys; from ropefreq.diagnostics import _openblas; sys.exit(_openblas() is None)'; then
+  with_attention "$demo" heads4.json heads4.f4 \
+    '{"grid": {"width": 16, "height": 16}, "heads": 4, "attribution_bands": null, "sweep": [{"mode": "plain", "s": 100.0}]}'
+  for cpus in 1 2; do
+    for t in 1 2; do
+      mkdir heads4_$cpus$t && cd heads4_$cpus$t
+      OPENBLAS_NUM_THREADS=$t python -c '
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])
+os.execvp(sys.argv[2], sys.argv[2:])' "$cpus" $ROPEFREQ shared-attn ../heads4.json --out report.json --quiet
+      cd ..
+    done
+  done
+  test "$(ls heads4_11 | wc -l)" -eq 3
+  for d in heads4_12 heads4_21 heads4_22; do
+    for f in heads4_11/*; do cmp "$f" "$d/$(basename "$f")"; done
+  done
+fi
 # Two heads and no attribution bands: each streamed matrix holds exactly
 # 4*rows*cols bytes, and read as <f4 every row sums to 1 within 1e-5.
 with_attention "$demo" heads2_demo.json heads2.f4 '{"heads": 2, "attribution_bands": null}'

@@ -1,19 +1,19 @@
-"""``evaluate_shared`` on two block workers against the same loop on one.
+"""``evaluate_shared`` with a worker thread against the same loop without one.
 
-With numpy's OpenBLAS found and a second CPU, the evaluator computes logits
-blocks of ``_MIN_PAIRED_ROWS`` rows or more two at a time, the second on a
-worker thread, and so the band groups when two band panels fit its work
-buffer, with OpenBLAS pinned to one thread while they run. Without them it
-runs the same loop in the calling thread and leaves BLAS alone. Both must
-give the same outputs, compared with ``==``, at the same BLAS thread count:
-the count itself can move a logit's last bit (at 16x16 with four heads, one
-of ``positional_mass``), so the tests pin BLAS to one thread around both
-runs.
+The evaluator pins NumPy's OpenBLAS to one thread for its whole span,
+wherever it finds the entry points, on any CPU count. With a second CPU,
+one worker thread shares every block and band pass with the caller; with
+one CPU the caller makes the same calls itself, one after the other. Both
+must give the same outputs, compared with ``==``, whatever thread count
+BLAS starts with: two BLAS threads moved a logit's last bit (at 16x16 with
+four heads, one of ``positional_mass``) while the evaluator left BLAS at
+its own count.
 """
 
 import os
+import sys
 import threading
-from contextlib import nullcontext
+import time
 
 import numpy as np
 import pytest
@@ -30,14 +30,9 @@ from ropefreq import (
     make_text,
     plant_scene,
 )
+from ropefreq._worker import Worker
 
 CONFIG = RotaryConfig.interleaved(128)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Let the worker run on a one-CPU machine too: the outputs must not tell."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def shared_keys(text_tokens, s=1.0):
@@ -61,37 +56,33 @@ class _Chunks:
         self.chunks.append(bytes(data))
 
 
-def evaluate(monkeypatch, worker, qkv, scene, heads=1, partition=None, out=None, pinned=True):
-    """``(evaluation, passes)``, with the threads that computed each pass's blocks or groups.
+def evaluate(monkeypatch, cpus, qkv, scene, heads=1, partition=None, out=None):
+    """``(evaluation, seen)`` of an evaluation on ``cpus`` CPUs.
 
-    ``passes`` holds, for each pass over blocks or band groups, whether it
-    was paired, how many items it had, and the set of ``(main, threads)``
-    it computed them with: whether the main thread computed one and
-    OpenBLAS's thread count while it did (``None`` without OpenBLAS).
-    Without ``worker``, the evaluator does not find OpenBLAS. With
-    ``pinned``, OpenBLAS is pinned to one thread around the evaluation.
+    ``seen`` holds, for every call the evaluator splits between the caller
+    and its worker, whether the main thread made it and OpenBLAS's thread
+    count while it did (``None`` without OpenBLAS).
     """
-    passes = []
-    pairs = diagnostics._pairs
+    seen = set()
     blas = diagnostics._openblas()
 
-    def recorded(compute, items, paired):
-        threads = set()
-        passes.append((paired, len(items), threads))
+    class Recorded(Worker):
+        def split(self, here, there=None):
+            def traced(call):
+                def run():
+                    main = threading.current_thread() is threading.main_thread()
+                    seen.add((main, None if blas is None else blas[1]()))
+                    return call()
 
-        def traced(item, slot):
-            main = threading.current_thread() is threading.main_thread()
-            threads.add((main, None if blas is None else blas[1]()))
-            return compute(item, slot)
+                return run
 
-        return pairs(traced, items, paired)
+            return super().split(traced(here), there and traced(there))
 
-    with diagnostics._blas_pinned() if pinned else nullcontext(), monkeypatch.context() as patch:
-        patch.setattr(diagnostics, "_pairs", recorded)
-        if not worker:
-            patch.setattr(diagnostics, "_openblas", lambda: None)
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "Worker", Recorded)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         evaluation = evaluate_shared(qkv, scene, heads, partition, attention_out=out)
-    return evaluation, passes
+    return evaluation, seen
 
 
 def test_the_openblas_numpy_runs_on_is_found(monkeypatch):
@@ -117,62 +108,86 @@ def test_the_openblas_numpy_runs_on_is_found(monkeypatch):
     assert diagnostics._openblas.__wrapped__() is None
 
 
-# Budgets in rows of logits, with blocks paired from 3 rows: the default
-# (blocks of 32 rows, one band group at a time) and budgets for paired
-# blocks of 7, 5 and 3 rows, beside paired band groups of 14, 10 and 6 rows,
-# and for unpaired blocks of 3 rows beside paired groups of 3. The last
-# block is one row at 7 rows with 4 text tokens (260 query rows) and at 5
-# rows without (256), and at 3 rows it is one row without and two with; the
-# last group of 3 rows is one row without text tokens.
+# Budgets in rows of logits: the default (blocks of 64 rows) and blocks of
+# 14, 10, 6 and 3 rows. At 3 rows the last block is one row without text
+# tokens (256 query rows) and two with them (260), so its product takes the
+# rows before it, and the one-row block leaves the worker's half of its rows
+# empty. With one head, band groups are as high as the blocks and run two at
+# a time, except under the default budget: there the blocks' 64-row cap
+# leaves room for one band panel, of the one group of 256 image rows, and
+# each band product is split between the threads.
 @pytest.mark.parametrize("budget_rows", [None, 14, 10, 6, 3], ids=["4MiB", "14", "10", "6", "3"])
 @pytest.mark.parametrize("text_tokens", [0, 4])
 @pytest.mark.parametrize("heads", [1, 2, 4])
-def test_the_worker_moves_no_output(heads, text_tokens, budget_rows, monkeypatch, two_cpus):
+def test_the_worker_moves_no_output(heads, text_tokens, budget_rows, monkeypatch):
     scene, qkv = shared_keys(text_tokens, s=100.0)
-    monkeypatch.setattr(diagnostics, "_MIN_PAIRED_ROWS", 3)
     if budget_rows is not None:
         budget = budget_rows * diagnostics._row_bytes(len(qkv.k), heads)
         monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", budget)
-    partition = make_even_partition(CONFIG, 3, "all") if heads == 1 else None
+    partitions = [make_even_partition(CONFIG, 3, "all"), None] if heads == 1 else [None]
     blas = diagnostics._openblas()
-    runs = {}
-    for worker in (True, False):
-        out = _Chunks()
-        evaluation, passes = evaluate(monkeypatch, worker, qkv, scene, heads, partition, out)
-        runs[worker] = evaluation, out.chunks
-        # The blocks pair unless half the budget is under three rows.
-        assert passes[0][0] == (budget_rows != 3)
-        for paired, items, threads in passes:
-            if worker and blas is not None and paired and items > 1:
+    for partition in partitions:
+        runs = {}
+        for cpus in (2, 1):
+            out = _Chunks()
+            evaluation, seen = evaluate(monkeypatch, cpus, qkv, scene, heads, partition, out)
+            runs[cpus] = evaluation, out.chunks
+            if cpus == 2 and blas is not None:
                 # Both threads computed, each with one BLAS thread.
-                assert threads == {(True, 1), (False, 1)}
+                assert seen == {(True, 1), (False, 1)}
             else:
-                assert {main for main, _ in threads} == {True}
-    assert runs[True] == runs[False]
-    evaluation, chunks = runs[True]
-    assert (evaluation.attribution is None) == (heads != 1)
-    assert len(b"".join(chunks)) == 4 * len(qkv.q) * len(qkv.k)
+                assert seen == {(True, None if blas is None else 1)}
+        assert runs[2] == runs[1]
+        evaluation, chunks = runs[2]
+        assert (evaluation.attribution is None) == (partition is None)
+        assert len(b"".join(chunks)) == 4 * len(qkv.q) * len(qkv.k)
 
 
-def test_blas_is_pinned_only_while_a_worker_runs(monkeypatch, two_cpus):
-    # At 16x16 the 32-row blocks pair, but two band groups' panels do not
-    # fit their buffer, so the band pass runs in the caller with BLAS's own
-    # thread count. Under a 20-row budget neither pass pairs.
+def test_blas_is_pinned_for_the_whole_evaluation(monkeypatch):
+    # Every split call runs with one BLAS thread, on one CPU or two, and
+    # the count BLAS started with comes back however the evaluation ends.
     blas = diagnostics._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS entry points in this process")
     scene, qkv = shared_keys(4)
     partition = make_even_partition(CONFIG, 3, "all")
     before = blas[1]()
-    _, passes = evaluate(monkeypatch, True, qkv, scene, partition=partition, pinned=False)
-    assert [(paired, threads) for paired, _, threads in passes] == [
-        (True, {(True, 1), (False, 1)}),
-        (False, {(True, before)}),
-    ]
-    monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 20 * diagnostics._row_bytes(len(qkv.k), 1))
-    _, passes = evaluate(monkeypatch, True, qkv, scene, partition=partition, pinned=False)
-    assert [(paired, threads) for paired, _, threads in passes] == [(False, {(True, before)})] * 2
-    assert blas[1]() == before
+    blas[0](2)
+    try:
+        started = blas[1]()
+        for cpus in (1, 2):
+            _, seen = evaluate(monkeypatch, cpus, qkv, scene, partition=partition)
+            assert {threads for _, threads in seen} == {1}
+            assert blas[1]() == started
+        qkv.k[-1, 0] = np.inf
+        for cpus in (1, 2):
+            with pytest.raises(ConfigurationError, match="not finite"):
+                evaluate(monkeypatch, cpus, qkv, scene, partition=partition)
+            assert blas[1]() == started
+    finally:
+        blas[0](before)
+
+
+def test_the_blas_thread_count_moves_no_output(monkeypatch):
+    # At 16x16 with four heads and plain sharing at s = 100, two BLAS
+    # threads once moved the last bit of positional_mass. The evaluator now
+    # pins BLAS, so one value comes out whatever count BLAS starts with, on
+    # one CPU or two.
+    blas = diagnostics._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS entry points in this process")
+    scene, qkv = shared_keys(4, s=100.0)
+    before = blas[1]()
+    masses = set()
+    try:
+        for threads in (1, 2):
+            blas[0](threads)
+            for cpus in (1, 2):
+                evaluation, _ = evaluate(monkeypatch, cpus, qkv, scene, heads=4)
+                masses.add(evaluation.alignment.positional_mass)
+    finally:
+        blas[0](before)
+    assert len(masses) == 1
 
 
 def counts():
@@ -182,33 +197,35 @@ def counts():
 
 
 @pytest.mark.parametrize("heads", [1, 2])
-def test_a_non_finite_block_on_the_worker_raises_as_in_the_caller(heads, monkeypatch, two_cpus):
-    # One huge feature in the first row of the second block, which the
-    # worker computes: that row's logit against its own key overflows, and
-    # every other row only puts its weight on that key.
+def test_a_non_finite_block_on_the_worker_raises_as_in_the_caller(heads, monkeypatch):
+    # One huge feature in a row of the second block that the worker
+    # computes: with one head a row of the block's second half, with two
+    # heads a feature of head 1. That row's logit against its own key
+    # overflows, and every other row only puts its weight on that key.
     scene, qkv = shared_keys(4)
     step = diagnostics._block_rows(len(qkv.k), heads)
-    qkv.k[step, 0] = 1e300
+    qkv.k[step + (step + 1) // 2 + 1, 0 if heads == 1 else CONFIG.dim // heads] = 1e300
     before = counts()
     streamed = {}
-    for worker in (True, False):
+    for cpus in (2, 1):
         out = _Chunks()
         with pytest.raises(ConfigurationError, match="softmax is not finite"):
-            evaluate(monkeypatch, worker, qkv, scene, heads, out=out)
-        streamed[worker] = out.chunks
+            evaluate(monkeypatch, cpus, qkv, scene, heads, out=out)
+        streamed[cpus] = out.chunks
         assert counts() == before
     # The first block was streamed before the second one raised.
-    assert streamed[True] == streamed[False]
-    assert len(b"".join(streamed[True])) == 4 * step * len(qkv.k)
+    assert streamed[2] == streamed[1]
+    assert len(b"".join(streamed[2])) == 4 * step * len(qkv.k)
 
 
-def test_threads_and_blas_come_back_however_the_evaluation_ends(monkeypatch, two_cpus):
+def test_threads_and_blas_come_back_however_the_evaluation_ends(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     scene, qkv = shared_keys(4)
     partition = make_even_partition(CONFIG, 3, "all")
     before = counts()
     evaluate_shared(qkv, scene, band_partition=partition, attention_out=_Chunks())
     assert counts() == before
-    # A write that fails while the worker computes the next block.
+    # A write that fails between two blocks the worker shares.
     with pytest.raises(OSError, match="disk full"):
         evaluate_shared(qkv, scene, band_partition=partition, attention_out=_Chunks(fail=3))
     assert counts() == before
@@ -218,7 +235,7 @@ def test_threads_and_blas_come_back_however_the_evaluation_ends(monkeypatch, two
     assert counts() == before
 
 
-def test_overlapping_evaluations_share_the_pin(two_cpus):
+def test_overlapping_evaluations_share_the_pin():
     # Two evaluations in two threads may start and end in either order; the
     # count the first found comes back only when the last ends.
     blas = diagnostics._openblas()
@@ -231,3 +248,63 @@ def test_overlapping_evaluations_share_the_pin(two_cpus):
     assert blas[1]() == 1
     second.__exit__(None, None, None)
     assert blas[1]() == before
+
+
+def test_a_split_ends_both_calls_before_it_raises():
+    # The caller's exception is raised over the worker's, and only once the
+    # worker's call has ended, so no call is left running into a buffer.
+    ended = []
+
+    def there():
+        time.sleep(0.05)
+        ended.append(threading.current_thread() is threading.main_thread())
+        raise ValueError("there")
+
+    def here():
+        raise KeyError("here")
+
+    threads = threading.active_count()
+    with Worker() as worker:
+        with pytest.raises(KeyError, match="here"):
+            worker.split(here, there)
+        assert ended == [False]
+        with pytest.raises(ValueError, match="there"):
+            worker.split(lambda: None, there)
+        assert worker.split(lambda: 1, lambda: 2) == (1, 2)
+        assert threading.active_count() == threads + 1
+    assert threading.active_count() == threads
+    with pytest.raises(KeyError, match="here"):
+        Worker(threaded=False).split(here, there)
+    assert ended == [False, False]
+
+
+def test_concurrent_evaluations_keep_their_outputs(monkeypatch):
+    # Three evaluations in three threads, each sharing its blocks with a
+    # worker of its own: six threads on two CPUs, switching as often as the
+    # interpreter lets them. Each gives the outputs it gives alone, BLAS's
+    # count comes back, and every thread ends.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    scene, qkv = shared_keys(4, s=100.0)
+    partition = make_even_partition(CONFIG, 3, "all")
+    runs = [(1, partition), (2, None), (4, None)]
+    monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 10 * diagnostics._row_bytes(len(qkv.k), 1))
+    want = [evaluate_shared(qkv, scene, heads, part) for heads, part in runs]
+    before = counts()
+    got = [None] * len(runs)
+
+    def run(i):
+        got[i] = evaluate_shared(qkv, scene, *runs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+    assert counts() == before

@@ -39,6 +39,7 @@ from ropefreq import (
     make_text,
     plant_scene,
 )
+from ropefreq._worker import Worker
 from ropefreq.cli import ExperimentConfig, _all_or_nothing, main, run_experiment
 
 CFG = RotaryConfig(dim=32)
@@ -78,15 +79,11 @@ SHARINGS = {
 
 @pytest.fixture
 def ragged_blocks(monkeypatch):
-    """Shrink the block budget so each evaluation takes several ragged blocks.
-
-    Blocks of that height are paired, so the budget holds two blocks' rows.
-    """
+    """Shrink the block budget so each evaluation takes several ragged blocks."""
 
     def for_keys(n_keys, heads):
-        budget = 2 * ROWS_PER_BLOCK * ropefreq.diagnostics._row_bytes(n_keys, heads)
+        budget = ROWS_PER_BLOCK * ropefreq.diagnostics._row_bytes(n_keys, heads)
         monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
-        monkeypatch.setattr(ropefreq.diagnostics, "_MIN_PAIRED_ROWS", ROWS_PER_BLOCK)
 
     return for_keys
 
@@ -108,7 +105,7 @@ def scene_and_text(seed=0):
     return scene, make_text(TEXT, CFG.dim, seed=seed + 2)
 
 
-@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("name", sorted(SHARINGS))
 def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     scene, text = scene_and_text()
@@ -144,7 +141,7 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     assert got.mean_abs_logit == pytest.approx(dense_attribution(qkv, partition), abs=1e-12, rel=0)
 
 
-@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("s", [1.0, 100.0, 1e200])
 def test_saturated_counts_are_each_rows_saturated_heads(s, heads, ragged_blocks):
     # At s = 100 some rows saturate and some do not, in one head or both.
@@ -157,24 +154,48 @@ def test_saturated_counts_are_each_rows_saturated_heads(s, heads, ragged_blocks)
     np.testing.assert_array_equal(counts, dense_saturated(qkv.q, qkv.k, heads))
 
 
-def test_a_block_stops_at_32_rows_and_pairs_from_24():
-    # Two paired blocks share the 4 MiB budget, at most 64 rows, so each
-    # is 32 rows at most, and 31 over 64x64's 8,196 keys with one head.
-    # Where half the budget is under 24 rows, a block takes all of it
-    # alone: 31 rows with two heads there, and 15 over 128x128's 32,772
-    # keys. No block is under three rows, not even at the 524,288-key
-    # bound, where one row of logits fills the whole budget: there the
-    # logits buffers hold three rows, 12 MiB with one head and 24 MiB with
-    # two.
+@pytest.mark.parametrize("threaded", [False, True], ids=["one-thread", "worker"])
+@pytest.mark.parametrize("heads", [2, 4, 8])
+def test_heads_are_added_in_head_order(heads, threaded):
+    # The caller and a worker compute heads in buffers of their own; the
+    # caller adds them to the first head in head order and divides, the
+    # bits of one thread adding each head as it comes. One block here.
+    scene, text = scene_and_text()
+    qkv = build_shared_qkv(scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG)
+    q, k = qkv.q, qkv.k
+    width = CFG.dim // heads
+    want = None
+    for h in range(heads):
+        a = q[:, h * width : (h + 1) * width] @ k[:, h * width : (h + 1) * width].T
+        a *= 1 / math.sqrt(width)
+        a -= a.max(axis=1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=1, keepdims=True)
+        want = a if want is None else want.__iadd__(a)
+    want /= heads
+    with Worker(threaded) as worker:
+        ((start, got, _),) = ropefreq.diagnostics._blocks(q, k, heads, worker=worker)
+        assert start == 0 and got.tobytes() == want.tobytes()
+
+
+def test_a_block_takes_the_budgets_rows_on_any_cpu_count(monkeypatch):
+    # A block takes the rows the 4 MiB budget holds, at most 64, on one CPU
+    # or two: 64 at 32x32 with two heads, 63 over 64x64's 8,196 keys with
+    # one head, 31 with two and 21 with four (three buffers), and 15 over
+    # 128x128's 32,772 keys. No block is under three rows, not even at the
+    # 524,288-key bound, where one row of logits fills the whole budget:
+    # there the logits buffers hold three rows, 12 MiB with one head,
+    # 24 MiB with two and 36 MiB with more.
     diagnostics = ropefreq.diagnostics
-    cases = [(100, 1), (2052, 2), (8196, 1), (8196, 2), (32772, 1), (524288, 1), (524288, 2)]
-    rows = [diagnostics._block_rows(n_keys, heads) for n_keys, heads in cases]
-    assert rows == [32, 32, 31, 31, 15, 3, 3]
-    paired = [diagnostics._paired_blocks(n_keys, heads) for n_keys, heads in cases]
-    assert paired == [True, True, True, False, False, False, False]
-    shapes = [diagnostics._logits_shape(4100, n_keys, heads) for n_keys, heads in cases]
-    assert [rows for _, rows, _ in shapes] == [64, 64, 63, 31, 15, 3, 3]
-    assert [8 * np.prod(shape) for shape in shapes[-2:]] == [12 * 2**20, 24 * 2**20]
+    cases = [(100, 1), (2052, 2), (8196, 1), (8196, 2), (8196, 4), (32772, 1), (524288, 1),
+             (524288, 2), (524288, 4)]
+    for cpus in (1, 2):
+        monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rows = [diagnostics._block_rows(n_keys, heads) for n_keys, heads in cases]
+        assert rows == [64, 64, 63, 31, 21, 15, 3, 3, 3]
+        shapes = [diagnostics._logits_shape(4100, n_keys, heads) for n_keys, heads in cases]
+        assert [rows for _, rows, _ in shapes] == rows
+        assert [8 * np.prod(shape) for shape in shapes[-3:]] == [12 * 2**20, 24 * 2**20, 36 * 2**20]
 
 
 def test_non_finite_logits_raise_without_a_numpy_warning():
@@ -270,22 +291,22 @@ def test_shared_qkv_assembly_holds_one_stack():
 
 
 def test_evaluation_holds_one_block():
-    # The two blocks in flight hold the rows of logits the budget holds (63
-    # here), in one buffer every pair of blocks reuses; after the last
-    # block, each band's logits of two groups of image-query rows against
-    # the reference keys are computed in that buffer, one band panel of
-    # each group at a time. Besides it only small transients: the
-    # alignment fold's boolean mask of the block's row maxima (one byte per
-    # reference column), its per-query arrays and the groups' band sums.
-    # A band panel of its own (2 MiB here) does not fit, nor do all three
-    # bands' panels of a group at once, nor an f64 copy of the block's
-    # reference columns, nor a third block.
+    # A block holds the rows of logits the budget holds (63 here), in one
+    # buffer every block reuses; after the last block, each band's logits
+    # of two groups of image-query rows against the reference keys are
+    # computed in that buffer, one band panel of each group at a time.
+    # Besides it only small transients: the alignment fold's boolean mask
+    # of the block's row maxima (one byte per reference column), its
+    # per-query arrays and the groups' band sums. A band panel of its own
+    # (2 MiB here) does not fit, nor do all three bands' panels of a group
+    # at once, nor an f64 copy of the block's reference columns, nor a
+    # second block.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     partition = make_even_partition(config, 3, "all")
     _, peak = traced_growth(evaluate_shared, qkv, scene, band_partition=partition)
-    blocks = 8 * ropefreq.diagnostics._budget_rows(len(qkv.k), 1) * len(qkv.k)
+    blocks = 8 * ropefreq.diagnostics._block_rows(len(qkv.k), 1) * len(qkv.k)
     assert peak < blocks + 2**20
 
 
@@ -298,23 +319,24 @@ class _Discard:
 
 def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
     # Each block's rows are cast to <f4 and written a chunk at a time, so a
-    # streamed matrix adds one chunk to the two blocks in flight, not a <f4
-    # copy of a whole block (1 MiB here).
+    # streamed matrix adds one chunk to the block, not a <f4 copy of a whole
+    # block (1 MiB here).
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     _, peak = traced_growth(evaluate_shared, qkv, scene, attention_out=_Discard())
-    blocks = 8 * ropefreq.diagnostics._budget_rows(len(qkv.k), 1) * len(qkv.k)
+    blocks = 8 * ropefreq.diagnostics._block_rows(len(qkv.k), 1) * len(qkv.k)
     assert peak < blocks + ropefreq.diagnostics._WRITE_BYTES + 2**20
 
 
 @pytest.mark.parametrize("heads", [2, 4])
 def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
     # With more than one head a block holds two logits buffers, the head
-    # average and the head being computed; the blocks in flight (one of 31
-    # rows here, since half of that would be under 24 rows) are only as high
-    # as lets both fit the one budget, so the peak is that of one head. Two
-    # buffers of the one-head height (8 MiB here) do not fit.
+    # average and the odd head being computed, and with more than two a
+    # third for the even head computed beside it; a block (31 rows here
+    # with two heads, 21 with four) is only as high as lets them all fit
+    # the one budget, so the peak is that of one head. Two buffers of the
+    # one-head height (8 MiB here) do not fit.
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
@@ -339,17 +361,16 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     # band panel at a time in the work buffer, and each must add the same
     # bits as summing the stacked panels of a group of rows over (rows,
     # keys) and adding the groups in order. The budget sets the group
-    # height and the block height too: half of it when that is 24 rows or
-    # more, so blocks pair, or all of it, at least three rows. The
-    # streamed rows go out 7 at a time. With 4 text tokens, groups of 48
-    # query rows and blocks of 24 there are five full groups and a sixth of
-    # 20 (16 image rows and the 4 text rows), and ten full blocks and an
-    # eleventh of 20, so every block ends in a short chunk. Without text
-    # tokens a panel over the 256 reference keys fills exactly half of a
-    # block's 512 columns. With the smallest budget, blocks and groups are
-    # three rows high: with text tokens the last block is two rows, and
-    # without them the last block and the last group are one, and each
-    # multiplies the rows before it too.
+    # height and the block height too, at least three rows. The streamed
+    # rows go out 7 at a time. With 4 text tokens and groups and blocks of
+    # 48 query rows there are five full groups and a sixth of 20 (16 image
+    # rows and the 4 text rows), and so of blocks, so every block ends in a
+    # short chunk. Without text tokens a panel over the 256 reference keys
+    # fills exactly half of a block's 512 columns, the most at which two
+    # groups run at once. With the smallest budget, blocks and groups are three rows
+    # high: with text tokens the last block is two rows, and without them
+    # the last block and the last group are one, and each multiplies the
+    # rows before it too.
     for text_tokens, group in ((4, 48), (0, 48), (4, 1), (0, 1)):
         with monkeypatch.context() as patch:
             check_bytes_across_panels_and_chunks(patch, text_tokens, group, chunk=7)
@@ -364,7 +385,7 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, group, chunk)
     budget = group * ropefreq.diagnostics._row_bytes(n_keys, 1)
     monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
-    group, block = max(group, 3), group // 2 if group // 2 >= 24 else max(group, 3)
+    group = block = max(group, 3)
     if group > 3:
         # With text tokens, the last group holds both kinds of row.
         assert text_tokens == 0 or (n - 1) // group == (n_queries - 1) // group

@@ -7,7 +7,6 @@ attribution bands with one head. The block budget is shrunk to a few query
 rows, so most evaluations run in several blocks, the last one shorter.
 """
 
-import sys
 from unittest import mock
 
 import numpy as np
@@ -85,14 +84,15 @@ def setups(draw):
 )
 @given(setup=setups())
 def test_blocked_evaluation_equals_dense_reference(setup):
-    config, scene, text, params, step, heads, partition, rows_per_block, paired = setup
+    config, scene, text, params, step, heads, partition, rows_per_block, two_cpus = setup
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config, step)
-    # Paired blocks are each half the budget's rows, unpaired ones all of
-    # them, and every block at least three.
-    budget = (1 + paired) * rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
+    # Every block is at least three rows. With two CPUs a worker thread
+    # shares each block, where the OpenBLAS entry points are found.
+    budget = rows_per_block * ropefreq.diagnostics._row_bytes(qkv.k.shape[0], heads)
+    cpus = {0, 1} if two_cpus else {0}
     with (
         mock.patch.object(ropefreq.diagnostics, "_BLOCK_BYTES", budget),
-        mock.patch.object(ropefreq.diagnostics, "_MIN_PAIRED_ROWS", 1 if paired else sys.maxsize),
+        mock.patch.object(ropefreq.diagnostics.os, "sched_getaffinity", lambda pid: cpus),
     ):
         evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
         # Each block is copied as it comes: the next one overwrites its buffer.

@@ -4,9 +4,9 @@ The model counts what a run must hold at its peak: the scene's positions
 and correspondence, one key stack ``k`` (the scene's and the text's
 features are drawn straight into its rows), the work buffer the evaluation
 computes in and, when matrices are streamed, one ``<f4`` write chunk. The
-work buffer holds the two logits blocks in flight, which share the rows of
-logits one budget holds, or, with attribution bands, a band panel (two
-when two fit where the blocks were) if that is larger: the bands are
+work buffer holds a block's logits buffers, which share the rows of logits
+one budget holds, or, with attribution bands, a band panel (two when two
+fit where the block was) if that is larger: the bands are
 summed in a pass of their own after the logits blocks, over groups of
 image-query rows, in the same buffer.
 Everything else must fit in 1 MiB beside them: the folds' per-query
@@ -55,14 +55,14 @@ def model(grid: int, dim: int, text: int, heads: int, bands: bool, streamed: boo
     scene = 8 * (2 * n * 2 + n + text * 2)
     n_queries, n_keys = n + text, 2 * n + text
     k = 8 * n_keys * dim
-    # The two blocks in flight share the rows of logits the budget holds, at
-    # most 64: of one buffer with one head, of two with more.
+    # A block's buffers share the rows of logits the budget holds, at most
+    # 64: of one buffer with one head, of two with two and of three with more.
     budget_rows = min(64, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES), n_queries)
-    work = min(heads, 2) * budget_rows * n_keys
+    work = min(heads, 3) * budget_rows * n_keys
     if bands:
         # A group's panel against the n reference keys; the last group's
         # product takes the text rows too. Two groups are in flight when
-        # their panels fit where the blocks were.
+        # their panels fit where the block was.
         panel = min(_block_height(_row_bytes(n_keys, 1), _BLOCK_BYTES), n_queries) * n
         work = max(work, panel)
     held = scene + k
