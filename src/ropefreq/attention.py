@@ -354,9 +354,12 @@ def plan_shared(
 
     Makes every check of the entry that needs no feature value, each raising
     :class:`ConfigurationError`: the ramp's ``step``, the shifted positions
-    within the int64 range, the band mask within ``config``'s chunks, the
-    largest reference scale times the mask's factor finite (so unit reference
-    rows cannot overflow), and at least 2 reference rows for AdaIN.
+    within the int64 range, the band mask within ``config``'s chunks, at
+    least 2 reference rows for AdaIN, and a bound of the logits finite: twice
+    ``sqrt(n)`` times the largest reference scale (times the mask's factor
+    where larger). Query rows are unit vectors or AdaIN's, at most
+    ``sqrt(n)`` long over ``n`` image rows, so no key of unit reference rows,
+    nor its logit, can overflow.
     """
     positions = _positions(target_positions)
     notes: list[str] = []
@@ -375,14 +378,13 @@ def plan_shared(
     mask, spec = None, params.band_mask_override
     if spec is not None:
         mask = (slice(2 * spec.band.start, 2 * spec.band.stop), spec.factor(config))
-        if not math.isfinite(float(np.max(scale)) * mask[1]):
-            raise ConfigurationError(
-                f"the band mask's scale {spec.scale} times the reference scale {np.max(scale)} overflows a float"
-            )
     parts = [("target-image", positions), ("target-text", np.zeros((n_text, 2), dtype=np.int64))]
     if params.mode != "none":
         if params.adain_enabled and len(positions) < 2:
             raise ConfigurationError(f"AdaIN needs at least 2 reference rows, got {len(positions)}")
+        key = float(np.max(scale)) * (1.0 if mask is None else max(1.0, abs(mask[1])))
+        if not math.isfinite(2 * math.sqrt(len(positions)) * key):
+            raise ConfigurationError(f"the logit bound 2*sqrt({len(positions)}) * {key:g} overflows a float")
         parts.append(("reference-image", ref_positions))
     return SharedPlan(tuple(parts), scale, mask, tuple(notes))
 

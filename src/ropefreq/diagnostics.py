@@ -16,10 +16,10 @@ its own after the kernel, over fixed groups of image-query rows, so its sums
 do not depend on how high a logits block is. Both run in one work buffer.
 NumPy's OpenBLAS, where its entry points are found, is pinned to one thread
 for the whole evaluation (:func:`_blas_pinned`), and with a second CPU one
-worker thread (:class:`~ropefreq._worker.Worker`) shares every block, band
-group or band product with the caller. With one CPU the caller computes
-both shares itself, so no output bit depends on the CPU count or on BLAS's
-own thread count. Timings are in the README's "Memory and scale".
+worker thread (:class:`~ropefreq._worker.Worker`) shares every block with
+the caller and takes every second band group. With one CPU the caller
+computes both shares itself, so no output bit depends on the CPU count or
+on BLAS's own thread count. Timings are in the README's "Memory and scale".
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ _MAX_BUDGET_ROWS = 64
 # its own.
 _MIN_PRODUCT_ROWS = 3
 
-# A product shared with the worker is cut at a key column that is a multiple
-# of this, near the middle, where its parts hold the bits of one GEMM.
+# A one-head logits product is cut at a multiple of this many keys, near the
+# middle, on one CPU as on two, so no byte depends on the CPU count; over few
+# keys the parts need not hold the bits of one GEMM over all of them.
 _SPLIT_KEYS = 64
 
 # A worker without a thread of its own: every split runs in the caller.
@@ -134,18 +135,6 @@ def _logits_shape(n_queries: int, n_keys: int, heads: int) -> tuple[int, int, in
     return min(heads, 3), rows, n_keys
 
 
-def _split_product(worker: Worker, a: np.ndarray, keys: np.ndarray, out: np.ndarray) -> None:
-    """``np.matmul(a, keys.T, out=out)``, split at a key column between the caller and ``worker``."""
-    cut = _SPLIT_KEYS * (len(keys) // (2 * _SPLIT_KEYS))
-
-    def part(cols: slice) -> None:
-        # Overflow and NaN are left to the caller's checks, without NumPy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(a, keys[cols].T, out=out[:, cols])
-
-    worker.split(lambda: part(slice(cut)), lambda: part(slice(cut, None)))
-
-
 def _softmax(a: np.ndarray, scale: float) -> np.ndarray:
     """Turn the logits rows ``a`` into softmax rows in place; return which top weights pass 0.99.
 
@@ -203,14 +192,16 @@ def _blocks(
     step = _block_rows(k_rot.shape[0], heads)
     shape = _logits_shape(n_queries, k_rot.shape[0], heads)
     logits = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
+    cut = _SPLIT_KEYS * (k_rot.shape[0] // (2 * _SPLIT_KEYS))
 
-    def head(h: int, buffer: int, lo: int, stop: int, own: slice) -> np.ndarray:
-        """Head ``h``'s softmax rows ``own`` of the product of rows ``lo:stop``, in ``buffer``."""
+    def product(h: int, buffer: int, lo: int, stop: int, cols: slice = slice(None)) -> np.ndarray:
+        """Head ``h``'s logits of rows ``lo:stop`` against keys ``cols``, in ``buffer``."""
         sl = slice(h * head_dim, (h + 1) * head_dim)
-        product = logits[buffer, : stop - lo]
+        out = logits[buffer, : stop - lo]
+        # Overflow and NaN are left to the softmax's guard, without NumPy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(q_rot[lo:stop, sl], k_rot[:, sl].T, out=product)
-        return _softmax(product[own], scale)
+            np.matmul(q_rot[lo:stop, sl], k_rot[cols, sl].T, out=out[:, cols])
+        return out
 
     def rows(lo: int, start: int, stop: int, saturated: np.ndarray) -> None:
         """Softmax and fold rows ``start:stop`` of the one head's product from row ``lo``."""
@@ -225,7 +216,9 @@ def _blocks(
         attention = logits[0, own]
         saturated = np.zeros(stop - start, dtype=np.intp)
         if heads == 1:
-            _split_product(worker, q_rot[lo:stop], k_rot, logits[0, : stop - lo])
+            worker.split(
+                lambda: product(0, 0, lo, stop, slice(cut)), lambda: product(0, 0, lo, stop, slice(cut, None))
+            )
             mid = (start + stop + 1) // 2
             worker.split(
                 lambda: rows(lo, start, mid, saturated[: mid - start]),
@@ -234,8 +227,8 @@ def _blocks(
         else:
             for h in range(0, heads, 2):
                 mine, theirs = worker.split(
-                    lambda: head(h, min(h, 2), lo, stop, own),
-                    (lambda: head(h + 1, 1, lo, stop, own)) if h + 1 < heads else None,
+                    lambda: _softmax(product(h, min(h, 2), lo, stop)[own], scale),
+                    (lambda: _softmax(product(h + 1, 1, lo, stop)[own], scale)) if h + 1 < heads else None,
                 )
                 saturated += mine
                 if h > 0:
@@ -370,18 +363,20 @@ class BandAttribution:
     n_pairs: int
 
 
-def _band_panels(qb, ref_k, partition: BandPartition, panel: np.ndarray, worker: Worker = _INLINE):
-    """Yield each band's logits of the rows ``qb`` against ``ref_k``, in ``panel``.
+def _band_panels(qb, ref_k, partition: BandPartition, panel: np.ndarray, unit: float = 1.0):
+    """Yield each band's logits of the rows ``qb`` against ``ref_k``, times ``unit``, in ``panel``.
 
     A band's panel is its chunks' share of the scaled logits, so the panels
     sum to the full logits. Each band is computed into ``panel``, a
     ``(len(qb), len(ref_k))`` buffer, when reached and overwritten by the
-    next; its product is split with ``worker`` (:func:`_split_product`).
+    next.
     """
-    scale = _logit_scale(qb.shape[1])
+    scale = _logit_scale(qb.shape[1]) * unit
     for band in partition.bands:
         cols = slice(2 * band.start, 2 * band.stop)
-        _split_product(worker, qb[:, cols], ref_k[:, cols], panel)
+        # Overflow is left to the report's finiteness check, without NumPy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(qb[:, cols], ref_k[:, cols].T, out=panel)
         panel *= scale
         yield panel
 
@@ -392,12 +387,12 @@ class _AttributionFold:
     Built from the partition, the assembled keys and ``n``, the number of
     image queries (the first rows); call :meth:`add` once for each group,
     in any order and from any thread, then read :meth:`result`. A group is
-    :attr:`rows` high, the one-head f64 logits rows that fit in
-    ``_BLOCK_BYTES`` (at least three), whatever height the logits blocks
-    are: fixed row groups keep the sums' rounding reproducible (Demmel &
-    Nguyen, ARITH 2013), and :meth:`result` adds them in group order. The
-    last group's product takes the text rows after it too, and then the rows
-    before it up to three rows (one row goes by gemv, which rounds otherwise).
+    :attr:`rows` high, a one-head logits block's height by the same budget,
+    whatever height the blocks are, so two panels fit in a block: fixed row
+    groups keep the sums' rounding reproducible (Demmel & Nguyen, ARITH
+    2013), and :meth:`result` adds them in group order. The last group's
+    product takes the text rows after it too, and then the rows before it up
+    to three rows (one row goes by gemv, which rounds otherwise).
     """
 
     def __init__(self, partition: BandPartition, qkv: SharedQKV, n: int) -> None:
@@ -406,24 +401,28 @@ class _AttributionFold:
         self.q = qkv.q
         self.ref_k = qkv.ref
         self.n_pairs = n * len(self.ref_k)
-        self.rows = max(_MIN_PRODUCT_ROWS, _block_height(_row_bytes(len(qkv.k), 1), _BLOCK_BYTES))
+        rows = _block_height(_row_bytes(len(qkv.k), 1), _BLOCK_BYTES)
+        self.rows = max(_MIN_PRODUCT_ROWS, min(_MAX_BUDGET_ROWS, rows))
         self.starts = range(0, n, self.rows)
         self.sums = np.zeros((len(self.starts), len(partition.bands)))
         # Elements of one group's band panel, which add computes in.
         self.panel_size = min(self.rows, len(self.q)) * len(self.ref_k)
+        # No |logit| passes the width times the largest |q| and |k| entries; the unit, a power
+        # of two (exact while the logits stay normal), keeps a sum of n_pairs of them below 2**1023.
+        bits = sum(math.frexp(max(a.max(), -a.min()))[1] for a in (self.q, self.ref_k))
+        self.unit = 2.0 ** -max(0, bits + (self.n_pairs * self.q.shape[1]).bit_length() - 1023)
 
-    def add(self, start: int, work: np.ndarray, worker: Worker = _INLINE) -> None:
+    def add(self, start: int, work: np.ndarray) -> None:
         """Fold the band logits of the group of image rows from query row ``start``.
 
-        They are computed in ``work``, a flat f64 array of at least
-        :attr:`panel_size` elements, each band's product split with ``worker``.
+        They are computed in ``work``, a flat f64 array of :attr:`panel_size` elements or more.
         """
         stop = min(start + self.rows, len(self.q))
         lo = _product_start(start, stop)
         own = slice(start - lo, min(start + self.rows, self.n) - lo)
         panel = work[: (stop - lo) * len(self.ref_k)].reshape(stop - lo, -1)
         sums = self.sums[start // self.rows]
-        panels = _band_panels(self.q[lo:stop], self.ref_k, self.partition, panel, worker)
+        panels = _band_panels(self.q[lo:stop], self.ref_k, self.partition, panel, self.unit)
         for i, panel in enumerate(panels):
             sums[i] = np.abs(panel[own], out=panel[own]).sum()
 
@@ -431,7 +430,7 @@ class _AttributionFold:
         totals = np.zeros(len(self.partition.bands))
         for sums in self.sums:
             totals += sums
-        means = totals / self.n_pairs
+        means = totals / (self.n_pairs * self.unit)
         return BandAttribution(
             mean_abs_logit={lab: float(m) for lab, m in zip(self.partition.labels, means)},
             n_pairs=self.n_pairs,
@@ -552,7 +551,8 @@ def evaluate_shared(
     attribution = None
     if band_partition is not None and align.has_reference:
         attribution = _AttributionFold(band_partition, qkv, align.n)
-        size = max(size, attribution.panel_size)
+        # One group in each half; at the blocks' own height both panels fit in their logits.
+        size = max(size, 2 * attribution.panel_size)
     work = np.empty(size)
     if attention_out is not None:
         chunk = _block_height(4 * n_keys, _WRITE_BYTES)
@@ -569,12 +569,9 @@ def evaluate_shared(
                     attention_out.write(f4[: len(rows)])
         if attribution is not None:
             starts, panel = attribution.starts, attribution.panel_size
-            # Two groups at once where both panels fit, or else one at a time, each product shared.
-            paired = 2 * panel <= size
-            for i in range(0, len(starts), 1 + paired):
-                second = starts[i + 1] if paired and i + 1 < len(starts) else None
+            for first, second in zip(starts[::2], [*starts[1::2], None]):
                 worker.split(
-                    lambda: attribution.add(starts[i], work, _INLINE if paired else worker),
+                    lambda: attribution.add(first, work),
                     None if second is None else lambda: attribution.add(second, work[panel:]),
                 )
     return SharedEvaluation(

@@ -160,16 +160,19 @@ for f in blas1/*; do cmp "$f" "blas2/$(basename "$f")"; done
 # threads while BLAS kept its own count. Each run's affinity is set by a
 # wrapper on its own process, which then becomes the command; without
 # OpenBLAS's entry points BLAS is not pinned, and the case is skipped.
+on_cpus() {
+  python -c '
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])
+os.execvp(sys.argv[2], sys.argv[2:])' "$@"
+}
 if python -c 'import sys; from ropefreq.diagnostics import _openblas; sys.exit(_openblas() is None)'; then
   with_attention "$demo" heads4.json heads4.f4 \
     '{"grid": {"width": 16, "height": 16}, "heads": 4, "attribution_bands": null, "sweep": [{"mode": "plain", "s": 100.0}]}'
   for cpus in 1 2; do
     for t in 1 2; do
       mkdir heads4_$cpus$t && cd heads4_$cpus$t
-      OPENBLAS_NUM_THREADS=$t python -c '
-import os, sys
-os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])
-os.execvp(sys.argv[2], sys.argv[2:])' "$cpus" $ROPEFREQ shared-attn ../heads4.json --out report.json --quiet
+      OPENBLAS_NUM_THREADS=$t on_cpus "$cpus" $ROPEFREQ shared-attn ../heads4.json --out report.json --quiet
       cd ..
     done
   done
@@ -178,6 +181,18 @@ os.execvp(sys.argv[2], sys.argv[2:])' "$cpus" $ROPEFREQ shared-attn ../heads4.js
     for f in heads4_11/*; do cmp "$f" "$d/$(basename "$f")"; done
   done
 fi
+# Band groups run two at a time, the worker taking every second one. The
+# 40x40 three-band demo has 25 groups of 64 image rows, so the caller runs
+# the last one alone; its report is the same on one CPU and on two.
+python - "$demo" <<'EOF'
+import json, pathlib, sys
+demo = json.loads(pathlib.Path(sys.argv[1]).read_text())
+pathlib.Path("bands40.json").write_text(json.dumps({**demo, "grid": {"width": 40, "height": 40}}))
+EOF
+for cpus in 1 2; do
+  on_cpus "$cpus" $ROPEFREQ shared-attn bands40.json --out "bands40_$cpus.json" --quiet
+done
+cmp bands40_1.json bands40_2.json
 # Two heads and no attribution bands: each streamed matrix holds exactly
 # 4*rows*cols bytes, and read as <f4 every row sums to 1 within 1e-5.
 with_attention "$demo" heads2_demo.json heads2.f4 '{"heads": 2, "attribution_bands": null}'

@@ -112,10 +112,11 @@ def test_the_openblas_numpy_runs_on_is_found(monkeypatch):
 # 14, 10, 6 and 3 rows. At 3 rows the last block is one row without text
 # tokens (256 query rows) and two with them (260), so its product takes the
 # rows before it, and the one-row block leaves the worker's half of its rows
-# empty. With one head, band groups are as high as the blocks and run two at
-# a time, except under the default budget: there the blocks' 64-row cap
-# leaves room for one band panel, of the one group of 256 image rows, and
-# each band product is split between the threads.
+# empty. With one head, band groups are as high as the blocks under every
+# budget, the default's 64 rows included, and always run two at a time,
+# the caller's group and the worker's each in its own half of the block's
+# buffer: the 256 image rows make four groups under the default budget, and
+# with an odd count (19 of 14 rows, 43 of 6) the caller runs the last alone.
 @pytest.mark.parametrize("budget_rows", [None, 14, 10, 6, 3], ids=["4MiB", "14", "10", "6", "3"])
 @pytest.mark.parametrize("text_tokens", [0, 4])
 @pytest.mark.parametrize("heads", [1, 2, 4])

@@ -12,6 +12,7 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,6 +199,27 @@ def test_a_block_takes_the_budgets_rows_on_any_cpu_count(monkeypatch):
         assert [8 * np.prod(shape) for shape in shapes[-3:]] == [12 * 2**20, 24 * 2**20, 36 * 2**20]
 
 
+def test_a_band_group_is_a_one_head_block_high_and_two_panels_fit_in_it():
+    # Unpatched, on every square grid up to the 524,288-key bound: a band
+    # group takes the rows of a one-head logits block, and two groups'
+    # panels over the N reference keys fit in that block's logits over all
+    # 2N + T keys, so the work buffer is one block's logits and the groups
+    # always run two at a time. Only the keys' shapes are read.
+    diagnostics = ropefreq.diagnostics
+    partition = make_even_partition(CFG, 3, "all")
+    bound = diagnostics._BLOCK_BYTES // 8
+    for text in (0, 4, 77):
+        grids = range(1, math.isqrt((bound - text) // 2) + 1)
+        for grid in grids:
+            n = grid * grid
+            k = np.broadcast_to(0.0, (2 * n + text, 2))
+            qkv = SimpleNamespace(k=k, q=k[: n + text], ref=k[n + text :])
+            fold = diagnostics._AttributionFold(partition, qkv, n)
+            assert fold.rows == diagnostics._block_rows(len(k), 1)
+            assert 2 * fold.panel_size <= math.prod(diagnostics._logits_shape(n + text, len(k), 1))
+        assert 2 * grids[-1] ** 2 + text <= bound < 2 * (grids[-1] + 1) ** 2 + text
+
+
 def test_non_finite_logits_raise_without_a_numpy_warning():
     # pyproject.toml turns RuntimeWarning into an error, so a warning from the
     # overflowing matmul or softmax would fail this test before the guard.
@@ -366,8 +388,8 @@ def test_attribution_and_stream_keep_their_bytes_across_band_panels_and_write_ch
     # 48 query rows there are five full groups and a sixth of 20 (16 image
     # rows and the 4 text rows), and so of blocks, so every block ends in a
     # short chunk. Without text tokens a panel over the 256 reference keys
-    # fills exactly half of a block's 512 columns, the most at which two
-    # groups run at once. With the smallest budget, blocks and groups are three rows
+    # fills exactly half of a block's 512 columns, so the two groups in
+    # flight fill the block. With the smallest budget, blocks and groups are three rows
     # high: with text tokens the last block is two rows, and without them
     # the last block and the last group are one, and each multiplies the
     # rows before it too.

@@ -668,6 +668,46 @@ class TestSharedAttn:
             assert err.startswith("error: ") and "overflows a float" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    # A 2x2 identity scene without noise or text at seed 3: with one band
+    # at s = 1e308 the run's |logit| sums overflowed, and at the largest
+    # float its softmax was not finite, where --emit-config accepted both.
+    # The shipped 8x8 demo with a sweep entry at s = 1e308 overflowed as the first.
+    @pytest.mark.parametrize(
+        "s, bands, demo",
+        [(1e308, 1, False), (1.7976931348623157e308, None, False), (1e308, 3, True)],
+        ids=["band-sums", "softmax", "demo"],
+    )
+    def test_emit_config_and_the_run_agree_at_the_largest_scales(self, tmp_path, capsys, s, bands, demo):
+        if demo:
+            cfg = {**json.loads(SHIPPED_DEMO.read_text()), "sweep": [{"mode": "plain", "s": s}]}
+        else:
+            cfg = {
+                "rotary": {"dim": 8}, "grid": {"width": 2, "height": 2},
+                "scene": {"kind": "identity", "noise_level": 0.0}, "text_tokens": 0,
+                "sharing": {"mode": "plain", "s": s}, "attribution_bands": bands, "seed": 3,
+            }
+        cfg["output"] = {"report": str(tmp_path / "report.json"), "attention": None}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for flags in (["--emit-config", str(tmp_path / "normalized.json")], []):
+            assert main(["shared-attn", str(cfg_path), *flags, "--quiet"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "overflows a float" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_band_sums_past_the_largest_float_give_finite_means(self, tmp_path):
+        # The shipped 8x8 demo at s = 1e307: the |logit| sums over its 4,096
+        # pairs of image queries and reference keys pass the largest float,
+        # but their means, near 1e305, do not.
+        cfg = {**json.loads(SHIPPED_DEMO.read_text()), "sweep": [{"mode": "plain", "s": 1e307}]}
+        cfg["output"] = {"report": str(tmp_path / "report.json"), "attention": None}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(tmp_path / "e.json"), "--quiet"]) == 0
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 0
+        means = json.loads((tmp_path / "report.json").read_text())["entries"][0]["band_attribution"]
+        assert all(1e304 < mean < 1e306 for mean in means.values())
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

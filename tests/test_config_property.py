@@ -20,7 +20,8 @@ from ropefreq.cli import PARTITION_NAMES, main
 # Numbers on both sides of each check, integers too large for a float, and
 # floats whose products (a band mask's scale times a sharing scale) overflow one.
 SCALES = st.one_of(
-    st.sampled_from([0, 1, 2, 3, 10**400, -(10**400), 1e155, -1e155, 1e300]), st.floats(-0.25, 3.0)
+    st.sampled_from([0, 1, 2, 3, 10**400, -(10**400), 1e155, -1e155, 1e300, 1e308, 1.7976931348623157e308]),
+    st.floats(-0.25, 3.0),
 )
 STEPS = st.integers(-1, 4)
 # Small shifts, and shifts that take a grid position up to or past an int64 bound.

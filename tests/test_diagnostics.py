@@ -165,6 +165,19 @@ class TestBandAttribution:
         expected = np.abs(full[:n_img, n_img + n_txt :]).mean()
         assert evaluation.attribution.mean_abs_logit["full"] == pytest.approx(expected, abs=1e-12)
 
+    def test_sums_past_the_largest_float_are_scaled_exactly(self):
+        # Reference keys scaled by 2**1019 scale every band logit by it
+        # exactly. Over an 8x8 grid the |logit| sums then pass the largest
+        # float, so they are taken of the logits times a power of two, and
+        # each mean is still 2**1019 times the mean at s = 1, bit for bit.
+        scene, text = basic_scene(grid=8)
+        means = [
+            run(scene, text, SharingParams(mode="plain", s=s), bands=3)[0].attribution
+            for s in (1.0, 2.0**1019)
+        ]
+        assert means[1].mean_abs_logit == {k: v * 2.0**1019 for k, v in means[0].mean_abs_logit.items()}
+        assert math.inf in [v * means[1].n_pairs for v in means[1].mean_abs_logit.values()]
+
     def test_zeroed_band_has_zero_attribution(self):
         scene, text = basic_scene()
         params = SharingParams(
