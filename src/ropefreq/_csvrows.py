@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bands
 from .bands import DecayCurve
+from .rope import _block_height
 
 __all__ = ["HEADER", "write_rows"]
 
@@ -106,7 +106,7 @@ def write_rows(curve: DecayCurve, out) -> None:
     # marks the bytes a row writes; these are the fields every row shares.
     sign = 8 + max(map(len, names))
     width = sign + _VALUE_BYTES
-    step = bands._block_deltas(2 * len(labels) * width)
+    step = _block_height(2 * len(labels) * width)
     text = np.empty((step, len(labels), width), dtype=np.uint8)
     keep = np.zeros(text.shape, dtype=bool)
     for i, name in enumerate(names):

@@ -113,19 +113,6 @@ def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> 
     return BandPartition(tuple(bands))
 
 
-# Bytes one block of deltas may hold: f64 cosines in :func:`decay_curve`
-# (chosen from a 32 KiB to 4 MiB sweep for the lowest peak RSS), row text
-# and its keep mask in ``_csvrows.write_rows``, and a streamed chunk's
-# curve in :func:`decay_curve_to_csv`. A block's height is this budget over
-# the bytes of one delta, so memory stays flat however many deltas.
-_BLOCK_BYTES = 2**18
-
-
-def _block_deltas(delta_bytes: int) -> int:
-    """Deltas per block when each delta holds ``delta_bytes`` bytes."""
-    return _block_height(delta_bytes, _BLOCK_BYTES)
-
-
 @dataclass(frozen=True)
 class DecayCurve:
     """Mean similarity per band as a function of integer position shift.
@@ -201,7 +188,7 @@ def decay_curve(
     if include_full:
         columns.append(("full", slice(None)))
     series = {label: np.empty(deltas.size) for label, _ in columns}
-    step = _block_deltas(8 * theta.size)
+    step = _block_height(8 * theta.size)
     for start in range(0, deltas.size, step):
         # The int64 deltas are cast to f64 as the product is taken.
         block = np.multiply.outer(deltas[start : start + step], theta)
@@ -211,12 +198,12 @@ def decay_curve(
     return DecayCurve(deltas, series)
 
 
-# Deltas per streamed chunk of :func:`decay_curve_to_csv`: a block's budget
+# Deltas per streamed chunk of :func:`decay_curve_to_csv`: the row budget
 # at 16 bytes a delta, 16,384. At 10**5 deltas on 2 cores, 2**13 to 2**15
 # were fastest of 2**11 to 2**16: shorter chunks hand the worker more calls,
 # longer ones leave the first chunk's cosines and the last one's rows
 # unoverlapped for longer. Two chunks of 3 bands and "full" hold 1.3 MB.
-_CHUNK_DELTAS = _block_deltas(16)
+_CHUNK_DELTAS = _block_height(16)
 
 
 def decay_curve_to_csv(

@@ -241,10 +241,6 @@ def _blocks(
         yield start, attention, saturated
 
 
-# Bytes of <f4 rows cast and written at a time when a matrix is streamed.
-_WRITE_BYTES = 256 * 2**10
-
-
 @dataclass(frozen=True)
 class AlignmentMetrics:
     """Attention-mass and argmax alignment summary over target image queries.
@@ -555,8 +551,8 @@ def evaluate_shared(
         size = max(size, 2 * attribution.panel_size)
     work = np.empty(size)
     if attention_out is not None:
-        chunk = _block_height(4 * n_keys, _WRITE_BYTES)
-        # Rows are cast into this one buffer and written from it.
+        chunk = _block_height(4 * n_keys)
+        # Rows are cast into this one buffer, the row budget of <f4, and written from it.
         f4 = np.empty((min(chunk, _block_rows(n_keys, heads), len(q)), n_keys), dtype="<f4")
     saturated = 0  # (image-query row, head) pairs
     with _blas_pinned() as pinned, Worker(pinned and len(os.sched_getaffinity(0)) > 1) as worker:

@@ -42,6 +42,31 @@ __all__ = [
 ]
 
 
+# Bytes of row temporaries a block may hold in every fixed-budget row loop
+# but the logits blocks': rotation angles (a block holds four arrays of
+# this size, _rotate_pairs), AdaIN's statistics, the scene builders,
+# decay_curve's f64 cosines, a streamed CSV chunk's deltas, write_rows'
+# row text and a streamed matrix's <f4 chunk. The four rotation arrays
+# (1 MiB) stay below a 64-row one-head logits block from 32x32 up, so
+# assembly does not set a run's peak there; for decay curves, a 32 KiB to
+# 4 MiB sweep found this budget the lowest in peak RSS.
+_ROWS_BYTES = 256 * 2**10
+# The widest embedding, whose f64 row fills the budget; fixed at import.
+_MAX_DIM = _ROWS_BYTES // 8
+
+
+def _block_height(row_bytes: int, budget: int | None = None) -> int:
+    """Rows of ``row_bytes`` bytes each that fit in ``budget`` (``_ROWS_BYTES`` if None), at least 1."""
+    return max(1, (_ROWS_BYTES if budget is None else budget) // row_bytes)
+
+
+def _n_chunks(dim: int) -> int:
+    """``dim // 2``; raises :class:`ConfigurationError` unless ``dim`` is even and in ``1.._MAX_DIM``."""
+    if not 0 < dim <= _MAX_DIM or dim % 2 != 0:
+        raise ConfigurationError(f"dim must be a positive even integer up to {_MAX_DIM}, got {dim}")
+    return dim // 2
+
+
 @dataclass(frozen=True)
 class RotaryConfig:
     """Embedding width, rotation base, and the axial split of chunk indices.
@@ -62,11 +87,9 @@ class RotaryConfig:
     temporal_chunks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.dim <= 0 or self.dim % 2 != 0:
-            raise ConfigurationError(f"dim must be a positive even integer, got {self.dim}")
+        n = _n_chunks(self.dim)
         if not self.rope_base > 1.0:
             raise ConfigurationError(f"rope_base must exceed 1, got {self.rope_base}")
-        n = self.dim // 2
         if not (self.x_chunks or self.y_chunks or self.temporal_chunks):
             half = n // 2
             object.__setattr__(self, "x_chunks", tuple(range(half)))
@@ -86,7 +109,7 @@ class RotaryConfig:
     @classmethod
     def single_axis(cls, dim: int, rope_base: float = 10000.0, axis: str = "x") -> "RotaryConfig":
         """All chunks on one spatial axis; the layout for 1-D shift analysis."""
-        chunks = tuple(range(dim // 2))
+        chunks = tuple(range(_n_chunks(dim)))
         if axis == "x":
             return cls(dim=dim, rope_base=rope_base, x_chunks=chunks, y_chunks=())
         if axis == "y":
@@ -101,7 +124,7 @@ class RotaryConfig:
         geometric frequency range, so 2-D positions are resolved at every
         scale on both axes.
         """
-        n = dim // 2
+        n = _n_chunks(dim)
         return cls(
             dim=dim,
             rope_base=rope_base,
@@ -113,7 +136,7 @@ class RotaryConfig:
     def flux_like(cls, dim: int, rope_base: float = 10000.0) -> "RotaryConfig":
         """Partition echoing Flux-style layouts: a leading unrotated temporal
         block (1/8 of the chunks, at least one), then y, then x."""
-        n = dim // 2
+        n = _n_chunks(dim)
         if n < 3:
             raise ConfigurationError("flux_like layout needs at least 3 chunks")
         n_t = max(1, n // 8)
@@ -188,19 +211,6 @@ def _angles(positions: np.ndarray, config: RotaryConfig) -> np.ndarray:
             idx = np.asarray(chunks)
             angles[:, idx] = positions[:, column : column + 1].astype(np.float64) * theta[idx]
     return angles
-
-
-# Bytes one block of rows may hold in the loops that take a fixed budget of
-# f64 rows at a time: rotation angles (a block holds four arrays of this size,
-# _rotate_pairs), AdaIN's statistics and the scene builders. The four
-# rotation arrays (1 MiB) stay below a one-head logits block of 64 rows
-# from 32x32 up, so assembly does not set a run's peak there.
-_ROWS_BYTES = 256 * 2**10
-
-
-def _block_height(row_bytes: int, budget: int | None = None) -> int:
-    """Rows of ``row_bytes`` bytes each that fit in ``budget`` (``_ROWS_BYTES`` if None), at least 1."""
-    return max(1, (_ROWS_BYTES if budget is None else budget) // row_bytes)
 
 
 def _out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:

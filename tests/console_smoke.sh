@@ -220,6 +220,22 @@ for c in huge_grid huge_s; do
   rc=0; $ROPEFREQ shared-attn "$c.json" --emit-config "$c.emitted.json" --quiet || rc=$?
   test "$rc" -eq 3; test ! -e "$c.emitted.json"
 done
+# A dim whose f64 row passes the 256 KiB row budget, above 32,768, exits
+# 3 with one error: line and writes nothing, from --dim as from
+# rotary.dim under --emit-config; 32,768 itself is accepted.
+python - "$demo" <<'EOF'
+import json, pathlib, sys
+demo = json.loads(pathlib.Path(sys.argv[1]).read_text())
+pathlib.Path("wide_dim.json").write_text(json.dumps({**demo, "rotary": {"dim": 4000000}}))
+EOF
+mkdir wide && cd wide
+for argv in "bands --dim 32770 --out bands.json" "shared-attn ../wide_dim.json --emit-config emitted.json"; do
+  rc=0; $ROPEFREQ $argv --quiet 2> ../wide.err || rc=$?
+  test "$rc" -eq 3; test "$(wc -l < ../wide.err)" -eq 1; grep -q '^error: ' ../wide.err
+  test -z "$(ls -A)"
+done
+cd ..
+$ROPEFREQ bands --dim 32768 --out wide_bands.json --quiet
 # A band mask whose finite scale times the finite sharing scale overflows
 # a float: --emit-config and the run each exit 3, print one error: line
 # and no traceback, and write nothing.

@@ -161,7 +161,7 @@ class TestDecayCurve:
     @pytest.mark.parametrize("block_deltas", [1, 7, None])
     def test_blocks_equal_per_delta_means_bit_for_bit(self, monkeypatch, block_deltas):
         if block_deltas is not None:
-            monkeypatch.setattr(ropefreq.bands, "_BLOCK_BYTES", 8 * 64 * block_deltas)
+            monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", 8 * 64 * block_deltas)
             deltas = list(range(-150, 151, 3)) + [99_999, -12_345]
         else:
             deltas = list(range(-2_500, 2_500))
@@ -245,7 +245,7 @@ class TestDecayCurve:
         cfg = RotaryConfig.single_axis(32)
         part = make_even_partition(cfg, 3, "x")
         curve = decay_curve(list(range(-20, 30)) + [99_999], part, cfg, include_full=True)
-        monkeypatch.setattr(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas)
+        monkeypatch.setattr(ropefreq._csvrows, "_block_height", lambda row_bytes: block_deltas)
         assert _whole_csv(curve) == _per_row_csv(curve)
 
     def test_workload_scale_csv_equals_per_row_rendering_in_a_few_blocks(self):
@@ -267,12 +267,12 @@ class TestDecayCurve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * ropefreq.bands._BLOCK_BYTES
+        assert peak < 4 * ropefreq.rope._ROWS_BYTES
 
     @pytest.mark.parametrize("block_deltas", [1, 7, None])
     def test_csv_edge_values_are_percent_rendering(self, monkeypatch, block_deltas):
         if block_deltas is not None:
-            monkeypatch.setattr(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas)
+            monkeypatch.setattr(ropefreq._csvrows, "_block_height", lambda row_bytes: block_deltas)
         powers = [10.0**-k for k in range(6)]
         # Exact ties m * 2**-k: odd m of up to 53 bits near 2**-1, 2**-4,
         # 2**-7 and 2**-10, one in each decade of the laid-out window.
@@ -399,7 +399,7 @@ class TestDecayCurve:
         finally:
             tracemalloc.stop()
         arrays = curve.delta_values.nbytes + sum(v.nbytes for v in curve.series.values())
-        assert peak < arrays + 4 * ropefreq.bands._BLOCK_BYTES
+        assert peak < arrays + 4 * ropefreq.rope._ROWS_BYTES
 
     def test_curve_peak_is_its_arrays_and_a_few_blocks(self):
         # The deltas go straight into their int64 array and the cosines are
@@ -416,7 +416,7 @@ class TestDecayCurve:
         finally:
             tracemalloc.stop()
         arrays = curve.delta_values.nbytes + sum(v.nbytes for v in curve.series.values())
-        assert peak < arrays + 4 * ropefreq.bands._BLOCK_BYTES
+        assert peak < arrays + 4 * ropefreq.rope._ROWS_BYTES
 
 
 class TestStreamedCsv:
@@ -509,7 +509,7 @@ _UNIT = 1.0 + 1e-12  # DecayCurve's bound on a series value
 def test_csv_rows_are_percent_rendering(rows, block_deltas):
     deltas, high, full = zip(*rows)
     curve = DecayCurve(np.array(deltas, dtype=np.int64), {"high": np.array(high), "full": np.array(full)})
-    with mock.patch.object(ropefreq.bands, "_block_deltas", lambda delta_bytes: block_deltas):
+    with mock.patch.object(ropefreq._csvrows, "_block_height", lambda row_bytes: block_deltas):
         assert _whole_csv(curve) == _percent_csv(curve)
 
 

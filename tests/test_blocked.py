@@ -17,6 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ropefreq._csvrows
+import ropefreq.bands
 import ropefreq.diagnostics
 import ropefreq.rope
 from dense_reference import (
@@ -34,6 +36,7 @@ from ropefreq import (
     SharingParams,
     TimestepRamp,
     build_shared_qkv,
+    decay_curve,
     evaluate_shared,
     make_even_partition,
     make_grid,
@@ -348,7 +351,7 @@ def test_streaming_evaluation_holds_one_block_and_one_write_chunk():
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     _, peak = traced_growth(evaluate_shared, qkv, scene, attention_out=_Discard())
     blocks = 8 * ropefreq.diagnostics._block_rows(len(qkv.k), 1) * len(qkv.k)
-    assert peak < blocks + ropefreq.diagnostics._WRITE_BYTES + 2**20
+    assert peak < blocks + ropefreq.rope._ROWS_BYTES + 2**20
 
 
 @pytest.mark.parametrize("heads", [2, 4])
@@ -363,7 +366,7 @@ def test_multi_head_streaming_evaluation_holds_one_block_budget(heads):
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     _, peak = traced_growth(evaluate_shared, qkv, scene, heads=heads, attention_out=_Discard())
-    assert peak < ropefreq.diagnostics._BLOCK_BYTES + ropefreq.diagnostics._WRITE_BYTES + 2**20
+    assert peak < ropefreq.diagnostics._BLOCK_BYTES + ropefreq.rope._ROWS_BYTES + 2**20
 
 
 class _Chunks:
@@ -406,7 +409,7 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, group, chunk)
     assert n_queries == n + text_tokens and n_keys == n_queries + n
     budget = group * ropefreq.diagnostics._row_bytes(n_keys, 1)
     monkeypatch.setattr(ropefreq.diagnostics, "_BLOCK_BYTES", budget)
-    monkeypatch.setattr(ropefreq.diagnostics, "_WRITE_BYTES", 4 * n_keys * chunk)
+    monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", 4 * n_keys * chunk)
     group = block = max(group, 3)
     if group > 3:
         # With text tokens, the last group holds both kinds of row.
@@ -444,6 +447,45 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, group, chunk)
     streamed = b"".join(out.chunks)
     assert streamed == stacked_blocks(qkv.q, qkv.k, 1, rows=block).astype("<f4").tobytes()
     assert streamed == dense_softmax(qkv.q, qkv.k).astype("<f4").tobytes()
+
+
+def test_the_row_budget_alone_sets_every_row_loop(monkeypatch):
+    # rope._ROWS_BYTES is the one budget of the fixed-budget row loops other
+    # than the logits blocks: shrunk alone, it cuts the rotation, the decay
+    # cosines, the CSV rows and the streamed <f4 chunks into more blocks.
+    # Each loop is counted by a side effect it already has: the rotation's
+    # calls of _rotate_pairs, the heights bands takes from _block_height,
+    # write_rows' writes and the attention_out writes.
+    rotate, height = ropefreq.rope._rotate_pairs, ropefreq.bands._block_height
+    scene, text, config = demo_scene(8)
+    cfg = RotaryConfig.single_axis(128)
+    partition = make_even_partition(cfg, 3, "x")
+
+    def blocks(patch):
+        rotations, heights, rows, matrix = [], [], [], _Chunks()
+        patch.setattr(ropefreq.rope, "_rotate_pairs", lambda *args: rotations.append(rotate(*args)))
+
+        def decay_height(*args):
+            heights.append(height(*args))
+            return heights[-1]
+
+        patch.setattr(ropefreq.bands, "_block_height", decay_height)
+        params = SharingParams(mode="plain", s=1.0)
+        qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
+        evaluate_shared(qkv, scene, attention_out=matrix)
+        curve = decay_curve(range(2000), partition, cfg, include_full=True)
+        ropefreq._csvrows.write_rows(curve, SimpleNamespace(write=rows.append))
+        return [len(rotations), -(-2000 // heights[0]), len(rows), len(matrix.chunks)], matrix.chunks
+
+    with monkeypatch.context() as patch:
+        shipped, _ = blocks(patch)
+    budget = 4096
+    monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", budget)
+    shrunk, chunks = blocks(monkeypatch)
+    # 3 rotations, 4 cosine blocks of 512 deltas, 3 CSV blocks of 862 and 2 <f4 writes of 64 and 4 rows.
+    assert shipped == [3, 4, 3, 2]
+    assert all(s > b for s, b in zip(shrunk, shipped)), (shipped, shrunk)
+    assert max(map(len, chunks)) <= budget
 
 
 @pytest.mark.parametrize(

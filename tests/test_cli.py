@@ -528,6 +528,23 @@ class TestBands:
         assert main(["bands", "--dim", "4", "--bands", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["dim"] == 4
 
+    # --dim takes the bound of rotary.dim: its f64 row must fit the 256 KiB
+    # row budget, so it is at most 32,768.
+    def test_widest_dim_is_accepted(self, capsys):
+        assert main(["bands", "--dim", "32768"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 32768
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bands"], ["decay-curve"], ["schedule", "--s-hf", "0.3", "--s-lf", "1.2"]],
+        ids=["bands", "decay-curve", "schedule"],
+    )
+    def test_dim_past_the_row_budget_exits_3_and_writes_nothing(self, tmp_path, capsys, argv):
+        assert main([*argv, "--dim", "32770", "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: dim must be a positive even integer up to 32768, got 32770\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestSharedAttn:
     def test_demo_fixture_plain_copies(self, tmp_path):
@@ -694,6 +711,31 @@ class TestSharedAttn:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "overflows a float" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    # One f64 row of keys must fit the 256 KiB row budget, so rotary.dim is
+    # at most 32,768. A wider one exits 3 before any tuple of chunk indices
+    # is built, where --emit-config took 0.86 s and 274 MiB to accept 4,000,000.
+    @pytest.mark.parametrize("dim", [32_770, 4_000_000])
+    def test_dim_past_the_row_budget_exits_3_without_outputs_or_warning(self, tmp_path, capsys, dim):
+        # Every warning is an error here: one escaping would not exit 3.
+        cfg = json.loads(SHIPPED_DEMO.read_text())
+        cfg["rotary"]["dim"] = dim
+        cfg["output"] = {"report": str(tmp_path / "report.json"), "attention": str(tmp_path / "attn.f4")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for flags in (["--emit-config", str(tmp_path / "normalized.json")], []):
+            assert main(["shared-attn", str(cfg_path), *flags, "--quiet"]) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: dim must be a positive even integer up to 32768, got {dim}\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_emit_config_accepts_the_widest_dim(self, tmp_path):
+        cfg = json.loads(SHIPPED_DEMO.read_text())
+        cfg["rotary"]["dim"] = 32_768
+        cfg_path, emitted = tmp_path / "config.json", tmp_path / "normalized.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(emitted), "--quiet"]) == 0
+        assert json.loads(emitted.read_text())["rotary"]["dim"] == 32_768
 
     def test_band_sums_past_the_largest_float_give_finite_means(self, tmp_path):
         # The shipped 8x8 demo at s = 1e307: the |logit| sums over its 4,096

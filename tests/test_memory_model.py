@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from ropefreq.cli import ExperimentConfig, _all_or_nothing, run_experiment
-from ropefreq.diagnostics import _BLOCK_BYTES, _WRITE_BYTES, _row_bytes
-from ropefreq.rope import _block_height
+from ropefreq.diagnostics import _BLOCK_BYTES, _row_bytes
+from ropefreq.rope import _ROWS_BYTES, _block_height
 
 
 def demo_config(grid: int, heads: int, bands, attention) -> ExperimentConfig:
@@ -60,7 +60,7 @@ def model(grid: int, dim: int, text: int, heads: int, streamed: bool) -> tuple[i
     budget_rows = min(64, _block_height(_row_bytes(n_keys, heads), _BLOCK_BYTES), n_queries)
     work = min(heads, 3) * budget_rows * n_keys
     held = scene + k
-    return held, held + 8 * work + (_WRITE_BYTES if streamed else 0) + 2**20
+    return held, held + 8 * work + (_ROWS_BYTES if streamed else 0) + 2**20
 
 
 # Matrices are streamed at 16x16 and 48x48 only: a 64x64 run writes two

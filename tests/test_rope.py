@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,32 @@ class TestRotaryConfig:
     def test_rejects_bad_dim(self, dim):
         with pytest.raises(ConfigurationError):
             RotaryConfig(dim=dim)
+
+    # A dim whose f64 row passes the 256 KiB row budget, one above 32,768,
+    # is refused before any tuple of chunk indices is built (16,385 of them
+    # take about 0.6 MB). The bound is fixed at import, so a test that
+    # shrinks the budget does not move it.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda dim: RotaryConfig(dim=dim),
+            lambda dim: RotaryConfig.single_axis(dim, axis="y"),
+            RotaryConfig.interleaved,
+            RotaryConfig.flux_like,
+        ],
+        ids=["default", "single_axis", "interleaved", "flux_like"],
+    )
+    def test_dim_is_bounded_by_the_row_budget(self, build, monkeypatch):
+        monkeypatch.setattr(ropefreq.rope, "_ROWS_BYTES", 64)
+        assert build(32_768).n_chunks == 16_384
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="up to 32768, got 32770"):
+                build(32_770)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     @pytest.mark.parametrize("base", [1.0, 0.5, -3.0])
     def test_rejects_base_at_most_one(self, base):
