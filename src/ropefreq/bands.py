@@ -15,7 +15,7 @@ import numpy as np
 
 from ._worker import Worker
 from .errors import ConfigurationError, ShapeError
-from .rope import RotaryConfig, _block_height, _int64, frequencies
+from .rope import RotaryConfig, _block_height, _int64, _integer, frequencies
 
 __all__ = [
     "Band",
@@ -76,41 +76,22 @@ class BandPartition:
         return np.concatenate([b.indices() for b in self.bands])
 
 
-def make_even_partition(config: RotaryConfig, n_bands: int, axis: str = "x") -> BandPartition:
-    """Split an axis's chunk indices into ``n_bands`` near-equal bands.
+def make_even_partition(config: RotaryConfig, n_bands: int) -> BandPartition:
+    """Split every chunk index, ``0 .. config.n_chunks - 1``, into ``n_bands`` near-equal bands.
 
-    ``axis`` is ``"x"``, ``"y"``, or ``"all"`` (every chunk regardless of
-    axis). Band sizes differ by at most one; when the count does not divide
-    evenly the extra chunks go to the highest-frequency (lowest-index) bands.
-    Three bands get the labels high/mid/low, two high/low, one "full", and
-    any other count is labeled band0, band1, ...
+    ``n_bands`` is an integer from 1 to ``config.n_chunks``. Band sizes differ
+    by at most one; when the count does not divide evenly the extra chunks go
+    to the highest-frequency (lowest-index) bands. Three bands get the labels
+    high/mid/low, two high/low, one "full", and any other count is labeled
+    band0, band1, ...
     """
-    if axis == "x":
-        chunks = config.x_chunks
-    elif axis == "y":
-        chunks = config.y_chunks
-    elif axis == "all":
-        chunks = tuple(range(config.n_chunks))
-    else:
-        raise ConfigurationError(f"axis must be 'x', 'y' or 'all', got {axis!r}")
-    if not chunks:
-        raise ConfigurationError(f"axis {axis!r} has no chunks in this config")
-    ordered = sorted(chunks)
-    if ordered != list(range(ordered[0], ordered[-1] + 1)):
-        raise ConfigurationError(f"axis {axis!r} chunk indices are not contiguous: {chunks}")
-    if n_bands < 1 or n_bands > len(ordered):
-        raise ConfigurationError(
-            f"n_bands must be between 1 and {len(ordered)} for axis {axis!r}, got {n_bands}"
-        )
-    base, rem = divmod(len(ordered), n_bands)
+    n = config.n_chunks
+    if not (_integer(n_bands) and 1 <= n_bands <= n):
+        raise ConfigurationError(f"n_bands must be an integer from 1 to {n}, got {n_bands!r}")
+    base, rem = divmod(n, n_bands)
     labels = _DEFAULT_LABELS.get(n_bands, tuple(f"band{i}" for i in range(n_bands)))
-    bands = []
-    lo = ordered[0]
-    for i in range(n_bands):
-        size = base + (1 if i < rem else 0)
-        bands.append(Band(labels[i], lo, lo + size))
-        lo += size
-    return BandPartition(tuple(bands))
+    edges = [i * base + min(i, rem) for i in range(n_bands + 1)]
+    return BandPartition(tuple(map(Band, labels, edges, edges[1:])))
 
 
 @dataclass(frozen=True)

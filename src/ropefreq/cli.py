@@ -120,14 +120,23 @@ def build_rotary(dim: int, rope_base: float, partition) -> RotaryConfig:
 
 
 _SHARING_KEYS = ("mode", "s", "adain", "s_hf", "s_lf", "beta", "offset", "ramp", "band_mask")
+_MODE_KEYS = {"none": (), "plain": ("s",), "shifted": ("s", "offset"),
+              "frequency_aware": ("s_hf", "s_lf", "beta", "ramp")}
 _RAMP_KEYS = ("s_hf_start", "s_hf_end", "s_lf_start", "s_lf_end", "total_steps")
 _BAND_MASK_KEYS = ("label", "start", "stop", "mode", "scale")
 
 
-def _sharing(raw: dict) -> SharingParams:
+def _mode_keys(mode) -> tuple[str, ...]:
+    """The keys a sharing section in ``mode`` may hold; every key for a value that is no mode."""
+    reads = _MODE_KEYS.get(mode) if isinstance(mode, str) else None
+    return _SHARING_KEYS if reads is None else ("mode", "adain", "band_mask", *reads)
+
+
+def _sharing(raw: dict, context: str = "sharing") -> SharingParams:
     """The parameters of a sharing section; :func:`_sharing_json` renders its normalized echo."""
-    _check_keys(raw, _SHARING_KEYS, "sharing")
-    mode = _require(raw, "mode", "sharing")
+    _check_keys(raw, _SHARING_KEYS, context)
+    mode = _require(raw, "mode", context)
+    _check_keys(raw, _mode_keys(mode), f"{context} ({mode} mode)")
     adain = raw.get("adain", True)
     if not isinstance(adain, bool):
         raise ConfigurationError(f"sharing.adain must be true or false, got {adain!r}")
@@ -135,13 +144,13 @@ def _sharing(raw: dict) -> SharingParams:
     if mode in ("plain", "shifted"):
         kwargs["s"] = _number(raw.get("s", 1.0), "sharing.s")
     if mode == "shifted":
-        offset = _ints(_require(raw, "offset", "sharing (shifted mode)"), "sharing.offset")
+        offset = _ints(_require(raw, "offset", f"{context} (shifted mode)"), "sharing.offset")
         if len(offset) != 2:
             raise ConfigurationError(f"offset must be [x, y], got {offset!r}")
         kwargs["offset"] = tuple(offset)
     if mode == "frequency_aware":
         for key in ("s_hf", "s_lf"):
-            value = _require(raw, key, "sharing (frequency_aware mode)")
+            value = _require(raw, key, f"{context} (frequency_aware mode)")
             kwargs[key] = _number(value, f"sharing.{key}")
         kwargs["beta"] = _number(raw.get("beta", 2.0), "sharing.beta")
         ramp = raw.get("ramp")
@@ -180,14 +189,10 @@ def _sharing_json(params: SharingParams) -> dict:
     ``config.sharing`` and in each entry's ``sharing``.
     """
     out: dict = {"mode": params.mode, "adain": params.adain_enabled}
-    if params.mode in ("plain", "shifted"):
-        out["s"] = params.s
-    if params.offset is not None:
-        out["offset"] = list(params.offset)
-    if params.mode == "frequency_aware":
-        out.update(s_hf=params.s_hf, s_lf=params.s_lf, beta=params.beta)
-    if params.ramp is not None:
-        out["ramp"] = asdict(params.ramp)
+    for key in _MODE_KEYS[params.mode]:
+        value = getattr(params, key)
+        if value is not None:  # all but an unset ramp
+            out[key] = asdict(value) if key == "ramp" else list(value) if key == "offset" else value
     mask = params.band_mask_override
     if mask is not None:
         out["band_mask"] = {**asdict(mask.band), "mode": mask.mode, "scale": mask.scale}
@@ -273,21 +278,24 @@ class ExperimentConfig:
         # config they would stop.
         config = build_rotary(**norm["rotary"])
         bands = norm["attribution_bands"]
-        partition = None if bands is None else make_even_partition(config, bands, "all")
+        partition = None if bands is None else make_even_partition(config, bands)
         _check_heads(norm["heads"], partition, config.dim)
         scene = norm["scene"]
         _check_scene(
             norm["grid"]["width"], norm["grid"]["height"], config.dim, scene["style_strength"],
             scene["kind"], scene["noise_level"], scene["shift"],
         )
-        # Sweep items override the base section's echo and the top-level step, not the raw section.
+        # Sweep items override the base section's echo, of which each inherits only the keys its
+        # own mode reads, and the top-level step; not the raw section.
         base = (_sharing(_require(d, "sharing", "config")), norm["step"])
         norm["sharing"] = _sharing_json(base[0])
         swept = []
         for i, item in enumerate(sweep or []):
-            merged = {**norm["sharing"], **item}
+            keys = _mode_keys(item.get("mode", norm["sharing"]["mode"]))
+            merged = {**{k: v for k, v in norm["sharing"].items() if k in keys}, **item}
             step = merged.pop("step", norm["step"])
-            swept.append((_sharing(merged), None if step is None else _int(step, f"sweep[{i}].step")))
+            params = _sharing(merged, f"sweep[{i}]")
+            swept.append((params, None if step is None else _int(step, f"sweep[{i}].step")))
         runs = swept or [base]
         # One logits row (8 bytes a key) must fit in the evaluation's budget.
         # A block multiplies at least three rows, so at the bound its logits
@@ -513,7 +521,7 @@ def cmd_decay_curve(args) -> int:
     if args.delta_max < 0:
         raise ConfigurationError(f"--delta-max must be >= 0, got {args.delta_max}")
     config = RotaryConfig.single_axis(args.dim, args.rope_base)
-    partition = make_even_partition(config, args.bands, "all")
+    partition = make_even_partition(config, args.bands)
     n_series = len(partition.bands) + args.include_full
     largest = _CURVE_BYTES // (8 * (1 + n_series)) - 1
     if args.delta_max > largest:
@@ -546,7 +554,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_bands(args) -> int:
     config = RotaryConfig.single_axis(args.dim, args.rope_base)
-    partition = make_even_partition(config, args.bands, "all")
+    partition = make_even_partition(config, args.bands)
     theta = frequencies(config)
     listing = {
         "dim": args.dim,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,15 @@ def _block_height(row_bytes: int, budget: int | None = None) -> int:
     return max(1, (_ROWS_BYTES if budget is None else budget) // row_bytes)
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer (a NumPy one too) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _n_chunks(dim: int) -> int:
-    """``dim // 2``; raises :class:`ConfigurationError` unless ``dim`` is even and in ``1.._MAX_DIM``."""
-    if not 0 < dim <= _MAX_DIM or dim % 2 != 0:
-        raise ConfigurationError(f"dim must be a positive even integer up to {_MAX_DIM}, got {dim}")
+    """``dim // 2``; raises :class:`ConfigurationError` unless ``dim`` is an even integer in ``1.._MAX_DIM``."""
+    if not (_integer(dim) and 0 < dim <= _MAX_DIM and dim % 2 == 0):
+        raise ConfigurationError(f"dim must be a positive even integer up to {_MAX_DIM}, got {dim!r}")
     return dim // 2
 
 
@@ -88,8 +94,9 @@ class RotaryConfig:
 
     def __post_init__(self) -> None:
         n = _n_chunks(self.dim)
-        if not self.rope_base > 1.0:
-            raise ConfigurationError(f"rope_base must exceed 1, got {self.rope_base}")
+        # A comparison, so an integer too large for a float is refused rather than converted.
+        if not (isinstance(self.rope_base, numbers.Real) and 1.0 < self.rope_base <= sys.float_info.max):
+            raise ConfigurationError(f"rope_base must be a finite number above 1, got {self.rope_base!r}")
         if not (self.x_chunks or self.y_chunks or self.temporal_chunks):
             half = n // 2
             object.__setattr__(self, "x_chunks", tuple(range(half)))

@@ -19,9 +19,11 @@ ROPEFREQ=${ROPEFREQ:-ropefreq}
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 demo="$root/configs/copying_demo.json"
 cd "$(mktemp -d)"
-exec 3>&2 2> stderr.log
-trap 'rc=$?; cat stderr.log >&3
-if grep -q "Exception ignored" stderr.log; then
+# By its full path: a step may fail while the script is in a subdirectory.
+log=$PWD/stderr.log
+exec 3>&2 2> "$log"
+trap 'rc=$?; cat "$log" >&3
+if grep -q "Exception ignored" "$log"; then
   echo "console_smoke.sh: a step printed \"Exception ignored\"" >&3; rc=1
 fi
 exit $rc' EXIT
@@ -60,7 +62,7 @@ from ropefreq import _csvrows, bands
 from ropefreq.rope import RotaryConfig
 assert bands._CHUNK_DELTAS == 16384, bands._CHUNK_DELTAS
 c = RotaryConfig.single_axis(128, 10000.0, "x")
-p = bands.make_even_partition(c, 3, "x")
+p = bands.make_even_partition(c, 3)
 curve = bands.decay_curve(range(int(sys.argv[1]) + 1), p, c, include_full=len(sys.argv) > 2)
 sys.stdout.write(_csvrows.HEADER)
 _csvrows.write_rows(curve, sys.stdout)
@@ -236,6 +238,23 @@ for argv in "bands --dim 32770 --out bands.json" "shared-attn ../wide_dim.json -
 done
 cd ..
 $ROPEFREQ bands --dim 32768 --out wide_bands.json --quiet
+# An infinite --rope-base, and a sharing key its mode does not read (an
+# offset in plain mode), exit 3 with one error: line and write nothing.
+python - "$demo" <<'EOF'
+import json, pathlib, sys
+demo = json.loads(pathlib.Path(sys.argv[1]).read_text())
+sharing = {"mode": "plain", "s": 1.0, "offset": [1, 2]}
+pathlib.Path("unread_key.json").write_text(json.dumps({**demo, "sharing": sharing}))
+EOF
+mkdir refused && cd refused
+for argv in "bands --rope-base inf --out bands.json" \
+    "decay-curve --rope-base inf --delta-max 3 --out curve.csv" \
+    "shared-attn ../unread_key.json --emit-config emitted.json"; do
+  rc=0; $ROPEFREQ $argv --quiet 2> ../refused.err || rc=$?
+  test "$rc" -eq 3; test "$(wc -l < ../refused.err)" -eq 1; grep -q '^error: ' ../refused.err
+  test -z "$(ls -A)"
+done
+cd ..
 # A band mask whose finite scale times the finite sharing scale overflows
 # a float: --emit-config and the run each exit 3, print one error: line
 # and no traceback, and write nothing.

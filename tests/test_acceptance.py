@@ -254,7 +254,7 @@ def test_criterion_7_band_attribution():
     cfg = RotaryConfig.interleaved(DEMO["dim"])
     scene, text = rebuild_scene(DEMO)
 
-    partition = make_even_partition(cfg, 3, "all")
+    partition = make_even_partition(cfg, 3)
     plain_params = SharingParams(mode="plain", s=1.0)
     plain_eval, qkv, _, plain_tied = evaluate(scene, text, plain_params, cfg, partition)
     logits = qkv.q @ qkv.k.T / math.sqrt(cfg.dim)

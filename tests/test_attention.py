@@ -18,6 +18,7 @@ from dense_reference import (
 from ropefreq import (
     Band,
     BandMaskSpec,
+    BandPartition,
     ConfigurationError,
     RotaryConfig,
     ShapeError,
@@ -260,7 +261,7 @@ class TestAttendBandDecomposition:
         rng = np.random.default_rng(30)
         qf, qpos = rng.standard_normal((4, 32)), rng.integers(0, 4, (4, 2))
         kf, kpos = rng.standard_normal((6, 32)), rng.integers(0, 4, (6, 2))
-        part = make_even_partition(CFG, 4, "all")
+        part = make_even_partition(CFG, 4)
         q_rot = apply_rope_batch(qf, qpos, CFG)
         k_rot = apply_rope_batch(kf, kpos, CFG)
         # Each band's panel is computed into the buffer the next band reuses.
@@ -690,7 +691,7 @@ class TestBuildSharedQKV:
 
     def test_per_band_logits_sum_to_logits(self):
         scene, text = scene_and_text(noise=0.1, kind="shuffle")
-        part = make_even_partition(CFG, 3, "all")
+        part = make_even_partition(CFG, 3)
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
@@ -706,7 +707,7 @@ class TestBuildSharedQKV:
 
     def test_band_partition_requires_single_head(self):
         scene, text = scene_and_text()
-        part = make_even_partition(CFG, 3, "all")
+        part = make_even_partition(CFG, 3)
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )
@@ -714,8 +715,9 @@ class TestBuildSharedQKV:
             evaluate_shared(qkv, scene, heads=2, band_partition=part)
 
     def test_band_partition_must_cover_all_chunks(self):
+        # Two bands over the default layout's x chunks 0..7, of the keys' 16.
         scene, text = scene_and_text()
-        part = make_even_partition(CFG, 2, "x")
+        part = BandPartition((Band("high", 0, 4), Band("low", 4, 8)))
         qkv = build_shared_qkv(
             scene.target, text, scene.reference, SharingParams(mode="plain", s=1.0), CFG
         )

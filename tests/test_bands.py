@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import threading
 import tracemalloc
 from decimal import Decimal
@@ -74,35 +75,52 @@ class _Discard:
 class TestMakeEvenPartition:
     def test_even_split(self):
         cfg = RotaryConfig(dim=12, x_chunks=tuple(range(6)), y_chunks=())
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         assert [(b.start, b.stop) for b in part.bands] == [(0, 2), (2, 4), (4, 6)]
         assert part.labels == ("high", "mid", "low")
 
     def test_remainder_goes_to_high_frequencies(self):
         cfg = RotaryConfig(dim=14, x_chunks=tuple(range(7)), y_chunks=())
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         assert [b.size for b in part.bands] == [3, 2, 2]
         assert part.bands[0].start == 0
 
-    def test_single_band_covers_axis(self):
-        part = make_even_partition(RotaryConfig(dim=16), 1, "x")
+    def test_single_band_covers_every_chunk(self):
+        # The default layout puts chunks 0..3 on x and 4..7 on y; the band spans both.
+        part = make_even_partition(RotaryConfig(dim=16), 1)
         assert part.labels == ("full",)
-        assert (part.bands[0].start, part.bands[0].stop) == (0, 4)
+        assert (part.bands[0].start, part.bands[0].stop) == (0, 8)
 
-    def test_all_axis_matches_cli_band_listing(self):
-        part = make_even_partition(RotaryConfig(dim=128), 3, "all")
+    def test_split_matches_cli_band_listing(self):
+        part = make_even_partition(RotaryConfig(dim=128), 3)
         assert [(b.start, b.stop) for b in part.bands] == [(0, 22), (22, 43), (43, 64)]
 
-    @pytest.mark.parametrize("n", [0, 9])
+    # An integer below 1 or past the chunk count, a fraction, a bool (True
+    # gave one "full" band), a string or None; 2.5 used to raise TypeError.
+    @pytest.mark.parametrize("n", [0, 9, 2.5, True, "2", None])
     def test_rejects_bad_band_count(self, n):
-        cfg = RotaryConfig(dim=16)  # 4 chunks per axis
-        with pytest.raises(ConfigurationError):
-            make_even_partition(cfg, n, "x")
+        cfg = RotaryConfig(dim=16)  # 8 chunks
+        message = f"n_bands must be an integer from 1 to 8, got {n!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            make_even_partition(cfg, n)
 
-    def test_rejects_noncontiguous_axis(self):
-        cfg = RotaryConfig.interleaved(16)
-        with pytest.raises(ConfigurationError):
-            make_even_partition(cfg, 2, "x")
+    def test_numpy_band_count_is_an_integer(self):
+        part = make_even_partition(RotaryConfig(dim=16), np.int64(3))
+        assert [(b.start, b.stop) for b in part.bands] == [(0, 3), (3, 6), (6, 8)]
+
+    # The bands split chunk indices 0..n-1 whatever axis each chunk is on:
+    # the interleaved layout, whose x chunks are not contiguous, splits as
+    # every other layout does.
+    @pytest.mark.parametrize("layout", ["default", "interleaved", "flux", "single_y"])
+    def test_split_ignores_the_axial_layout(self, layout):
+        cfg = {
+            "default": RotaryConfig(dim=16),
+            "interleaved": RotaryConfig.interleaved(16),
+            "flux": RotaryConfig.flux_like(16),
+            "single_y": RotaryConfig.single_axis(16, axis="y"),
+        }[layout]
+        assert make_even_partition(cfg, 2) == make_even_partition(RotaryConfig.single_axis(16), 2)
+        assert [(b.start, b.stop) for b in make_even_partition(cfg, 2).bands] == [(0, 4), (4, 8)]
 
     def test_partition_validation(self):
         with pytest.raises(ConfigurationError):
@@ -116,7 +134,7 @@ class TestMakeEvenPartition:
 class TestMeanBandSimilarity:
     def test_zero_delta_is_one(self):
         cfg = RotaryConfig(dim=128)
-        for band in make_even_partition(cfg, 3, "all").bands:
+        for band in make_even_partition(cfg, 3).bands:
             assert decay_curve([0], BandPartition((band,)), cfg).series[band.label][0] == 1.0
 
     def test_single_chunk_band(self):
@@ -137,19 +155,19 @@ class TestMeanBandSimilarity:
 class TestDecayCurve:
     def test_delta_zero_all_ones(self):
         cfg = RotaryConfig(dim=128)
-        part = make_even_partition(cfg, 3, "all")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve([0], part, cfg)
         assert all(np.array_equal(v, [1.0]) for v in curve.series.values())
 
     def test_band_order_at_delta_one(self):
         cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve([1], part, cfg)
         assert curve.series["high"][0] < curve.series["mid"][0] < curve.series["low"][0]
 
     def test_full_series_is_size_weighted_mean(self):
         cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve(range(0, 20), part, cfg, include_full=True)
         sizes = np.array([b.size for b in part.bands])
         stacked = np.array([curve.series[lab] for lab in part.labels])
@@ -166,7 +184,7 @@ class TestDecayCurve:
         else:
             deltas = list(range(-2_500, 2_500))
         cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         theta = frequencies(cfg)
         curve = decay_curve(deltas, part, cfg, include_full=True)
         columns = {b.label: theta[b.start : b.stop] for b in part.bands}
@@ -180,7 +198,7 @@ class TestDecayCurve:
     def test_single_band_similarity_is_a_one_point_curve(self):
         # A band's one-point curve is its point in the whole partition's curve.
         cfg = RotaryConfig(dim=128)
-        part = make_even_partition(cfg, 3, "all")
+        part = make_even_partition(cfg, 3)
         deltas = [-7, 0, 3, 10**5]
         curve = decay_curve(deltas, part, cfg)
         for band in part.bands:
@@ -192,7 +210,7 @@ class TestDecayCurve:
 
     def test_matches_frozen_oracle_table(self):
         cfg = RotaryConfig.single_axis(FIXTURE["dim"], FIXTURE["rope_base"])
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve(range(FIXTURE["delta_max"] + 1), part, cfg)
         for label in ("high", "mid", "low"):
             np.testing.assert_allclose(
@@ -201,7 +219,7 @@ class TestDecayCurve:
 
     def test_band_ordering_and_thresholds(self):
         cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve(range(0, 33), part, cfg)
         for i, delta in enumerate(curve.delta_values):
             if delta == 0:
@@ -219,11 +237,11 @@ class TestDecayCurve:
     def test_empty_delta_range_rejected(self):
         cfg = RotaryConfig(dim=16)
         with pytest.raises(ConfigurationError):
-            decay_curve([], make_even_partition(cfg, 2, "x"), cfg)
+            decay_curve([], make_even_partition(cfg, 2), cfg)
 
     def test_csv_round_trips_exact_doubles(self):
         cfg = RotaryConfig.single_axis(32)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve(range(5), part, cfg)
         out = io.StringIO()
         decay_curve_to_csv(range(5), part, cfg, out)
@@ -243,7 +261,7 @@ class TestDecayCurve:
         # Each CSV block holds ``block_deltas`` deltas; the 51 deltas leave
         # the last block of 7 short.
         cfg = RotaryConfig.single_axis(32)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve(list(range(-20, 30)) + [99_999], part, cfg, include_full=True)
         monkeypatch.setattr(ropefreq._csvrows, "_block_height", lambda row_bytes: block_deltas)
         assert _whole_csv(curve) == _per_row_csv(curve)
@@ -251,7 +269,7 @@ class TestDecayCurve:
     def test_workload_scale_csv_equals_per_row_rendering_in_a_few_blocks(self):
         # The benchmark's decay1e5 curve: 10^5 deltas, three bands and "full".
         cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         curve = decay_curve(range(100_000), part, cfg, include_full=True)
         assert _whole_csv(curve) == _per_row_csv(curve)
         # Streamed in seven chunks, the library writer's CSV is the same.
@@ -308,7 +326,7 @@ class TestDecayCurve:
 
     def test_curve_holds_arrays_and_rejects_values_outside_unit_range(self):
         cfg = RotaryConfig.single_axis(32)
-        curve = decay_curve(range(3), make_even_partition(cfg, 2, "x"), cfg)
+        curve = decay_curve(range(3), make_even_partition(cfg, 2), cfg)
         assert curve.delta_values.dtype == np.int64
         assert all(v.dtype == np.float64 for v in curve.series.values())
         deltas = np.arange(3, dtype=np.int64)
@@ -323,7 +341,7 @@ class TestDecayCurve:
         # int64 range, from any iterable, are cast; a fraction, a string or an
         # integer past int64 raises instead of being truncated or overflowing.
         cfg = RotaryConfig.single_axis(32)
-        part = make_even_partition(cfg, 2, "x")
+        part = make_even_partition(cfg, 2)
         want = decay_curve([1, 3, 5], part, cfg)
         accepted = (
             iter([1, 3, 5]), range(1, 6, 2), [1.0, 3.0, 5.0], [1, np.uint64(3), np.int8(5)],
@@ -360,7 +378,7 @@ class TestDecayCurve:
     )
     def test_a_range_gives_each_of_its_deltas(self, deltas):
         cfg = RotaryConfig.single_axis(32)
-        part = make_even_partition(cfg, 2, "x")
+        part = make_even_partition(cfg, 2)
         got = decay_curve(deltas, part, cfg)
         assert got.delta_values.dtype == np.int64 and got.delta_values.tolist() == list(deltas)
         want = decay_curve(list(deltas), part, cfg)
@@ -383,7 +401,7 @@ class TestDecayCurve:
     def test_an_empty_range_or_one_past_int64_raises(self, deltas, match):
         cfg = RotaryConfig.single_axis(32)
         with pytest.raises(ConfigurationError, match=match):
-            decay_curve(deltas, make_even_partition(cfg, 2, "x"), cfg)
+            decay_curve(deltas, make_even_partition(cfg, 2), cfg)
 
     def test_a_range_makes_no_python_int_per_delta(self):
         # A range's deltas are computed into their int64 array, so the traced
@@ -391,7 +409,7 @@ class TestDecayCurve:
         # range of 10**5 deltas would first become a list of Python ints of
         # 3.6 MB.
         cfg = RotaryConfig.single_axis(32)
-        part = make_even_partition(cfg, 1, "x")
+        part = make_even_partition(cfg, 1)
         tracemalloc.start()
         try:
             curve = decay_curve(range(100_000), part, cfg)
@@ -408,7 +426,7 @@ class TestDecayCurve:
         # of them or an |series| temporary would each add 8 bytes or more a
         # delta, 800 KB here.
         cfg = RotaryConfig.single_axis(128)
-        part = make_even_partition(cfg, 3, "x")
+        part = make_even_partition(cfg, 3)
         tracemalloc.start()
         try:
             curve = decay_curve(range(100_000), part, cfg, include_full=True)
@@ -424,7 +442,7 @@ class TestStreamedCsv:
 
     CHUNK = 7
     CFG = RotaryConfig.single_axis(32)
-    PART = make_even_partition(CFG, 3, "x")
+    PART = make_even_partition(CFG, 3)
 
     @pytest.fixture
     def seen(self, monkeypatch):

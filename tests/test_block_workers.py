@@ -125,7 +125,7 @@ def test_the_worker_moves_no_output(heads, text_tokens, budget_rows, monkeypatch
     if budget_rows is not None:
         budget = budget_rows * diagnostics._row_bytes(len(qkv.k), heads)
         monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", budget)
-    partitions = [make_even_partition(CONFIG, 3, "all"), None] if heads == 1 else [None]
+    partitions = [make_even_partition(CONFIG, 3), None] if heads == 1 else [None]
     blas = diagnostics._openblas()
     for partition in partitions:
         runs = {}
@@ -151,7 +151,7 @@ def test_blas_is_pinned_for_the_whole_evaluation(monkeypatch):
     if blas is None:
         pytest.skip("no OpenBLAS entry points in this process")
     scene, qkv = shared_keys(4)
-    partition = make_even_partition(CONFIG, 3, "all")
+    partition = make_even_partition(CONFIG, 3)
     before = blas[1]()
     blas[0](2)
     try:
@@ -222,7 +222,7 @@ def test_a_non_finite_block_on_the_worker_raises_as_in_the_caller(heads, monkeyp
 def test_threads_and_blas_come_back_however_the_evaluation_ends(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     scene, qkv = shared_keys(4)
-    partition = make_even_partition(CONFIG, 3, "all")
+    partition = make_even_partition(CONFIG, 3)
     before = counts()
     evaluate_shared(qkv, scene, band_partition=partition, attention_out=_Chunks())
     assert counts() == before
@@ -286,7 +286,7 @@ def test_concurrent_evaluations_keep_their_outputs(monkeypatch):
     # count comes back, and every thread ends.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     scene, qkv = shared_keys(4, s=100.0)
-    partition = make_even_partition(CONFIG, 3, "all")
+    partition = make_even_partition(CONFIG, 3)
     runs = [(1, partition), (2, None), (4, None)]
     monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", 10 * diagnostics._row_bytes(len(qkv.k), 1))
     want = [evaluate_shared(qkv, scene, heads, part) for heads, part in runs]

@@ -118,7 +118,7 @@ def test_blocked_evaluation_matches_dense_reference(name, heads, ragged_blocks):
     n_queries, n_keys = qkv.q.shape[0], qkv.k.shape[0]
     ragged_blocks(n_keys, heads)
     assert n_queries % ROWS_PER_BLOCK != 0 and n_queries > 2 * ROWS_PER_BLOCK
-    partition = make_even_partition(CFG, 3, "all") if heads == 1 else None
+    partition = make_even_partition(CFG, 3) if heads == 1 else None
 
     attention = dense_softmax(qkv.q, qkv.k, heads)
     evaluation, streamed = streamed_evaluation(qkv, scene, heads, partition)
@@ -209,7 +209,7 @@ def test_a_band_group_is_a_one_head_block_high_and_two_panels_fit_in_it():
     # 2N + T keys, so the work buffer is one block's logits and the groups
     # always run two at a time. Only the keys' shapes are read.
     diagnostics = ropefreq.diagnostics
-    partition = make_even_partition(CFG, 3, "all")
+    partition = make_even_partition(CFG, 3)
     bound = diagnostics._BLOCK_BYTES // 8
     for text in (0, 4, 77):
         grids = range(1, math.isqrt((bound - text) // 2) + 1)
@@ -329,7 +329,7 @@ def test_evaluation_holds_one_block():
     scene, text, config = demo_scene(64)
     params = SharingParams(mode="plain", s=1.0)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
-    partition = make_even_partition(config, 3, "all")
+    partition = make_even_partition(config, 3)
     _, peak = traced_growth(evaluate_shared, qkv, scene, band_partition=partition)
     blocks = 8 * ropefreq.diagnostics._block_rows(len(qkv.k), 1) * len(qkv.k)
     assert peak < blocks + 2**20
@@ -417,7 +417,7 @@ def check_bytes_across_panels_and_chunks(monkeypatch, text_tokens, group, chunk)
     else:
         # The last block is two rows or one, and so is the last group without text tokens.
         assert n_queries % 3 == (2 if text_tokens else 1) and n % 3 == 1
-    partition = make_even_partition(config, 3, "all")
+    partition = make_even_partition(config, 3)
     out = _Chunks()
     evaluation = evaluate_shared(qkv, scene, band_partition=partition, attention_out=out)
 
@@ -459,7 +459,7 @@ def test_the_row_budget_alone_sets_every_row_loop(monkeypatch):
     rotate, height = ropefreq.rope._rotate_pairs, ropefreq.bands._block_height
     scene, text, config = demo_scene(8)
     cfg = RotaryConfig.single_axis(128)
-    partition = make_even_partition(cfg, 3, "x")
+    partition = make_even_partition(cfg, 3)
 
     def blocks(patch):
         rotations, heights, rows, matrix = [], [], [], _Chunks()
@@ -508,7 +508,7 @@ def test_block_height_decides_no_output(heads, bands, text_tokens, streamed, s, 
     scene, text, config = demo_scene(16, text_tokens)
     params = SharingParams(mode="plain", s=s)
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
-    partition = None if bands is None else make_even_partition(config, bands, "all")
+    partition = None if bands is None else make_even_partition(config, bands)
 
     def run():
         out = io.BytesIO() if streamed else None

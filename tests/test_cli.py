@@ -167,7 +167,7 @@ class TestDecayCurveChunks:
         assert main(argv + flags) == 0
         n_bands = int(flags[1]) if flags[0] == "--bands" else 3
         config = RotaryConfig.single_axis(128, 10000.0)
-        partition = make_even_partition(config, n_bands, "all")
+        partition = make_even_partition(config, n_bands)
         whole = io.StringIO()
         curve = decay_curve(range(n), partition, config, include_full="--include-full" in flags)
         whole.write(ropefreq._csvrows.HEADER)
@@ -543,6 +543,18 @@ class TestBands:
         assert main([*argv, "--dim", "32770", "--out", str(tmp_path / "out"), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err == "error: dim must be a positive even integer up to 32768, got 32770\n"
+        assert not list(tmp_path.iterdir())
+
+    # An infinite base gave theta = 0 on every chunk but chunk 0: decay-curve
+    # wrote that CSV and exited 0, and bands blamed the JSON writer.
+    @pytest.mark.parametrize("base", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv", [["bands"], ["decay-curve", "--delta-max", "3"]], ids=["bands", "decay-curve"]
+    )
+    def test_non_finite_rope_base_exits_3_and_writes_nothing(self, tmp_path, capsys, argv, base):
+        assert main([*argv, "--rope-base", base, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: rope_base must be a finite number above 1, got {base}\n"
         assert not list(tmp_path.iterdir())
 
 
@@ -1068,6 +1080,82 @@ class TestSharedAttn:
         assert main(["shared-attn", str(cfg_path), "--out", out, "--quiet"]) == 3
         assert sorted(tmp_path.iterdir()) == [cfg_path]
         assert "name the same file" in capsys.readouterr().err
+
+    # A section holds mode, adain, band_mask and the keys its mode reads; any
+    # other sharing key was dropped from the run and the echo, and exited 0.
+    @pytest.mark.parametrize(
+        "sharing, unread",
+        [
+            ({"mode": "plain", "s": 1.0, "offset": [1, 2]}, "plain mode): ['offset']"),
+            ({"mode": "plain", "s_hf": 0.3}, "plain mode): ['s_hf']"),
+            (
+                {"mode": "frequency_aware", "s_hf": 0.3, "s_lf": 1.2, "s": 5.0},
+                "frequency_aware mode): ['s']",
+            ),
+            ({"mode": "plain", "ramp": RAMP2}, "plain mode): ['ramp']"),
+            ({"mode": "none", "s": -1}, "none mode): ['s']"),
+            ({"mode": "shifted", "offset": [1, 0], "beta": 2.0}, "shifted mode): ['beta']"),
+        ],
+        ids=["plain-offset", "plain-s_hf", "frequency_aware-s", "plain-ramp", "none-s", "shifted-beta"],
+    )
+    @pytest.mark.parametrize("where", ["base", "sweep"])
+    def test_key_the_mode_does_not_read_exits_3_without_outputs(
+        self, tmp_path, capsys, sharing, unread, where
+    ):
+        # As a sweep item, it sits over a base whose own keys are all valid.
+        if where == "base":
+            section, cfg_path, _ = "sharing", *demo_config(tmp_path, sharing)
+        else:
+            base = {"mode": "frequency_aware", **DEMO["frequency_aware"]}
+            section, cfg_path, _ = "sweep[1]", *demo_config(tmp_path, base, sweep=[PLAIN, sharing])
+        emitted = tmp_path / "normalized.json"
+        for flags in (["--emit-config", str(emitted)], []):
+            assert main(["shared-attn", str(cfg_path), *flags, "--quiet"]) == 3
+            assert capsys.readouterr().err == f"error: unknown fields in {section} ({unread}\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_sweep_item_without_a_mode_is_checked_against_the_base_mode(self, tmp_path, capsys):
+        cfg_path, report_path = demo_config(tmp_path, PLAIN, sweep=[{"offset": [1, 2]}])
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert capsys.readouterr().err == "error: unknown fields in sweep[0] (plain mode): ['offset']\n"
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize(
+        "item, missing",
+        [({"mode": "frequency_aware", "s_hf": 0.3}, "'s_lf' in sweep[1] (frequency_aware mode)"),
+         ({"mode": "shifted"}, "'offset' in sweep[1] (shifted mode)")],
+        ids=["frequency_aware", "shifted"],
+    )
+    def test_sweep_item_missing_a_key_names_the_item(self, tmp_path, capsys, item, missing):
+        cfg_path, report_path = demo_config(tmp_path, PLAIN, sweep=[PLAIN, item])
+        assert main(["shared-attn", str(cfg_path), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"error: missing required field {missing}\n"
+        assert not report_path.exists()
+
+    def test_sweep_items_inherit_only_the_keys_their_mode_reads(self, tmp_path):
+        # The frequency_aware base's s_hf, s_lf, beta and ramp reach no item of
+        # another mode; a plain base's s reaches a shifted item, which reads it.
+        base = {"mode": "frequency_aware", **DEMO["frequency_aware"], "ramp": RAMP2, "adain": False}
+        sweep = [{"mode": "plain"}, {"mode": "none"}, {"mode": "shifted", "offset": [1, 0]}, {}]
+        cfg_path, _ = demo_config(tmp_path, base, sweep=sweep, step=1)
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert main(["shared-attn", str(cfg_path), "--emit-config", str(once), "--quiet"]) == 0
+        # The emitted config parses again, to the same bytes.
+        assert main(["shared-attn", str(once), "--emit-config", str(twice), "--quiet"]) == 0
+        assert once.read_bytes() == twice.read_bytes()
+        entries = ExperimentConfig.from_json_dict(json.loads(once.read_text())).entries
+        echoes = [cli._sharing_json(params) for _, params, _ in entries]
+        assert echoes[:3] == [
+            {"mode": "plain", "adain": False, "s": 1.0},
+            {"mode": "none", "adain": False},
+            {"mode": "shifted", "adain": False, "s": 1.0, "offset": [1, 0]},
+        ]
+        assert echoes[3] == json.loads(once.read_text())["sharing"]
+        plain_base = json.loads(cfg_path.read_text())
+        plain_base["sharing"] = {"mode": "plain", "s": 0.7}
+        plain_base["sweep"] = [{"mode": "shifted", "offset": [1, 0]}]
+        (_, params, _), = ExperimentConfig.from_json_dict(plain_base).entries
+        assert params.s == 0.7
 
     def test_emit_config_round_trips(self, tmp_path):
         cfg_path, report_path = demo_config(tmp_path, {"mode": "plain", "s": 1.0})

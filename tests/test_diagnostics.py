@@ -35,7 +35,7 @@ COPYING = json.loads((Path(__file__).parent / "fixtures" / "copying_fixture.json
 
 def run(scene, text, params, heads=1, bands=None, config=CFG):
     """``(evaluation, partition, qkv)`` of one shared setup."""
-    part = make_even_partition(config, bands, "all") if bands else None
+    part = make_even_partition(config, bands) if bands else None
     qkv = build_shared_qkv(scene.target, text, scene.reference, params, config)
     evaluation = evaluate_shared(qkv, scene, heads=heads, band_partition=part)
     return evaluation, part, qkv
@@ -262,7 +262,7 @@ class TestChecksAgainstTheKeys:
         # Checked against a config of that width, a dim-128 partition used to
         # pass and read its slow bands from columns the keys do not have.
         qkv, scene = self.keys()
-        part = make_even_partition(RotaryConfig(dim=dim), 3, "all")
+        part = make_even_partition(RotaryConfig(dim=dim), 3)
         with pytest.raises(ConfigurationError, match="covering every chunk"):
             evaluate_shared(qkv, scene, band_partition=part)
 
@@ -275,7 +275,7 @@ class TestChecksAgainstTheKeys:
 
     def test_partition_of_the_keys_width_runs(self):
         qkv, scene = self.keys()
-        part = make_even_partition(RotaryConfig(dim=64), 3, "all")
+        part = make_even_partition(RotaryConfig(dim=64), 3)
         evaluation = evaluate_shared(qkv, scene, heads=1, band_partition=part)
         assert evaluation.attribution.mean_abs_logit == pytest.approx(
             dense_attribution(qkv, part), abs=1e-12, rel=0

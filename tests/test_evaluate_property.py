@@ -71,7 +71,7 @@ def setups(draw):
     heads = draw(st.integers(1, 2))
     partition = None
     if heads == 1:
-        partition = make_even_partition(config, draw(st.integers(1, 3)), "all")
+        partition = make_even_partition(config, draw(st.integers(1, 3)))
     rows_per_block = draw(st.integers(1, 4))
     return config, scene, text, params, step, heads, partition, rows_per_block, draw(st.booleans())
 

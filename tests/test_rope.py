@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -66,6 +68,42 @@ class TestRotaryConfig:
     def test_rejects_base_at_most_one(self, base):
         with pytest.raises(ConfigurationError):
             RotaryConfig(dim=4, rope_base=base)
+
+    # An infinite base gave theta = 0 on every chunk but chunk 0, a string
+    # raised TypeError from the comparison, and an integer too large for a
+    # float raised OverflowError from frequencies().
+    @pytest.mark.parametrize(
+        "base", [math.inf, math.nan, "10", 10**400, None], ids=["inf", "nan", "str", "10**400", "None"]
+    )
+    def test_rejects_base_that_is_not_a_finite_number(self, base):
+        message = f"rope_base must be a finite number above 1, got {base!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            RotaryConfig(dim=4, rope_base=base)
+
+    @pytest.mark.parametrize("base", [10000, np.float64(500.0), np.int64(10), sys.float_info.max])
+    def test_accepts_any_finite_real_base_above_one(self, base):
+        theta = frequencies(RotaryConfig(dim=4, rope_base=base))
+        assert theta[0] == 1.0 and np.isfinite(theta).all()
+
+    # Each constructor refuses a dim that is not an integer, or is a bool,
+    # with the dim error; 4.0 raised TypeError from range and "8" from <.
+    @pytest.mark.parametrize("dim", [4.0, "8", True, None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda dim: RotaryConfig(dim=dim),
+            lambda dim: RotaryConfig.single_axis(dim, axis="y"),
+            RotaryConfig.interleaved,
+            RotaryConfig.flux_like,
+        ],
+        ids=["default", "single_axis", "interleaved", "flux_like"],
+    )
+    def test_rejects_dim_that_is_not_an_integer(self, build, dim):
+        with pytest.raises(ConfigurationError, match=re.escape(f"up to 32768, got {dim!r}")):
+            build(dim)
+
+    def test_accepts_numpy_integer_dim(self):
+        assert RotaryConfig(dim=np.int64(8)).x_chunks == (0, 1)
 
     def test_rejects_overlapping_partitions(self):
         with pytest.raises(ConfigurationError):
