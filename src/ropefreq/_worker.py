@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 from collections.abc import Callable
@@ -9,8 +10,18 @@ from collections.abc import Callable
 __all__ = ["Worker"]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity, where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Worker:
-    """One thread of its own, or none without ``threaded``, that :meth:`split` hands calls to.
+    """One thread of its own, or none, that :meth:`split` hands calls to.
+
+    The thread is started only when ``threaded`` and the process may run on
+    a second CPU: on one CPU it could only trade the GIL with the caller.
 
     As a context manager, the thread starts on entry and has ended when the
     ``with`` block does, however it ends. Without a thread, a split makes the
@@ -18,6 +29,7 @@ class Worker:
     """
 
     def __init__(self, threaded: bool = True) -> None:
+        threaded = threaded and _cpus() > 1
         self._thread = threading.Thread(target=self._serve, daemon=True) if threaded else None
         self._calls: queue.SimpleQueue = queue.SimpleQueue()
         self._results: queue.SimpleQueue = queue.SimpleQueue()

@@ -25,6 +25,23 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+# Every BLAS product the program makes is pinned to one thread
+# (diagnostics._blas_pinned), so OpenBLAS's pool threads could only spin: a
+# process that loads NumPy here starts OpenBLAS with none. The variable is
+# restored as found, so the user's environment and child processes keep
+# their count; a process that loaded NumPy before this keeps its own.
+if "numpy" not in sys.modules:
+    _found = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if _found is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _found
+    del _found
+
 import numpy as np
 
 from .attention import (

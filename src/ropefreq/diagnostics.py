@@ -555,7 +555,7 @@ def evaluate_shared(
         # Rows are cast into this one buffer, the row budget of <f4, and written from it.
         f4 = np.empty((min(chunk, _block_rows(n_keys, heads), len(q)), n_keys), dtype="<f4")
     saturated = 0  # (image-query row, head) pairs
-    with _blas_pinned() as pinned, Worker(pinned and len(os.sched_getaffinity(0)) > 1) as worker:
+    with _blas_pinned() as pinned, Worker(pinned) as worker:
         for start, attention, block_saturated in _blocks(q, qkv.k, heads, work, align.add, worker):
             saturated += int(block_saturated[: max(align.n - start, 0)].sum())
             if attention_out is not None:

@@ -145,9 +145,11 @@ for path in ["attn_report.json"] + [f"attn.entry{i}.f4.json" for i in range(len(
     text = pathlib.Path(path).read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
 EOF
-# The evaluator pins OpenBLAS to one thread for its whole span, so the
-# thread count BLAS starts with moves no byte of the report, the matrices
-# or the sidecars.
+# The command line starts OpenBLAS on one thread, whatever
+# OPENBLAS_NUM_THREADS says, and restores the variable once NumPy is
+# loaded, so these runs no longer vary the count BLAS starts with. The
+# variable must still move no byte of the report, the matrices or the
+# sidecars.
 for t in 1 2; do
   mkdir blas$t && cd blas$t
   OPENBLAS_NUM_THREADS=$t $ROPEFREQ shared-attn ../attn_demo.json --out report.json --quiet
@@ -155,13 +157,20 @@ for t in 1 2; do
 done
 test "$(ls blas1 | wc -l)" -eq 5
 for f in blas1/*; do cmp "$f" "blas2/$(basename "$f")"; done
-# Nor do the CPU count and BLAS's thread count together: on one CPU the
+# Nor does setting it at all: the demo's report with
+# OPENBLAS_NUM_THREADS=2 is the report with the variable unset.
+OPENBLAS_NUM_THREADS=2 $ROPEFREQ shared-attn "$demo" --out blas_two.json --quiet
+env -u OPENBLAS_NUM_THREADS $ROPEFREQ shared-attn "$demo" --out blas_unset.json --quiet
+cmp blas_two.json blas_unset.json
+# Nor do the CPU count and the variable together: on one CPU the
 # evaluator makes the same one-thread products that it shares with a
 # worker thread on two. At 16x16 with four heads and plain sharing at
 # s = 100, positional_mass moved in its last bit between one and two BLAS
-# threads while BLAS kept its own count. Each run's affinity is set by a
-# wrapper on its own process, which then becomes the command; without
-# OpenBLAS's entry points BLAS is not pinned, and the case is skipped.
+# threads while BLAS kept its own count (the in-process cases of
+# tests/test_block_workers.py still start BLAS on two threads). Each
+# run's affinity is set by a wrapper on its own process, which then
+# becomes the command; without OpenBLAS's entry points BLAS is not
+# pinned, and the case is skipped.
 on_cpus() {
   python -c '
 import os, sys

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import threading
 import tracemalloc
@@ -446,8 +447,12 @@ class TestStreamedCsv:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Each chunk's length and whether the main thread took it; the threads alive at each call."""
+        """Each chunk's length and whether the main thread took it; the threads alive at each call.
+
+        The process may run on two CPUs, so the worker starts its thread.
+        """
         monkeypatch.setattr(ropefreq.bands, "_CHUNK_DELTAS", self.CHUNK)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real_curve, real_rows = ropefreq.bands.decay_curve, ropefreq._csvrows.write_rows
         seen = {"chunks": [], "main": [], "alive": []}
 
@@ -480,6 +485,23 @@ class TestStreamedCsv:
         assert threading.active_count() == threads
         curve = decay_curve(range(n), self.PART, self.CFG, include_full=include_full)
         assert out.getvalue() == _whole_csv(curve)
+
+    @pytest.mark.parametrize("n", [CHUNK + 1, 3 * CHUNK + 5])
+    def test_one_cpu_starts_no_thread(self, seen, monkeypatch, n):
+        # On one CPU a worker thread could only trade the GIL with the
+        # caller: every chunk is taken in the calling thread, no thread
+        # starts, and the CSV is byte for byte the one written with two.
+        two = io.StringIO()
+        decay_curve_to_csv(range(n), self.PART, self.CFG, two, include_full=True)
+        threads = threading.active_count()
+        for calls in seen.values():
+            calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = io.StringIO()
+        decay_curve_to_csv(range(n), self.PART, self.CFG, one, include_full=True)
+        assert seen["main"] == [True] * len(seen["chunks"]) and len(seen["chunks"]) > 1
+        assert max(seen["alive"]) == threads
+        assert one.getvalue() == two.getvalue()
 
     @pytest.mark.parametrize(
         "deltas", [list(range(-9, 20)), np.arange(-9, 20)], ids=["list", "array"]

@@ -251,9 +251,11 @@ def test_overlapping_evaluations_share_the_pin():
     assert blas[1]() == before
 
 
-def test_a_split_ends_both_calls_before_it_raises():
+def test_a_split_ends_both_calls_before_it_raises(monkeypatch):
     # The caller's exception is raised over the worker's, and only once the
     # worker's call has ended, so no call is left running into a buffer.
+    # The process may run on two CPUs, so the worker starts its thread.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ended = []
 
     def there():
@@ -277,6 +279,19 @@ def test_a_split_ends_both_calls_before_it_raises():
     with pytest.raises(KeyError, match="here"):
         Worker(threaded=False).split(here, there)
     assert ended == [False, False]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_without_affinity_the_cpu_count_decides(monkeypatch, cpus):
+    # Where the platform reports no affinity, a worker starts its thread
+    # only if os.cpu_count() gives a second CPU; its splits are the same.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    with Worker() as worker:
+        assert threading.active_count() == threads + (cpus > 1)
+        assert worker.split(lambda: 1, lambda: 2) == (1, 2)
+    assert threading.active_count() == threads
 
 
 def test_concurrent_evaluations_keep_their_outputs(monkeypatch):
