@@ -46,8 +46,9 @@ __all__ = [
 # Bytes of row temporaries a block may hold in every fixed-budget row loop
 # but the logits blocks': rotation angles (a block holds four arrays of
 # this size, _rotate_pairs), AdaIN's statistics, the scene builders,
-# decay_curve's f64 cosines, a streamed CSV chunk's deltas, write_rows'
-# row text and a streamed matrix's <f4 chunk. The four rotation arrays
+# decay_curve's f64 cosines, a streamed CSV chunk's curve (int64 deltas
+# and every f64 series), write_rows' row text and a streamed matrix's <f4
+# chunk. The four rotation arrays
 # (1 MiB) stay below a 64-row one-head logits block from 32x32 up, so
 # assembly does not set a run's peak there; for decay curves, a 32 KiB to
 # 4 MiB sweep found this budget the lowest in peak RSS.

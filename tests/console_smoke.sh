@@ -51,16 +51,20 @@ for line in lines[1:-1]:
     d, label, v = line.split(",")
     assert line == "%d,%s,%.17g" % (int(d), label, float(v)), line
 EOF
-# The entry point streams the curve in chunks of 16,384 deltas, the
-# next one computed on a worker thread; its CSV is byte for byte the
-# whole curve rendered at once by ropefreq._csvrows. 20,001 deltas are
-# two chunks; 16,384, 16,385 and 32,768 are at a chunk's edges.
+# The entry point streams the curve in chunks that each hold one row
+# budget of curve, an int64 delta and an f64 per series: 8,192 deltas
+# for three bands, 6,553 with "full". The next chunk is computed on a
+# worker thread; the CSV is byte for byte the whole curve rendered at
+# once by ropefreq._csvrows. 20,001 deltas with "full" are four chunks.
+# 8,192, 8,193 and 16,384 deltas are at a three-band chunk's edges, and
+# 6,553, 6,554 and 13,107 at a chunk's edges with "full"; 16,385 and
+# 32,768 were the edges of the fixed 16,384-delta chunks before them.
 whole() {
   python - "$@" <<'EOF'
 import sys
 from ropefreq import _csvrows, bands
 from ropefreq.rope import RotaryConfig
-assert bands._CHUNK_DELTAS == 16384, bands._CHUNK_DELTAS
+assert (bands._chunk_deltas(3), bands._chunk_deltas(4)) == (8192, 6553)
 c = RotaryConfig.single_axis(128, 10000.0, "x")
 p = bands.make_even_partition(c, 3)
 curve = bands.decay_curve(range(int(sys.argv[1]) + 1), p, c, include_full=len(sys.argv) > 2)
@@ -70,10 +74,15 @@ EOF
 }
 whole 20000 --include-full > library.csv
 cmp full.csv library.csv
-for m in 16383 16384 32767; do
+for m in 8191 8192 16383 16384 32767; do
   $ROPEFREQ decay-curve --delta-max $m --out edge$m.csv --quiet
   whole $m > library$m.csv
   cmp edge$m.csv library$m.csv
+done
+for m in 6552 6553 13106; do
+  $ROPEFREQ decay-curve --delta-max $m --include-full --out fulledge$m.csv --quiet
+  whole $m --include-full > libraryfull$m.csv
+  cmp fulledge$m.csv libraryfull$m.csv
 done
 $ROPEFREQ schedule --s-hf 0.3 --s-lf 1.2 --out schedule.csv --quiet
 $ROPEFREQ bands --dim 8 --bands 2 --out bands.json --quiet

@@ -451,7 +451,7 @@ class TestStreamedCsv:
 
         The process may run on two CPUs, so the worker starts its thread.
         """
-        monkeypatch.setattr(ropefreq.bands, "_CHUNK_DELTAS", self.CHUNK)
+        monkeypatch.setattr(ropefreq.bands, "_chunk_deltas", lambda n_series: self.CHUNK)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real_curve, real_rows = ropefreq.bands.decay_curve, ropefreq._csvrows.write_rows
         seen = {"chunks": [], "main": [], "alive": []}
@@ -530,6 +530,32 @@ class TestStreamedCsv:
         assert type(raised.value) is error
         assert seen["main"] == [True] + [False] * (failing_call - 1)
         assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("include_full", [False, True], ids=["bands", "full"])
+@pytest.mark.parametrize("n_bands", [1, 3, 5, 64])
+def test_a_streamed_chunk_holds_one_row_budget_of_curve(monkeypatch, n_bands, include_full):
+    # A chunk's curve is its int64 deltas and one f64 per series. Three
+    # chunks, the last short, show every chunk length the writer hands out.
+    # The bands are relabeled so that one band may take "full" beside it.
+    budget = ropefreq.rope._ROWS_BYTES
+    delta_bytes = 8 * (1 + n_bands + include_full)
+    n = 2 * (budget // delta_bytes) + 5
+    cfg = RotaryConfig.single_axis(128)
+    bands = make_even_partition(cfg, n_bands).bands
+    part = BandPartition(tuple(Band(f"b{i}", b.start, b.stop) for i, b in enumerate(bands)))
+    real, chunks = ropefreq.bands.decay_curve, []
+
+    def recorded(deltas, *args, **kwargs):
+        chunks.append(len(deltas))
+        return real(deltas, *args, **kwargs)
+
+    monkeypatch.setattr(ropefreq.bands, "decay_curve", recorded)
+    out = io.StringIO()
+    decay_curve_to_csv(range(n), part, cfg, out, include_full=include_full)
+    assert sum(chunks) == n and max(chunks) == budget // delta_bytes
+    assert all(length * delta_bytes <= budget for length in chunks)
+    assert out.getvalue() == _whole_csv(real(range(n), part, cfg, include_full=include_full))
 
 
 _UNIT = 1.0 + 1e-12  # DecayCurve's bound on a series value

@@ -133,7 +133,7 @@ class TestDecayCurve:
         assert run(largest + 1, "over.csv") == 3
         assert built == [] and not any(tmp_path.iterdir())
         assert run(largest, "edge.csv") == 0
-        assert sum(built) == largest + 1 and max(built) == bands._CHUNK_DELTAS
+        assert sum(built) == largest + 1 and max(built) == bands._chunk_deltas(3 + len(flags))
 
 
 class TestDecayCurveChunks:
@@ -144,7 +144,7 @@ class TestDecayCurveChunks:
     @pytest.fixture
     def calls(self, monkeypatch):
         """The length of each ``decay_curve`` chunk, and the threads alive during it."""
-        monkeypatch.setattr(bands, "_CHUNK_DELTAS", self.CHUNK)
+        monkeypatch.setattr(bands, "_chunk_deltas", lambda n_series: self.CHUNK)
         real, calls = bands.decay_curve, []
 
         def counted(deltas, *args, **kwargs):
@@ -185,7 +185,7 @@ class TestDecayCurveChunks:
     )
     def test_failing_chunk_exits_as_a_serial_failure(self, tmp_path, monkeypatch, error, code):
         threads = threading.active_count()
-        monkeypatch.setattr(bands, "_CHUNK_DELTAS", self.CHUNK)
+        monkeypatch.setattr(bands, "_chunk_deltas", lambda n_series: self.CHUNK)
         out = tmp_path / "c.csv"
         out.write_bytes(b"old bytes\n")
         real = bands.decay_curve
